@@ -173,11 +173,19 @@ def _split_args(body: str, merge_thousands: bool) -> list[str]:
     return [p.strip() for p in parts]
 
 
+def parse_numeral(token: str) -> float | None:
+    """Value of a numeral in the DSL grammar (optional sign, thousands
+    commas, decimals, trailing %), or None for anything else."""
+    if not _NUMBER_RE.fullmatch(token):
+        return None
+    return float(token.rstrip("%").replace(",", ""))
+
+
 def _parse_number(op: str, index: int, token: str) -> float:
-    if not token or not _NUMBER_RE.match(token):
+    value = parse_numeral(token)
+    if value is None:
         raise ArgTypeError(op, index)
-    cleaned = token.rstrip("%").replace(",", "")
-    return float(cleaned)
+    return value
 
 
 def execute(p: Program) -> ExecResult:

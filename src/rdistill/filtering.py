@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from .codec import DEFAULT_COUNTER, TokenCounter
 from .records import (NONE_SENTINEL, CategorizedExample, QAExample, Rationale,
                       VerifierScores)
 from .tools import VerifierClient, rationale_text
@@ -55,21 +56,27 @@ class BalanceReport:
 
 
 def is_useful(logp_with: float, logp_without: float, cfg: FilterConfig) -> bool:
-    """The usefulness inequality in the configured score space."""
+    """The usefulness inequality in the configured score space.
+
+    In probability space p_with >= λ·p_without is tested on the logs, so
+    scores far below exp()'s range still compare correctly.
+    """
     if cfg.space == PROBABILITY_SPACE:
-        return math.exp(logp_with) >= cfg.boost_factor * math.exp(logp_without)
+        return logp_with - logp_without >= math.log(cfg.boost_factor)
     return logp_with >= cfg.boost_factor * logp_without
 
 
 def categorize(example: QAExample, rationale: Rationale,
-               verifier: VerifierClient, cfg: FilterConfig) -> CategorizedExample:
+               verifier: VerifierClient, cfg: FilterConfig,
+               counter: TokenCounter = DEFAULT_COUNTER) -> CategorizedExample:
     """Assign one (crop, rationale) pair to its filter category.
 
     Greedy comparison is case-sensitive exact match after whitespace
-    trimming; the canonical gold answer is the first of gold_answers.
+    trimming; the canonical gold answer is the first of gold_answers. The
+    verifier sees the rationale as the task files encode it under `counter`.
     """
     gold = example.canonical_answer
-    r_text = rationale_text(rationale)
+    r_text = rationale_text(rationale, counter)
     greedy = verifier.greedy_answer(example.image, example.question, r_text)
     logp_with = verifier.answer_logprob(example.image, example.question, gold, r_text)
     logp_without = verifier.answer_logprob(example.image, example.question, gold, None)

@@ -11,6 +11,7 @@ Metrics: ANLS (threshold 0.5, max over golds) and relaxed accuracy
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -124,13 +125,9 @@ def anls(pred: str, golds: Sequence[str], tau: float = 0.5) -> float:
 
 
 def _to_number(text: str) -> float | None:
-    cleaned = text.strip().replace("%", "").replace(",", "").replace(" ", "")
-    if not cleaned:
-        return None
-    try:
-        return float(cleaned)
-    except ValueError:
-        return None
+    """A finite value for a plain numeral; words like 'inf' or '1_000' are not numbers."""
+    value = dsl.parse_numeral(text.strip())
+    return value if value is not None and math.isfinite(value) else None
 
 
 def relaxed_accuracy(pred: str, gold: str) -> int:

@@ -2,9 +2,11 @@
 
 Stages (crop -> generate-rationales -> filter -> build-tasks) hand off
 through line-delimited record files under the output directory. Each
-stage writes a manifest of input/config/output hashes; rerunning with
-identical manifests skips the stage. Failed stages leave their partial
-output behind with a ".partial" suffix.
+stage writes a manifest of its input and output file hashes and a
+fingerprint of the settings it reads; a rerun skips the stage while that
+manifest still matches. HTTP tool responses are cached under
+out_dir/cache, so a rerun re-issues only calls it has no response for.
+Failed stages leave their partial output behind with a ".partial" suffix.
 """
 
 from __future__ import annotations
@@ -139,19 +141,6 @@ class PipelineConfig:
             return CharBlockCounter()
         raise ConfigError(f"unknown token counter {self.counter!r}")
 
-    def config_hash(self) -> str:
-        knobs = {
-            "seed": self.seed, "crop_mode": self.crop_mode, "counter": self.counter,
-            "tasks": list(self.task_list),
-            "filter": {"boost_factor": self.filter.boost_factor, "space": self.filter.space},
-            "datasets": [{"name": d.name, "path": d.path, "flow": d.flow, "subset": d.subset}
-                         for d in self.datasets],
-            "mock": self.mock, "mock_seed": self.mock_seed,
-            "max_retries": self.max_retries,
-            "filter_whole_image": self.filter_whole_image,
-        }
-        return hashlib.sha256(json.dumps(knobs, sort_keys=True).encode()).hexdigest()
-
 
 def default_mock_config(out_dir: str, seed: int = 0) -> PipelineConfig:
     """Config for the bundled synthetic corpus, materializing its data files."""
@@ -231,26 +220,24 @@ def _load_template(config: PipelineConfig, name: str, default) -> tools.PromptTe
     return tools.PromptTemplate(name=name, shot_count=shots, body=body)
 
 
+_HTTP_CLIENTS = {"ocr": tools.HttpOcrClient, "summarizer": tools.HttpSummarizerClient,
+                 "programmer": tools.HttpProgrammerClient, "verifier": tools.HttpVerifierClient}
+
+
+def response_cache_path(out_dir: str) -> str:
+    return os.path.join(out_dir, "cache", "responses.jsonl")
+
+
 def make_clients(config: PipelineConfig) -> tools.ToolClients:
+    """Mock clients, or HTTP clients writing through one response cache."""
     if config.mock:
         return fixtures.make_mock_clients(seed=config.mock_seed)
     policy = tools.RetryPolicy(max_retries=config.max_retries)
     sem = threading.Semaphore(config.concurrency)
-
-    def ep(name):
-        url = config.endpoints.get(name)
-        return tools.HttpEndpoint(url, policy, sem) if url else None
-
-    clients = tools.ToolClients()
-    if ep("ocr"):
-        clients.ocr = tools.HttpOcrClient(ep("ocr"))
-    if ep("summarizer"):
-        clients.summarizer = tools.HttpSummarizerClient(ep("summarizer"))
-    if ep("programmer"):
-        clients.programmer = tools.HttpProgrammerClient(ep("programmer"))
-    if ep("verifier"):
-        clients.verifier = tools.HttpVerifierClient(ep("verifier"))
-    return clients
+    cache = tools.ResponseCache(response_cache_path(config.out_dir))
+    return tools.ToolClients(**{
+        name: client(tools.HttpEndpoint(config.endpoints[name], policy, sem, cache=cache))
+        for name, client in _HTTP_CLIENTS.items() if config.endpoints.get(name)})
 
 
 def make_templates(config: PipelineConfig) -> tools.Templates:
@@ -276,7 +263,17 @@ def _manifest_path(out_dir: str, stage: str) -> str:
     return os.path.join(out_dir, "manifests", f"{stage}.json")
 
 
-def _stage_fresh(out_dir: str, stage: str, inputs: list[str], cfg_hash: str) -> bool:
+def _manifest_key(out_dir: str, path: str) -> str:
+    """Paths under out_dir relative to it, so a moved output directory stays fresh."""
+    rel = os.path.relpath(path, out_dir)
+    return path if rel.split(os.sep)[0] == os.pardir else rel
+
+
+def _hashes(out_dir: str, paths: list[str]) -> dict[str, str]:
+    return {_manifest_key(out_dir, p): _file_hash(p) for p in paths}
+
+
+def _stage_fresh(out_dir: str, stage: str, inputs: list[str], fingerprint: str) -> bool:
     path = _manifest_path(out_dir, stage)
     if not os.path.exists(path):
         return False
@@ -285,33 +282,39 @@ def _stage_fresh(out_dir: str, stage: str, inputs: list[str], cfg_hash: str) -> 
             manifest = json.load(f)
     except (OSError, json.JSONDecodeError):
         return False
-    if manifest.get("config") != cfg_hash:
+    if manifest.get("fingerprint") != fingerprint:
         return False
-    if manifest.get("inputs") != {p: _file_hash(p) for p in inputs if os.path.exists(p)}:
+    if manifest.get("inputs") != _hashes(out_dir, [p for p in inputs if os.path.exists(p)]):
         return False
-    for out_path, digest in manifest.get("outputs", {}).items():
+    for key, digest in manifest.get("outputs", {}).items():
+        out_path = os.path.join(out_dir, key)
         if not os.path.exists(out_path) or _file_hash(out_path) != digest:
             return False
     return True
 
 
-def _write_manifest(out_dir: str, stage: str, inputs: list[str], cfg_hash: str,
+def _write_manifest(out_dir: str, stage: str, inputs: list[str], fingerprint: str,
                     outputs: list[str], counts: dict) -> None:
     os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
-    manifest = {
+    _write_json_atomic(_manifest_path(out_dir, stage), {
         "stage": stage,
-        "config": cfg_hash,
-        "inputs": {p: _file_hash(p) for p in inputs},
-        "outputs": {p: _file_hash(p) for p in outputs},
+        "fingerprint": fingerprint,
+        "inputs": _hashes(out_dir, inputs),
+        "outputs": _hashes(out_dir, outputs),
         "counts": counts,
-    }
-    with open(_manifest_path(out_dir, stage), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+    })
 
 
 def _write_atomic(path: str, lines) -> None:
     partial = path + ".partial"
     write_lines(partial, lines)
+    os.replace(partial, path)
+
+
+def _write_json_atomic(path: str, obj) -> None:
+    partial = path + ".partial"
+    with open(partial, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
     os.replace(partial, path)
 
 
@@ -408,7 +411,7 @@ def stage_generate_rationales(config: PipelineConfig) -> dict:
             results = _parallel_map(generate, _read_examples(src), config.concurrency)
             results.sort(key=lambda pair: pair[0])
             _write_atomic(dest, (_serialize_rationale_line(i, r) for i, r in results))
-            counts[dest] = len(results)
+            counts[_manifest_key(config.out_dir, dest)] = len(results)
     return counts
 
 
@@ -416,38 +419,32 @@ def stage_filter(config: PipelineConfig) -> dict:
     clients = make_clients(config)
     if clients.verifier is None:
         raise StageFailure("filter", "no verifier client configured")
-    counts = {}
-    for ds in config.datasets:
-        crops = {e.example_id: e for e in _read_examples(crops_path(config, ds))}
-        rationales = _read_rationales(crop_rationales_path(config, ds))
+    counter = config.make_counter()
+
+    def categorize_all(examples_path: str, rationales_file: str):
+        examples = {e.example_id: e for e in _read_examples(examples_path)}
+        rationales = _read_rationales(rationales_file)
 
         def run_one(example_id: str):
-            return filtering.categorize(crops[example_id], rationales[example_id],
-                                        clients.verifier, config.filter)
+            return filtering.categorize(examples[example_id], rationales[example_id],
+                                        clients.verifier, config.filter, counter)
 
-        ids = sorted(set(crops) & set(rationales))
-        categorized = _parallel_map(run_one, ids, config.concurrency)
+        ids = sorted(examples.keys() & rationales.keys())
+        return _parallel_map(run_one, ids, config.concurrency)
+
+    counts = {}
+    for ds in config.datasets:
+        categorized = categorize_all(crops_path(config, ds), crop_rationales_path(config, ds))
         kept, report = filtering.balance(categorized, seed=config.seed)
         kept.sort(key=lambda c: c.example_id)
         _write_atomic(categorized_path(config, ds),
                       (serialize_categorized(c) for c in kept))
-        with open(balance_path(config, ds), "w", encoding="utf-8") as f:
-            json.dump(report.to_json(), f, indent=2, sort_keys=True)
+        _write_json_atomic(balance_path(config, ds), report.to_json())
         counts[ds.name] = {"categorized": len(categorized), "kept": len(kept)}
 
         # whole-image rationales skip the verifier filter unless explicitly enabled
         if config.filter_whole_image:
-            examples = {e.example_id: e for e in _read_examples(ds.path)}
-            whole_rationales = _read_rationales(rationales_path(config, ds))
-
-            def run_whole(example_id: str):
-                return filtering.categorize(examples[example_id],
-                                            whole_rationales[example_id],
-                                            clients.verifier, config.filter)
-
-            whole_ids = sorted(set(examples) & set(whole_rationales))
-            whole = _parallel_map(run_whole, whole_ids, config.concurrency)
-            whole.sort(key=lambda c: c.example_id)
+            whole = categorize_all(ds.path, rationales_path(config, ds))
             _write_atomic(whole_categorized_path(config, ds),
                           (serialize_categorized(c) for c in whole))
     return counts
@@ -519,8 +516,40 @@ _STAGE_FNS = {
 }
 
 
-def _stage_io(config: PipelineConfig, stage: str) -> tuple[list[str], list[str]]:
-    """(input paths, output paths) for manifest bookkeeping."""
+def _fingerprint(config: PipelineConfig, stage: str) -> str:
+    """Hash of the settings `stage` reads, and of nothing else.
+
+    Dataset paths are left out: the manifest lists them with their hashes.
+    Concurrency changes no output, so no fingerprint covers it.
+    """
+    settings = {"datasets": [{"name": d.name, "flow": d.flow, "subset": d.subset}
+                             for d in config.datasets]}
+    if stage == "crop":
+        settings["crop_mode"] = config.crop_mode
+    elif stage == "generate-rationales":
+        templates = make_templates(config)
+        settings.update(
+            counter=config.counter, mock=config.mock, mock_seed=config.mock_seed,
+            max_retries=config.max_retries,
+            endpoints={t: config.endpoints.get(t)
+                       for t in ("ocr", "summarizer", "programmer", "plot_to_table")},
+            templates=[[t.name, t.shot_count, t.body]
+                       for t in (templates.summarizer, templates.programmer)])
+    elif stage == "filter":
+        settings.update(
+            seed=config.seed, counter=config.counter,
+            filter={"boost_factor": config.filter.boost_factor, "space": config.filter.space},
+            verifier=config.endpoints.get("verifier"), mock=config.mock,
+            mock_seed=config.mock_seed, filter_whole_image=config.filter_whole_image)
+    elif stage == "build-tasks":
+        settings.update(
+            seed=config.seed, counter=config.counter, tasks=list(config.task_list),
+            mock_seed=config.mock_seed, filter_whole_image=config.filter_whole_image)
+    return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
+
+
+def _stage_io(config: PipelineConfig, stage: str) -> tuple[list[str], list[str], str]:
+    """(input paths, output paths, settings fingerprint) for manifest bookkeeping."""
     inputs, outputs = [], []
     for ds in config.datasets:
         if stage == "crop":
@@ -533,7 +562,7 @@ def _stage_io(config: PipelineConfig, stage: str) -> tuple[list[str], list[str]]
             inputs += [crops_path(config, ds), crop_rationales_path(config, ds)]
             outputs += [categorized_path(config, ds), balance_path(config, ds)]
             if config.filter_whole_image:
-                inputs.append(rationales_path(config, ds))
+                inputs += [ds.path, rationales_path(config, ds)]
                 outputs.append(whole_categorized_path(config, ds))
         elif stage == "build-tasks":
             inputs += [ds.path, rationales_path(config, ds), categorized_path(config, ds)]
@@ -541,22 +570,25 @@ def _stage_io(config: PipelineConfig, stage: str) -> tuple[list[str], list[str]]
                 inputs.append(whole_categorized_path(config, ds))
     if stage == "build-tasks":
         outputs += [task_path(config, key) for key in config.task_list]
-    return inputs, outputs
+    return inputs, outputs, _fingerprint(config, stage)
 
 
 def run(config: PipelineConfig, stages: list[str] | None = None,
         progress=None) -> dict:
     """Run the requested stages in dependency order; returns per-stage counts.
 
-    A stage whose manifest still matches its inputs and config is skipped.
+    A stage is skipped while its manifest still matches its input files,
+    its outputs and the fingerprint of the settings it reads.
     """
     os.makedirs(config.out_dir, exist_ok=True)
-    cfg_hash = config.config_hash()
     selected = [s for s in STAGES if stages is None or s in stages]
     summary = {}
     for stage in selected:
-        inputs, outputs = _stage_io(config, stage)
-        if _stage_fresh(config.out_dir, stage, inputs, cfg_hash):
+        try:
+            inputs, outputs, fingerprint = _stage_io(config, stage)
+        except OSError as e:
+            raise StageFailure(stage, e) from e
+        if _stage_fresh(config.out_dir, stage, inputs, fingerprint):
             log.info("stage %s: up to date, skipping", stage)
             summary[stage] = "skipped"
             if progress:
@@ -569,7 +601,7 @@ def run(config: PipelineConfig, stages: list[str] | None = None,
             raise
         except Exception as e:
             raise StageFailure(stage, e) from e
-        _write_manifest(config.out_dir, stage, inputs, cfg_hash, outputs, counts)
+        _write_manifest(config.out_dir, stage, inputs, fingerprint, outputs, counts)
         summary[stage] = counts
         if progress:
             progress(stage, counts)

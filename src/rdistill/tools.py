@@ -11,15 +11,15 @@ without any network access.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import math
+import os
 import re
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Protocol
-
-import requests
 
 from . import dsl
 from .codec import DEFAULT_COUNTER, TokenCounter, encode_program_rationale
@@ -208,20 +208,90 @@ class RetryPolicy:
     backoff: float = 0.5
 
 
+class ResponseCache:
+    """Append-only JSONL store of endpoint responses, keyed by request.
+
+    Each line is {"key": sha256 of (url, canonical JSON payload),
+    "response": ...}, written and flushed as soon as the response arrives,
+    so a stage that dies part-way keeps what it already paid for. Identical
+    requests keep their order: the n-th identical request made through one
+    cache replays the n-th stored response and goes upstream only past the
+    last one, so a retried sampling prompt still gets fresh answers. A
+    truncated last line (an interrupted write) is dropped on load.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._stored: dict[str, list] = {}     # key -> responses not yet replayed, oldest first
+        self._lock = threading.Lock()
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        if os.path.exists(path):
+            self._load()
+
+    def _load(self) -> None:
+        with open(self.path, "rb+") as f:
+            end = 0
+            for line in f:
+                if not line.endswith(b"\n"):
+                    log.warning("%s: dropping a truncated last line", self.path)
+                    f.truncate(end)
+                    break
+                end += len(line)
+                try:
+                    obj = json.loads(line)
+                    self._stored.setdefault(obj["key"], []).append(obj["response"])
+                except (ValueError, KeyError, TypeError):
+                    log.warning("%s: skipping a malformed line", self.path)
+
+    @staticmethod
+    def key(url: str, payload: dict) -> str:
+        canonical = json.dumps([url, payload], sort_keys=True, ensure_ascii=False,
+                               separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def fetch(self, key: str, call) -> dict:
+        """The next stored response for `key`, else call() written through."""
+        with self._lock:
+            stored = self._stored.get(key)
+            if stored:
+                return stored.pop(0)    # replayed once; the memory goes with it
+        response = call()
+        line = json.dumps({"key": key, "response": response}, ensure_ascii=False,
+                          separators=(",", ":"))
+        with self._lock, open(self.path, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
+        return response
+
+
 class HttpEndpoint:
-    """POST-JSON endpoint with retries, exponential backoff, and a shared
-    concurrency limit across in-flight calls."""
+    """POST-JSON endpoint with retries, exponential backoff, a shared
+    concurrency limit across in-flight calls and an optional response cache."""
 
     def __init__(self, url: str, policy: RetryPolicy = RetryPolicy(),
                  semaphore: threading.Semaphore | None = None,
-                 headers: dict | None = None):
+                 headers: dict | None = None, cache: ResponseCache | None = None):
         self.url = url
         self.policy = policy
         self.semaphore = semaphore
         self.headers = headers or {}
-        self._session = requests.Session()
+        self.cache = cache
+        self._session = None    # opened on the first upstream call; a cached rerun opens none
+        self._session_lock = threading.Lock()
+
+    def cached_call(self, payload: dict) -> dict:
+        """call() through the response cache, when there is one."""
+        if self.cache is None:
+            return self.call(payload)
+        return self.cache.fetch(ResponseCache.key(self.url, payload),
+                                lambda: self.call(payload))
 
     def call(self, payload: dict) -> dict:
+        """One upstream request, retried on connection errors and 5xx."""
+        import requests     # the HTTP stack (~10 MB) loads with the first upstream call
+
+        with self._session_lock:
+            if self._session is None:
+                self._session = requests.Session()
         attempts = self.policy.max_retries + 1
         last = "no attempt made"
         for attempt in range(attempts):
@@ -251,9 +321,10 @@ class HttpEndpoint:
         raise ToolFailure(self.url, last, attempts)
 
 
-def http_call(endpoint: str, payload: dict, policy: RetryPolicy = RetryPolicy()) -> dict:
-    """One-shot helper around HttpEndpoint.call."""
-    return HttpEndpoint(endpoint, policy).call(payload)
+def _image_fields(image: ImageRef) -> dict:
+    """What a remote tool needs to locate the page and the window it reads."""
+    return {"image_id": image.id, "source_uri": image.source_uri,
+            "crop": image.to_json()["crop"]}
 
 
 class HttpSummarizerClient:
@@ -263,7 +334,7 @@ class HttpSummarizerClient:
     def summarize(self, question, gold_answer, full_ocr, template):
         prompt = render_prompt(template, {
             "question": question, "answer": gold_answer, "ocr": full_ocr, "table": ""})
-        return self.endpoint.call({"prompt": prompt, "temperature": 0.1})["text"]
+        return self.endpoint.cached_call({"prompt": prompt, "temperature": 0.1})["text"]
 
 
 class HttpProgrammerClient:
@@ -274,7 +345,7 @@ class HttpProgrammerClient:
         prompt = render_prompt(template, {
             "question": question, "answer": gold_answer, "ocr": full_ocr,
             "table": "\n".join(" | ".join(r) for r in table)})
-        return self.endpoint.call({"prompt": prompt, "temperature": 0.1})["text"]
+        return self.endpoint.cached_call({"prompt": prompt, "temperature": 0.1})["text"]
 
 
 class HttpOcrClient:
@@ -282,7 +353,7 @@ class HttpOcrClient:
         self.endpoint = endpoint
 
     def recognize(self, image):
-        out = self.endpoint.call({"image_id": image.id, "source_uri": image.source_uri})
+        out = self.endpoint.cached_call(_image_fields(image))
         boxes = [OcrBox(*b) for b in out.get("boxes", [])]
         return out["text"], boxes
 
@@ -292,15 +363,15 @@ class HttpVerifierClient:
         self.endpoint = endpoint
 
     def greedy_answer(self, image, question, rationale=None):
-        out = self.endpoint.call({
-            "image_id": image.id,
+        out = self.endpoint.cached_call({
+            **_image_fields(image),
             "text_input": verifier_prompt(question, rationale),
             "mode": "greedy"})
         return out["answer"]
 
     def answer_logprob(self, image, question, answer, rationale=None):
-        out = self.endpoint.call({
-            "image_id": image.id,
+        out = self.endpoint.cached_call({
+            **_image_fields(image),
             "text_input": verifier_prompt(question, rationale),
             "mode": "score", "answer": answer})
         return out["logprob"]

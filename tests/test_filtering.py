@@ -120,6 +120,13 @@ def test_lambda_monotonicity(lam_low, lam_high, p_with, p_without):
         assert low  # raising lambda never promotes to useful
 
 
+def test_usefulness_far_below_exp_range():
+    # exp() of both scores underflows to 0, yet p_with is e^-100 times p_without
+    cfg = FilterConfig(boost_factor=2.0)
+    assert not is_useful(-900.0, -800.0, cfg)
+    assert is_useful(-800.0, -900.0, cfg)
+
+
 def test_filter_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(boost_factor=0.5, space="probability")

@@ -130,6 +130,17 @@ class TestRelaxedAccuracy:
         assert relaxed_accuracy(pred, gold) == expected
 
 
+class TestRelaxedAccuracyNumerals:
+    def test_nonfinite_word_equal_to_gold(self):
+        assert relaxed_accuracy("INF", "INF") == 1
+        assert relaxed_accuracy("nan", "nan") == 1
+        assert relaxed_accuracy("inf", "1000") == 0
+
+    def test_underscored_digits_are_not_a_number(self):
+        assert relaxed_accuracy("1_000", "1000") == 0
+        assert relaxed_accuracy("1_000", "1_000") == 1
+
+
 @given(st.text(min_size=1, max_size=20))
 def test_relaxed_accuracy_reflexive(g):
     assert relaxed_accuracy(g, g) == 1

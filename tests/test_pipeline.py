@@ -1,14 +1,21 @@
 import hashlib
+import http.server
 import json
 import os
+import shutil
+import threading
 
 import pytest
 from click.testing import CliRunner
 
-from rdistill import cli, pipeline
-from rdistill.pipeline import (PipelineConfig, StageFailure, default_mock_config,
-                               run, validate)
-from rdistill.records import read_lines, write_lines
+from rdistill import cli, fixtures, pipeline
+from rdistill.codec import CharBlockCounter, WordCounter
+from rdistill.filtering import FilterConfig
+from rdistill.pipeline import (DatasetConfig, PipelineConfig, StageFailure,
+                               TemplateConfig, default_mock_config, run, validate)
+from rdistill.records import (ImageRef, QAExample, read_lines, serialize_example,
+                              write_lines)
+from rdistill.tools import rationale_text
 
 
 def tree_hashes(out_dir):
@@ -75,6 +82,155 @@ class TestEndToEnd:
                 report = json.load(f)
             assert report["n_none_kept"] == min(
                 report["n_none"], max(report["n_bad_r"] - report["n_good_r"], 0))
+
+
+def stages_run(summary):
+    return {stage for stage, result in summary.items() if result != "skipped"}
+
+
+ALL_STAGES = {"crop", "generate-rationales", "filter", "build-tasks"}
+
+
+class TestStageInvalidation:
+    """Each stage reruns exactly when its own settings or its inputs change."""
+
+    @pytest.mark.parametrize("change,expected", [
+        (lambda c: setattr(c, "filter", FilterConfig(boost_factor=3.0)),
+         {"filter", "build-tasks"}),
+        (lambda c: setattr(c, "task_list", ("qra", "qid")), {"build-tasks"}),
+        (lambda c: setattr(c, "crop_mode", "full-coverage"), ALL_STAGES),
+        (lambda c: setattr(c, "concurrency", 1), set()),
+    ], ids=["boost", "tasks", "crop-mode", "concurrency"])
+    def test_matrix(self, tmp_path, change, expected):
+        config = default_mock_config(str(tmp_path / "m"), seed=0)
+        assert stages_run(run(config)) == ALL_STAGES
+        change(config)
+        assert stages_run(run(config)) == expected
+
+    def test_template_body_change(self, tmp_path, monkeypatch):
+        class PromptSummarizer:
+            """Evidence that depends on the prompt, as a real model's does."""
+
+            def summarize(self, question, gold_answer, full_ocr, template):
+                return f"{template.body.split()[0]} {gold_answer}"
+
+        def clients(config):
+            c = fixtures.make_mock_clients(seed=config.mock_seed)
+            c.summarizer = PromptSummarizer()
+            return c
+
+        monkeypatch.setattr(pipeline, "make_clients", clients)
+        template = tmp_path / "summarizer.txt"
+        template.write_text("First: {ocr} {question} {answer}")
+        config = default_mock_config(str(tmp_path / "t"), seed=0)
+        config.templates["summarizer"] = TemplateConfig(path=str(template), shots=5)
+        assert stages_run(run(config)) == ALL_STAGES
+        template.write_text("Second: {ocr} {question} {answer}")
+        assert stages_run(run(config)) == {"generate-rationales", "filter", "build-tasks"}
+
+    def test_moved_out_dir_stays_fresh(self, tmp_path):
+        run(default_mock_config(str(tmp_path / "a"), seed=0))
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        assert stages_run(run(default_mock_config(str(tmp_path / "b"), seed=0))) == set()
+
+    def test_torn_balance_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        config = default_mock_config(str(tmp_path / "w"), seed=0)
+        run(config)
+        balance = tmp_path / "w" / "docs.balance.json"
+        before = balance.read_bytes()
+
+        def torn_dump(obj, f, **kw):
+            f.write("{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline.json, "dump", torn_dump)
+        config.filter = FilterConfig(boost_factor=3.0)
+        with pytest.raises(StageFailure):
+            run(config)
+        assert balance.read_bytes() == before
+
+
+def test_filter_scores_rationale_as_encoded_under_counter(tmp_path, monkeypatch):
+    table = [["label", "value"]] + [[f"category_label_number_{i}", f"{1000 + i}"]
+                                    for i in range(30)]
+    chart = QAExample(example_id="c1", image=ImageRef(id="img", height=400, width=1200),
+                      question="Which is largest?", gold_answers=("1029",),
+                      structured_table=tuple(tuple(r) for r in table))
+    data = tmp_path / "charts.jsonl"
+    write_lines(data, [serialize_example(chart)])
+    config = PipelineConfig(out_dir=str(tmp_path / "out"), mock=True, counter="char4",
+                            datasets=[DatasetConfig("charts", str(data), "table-program")])
+    seen = []
+
+    class SpyVerifier:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def greedy_answer(self, image, question, rationale=None):
+            seen.append(rationale)
+            return self.inner.greedy_answer(image, question, rationale)
+
+        def answer_logprob(self, image, question, answer, rationale=None):
+            if rationale is not None:
+                seen.append(rationale)
+            return self.inner.answer_logprob(image, question, answer, rationale)
+
+    def clients(config):
+        c = fixtures.make_mock_clients(seed=config.mock_seed)
+        c.verifier = SpyVerifier(c.verifier)
+        return c
+
+    monkeypatch.setattr(pipeline, "make_clients", clients)
+    run(config, ["crop", "generate-rationales", "filter"])
+    rationales = pipeline._read_rationales(
+        pipeline.crop_rationales_path(config, config.datasets[0])).values()
+    as_char4 = {rationale_text(r, CharBlockCounter()) for r in rationales}
+    as_word = {rationale_text(r, WordCounter()) for r in rationales}
+    assert as_char4 != as_word     # the two counters trim this table differently
+    assert seen and set(seen) == as_char4
+
+
+class _ToolHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every tool request with one fixed reply, counting requests."""
+
+    calls = 0
+
+    def do_POST(self):
+        type(self).calls += 1
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.dumps({"text": "Find(1)", "boxes": [], "answer": "no",
+                           "logprob": -1.0}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_rerun_replays_cached_responses(tmp_path):
+    handler = type("Handler", (_ToolHandler,), {"calls": 0})
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        url = f"http://127.0.0.1:{server.server_port}"
+        config = default_mock_config(str(tmp_path / "h"), seed=0)
+        config.mock = False
+        config.task_list = ("qra", "qraci", "apraci", "qid", "ans-only")
+        config.endpoints = {t: f"{url}/{t}" for t in ("ocr", "summarizer", "programmer",
+                                                      "verifier")}
+        assert stages_run(run(config)) == ALL_STAGES
+        cold_calls = handler.calls
+        assert cold_calls > 0
+        assert os.path.exists(pipeline.response_cache_path(config.out_dir))
+        config.filter = FilterConfig(boost_factor=3.0)
+        assert "filter" in stages_run(run(config))
+        assert handler.calls == cold_calls
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 class TestStageIsolation:

@@ -5,13 +5,14 @@ import threading
 import pytest
 
 from rdistill.codec import WordCounter
-from rdistill.records import ImageRef, QAExample
-from rdistill.tools import (EVIDENCE_TOKEN_LIMIT, HttpEndpoint, InvalidProgram,
-                            MissingBinding, MockOcrClient, MockProgrammerClient,
+from rdistill.records import Crop, ImageRef, QAExample
+from rdistill.tools import (EVIDENCE_TOKEN_LIMIT, HttpEndpoint, HttpOcrClient,
+                            HttpVerifierClient, InvalidProgram, MissingBinding,
+                            MockOcrClient, MockProgrammerClient,
                             MockSummarizerClient, MockVerifierClient,
-                            PromptTemplate, RetryPolicy, Templates, ToolClients,
-                            ToolFailure, generate_rationale, render_prompt,
-                            verifier_prompt)
+                            PromptTemplate, ResponseCache, RetryPolicy, Templates,
+                            ToolClients, ToolFailure, generate_rationale,
+                            render_prompt, verifier_prompt)
 
 WORD = WordCounter()
 
@@ -138,9 +139,12 @@ class TestMockDeterminism:
 
 
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
-    # class-level script: list of status codes to serve in order
+    # class-level script: list of status codes to serve in order; `reply`
+    # holds extra response fields, `bodies` the request bodies received
     script = []
     calls = 0
+    reply = {}
+    bodies = []
 
     def do_POST(self):
         cls = type(self)
@@ -148,7 +152,8 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
         cls.calls += 1
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
-        payload = json.dumps({"echo": body, "ok": True}).encode()
+        cls.bodies.append(body)
+        payload = json.dumps({"echo": body, "ok": True, **cls.reply}).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -162,8 +167,9 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
 
 @pytest.fixture
 def scripted_server():
-    def start(script):
-        handler = type("Handler", (_ScriptedHandler,), {"script": script, "calls": 0})
+    def start(script, reply):
+        handler = type("Handler", (_ScriptedHandler,),
+                       {"script": script, "calls": 0, "reply": reply or {}, "bodies": []})
         server = http.server.HTTPServer(("127.0.0.1", 0), handler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -172,8 +178,8 @@ def scripted_server():
 
     servers = []
 
-    def factory(script):
-        url, handler, server = start(script)
+    def factory(script, reply=None):
+        url, handler, server = start(script, reply)
         servers.append(server)
         return url, handler
 
@@ -209,3 +215,97 @@ class TestHttpEndpoint:
         with pytest.raises(ToolFailure):
             HttpEndpoint(url, FAST).call({})
         assert handler.calls == 1
+
+
+class TestHttpPayloads:
+    """A remote OCR or verifier sees the page and the window it reads."""
+
+    IMAGE = ImageRef(id="p#c1", height=800, width=400, crop=Crop("height", 200, 600),
+                     source_uri="s3://bucket/p.png")
+    WINDOW = {"image_id": "p#c1", "source_uri": "s3://bucket/p.png",
+              "crop": {"axis": "height", "start": 200, "end": 600}}
+
+    def test_verifier_requests_carry_window(self, scripted_server):
+        url, handler = scripted_server([200], reply={"answer": "A", "logprob": -1.5})
+        client = HttpVerifierClient(HttpEndpoint(url, FAST))
+        assert client.greedy_answer(self.IMAGE, "q", "r") == "A"
+        assert client.answer_logprob(self.IMAGE, "q", "A") == -1.5
+        for body in handler.bodies:
+            assert {k: body[k] for k in self.WINDOW} == self.WINDOW
+
+    def test_ocr_request_carries_window(self, scripted_server):
+        url, handler = scripted_server([200], reply={"text": "t", "boxes": []})
+        HttpOcrClient(HttpEndpoint(url, FAST)).recognize(self.IMAGE)
+        assert handler.bodies == [self.WINDOW]
+
+
+class TestResponseCache:
+    def endpoint(self, url, tmp_path):
+        return HttpEndpoint(url, FAST, cache=ResponseCache(str(tmp_path / "cache" / "r.jsonl")))
+
+    def test_second_run_makes_no_upstream_calls(self, scripted_server, tmp_path):
+        url, handler = scripted_server([200])
+        first = [self.endpoint(url, tmp_path).cached_call({"x": i}) for i in range(3)]
+        assert handler.calls == 3
+        again = self.endpoint(url, tmp_path)
+        assert [again.cached_call({"x": i}) for i in range(3)] == first
+        assert handler.calls == 3
+
+    def test_repeated_payload_replayed_in_order(self, scripted_server, tmp_path):
+        url, handler = scripted_server([200])
+        ep = self.endpoint(url, tmp_path)
+        ep.cached_call({"x": 1})
+        ep.cached_call({"x": 1})
+        assert handler.calls == 2
+        again = self.endpoint(url, tmp_path)
+        again.cached_call({"x": 1})
+        again.cached_call({"x": 1})
+        assert handler.calls == 2
+        again.cached_call({"x": 1})     # a third sample goes upstream
+        assert handler.calls == 3
+
+    def test_nth_request_gets_nth_response(self, tmp_path):
+        path = str(tmp_path / "r.jsonl")
+        cache = ResponseCache(path)
+        assert [cache.fetch("k", lambda n=n: {"n": n}) for n in (1, 2)] == [{"n": 1}, {"n": 2}]
+
+        def upstream():
+            raise AssertionError("stored response not replayed")
+
+        cache = ResponseCache(path)
+        assert [cache.fetch("k", upstream) for _ in range(2)] == [{"n": 1}, {"n": 2}]
+        assert cache.fetch("k", lambda: {"n": 3}) == {"n": 3}
+
+    def test_truncated_last_line_ignored(self, tmp_path):
+        path = str(tmp_path / "r.jsonl")
+        cache = ResponseCache(path)
+        cache.fetch("a", lambda: {"v": 1})
+        with open(path, "a", encoding="utf-8") as f:
+            f.write('{"key":"b","respo')
+        cache = ResponseCache(path)
+        assert cache.fetch("a", lambda: {"v": 0}) == {"v": 1}
+        assert cache.fetch("b", lambda: {"v": 2}) == {"v": 2}
+        with open(path, encoding="utf-8") as f:
+            assert [json.loads(line)["key"] for line in f] == ["a", "b"]
+
+    def test_rerun_after_failure_issues_only_missing_calls(self, scripted_server, tmp_path):
+        url, handler = scripted_server([200, 200, 200, 404, 200])
+        ep = self.endpoint(url, tmp_path)
+        with pytest.raises(ToolFailure):
+            for i in range(6):
+                ep.cached_call({"record": i})
+        assert handler.calls == 4
+        again = self.endpoint(url, tmp_path)
+        for i in range(6):
+            again.cached_call({"record": i})
+        assert handler.calls == 4 + 3
+
+    def test_cache_file_is_jsonl_keyed_by_url_and_payload(self, scripted_server, tmp_path):
+        url, _ = scripted_server([200])
+        self.endpoint(url, tmp_path).cached_call({"b": 1, "a": 2})
+        with open(tmp_path / "cache" / "r.jsonl", encoding="utf-8") as f:
+            (line,) = f.readlines()
+        entry = json.loads(line)
+        assert entry["key"] == ResponseCache.key(url, {"a": 2, "b": 1})
+        assert entry["key"] != ResponseCache.key(url + "x", {"a": 2, "b": 1})
+        assert entry["response"]["echo"] == {"b": 1, "a": 2}
