@@ -162,7 +162,8 @@ def build_tasks_cmd(config_path, mock, seed, out_dir, task_list):
 @click.argument("hypotheses_file", type=click.Path(exists=True))
 @click.option("--output", "-o", default="-", help="Predictions file (default stdout).")
 @click.option("--calculator", is_flag=True,
-              help="Execute program rationales and substitute their results.")
+              help="Execute the program of the winning answer's most probable "
+                   "beam and substitute its result.")
 def vote_cmd(hypotheses_file, output, calculator):
     """Aggregate beam hypotheses per example into final answers.
 
@@ -179,17 +180,15 @@ def vote_cmd(hypotheses_file, output, calculator):
 
     lines = []
     for example_id in order:
-        hyps = by_example[example_id]
         try:
-            result = inference.vote(hyps)
-            answer = result.answer
-            prob = result.aggregate_prob
+            result = inference.vote(by_example[example_id])
         except inference.AllNone:
             log.warning("example %s: every hypothesis answered None", example_id)
             answer, prob = "None", 0.0
-        if calculator and answer != "None":
-            best = max(hyps, key=lambda h: h.prob)
-            answer = inference.apply_calculator(best.decoded, answer)
+        else:
+            answer, prob = result.answer, result.aggregate_prob
+            if calculator:
+                answer = inference.apply_calculator(result.beam.decoded, answer)
         lines.append(json.dumps({"example_id": example_id, "answer": answer,
                                  "aggregate_prob": prob},
                                 ensure_ascii=False, separators=(",", ":")))

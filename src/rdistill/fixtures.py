@@ -11,7 +11,7 @@ from __future__ import annotations
 from .records import ImageRef, OcrBox, QAExample
 from .tools import (MockOcrClient, MockProgrammerClient, MockStudentClient,
                     MockSummarizerClient, MockVerifierClient, PromptTemplate,
-                    ToolClients, Templates)
+                    ToolClients)
 
 SUMMARIZER_TEMPLATE = PromptTemplate(
     name="mock-summarizer",
@@ -150,20 +150,16 @@ def make_mock_clients(seed: int = 0) -> ToolClients:
 
     return ToolClients(
         ocr=MockOcrClient(seed=seed),
-        summarizer=MockSummarizerClient(fixtures=summarizer_fixtures, seed=seed),
-        programmer=MockProgrammerClient(fixtures=programmer_fixtures, seed=seed),
+        summarizer=MockSummarizerClient(fixtures=summarizer_fixtures),
+        programmer=MockProgrammerClient(fixtures=programmer_fixtures),
         verifier=MockVerifierClient(seed=seed, gold_by_question=gold_by_question),
     )
 
 
-def make_mock_templates() -> Templates:
-    return Templates(summarizer=SUMMARIZER_TEMPLATE, programmer=PROGRAMMER_TEMPLATE)
-
-
-def make_mock_students(fold_count: int, seed: int = 0) -> dict[int, MockStudentClient]:
+def make_mock_students(fold_count: int) -> dict[int, MockStudentClient]:
     """One mock student per fold, trained on every other fold."""
     all_folds = set(range(fold_count))
     return {
-        fold: MockStudentClient(train_folds=frozenset(all_folds - {fold}), seed=seed)
+        fold: MockStudentClient(train_folds=frozenset(all_folds - {fold}))
         for fold in all_folds
     }

@@ -31,16 +31,19 @@ class VoteResult:
     answer: str
     aggregate_prob: float
     tally: dict
+    beam: ScoredHypothesis  # the most probable hypothesis answering `answer`
 
 
 def vote(hypotheses: Sequence[ScoredHypothesis]) -> VoteResult:
     """Sum probabilities per distinct answer; argmax over non-None answers.
 
     Unparseable hypotheses are skipped with a warning. Ties break by
-    first occurrence in beam order.
+    first occurrence in beam order, both between answers and between the
+    beams of the winning answer.
     """
     tally: dict[str, float] = {}
     order: dict[str, int] = {}
+    top_beam: dict[str, ScoredHypothesis] = {}
     for i, hyp in enumerate(hypotheses):
         try:
             target = parse_target(hyp.decoded)
@@ -50,12 +53,15 @@ def vote(hypotheses: Sequence[ScoredHypothesis]) -> VoteResult:
         key = target.answer.strip()
         tally[key] = tally.get(key, 0.0) + hyp.prob
         order.setdefault(key, i)
+        if key not in top_beam or hyp.prob > top_beam[key].prob:
+            top_beam[key] = hyp
 
     candidates = [a for a in tally if a != "None"]
     if not candidates:
         raise AllNone("no non-None answer among parseable hypotheses")
     best = max(candidates, key=lambda a: (tally[a], -order[a]))
-    return VoteResult(answer=best, aggregate_prob=tally[best], tally=tally)
+    return VoteResult(answer=best, aggregate_prob=tally[best], tally=tally,
+                      beam=top_beam[best])
 
 
 def extract_program_source(decoded: str) -> str | None:

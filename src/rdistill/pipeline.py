@@ -7,6 +7,13 @@ fingerprint of the settings it reads; a rerun skips the stage while that
 manifest still matches. HTTP tool responses are cached under
 out_dir/cache, so a rerun re-issues only calls it has no response for.
 Failed stages leave their partial output behind with a ".partial" suffix.
+
+Within one `run`, the records a stage writes (and the dataset examples
+crop reads) also pass in memory to the later stages that read them, so
+each file is parsed at most once per run: a stage parses a file only when
+its producer was skipped as fresh or was not part of the run. The files
+are written all the same. With mock tools, generate-rationales and filter
+call the tools inline; HTTP tools run on `concurrency` threads.
 """
 
 from __future__ import annotations
@@ -24,18 +31,14 @@ import yaml
 
 from . import cropping, filtering, fixtures, tasks, tools
 from .codec import CharBlockCounter, WordCounter
-from .records import (MalformedRecord, QAExample, Rationale, parse_categorized,
-                      parse_example, read_lines, serialize_categorized,
-                      serialize_example, serialize_record, write_lines)
+from .records import (TASK_NAMES, CategorizedExample, MalformedRecord, QAExample,
+                      Rationale, parse_categorized, parse_example, read_lines,
+                      serialize_categorized, serialize_example, serialize_record,
+                      write_lines)
 
 log = logging.getLogger(__name__)
 
 STAGES = ("crop", "generate-rationales", "filter", "build-tasks")
-
-TASK_FILE_NAMES = {
-    "qra": "QRA", "apr": "APR", "qraci": "QRACI", "apraci": "APRCI",
-    "qid": "QID", "ans-only": "ANS_ONLY",
-}
 
 
 class StageFailure(RuntimeError):
@@ -89,7 +92,7 @@ class PipelineConfig:
     crop_mode: str = cropping.VERBATIM
     counter: str = "word"
     concurrency: int = 4
-    task_list: tuple[str, ...] = ("qra", "apr", "qraci", "apraci", "qid", "ans-only")
+    task_list: tuple[str, ...] = tuple(TASK_NAMES)
     filter: filtering.FilterConfig = field(default_factory=filtering.FilterConfig)
     datasets: list[DatasetConfig] = field(default_factory=list)
     mock: bool = False
@@ -119,7 +122,7 @@ class PipelineConfig:
             crop_mode=raw.get("crop_mode", cropping.VERBATIM),
             counter=raw.get("counter", "word"),
             concurrency=raw.get("concurrency", 4),
-            task_list=tuple(raw.get("tasks", ["qra", "apr", "qraci", "apraci", "qid", "ans-only"])),
+            task_list=tuple(raw.get("tasks", TASK_NAMES)),
             filter=filtering.FilterConfig(
                 boost_factor=filt.get("boost_factor", 2.0),
                 space=filt.get("space", filtering.PROBABILITY_SPACE)),
@@ -169,6 +172,10 @@ def validate(config: PipelineConfig) -> list[str]:
     diags = []
     if not config.datasets:
         diags.append("no datasets configured")
+    names = [ds.name for ds in config.datasets]
+    for name in sorted({n for n in names if names.count(n) > 1}):
+        diags.append(f"dataset {name!r}: duplicate name; stage files are named "
+                     "after the dataset, so they would overwrite each other")
     for ds in config.datasets:
         if not os.path.exists(ds.path):
             diags.append(f"dataset {ds.name!r}: path {ds.path} does not exist")
@@ -197,10 +204,16 @@ def validate(config: PipelineConfig) -> list[str]:
             diags.append(f"template {name!r}: path {tmpl.path} does not exist")
         if tmpl.shots and tmpl.shots != expected:
             diags.append(f"template {name!r}: shot count {tmpl.shots}, expected {expected}")
+    for key in config.task_list:
+        if key not in TASK_NAMES:
+            diags.append(f"unknown task {key!r}; known tasks: {', '.join(TASK_NAMES)}")
     if not config.mock:
         for tool in ("summarizer", "verifier"):
             if tool not in config.endpoints:
                 diags.append(f"no endpoint configured for tool {tool!r} (and mock mode off)")
+        if "apr" in config.task_list:
+            diags.append("task 'apr' needs student rationale clients, which exist only "
+                         "as mocks: enable tools.mock or drop 'apr'")
     try:
         config.make_counter()
     except ConfigError as e:
@@ -347,7 +360,7 @@ def whole_categorized_path(config, ds):
 
 
 def task_path(config, task_key):
-    return os.path.join(config.out_dir, "tasks", f"{TASK_FILE_NAMES[task_key]}.jsonl")
+    return os.path.join(config.out_dir, "tasks", f"{TASK_NAMES[task_key]}.jsonl")
 
 
 def _serialize_rationale_line(example_id: str, rationale: Rationale) -> str:
@@ -355,43 +368,79 @@ def _serialize_rationale_line(example_id: str, rationale: Rationale) -> str:
                       ensure_ascii=False, separators=(",", ":"))
 
 
+def _parse_rationale_line(line: str) -> tuple[str, Rationale]:
+    obj = json.loads(line)
+    return obj["example_id"], Rationale.from_json(obj["rationale"])
+
+
 def _read_rationales(path: str) -> dict[str, Rationale]:
-    out = {}
-    for line in read_lines(path):
-        obj = json.loads(line)
-        out[obj["example_id"]] = Rationale.from_json(obj["rationale"])
-    return out
+    return dict(_parse_rationale_line(line) for line in read_lines(path))
 
 
 def _read_examples(path: str) -> list[QAExample]:
     return [parse_example(line, i + 1) for i, line in enumerate(read_lines(path))]
 
 
+def _read_categorized(path: str) -> list[CategorizedExample]:
+    return [parse_categorized(line, i + 1) for i, line in enumerate(read_lines(path))]
+
+
+class _Handoff:
+    """Records of stage files, kept in memory between the stages of one `run`.
+
+    Keyed by file path. A producer puts the records it just wrote; a reader
+    takes them instead of parsing the file, and parses it only when no
+    earlier stage of the run wrote or read it. An entry is kept only while
+    a later stage of the run lists its file among its inputs.
+    """
+
+    def __init__(self, config: PipelineConfig, stages: list[str]):
+        self._last_reader = {path: i for i, stage in enumerate(stages)
+                             for path in _stage_paths(config, stage)[0]}
+        self._records = {}
+        self.position = 0  # index in `stages` of the stage now running
+
+    def put(self, path: str, records) -> None:
+        if self._last_reader.get(path, -1) > self.position:
+            self._records[path] = records
+
+    def take(self, path: str, read):
+        records = self._records.pop(path) if path in self._records else read(path)
+        self.put(path, records)
+        return records
+
+
 # ---------------------------------------------------------------------------
 # stages
 
 
-def stage_crop(config: PipelineConfig) -> dict:
+def stage_crop(config: PipelineConfig, handoff: _Handoff) -> dict:
     counts = {}
     for ds in config.datasets:
         children = []
-        for ex in _read_examples(ds.path):
+        for ex in handoff.take(ds.path, _read_examples):
             plan = cropping.plan_crops(ex.image.height, ex.image.width, config.crop_mode)
             children.extend(cropping.apply_plan(ex, plan))
         children.sort(key=lambda e: e.example_id)
         _write_atomic(crops_path(config, ds), (serialize_example(e) for e in children))
+        handoff.put(crops_path(config, ds), children)
         counts[ds.name] = len(children)
     return counts
 
 
-def _parallel_map(fn, items, concurrency: int):
-    if concurrency <= 1:
+def _parallel_map(fn, items, config: PipelineConfig):
+    """Map a tool-calling `fn` over `items`, on `concurrency` threads for HTTP tools.
+
+    In-process mock tools never wait, so they run inline: threads would
+    only contend for the interpreter lock.
+    """
+    if config.mock or config.concurrency <= 1:
         return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=concurrency) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=config.concurrency) as pool:
         return list(pool.map(fn, items))
 
 
-def stage_generate_rationales(config: PipelineConfig) -> dict:
+def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff) -> dict:
     clients = make_clients(config)
     templates = make_templates(config)
     counter = config.make_counter()
@@ -408,29 +457,30 @@ def stage_generate_rationales(config: PipelineConfig) -> dict:
 
         for src, dest in ((ds.path, rationales_path(config, ds)),
                           (crops_path(config, ds), crop_rationales_path(config, ds))):
-            results = _parallel_map(generate, _read_examples(src), config.concurrency)
+            results = _parallel_map(generate, handoff.take(src, _read_examples), config)
             results.sort(key=lambda pair: pair[0])
             _write_atomic(dest, (_serialize_rationale_line(i, r) for i, r in results))
+            handoff.put(dest, dict(results))
             counts[_manifest_key(config.out_dir, dest)] = len(results)
     return counts
 
 
-def stage_filter(config: PipelineConfig) -> dict:
+def stage_filter(config: PipelineConfig, handoff: _Handoff) -> dict:
     clients = make_clients(config)
     if clients.verifier is None:
         raise StageFailure("filter", "no verifier client configured")
     counter = config.make_counter()
 
     def categorize_all(examples_path: str, rationales_file: str):
-        examples = {e.example_id: e for e in _read_examples(examples_path)}
-        rationales = _read_rationales(rationales_file)
+        examples = {e.example_id: e for e in handoff.take(examples_path, _read_examples)}
+        rationales = handoff.take(rationales_file, _read_rationales)
 
         def run_one(example_id: str):
             return filtering.categorize(examples[example_id], rationales[example_id],
                                         clients.verifier, config.filter, counter)
 
         ids = sorted(examples.keys() & rationales.keys())
-        return _parallel_map(run_one, ids, config.concurrency)
+        return _parallel_map(run_one, ids, config)
 
     counts = {}
     for ds in config.datasets:
@@ -440,6 +490,7 @@ def stage_filter(config: PipelineConfig) -> dict:
         _write_atomic(categorized_path(config, ds),
                       (serialize_categorized(c) for c in kept))
         _write_json_atomic(balance_path(config, ds), report.to_json())
+        handoff.put(categorized_path(config, ds), kept)
         counts[ds.name] = {"categorized": len(categorized), "kept": len(kept)}
 
         # whole-image rationales skip the verifier filter unless explicitly enabled
@@ -447,10 +498,11 @@ def stage_filter(config: PipelineConfig) -> dict:
             whole = categorize_all(ds.path, rationales_path(config, ds))
             _write_atomic(whole_categorized_path(config, ds),
                           (serialize_categorized(c) for c in whole))
+            handoff.put(whole_categorized_path(config, ds), whole)
     return counts
 
 
-def stage_build_tasks(config: PipelineConfig) -> dict:
+def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
     counter = config.make_counter()
     os.makedirs(os.path.join(config.out_dir, "tasks"), exist_ok=True)
     all_records = {key: [] for key in config.task_list}
@@ -458,7 +510,7 @@ def stage_build_tasks(config: PipelineConfig) -> dict:
     examples_by_subset = {}
     all_examples = []
     for ds in config.datasets:
-        examples = _read_examples(ds.path)
+        examples = handoff.take(ds.path, _read_examples)
         examples_by_subset.setdefault(ds.subset, []).extend(examples)
         all_examples.append((ds, examples))
 
@@ -467,8 +519,7 @@ def stage_build_tasks(config: PipelineConfig) -> dict:
     if "apr" in config.task_list:
         fold_plan = tasks.plan_folds(examples_by_subset, seed=config.seed)
         if config.mock:
-            students = fixtures.make_mock_students(fold_plan.fold_count,
-                                                   seed=config.mock_seed)
+            students = fixtures.make_mock_students(fold_plan.fold_count)
         else:
             raise StageFailure("build-tasks",
                                "APR requires student rationale clients; only mock "
@@ -476,12 +527,11 @@ def stage_build_tasks(config: PipelineConfig) -> dict:
 
     for ds, examples in all_examples:
         if "qra" in all_records:
-            rationales = _read_rationales(rationales_path(config, ds))
+            rationales = handoff.take(rationales_path(config, ds), _read_rationales)
             qra_examples = examples
             if config.filter_whole_image:
                 whole_cats = {c.example_id: c for c in
-                              (parse_categorized(line) for line in
-                               read_lines(whole_categorized_path(config, ds)))}
+                              handoff.take(whole_categorized_path(config, ds), _read_categorized)}
                 qra_examples = [e for e in examples
                                 if whole_cats.get(e.example_id) is None
                                 or whole_cats[e.example_id].category != "irrelevant"]
@@ -489,8 +539,7 @@ def stage_build_tasks(config: PipelineConfig) -> dict:
         if "apr" in all_records:
             all_records["apr"].extend(tasks.build_apr(examples, students, fold_plan, counter))
         if "qraci" in all_records or "apraci" in all_records:
-            categorized = [parse_categorized(line, i + 1)
-                           for i, line in enumerate(read_lines(categorized_path(config, ds)))]
+            categorized = handoff.take(categorized_path(config, ds), _read_categorized)
             if "qraci" in all_records:
                 all_records["qraci"].extend(tasks.build_qraci(categorized, counter))
             if "apraci" in all_records:
@@ -548,8 +597,8 @@ def _fingerprint(config: PipelineConfig, stage: str) -> str:
     return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
 
 
-def _stage_io(config: PipelineConfig, stage: str) -> tuple[list[str], list[str], str]:
-    """(input paths, output paths, settings fingerprint) for manifest bookkeeping."""
+def _stage_paths(config: PipelineConfig, stage: str) -> tuple[list[str], list[str]]:
+    """(input paths, output paths) of `stage`, for manifests and the in-run hand-off."""
     inputs, outputs = [], []
     for ds in config.datasets:
         if stage == "crop":
@@ -570,7 +619,7 @@ def _stage_io(config: PipelineConfig, stage: str) -> tuple[list[str], list[str],
                 inputs.append(whole_categorized_path(config, ds))
     if stage == "build-tasks":
         outputs += [task_path(config, key) for key in config.task_list]
-    return inputs, outputs, _fingerprint(config, stage)
+    return inputs, outputs
 
 
 def run(config: PipelineConfig, stages: list[str] | None = None,
@@ -578,14 +627,17 @@ def run(config: PipelineConfig, stages: list[str] | None = None,
     """Run the requested stages in dependency order; returns per-stage counts.
 
     A stage is skipped while its manifest still matches its input files,
-    its outputs and the fingerprint of the settings it reads.
+    its outputs and the fingerprint of the settings it reads. Records pass
+    from stage to stage in memory for the length of this call only.
     """
     os.makedirs(config.out_dir, exist_ok=True)
     selected = [s for s in STAGES if stages is None or s in stages]
+    handoff = _Handoff(config, selected)
     summary = {}
-    for stage in selected:
+    for position, stage in enumerate(selected):
+        inputs, outputs = _stage_paths(config, stage)
         try:
-            inputs, outputs, fingerprint = _stage_io(config, stage)
+            fingerprint = _fingerprint(config, stage)
         except OSError as e:
             raise StageFailure(stage, e) from e
         if _stage_fresh(config.out_dir, stage, inputs, fingerprint):
@@ -595,8 +647,9 @@ def run(config: PipelineConfig, stages: list[str] | None = None,
                 progress(stage, "skipped")
             continue
         log.info("stage %s: running", stage)
+        handoff.position = position
         try:
-            counts = _STAGE_FNS[stage](config)
+            counts = _STAGE_FNS[stage](config, handoff)
         except StageFailure:
             raise
         except Exception as e:

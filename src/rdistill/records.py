@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 NONE_SENTINEL = "None"
 
-TASK_NAMES = ("QRA", "APR", "QRACI", "APRCI", "QID", "ANS_ONLY")
+# task key, as a config's task list names it -> task name, as records and
+# task files (tasks/<name>.jsonl) carry it
+TASK_NAMES = {"qra": "QRA", "apr": "APR", "qraci": "QRACI", "apraci": "APRCI",
+              "qid": "QID", "ans-only": "ANS_ONLY"}
 
 CATEGORIES = ("irrelevant", "relevant-not-useful", "useful")
 
@@ -308,7 +311,7 @@ class TaskRecord:
     decoder_output: str
 
     def __post_init__(self):
-        if self.task not in TASK_NAMES:
+        if self.task not in TASK_NAMES.values():
             raise ValueError(f"unknown task {self.task!r}")
         input_free = self.task in ("QRA", "QRACI", "QID", "ANS_ONLY")
         if input_free and self.decoder_input:

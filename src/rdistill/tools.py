@@ -405,7 +405,6 @@ class MockOcrClient:
 @dataclass
 class MockSummarizerClient:
     fixtures: dict = field(default_factory=dict)  # (question, answer) -> evidence
-    seed: int = 0
 
     def summarize(self, question, gold_answer, full_ocr, template):
         key = (question, gold_answer)
@@ -418,7 +417,6 @@ class MockSummarizerClient:
 @dataclass
 class MockProgrammerClient:
     fixtures: dict = field(default_factory=dict)  # (question, answer) -> program source
-    seed: int = 0
 
     def write_program(self, question, gold_answer, full_ocr, table, template):
         key = (question, gold_answer)
@@ -430,7 +428,6 @@ class MockProgrammerClient:
 @dataclass
 class MockPlotToTableClient:
     fixtures: dict = field(default_factory=dict)  # image id -> rows
-    seed: int = 0
 
     def extract_table(self, image):
         if image.id in self.fixtures:
@@ -476,7 +473,6 @@ class MockStudentClient:
 
     train_folds: frozenset = frozenset()
     fixtures: dict = field(default_factory=dict)  # (image id, question) -> list of strings
-    seed: int = 0
 
     def sample_rationales(self, image, question, n):
         key = (image.id, question)

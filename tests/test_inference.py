@@ -39,6 +39,12 @@ class TestVote:
         scaled = [ScoredHypothesis(h.decoded, h.prob * 17.5) for h in hyps]
         assert vote(hyps).answer == vote(scaled).answer
 
+    def test_beam_is_the_most_probable_of_the_winning_answer(self):
+        hyps = [hyp("5", 0.30), hyp("4", 0.20), hyp("4", 0.25), hyp("4", 0.25)]
+        result = vote(hyps)
+        assert result.answer == "4"
+        assert result.beam is hyps[2]
+
     def test_permutation_invariance(self):
         hyps = [hyp("A", 0.3), hyp("None", 0.4), hyp("A", 0.2), hyp("B", 0.25)]
         assert vote(list(reversed(hyps))).answer == vote(hyps).answer

@@ -1,3 +1,5 @@
+import collections
+import concurrent.futures
 import hashlib
 import http.server
 import json
@@ -7,6 +9,7 @@ import threading
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 from rdistill import cli, fixtures, pipeline
 from rdistill.codec import CharBlockCounter, WordCounter
@@ -233,6 +236,96 @@ def test_http_rerun_replays_cached_responses(tmp_path):
         server.server_close()
 
 
+def tree_files(out_dir):
+    """sha256 of every file under out_dir, keyed by its path relative to out_dir."""
+    out = {}
+    for root, _dirs, files in os.walk(out_dir):
+        for name in files:
+            path = os.path.join(root, name)
+            out[os.path.relpath(path, out_dir)] = hashlib.sha256(
+                open(path, "rb").read()).hexdigest()
+    return out
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Records parsed from dataset and stage files during the test, by parser."""
+    counts = collections.Counter()
+
+    def counting(name, parse):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return parse(*args, **kwargs)
+        return wrapper
+
+    for name in ("parse_example", "parse_categorized", "_parse_rationale_line"):
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    return counts
+
+
+MOCK_EXAMPLES, MOCK_CROPS = 20, 64
+
+
+class TestInRunHandoff:
+    """Stages of one run pass records in memory; the files they write stay the same."""
+
+    @pytest.mark.parametrize("whole_image", [False, True], ids=["crops", "whole-image"])
+    def test_stage_by_stage_runs_match_one_run(self, tmp_path, whole_image):
+        def config(name):
+            c = default_mock_config(str(tmp_path / name), seed=0)
+            c.filter_whole_image = whole_image
+            return c
+
+        together, apart = config("together"), config("apart")
+        run(together)
+        for stage in pipeline.STAGES:
+            assert stages_run(run(apart, [stage])) == {stage}
+        assert tree_files(together.out_dir) == tree_files(apart.out_dir)
+
+    def test_cold_run_parses_each_dataset_example_once(self, tmp_path, parses):
+        run(default_mock_config(str(tmp_path / "cold"), seed=0))
+        assert parses == {"parse_example": MOCK_EXAMPLES}
+
+    def test_rerun_after_skipped_crop_reads_the_crop_file(self, tmp_path, parses):
+        config = default_mock_config(str(tmp_path / "resume"), seed=0)
+        run(config, ["crop"])
+        parses.clear()
+        summary = run(config)
+        assert summary["crop"] == "skipped"
+        assert stages_run(summary) == ALL_STAGES - {"crop"}
+        # generate-rationales parses the dataset and the crop files; later stages reuse both
+        assert parses == {"parse_example": MOCK_EXAMPLES + MOCK_CROPS}
+        fresh = default_mock_config(str(tmp_path / "fresh"), seed=0)
+        run(fresh)
+        assert tree_files(config.out_dir) == tree_files(fresh.out_dir)
+
+    def test_records_are_released_after_their_last_reader(self, tmp_path):
+        config = default_mock_config(str(tmp_path / "release"), seed=0)
+        handoff = pipeline._Handoff(config, list(pipeline.STAGES))
+        crops = pipeline.crops_path(config, config.datasets[0])
+        reads = []
+
+        def read(path):
+            reads.append(path)
+            return ["from file"]
+
+        handoff.put(crops, ["from crop"])  # crop is stage 0
+        for position in (1, 2):            # generate-rationales, then filter
+            handoff.position = position
+            assert handoff.take(crops, read) == ["from crop"]
+        assert handoff.take(crops, read) == ["from file"]
+        assert reads == [crops]
+
+    def test_mock_run_starts_no_thread_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a mock run started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        config = default_mock_config(str(tmp_path / "inline"), seed=0)
+        config.concurrency = 4
+        assert stages_run(run(config)) == ALL_STAGES
+
+
 class TestStageIsolation:
     def test_filter_failure_leaves_crop_outputs(self, tmp_path):
         config = default_mock_config(str(tmp_path / "runf"), seed=0)
@@ -266,6 +359,60 @@ class TestValidate:
         config.mock = False
         diags = validate(config)
         assert any("verifier" in d for d in diags)
+
+
+@pytest.fixture(scope="module")
+def mock_data_dir(tmp_path_factory):
+    out_dir = str(tmp_path_factory.mktemp("validate"))
+    default_mock_config(out_dir)
+    return out_dir
+
+
+TASK_KEYS = ("qra", "apr", "qraci", "apraci", "qid", "ans-only")
+task_keys = st.sampled_from(TASK_KEYS) | st.text(min_size=1, max_size=8)
+
+
+class TestValidateProperties:
+    """Configs that would fail at a later stage are rejected before the first."""
+
+    @given(task_list=st.lists(task_keys, max_size=8))
+    def test_flags_exactly_the_unknown_task_keys(self, mock_data_dir, task_list):
+        config = default_mock_config(mock_data_dir)
+        config.task_list = tuple(task_list)
+        flagged = {d.rsplit("; known tasks:", 1)[0] for d in validate(config)
+                   if d.startswith("unknown task")}
+        assert flagged == \
+            {f"unknown task {k!r}" for k in task_list if k not in TASK_KEYS}
+
+    @given(names=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=5))
+    def test_flags_exactly_the_duplicate_dataset_names(self, mock_data_dir, names):
+        config = default_mock_config(mock_data_dir)
+        config.datasets = [DatasetConfig(n, config.datasets[0].path, "text-evidence")
+                           for n in names]
+        flagged = {d.split(":")[0] for d in validate(config) if "duplicate name" in d}
+        assert flagged == {f"dataset {n!r}" for n in names if names.count(n) > 1}
+
+    @given(mock=st.booleans(),
+           task_list=st.lists(st.sampled_from(TASK_KEYS), min_size=1, unique=True))
+    def test_apr_needs_mock_students(self, mock_data_dir, mock, task_list):
+        config = default_mock_config(mock_data_dir)
+        config.mock = mock
+        config.endpoints = {t: f"http://127.0.0.1:9/{t}" for t in ("summarizer", "verifier")}
+        config.task_list = tuple(task_list)
+        assert (validate(config) != []) == (not mock and "apr" in task_list)
+
+    def test_run_exits_before_any_stage(self, tmp_path, mock_data_dir):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            f"out_dir: {tmp_path / 'out'}\n"
+            f"datasets:\n  - name: docs\n    path: {mock_data_dir}/data/docs.jsonl\n"
+            "    flow: text-evidence\n"
+            "tasks: [qra, qraci, ans_only]\n"
+            "tools:\n  mock: true\n")
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert "unknown task 'ans_only'" in result.output
+        assert not os.path.exists(tmp_path / "out")
 
 
 class TestConfigFile:
@@ -340,6 +487,22 @@ class TestCli:
         result = runner.invoke(cli.main, ["vote", str(hyp_path), "--calculator"])
         pred = json.loads(result.output.strip().splitlines()[-1])
         assert pred["answer"] == "5"
+
+    def test_vote_calculator_runs_a_beam_of_the_winning_answer(self, tmp_path):
+        hyp_path = tmp_path / "hyps3.jsonl"
+        write_lines(hyp_path, [
+            json.dumps({"example_id": "e1", "prob": 0.30,
+                        "decoded": "q <s> t <program> Div(25, 5) <answer> 5"}),
+            json.dumps({"example_id": "e1", "prob": 0.25,
+                        "decoded": "q <s> t <program> Mul(2, 2) <answer> 4"}),
+            json.dumps({"example_id": "e1", "prob": 0.20,
+                        "decoded": "q <s> t <answer> 4"}),
+        ])
+        result = CliRunner().invoke(cli.main, ["vote", str(hyp_path), "--calculator"])
+        assert result.exit_code == 0, result.output
+        pred = json.loads(result.output.strip().splitlines()[-1])
+        assert pred["answer"] == "4"
+        assert pred["aggregate_prob"] == pytest.approx(0.45)
 
     def test_eval_cli(self, tmp_path):
         from rdistill.records import ImageRef, QAExample, serialize_example

@@ -3,9 +3,13 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from rdistill.records import (Crop, ImageRef, MalformedRecord, OcrBox, QAExample,
-                              TaskRecord, parse_example, parse_record,
-                              serialize_example, serialize_record)
+from rdistill.pipeline import _parse_rationale_line, _serialize_rationale_line
+from rdistill.records import (CATEGORIES, CategorizedExample, Crop, ImageRef,
+                              MalformedRecord, OcrBox, QAExample, Rationale,
+                              TaskRecord, VerifierScores, is_none_answer,
+                              parse_categorized, parse_example, parse_record,
+                              serialize_categorized, serialize_example,
+                              serialize_record)
 
 
 def make_image(id="img1", h=400, w=400, crop=None):
@@ -113,3 +117,89 @@ def test_example_round_trip():
         structured_table=(("h1", "h2"), ("1", "2")),
     )
     assert parse_example(serialize_example(ex)) == ex
+
+
+# Within one pipeline run, later stages use the records an earlier stage
+# wrote instead of parsing its file again. That is only sound while parsing
+# a serialized record gives back the record itself.
+
+any_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20)
+
+
+@st.composite
+def images(draw):
+    height, width = draw(st.integers(1, 3000)), draw(st.integers(1, 3000))
+    crop = None
+    if draw(st.booleans()):
+        axis = draw(st.sampled_from(["height", "width"]))
+        extent = height if axis == "height" else width
+        start = draw(st.integers(0, extent - 1))
+        end = draw(st.integers(start + 1, min(extent, start + min(height, width))))
+        crop = Crop(axis, start, end)
+    return ImageRef(id=draw(any_text), height=height, width=width, crop=crop,
+                    source_uri=draw(any_text))
+
+
+@st.composite
+def boxes_within(draw, image):
+    x0, x1 = sorted(draw(st.lists(st.integers(0, image.width), min_size=2, max_size=2)))
+    y0, y1 = sorted(draw(st.lists(st.integers(0, image.height), min_size=2, max_size=2)))
+    return OcrBox(draw(any_text), x0, y0, x1, y1)
+
+
+tables = st.lists(st.lists(any_text, max_size=4).map(tuple), max_size=4).map(tuple)
+
+
+@st.composite
+def examples(draw):
+    image = draw(images())
+    return QAExample(
+        example_id=draw(any_text),
+        image=image,
+        question=draw(any_text),
+        gold_answers=tuple(draw(st.lists(any_text.filter(lambda a: not is_none_answer(a)),
+                                         min_size=1, max_size=3))),
+        ocr_text=draw(any_text),
+        ocr_boxes=draw(st.none() | st.lists(boxes_within(image), max_size=4).map(tuple)),
+        structured_table=draw(st.none() | tables),
+    )
+
+
+origins = st.sampled_from(["tool", "student"])
+rationales = (st.builds(Rationale.text, any_text, origin=origins)
+              | st.builds(Rationale.program, tables, any_text, origin=origins,
+                          flagged=st.booleans()))
+finite_scores = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def categorized(draw):
+    category = draw(st.sampled_from(CATEGORIES))
+    answer = "None" if category == "irrelevant" else \
+        draw(any_text.filter(lambda a: not is_none_answer(a)))
+    return CategorizedExample(
+        example_id=draw(any_text), question=draw(any_text), image=draw(images()),
+        rationale=draw(rationales), category=category, effective_answer=answer,
+        scores=VerifierScores(draw(finite_scores), draw(finite_scores), draw(any_text)))
+
+
+class TestParseInvertsSerialize:
+    @given(examples())
+    def test_example(self, example):
+        assert parse_example(serialize_example(example)) == example
+
+    @given(any_text, rationales)
+    def test_rationale_line(self, example_id, rationale):
+        line = _serialize_rationale_line(example_id, rationale)
+        assert _parse_rationale_line(line) == (example_id, rationale)
+
+    @given(categorized())
+    def test_categorized(self, cat):
+        assert parse_categorized(serialize_categorized(cat)) == cat
+
+    def test_categorized_extreme_scores(self):
+        cat = CategorizedExample(
+            example_id="e", question="q", image=make_image(), rationale=Rationale.text("t"),
+            category="useful", effective_answer="a",
+            scores=VerifierScores(-1.7976931348623157e308, -5e-324, "a"))
+        assert parse_categorized(serialize_categorized(cat)) == cat
