@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 stage failure, 2 validation failure.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import sys
@@ -21,19 +22,49 @@ EXIT_STAGE_FAILURE = 1
 EXIT_VALIDATION_FAILURE = 2
 
 
-def _load_config(config_path, mock, seed, out_dir):
-    if config_path:
-        cfg = pipeline.PipelineConfig.from_file(config_path)
-        if mock:
-            cfg.mock = True
-        if seed is not None:
-            cfg.seed = seed
-        if out_dir:
-            cfg.out_dir = out_dir
-        return cfg
-    if mock:
-        return pipeline.default_mock_config(out_dir or "out", seed=seed or 0)
-    raise click.UsageError("either --config or --mock is required")
+def _exit_config_errors(diags):
+    for d in diags:
+        click.echo(f"config error: {d}", err=True)
+    sys.exit(EXIT_VALIDATION_FAILURE)
+
+
+def _load_config(config_path, mock, seed, out_dir, boost_factor=None, space=None, **fields):
+    """The --config file's config, or the bundled mock corpus's, with the
+    command's options applied: `fields` are PipelineConfig fields, and
+    `boost_factor` and `space` set `filter`. Exits 2 if no valid config results."""
+    if not (config_path or mock):
+        raise click.UsageError("either --config or --mock is required")
+    try:
+        if config_path:
+            cfg = pipeline.PipelineConfig.from_file(config_path)
+            fields.update(mock=mock or None, seed=seed, out_dir=out_dir)
+        else:
+            cfg = pipeline.default_mock_config(out_dir or "out", seed=seed or 0)
+        for name, value in fields.items():
+            if value is not None:
+                setattr(cfg, name, value)
+        cfg.filter = dataclasses.replace(cfg.filter, **{
+            k: v for k, v in (("boost_factor", boost_factor), ("space", space))
+            if v is not None})
+    except ValueError as e:     # pipeline.ConfigError, or FilterConfig's check
+        _exit_config_errors([e])
+    return cfg
+
+
+def _run_stages(stage_names, **options):
+    """Load and validate the config (exit 2 on a problem), then run
+    `stage_names`, all stages if None (exit 1 on a stage failure)."""
+    cfg = _load_config(**options)
+    diags = pipeline.validate(cfg)
+    if diags:
+        _exit_config_errors(diags)
+    try:
+        summary = pipeline.run(cfg, stage_names,
+                               progress=lambda s, c: click.echo(f"[{s}] {c}"))
+    except pipeline.StageFailure as e:
+        click.echo(str(e), err=True)
+        sys.exit(EXIT_STAGE_FAILURE)
+    return cfg, summary
 
 
 @click.group()
@@ -62,100 +93,55 @@ def with_config_opts(fn):
 @with_config_opts
 @click.option("--stages", default=None,
               help="Comma-separated subset of: " + ",".join(pipeline.STAGES))
-def run_cmd(config_path, mock, seed, out_dir, stages):
+def run_cmd(stages, **options):
     """Run the dataset pipeline end to end."""
-    cfg = _load_config(config_path, mock, seed, out_dir)
-    diags = pipeline.validate(cfg)
-    if diags:
-        for d in diags:
-            click.echo(f"config error: {d}", err=True)
-        sys.exit(EXIT_VALIDATION_FAILURE)
-    stage_list = stages.split(",") if stages else None
-    try:
-        summary = pipeline.run(cfg, stage_list,
-                               progress=lambda s, c: click.echo(f"[{s}] {c}"))
-    except pipeline.StageFailure as e:
-        click.echo(str(e), err=True)
-        sys.exit(EXIT_STAGE_FAILURE)
+    cfg, summary = _run_stages(stages.split(",") if stages else None, **options)
     click.echo(json.dumps({"out_dir": cfg.out_dir, "stages": list(summary)}))
 
 
 @main.command(name="validate")
 @with_config_opts
-def validate_cmd(config_path, mock, seed, out_dir):
+def validate_cmd(**options):
     """Report configuration diagnostics without running anything."""
-    cfg = _load_config(config_path, mock, seed, out_dir)
-    diags = pipeline.validate(cfg)
+    diags = pipeline.validate(_load_config(**options))
     for d in diags:
         click.echo(d)
     sys.exit(EXIT_VALIDATION_FAILURE if diags else 0)
 
 
-def _run_stages(config_path, mock, seed, out_dir, stage_names):
-    cfg = _load_config(config_path, mock, seed, out_dir)
-    try:
-        pipeline.run(cfg, stage_names,
-                     progress=lambda s, c: click.echo(f"[{s}] {c}"))
-    except pipeline.StageFailure as e:
-        click.echo(str(e), err=True)
-        sys.exit(EXIT_STAGE_FAILURE)
-
-
 @main.command(name="crop")
 @with_config_opts
-@click.option("--mode", type=click.Choice([cropping.VERBATIM, cropping.FULL_COVERAGE]),
-              default=None)
-def crop_cmd(config_path, mock, seed, out_dir, mode):
+@click.option("--mode", "crop_mode",
+              type=click.Choice([cropping.VERBATIM, cropping.FULL_COVERAGE]), default=None)
+def crop_cmd(**options):
     """Produce sliding-window child examples for every dataset."""
-    cfg = _load_config(config_path, mock, seed, out_dir)
-    if mode:
-        cfg.crop_mode = mode
-    try:
-        pipeline.run(cfg, ["crop"], progress=lambda s, c: click.echo(f"[{s}] {c}"))
-    except pipeline.StageFailure as e:
-        click.echo(str(e), err=True)
-        sys.exit(EXIT_STAGE_FAILURE)
+    _run_stages(["crop"], **options)
 
 
 @main.command(name="generate-rationales")
 @with_config_opts
-def generate_cmd(config_path, mock, seed, out_dir):
+def generate_cmd(**options):
     """Run the tool flows to produce rationales for whole images and crops."""
-    _run_stages(config_path, mock, seed, out_dir, ["generate-rationales"])
+    _run_stages(["generate-rationales"], **options)
 
 
 @main.command(name="filter")
 @with_config_opts
 @click.option("--lambda", "boost_factor", type=float, default=None)
 @click.option("--space", type=click.Choice(["probability", "log"]), default=None)
-def filter_cmd(config_path, mock, seed, out_dir, boost_factor, space):
+def filter_cmd(**options):
     """Categorize crop rationales with the verifier and balance the output."""
-    cfg = _load_config(config_path, mock, seed, out_dir)
-    from .filtering import FilterConfig
-    cfg.filter = FilterConfig(
-        boost_factor=boost_factor if boost_factor is not None else cfg.filter.boost_factor,
-        space=space or cfg.filter.space)
-    try:
-        pipeline.run(cfg, ["filter"], progress=lambda s, c: click.echo(f"[{s}] {c}"))
-    except pipeline.StageFailure as e:
-        click.echo(str(e), err=True)
-        sys.exit(EXIT_STAGE_FAILURE)
+    _run_stages(["filter"], **options)
 
 
 @main.command(name="build-tasks")
 @with_config_opts
 @click.option("--tasks", "task_list", default=None,
               help="Comma-separated: qra,apr,qraci,apraci,qid,ans-only")
-def build_tasks_cmd(config_path, mock, seed, out_dir, task_list):
+def build_tasks_cmd(task_list, **options):
     """Emit the training task files."""
-    cfg = _load_config(config_path, mock, seed, out_dir)
-    if task_list:
-        cfg.task_list = tuple(task_list.split(","))
-    try:
-        pipeline.run(cfg, ["build-tasks"], progress=lambda s, c: click.echo(f"[{s}] {c}"))
-    except pipeline.StageFailure as e:
-        click.echo(str(e), err=True)
-        sys.exit(EXIT_STAGE_FAILURE)
+    _run_stages(["build-tasks"], task_list=tuple(task_list.split(",")) if task_list else None,
+                **options)
 
 
 @main.command(name="vote")

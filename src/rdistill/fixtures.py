@@ -9,9 +9,9 @@ from fixed literals plus the seed, so repeated runs are byte-identical.
 from __future__ import annotations
 
 from .records import ImageRef, OcrBox, QAExample
-from .tools import (MockOcrClient, MockProgrammerClient, MockStudentClient,
-                    MockSummarizerClient, MockVerifierClient, PromptTemplate,
-                    ToolClients)
+from .tools import (MockOcrClient, MockPlotToTableClient, MockProgrammerClient,
+                    MockStudentClient, MockSummarizerClient, MockVerifierClient,
+                    PromptTemplate, ToolClients)
 
 SUMMARIZER_TEMPLATE = PromptTemplate(
     name="mock-summarizer",
@@ -152,6 +152,7 @@ def make_mock_clients(seed: int = 0) -> ToolClients:
         ocr=MockOcrClient(seed=seed),
         summarizer=MockSummarizerClient(fixtures=summarizer_fixtures),
         programmer=MockProgrammerClient(fixtures=programmer_fixtures),
+        plot_to_table=MockPlotToTableClient(),
         verifier=MockVerifierClient(seed=seed, gold_by_question=gold_by_question),
     )
 

@@ -38,8 +38,6 @@ from .records import (TASK_NAMES, CategorizedExample, MalformedRecord, QAExample
 
 log = logging.getLogger(__name__)
 
-STAGES = ("crop", "generate-rationales", "filter", "build-tasks")
-
 
 class StageFailure(RuntimeError):
     def __init__(self, stage: str, cause: Exception | str):
@@ -104,38 +102,47 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            raw = yaml.safe_load(f) or {}
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                raw = yaml.safe_load(f) or {}
+        except (OSError, yaml.YAMLError) as e:
+            raise ConfigError(f"{path}: {e}") from e
         return cls.from_dict(_interpolate(raw))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        filt = raw.get("filter", {})
-        tool_cfg = raw.get("tools", {})
-        templates = {
-            name: TemplateConfig(path=t.get("path", ""), shots=t.get("shots", 0))
-            for name, t in (raw.get("templates") or {}).items()
-        }
-        return cls(
-            out_dir=raw.get("out_dir", "out"),
-            seed=raw.get("seed", 0),
-            crop_mode=raw.get("crop_mode", cropping.VERBATIM),
-            counter=raw.get("counter", "word"),
-            concurrency=raw.get("concurrency", 4),
-            task_list=tuple(raw.get("tasks", TASK_NAMES)),
-            filter=filtering.FilterConfig(
-                boost_factor=filt.get("boost_factor", 2.0),
-                space=filt.get("space", filtering.PROBABILITY_SPACE)),
-            datasets=[DatasetConfig(name=d["name"], path=d["path"],
-                                    flow=d["flow"], subset=d.get("subset", ""))
-                      for d in raw.get("datasets", [])],
-            mock=bool(tool_cfg.get("mock", False)),
-            mock_seed=tool_cfg.get("mock_seed", 0),
-            max_retries=tool_cfg.get("max_retries", 3),
-            endpoints=tool_cfg.get("endpoints", {}) or {},
-            templates=templates,
-            filter_whole_image=raw.get("filter_whole_image", False),
-        )
+        """The config `raw` describes; ConfigError if it describes none."""
+        try:
+            filt = raw.get("filter", {})
+            tool_cfg = raw.get("tools", {})
+            templates = {
+                name: TemplateConfig(path=t.get("path", ""), shots=t.get("shots", 0))
+                for name, t in (raw.get("templates") or {}).items()
+            }
+            return cls(
+                out_dir=raw.get("out_dir", "out"),
+                seed=raw.get("seed", 0),
+                crop_mode=raw.get("crop_mode", cropping.VERBATIM),
+                counter=raw.get("counter", "word"),
+                concurrency=raw.get("concurrency", 4),
+                task_list=tuple(raw.get("tasks", TASK_NAMES)),
+                filter=filtering.FilterConfig(
+                    boost_factor=filt.get("boost_factor", 2.0),
+                    space=filt.get("space", filtering.PROBABILITY_SPACE)),
+                datasets=[DatasetConfig(name=d["name"], path=d["path"],
+                                        flow=d["flow"], subset=d.get("subset", ""))
+                          for d in raw.get("datasets", [])],
+                mock=bool(tool_cfg.get("mock", False)),
+                mock_seed=tool_cfg.get("mock_seed", 0),
+                max_retries=tool_cfg.get("max_retries", 3),
+                endpoints=tool_cfg.get("endpoints", {}) or {},
+                templates=templates,
+                filter_whole_image=raw.get("filter_whole_image", False),
+            )
+        except KeyError as e:
+            raise ConfigError(f"dataset without required key {e}") from e
+        except (AttributeError, TypeError, ValueError) as e:
+            raise ConfigError(str(e)) from e
 
     def make_counter(self):
         if self.counter == "word":
@@ -234,7 +241,9 @@ def _load_template(config: PipelineConfig, name: str, default) -> tools.PromptTe
 
 
 _HTTP_CLIENTS = {"ocr": tools.HttpOcrClient, "summarizer": tools.HttpSummarizerClient,
-                 "programmer": tools.HttpProgrammerClient, "verifier": tools.HttpVerifierClient}
+                 "programmer": tools.HttpProgrammerClient,
+                 "plot_to_table": tools.HttpPlotToTableClient,
+                 "verifier": tools.HttpVerifierClient}
 
 
 def response_cache_path(out_dir: str) -> str:
@@ -335,28 +344,14 @@ def _write_json_atomic(path: str, obj) -> None:
 # stage file paths
 
 
-def crops_path(config, ds):
-    return os.path.join(config.out_dir, f"{ds.name}.crops.jsonl")
-
-
-def rationales_path(config, ds):
-    return os.path.join(config.out_dir, f"{ds.name}.rationales.jsonl")
-
-
-def crop_rationales_path(config, ds):
-    return os.path.join(config.out_dir, f"{ds.name}.crop_rationales.jsonl")
-
-
-def categorized_path(config, ds):
-    return os.path.join(config.out_dir, f"{ds.name}.categorized.jsonl")
-
-
-def balance_path(config, ds):
-    return os.path.join(config.out_dir, f"{ds.name}.balance.json")
-
-
-def whole_categorized_path(config, ds):
-    return os.path.join(config.out_dir, f"{ds.name}.whole_categorized.jsonl")
+def stage_file(config, ds, kind: str) -> str:
+    """Path of dataset `ds`'s file of `kind`: "dataset" (the dataset file
+    itself), "crops", "rationales", "crop_rationales", "categorized",
+    "whole_categorized" or "balance"."""
+    if kind == "dataset":
+        return ds.path
+    ext = "json" if kind == "balance" else "jsonl"
+    return os.path.join(config.out_dir, f"{ds.name}.{kind}.{ext}")
 
 
 def task_path(config, task_key):
@@ -422,8 +417,9 @@ def stage_crop(config: PipelineConfig, handoff: _Handoff) -> dict:
             plan = cropping.plan_crops(ex.image.height, ex.image.width, config.crop_mode)
             children.extend(cropping.apply_plan(ex, plan))
         children.sort(key=lambda e: e.example_id)
-        _write_atomic(crops_path(config, ds), (serialize_example(e) for e in children))
-        handoff.put(crops_path(config, ds), children)
+        crops = stage_file(config, ds, "crops")
+        _write_atomic(crops, (serialize_example(e) for e in children))
+        handoff.put(crops, children)
         counts[ds.name] = len(children)
     return counts
 
@@ -455,8 +451,9 @@ def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff) -> dict
                 r = Rationale.program(e.table, "", flagged=True)
             return ex.example_id, r
 
-        for src, dest in ((ds.path, rationales_path(config, ds)),
-                          (crops_path(config, ds), crop_rationales_path(config, ds))):
+        for src, dest in ((ds.path, stage_file(config, ds, "rationales")),
+                          (stage_file(config, ds, "crops"),
+                           stage_file(config, ds, "crop_rationales"))):
             results = _parallel_map(generate, handoff.take(src, _read_examples), config)
             results.sort(key=lambda pair: pair[0])
             _write_atomic(dest, (_serialize_rationale_line(i, r) for i, r in results))
@@ -484,21 +481,22 @@ def stage_filter(config: PipelineConfig, handoff: _Handoff) -> dict:
 
     counts = {}
     for ds in config.datasets:
-        categorized = categorize_all(crops_path(config, ds), crop_rationales_path(config, ds))
+        categorized = categorize_all(stage_file(config, ds, "crops"),
+                                     stage_file(config, ds, "crop_rationales"))
         kept, report = filtering.balance(categorized, seed=config.seed)
         kept.sort(key=lambda c: c.example_id)
-        _write_atomic(categorized_path(config, ds),
-                      (serialize_categorized(c) for c in kept))
-        _write_json_atomic(balance_path(config, ds), report.to_json())
-        handoff.put(categorized_path(config, ds), kept)
+        kept_path = stage_file(config, ds, "categorized")
+        _write_atomic(kept_path, (serialize_categorized(c) for c in kept))
+        _write_json_atomic(stage_file(config, ds, "balance"), report.to_json())
+        handoff.put(kept_path, kept)
         counts[ds.name] = {"categorized": len(categorized), "kept": len(kept)}
 
         # whole-image rationales skip the verifier filter unless explicitly enabled
         if config.filter_whole_image:
-            whole = categorize_all(ds.path, rationales_path(config, ds))
-            _write_atomic(whole_categorized_path(config, ds),
-                          (serialize_categorized(c) for c in whole))
-            handoff.put(whole_categorized_path(config, ds), whole)
+            whole = categorize_all(ds.path, stage_file(config, ds, "rationales"))
+            whole_path = stage_file(config, ds, "whole_categorized")
+            _write_atomic(whole_path, (serialize_categorized(c) for c in whole))
+            handoff.put(whole_path, whole)
     return counts
 
 
@@ -527,11 +525,12 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
 
     for ds, examples in all_examples:
         if "qra" in all_records:
-            rationales = handoff.take(rationales_path(config, ds), _read_rationales)
+            rationales = handoff.take(stage_file(config, ds, "rationales"), _read_rationales)
             qra_examples = examples
             if config.filter_whole_image:
                 whole_cats = {c.example_id: c for c in
-                              handoff.take(whole_categorized_path(config, ds), _read_categorized)}
+                              handoff.take(stage_file(config, ds, "whole_categorized"),
+                                           _read_categorized)}
                 qra_examples = [e for e in examples
                                 if whole_cats.get(e.example_id) is None
                                 or whole_cats[e.example_id].category != "irrelevant"]
@@ -539,7 +538,8 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
         if "apr" in all_records:
             all_records["apr"].extend(tasks.build_apr(examples, students, fold_plan, counter))
         if "qraci" in all_records or "apraci" in all_records:
-            categorized = handoff.take(categorized_path(config, ds), _read_categorized)
+            categorized = handoff.take(stage_file(config, ds, "categorized"),
+                                       _read_categorized)
             if "qraci" in all_records:
                 all_records["qraci"].extend(tasks.build_qraci(categorized, counter))
             if "apraci" in all_records:
@@ -563,6 +563,7 @@ _STAGE_FNS = {
     "filter": stage_filter,
     "build-tasks": stage_build_tasks,
 }
+STAGES = tuple(_STAGE_FNS)
 
 
 def _fingerprint(config: PipelineConfig, stage: str) -> str:
@@ -597,26 +598,24 @@ def _fingerprint(config: PipelineConfig, stage: str) -> str:
     return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
 
 
+# Per-dataset file kinds (see `stage_file`) each stage reads and writes, then
+# those it also reads and writes when `filter_whole_image` is on.
+_STAGE_FILES = {
+    "crop": (("dataset",), ("crops",), (), ()),
+    "generate-rationales": (("dataset", "crops"), ("rationales", "crop_rationales"), (), ()),
+    "filter": (("crops", "crop_rationales"), ("categorized", "balance"),
+               ("dataset", "rationales"), ("whole_categorized",)),
+    "build-tasks": (("dataset", "rationales", "categorized"), (), ("whole_categorized",), ()),
+}
+
+
 def _stage_paths(config: PipelineConfig, stage: str) -> tuple[list[str], list[str]]:
     """(input paths, output paths) of `stage`, for manifests and the in-run hand-off."""
-    inputs, outputs = [], []
-    for ds in config.datasets:
-        if stage == "crop":
-            inputs.append(ds.path)
-            outputs.append(crops_path(config, ds))
-        elif stage == "generate-rationales":
-            inputs += [ds.path, crops_path(config, ds)]
-            outputs += [rationales_path(config, ds), crop_rationales_path(config, ds)]
-        elif stage == "filter":
-            inputs += [crops_path(config, ds), crop_rationales_path(config, ds)]
-            outputs += [categorized_path(config, ds), balance_path(config, ds)]
-            if config.filter_whole_image:
-                inputs += [ds.path, rationales_path(config, ds)]
-                outputs.append(whole_categorized_path(config, ds))
-        elif stage == "build-tasks":
-            inputs += [ds.path, rationales_path(config, ds), categorized_path(config, ds)]
-            if config.filter_whole_image:
-                inputs.append(whole_categorized_path(config, ds))
+    reads, writes, whole_reads, whole_writes = _STAGE_FILES[stage]
+    if config.filter_whole_image:
+        reads, writes = reads + whole_reads, writes + whole_writes
+    inputs = [stage_file(config, ds, kind) for ds in config.datasets for kind in reads]
+    outputs = [stage_file(config, ds, kind) for ds in config.datasets for kind in writes]
     if stage == "build-tasks":
         outputs += [task_path(config, key) for key in config.task_list]
     return inputs, outputs

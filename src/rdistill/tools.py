@@ -10,6 +10,7 @@ without any network access.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -269,11 +270,10 @@ class HttpEndpoint:
 
     def __init__(self, url: str, policy: RetryPolicy = RetryPolicy(),
                  semaphore: threading.Semaphore | None = None,
-                 headers: dict | None = None, cache: ResponseCache | None = None):
+                 cache: ResponseCache | None = None):
         self.url = url
         self.policy = policy
         self.semaphore = semaphore
-        self.headers = headers or {}
         self.cache = cache
         self._session = None    # opened on the first upstream call; a cached rerun opens none
         self._session_lock = threading.Lock()
@@ -298,15 +298,9 @@ class HttpEndpoint:
             if attempt:
                 time.sleep(self.policy.backoff * (2 ** (attempt - 1)))
             try:
-                if self.semaphore is not None:
-                    with self.semaphore:
-                        resp = self._session.post(self.url, json=payload,
-                                                  timeout=self.policy.timeout,
-                                                  headers=self.headers)
-                else:
+                with self.semaphore or contextlib.nullcontext():
                     resp = self._session.post(self.url, json=payload,
-                                              timeout=self.policy.timeout,
-                                              headers=self.headers)
+                                              timeout=self.policy.timeout)
             except requests.RequestException as e:
                 last = str(e)
                 log.warning("call to %s failed (attempt %d): %s", self.url, attempt + 1, e)
@@ -356,6 +350,14 @@ class HttpOcrClient:
         out = self.endpoint.cached_call(_image_fields(image))
         boxes = [OcrBox(*b) for b in out.get("boxes", [])]
         return out["text"], boxes
+
+
+class HttpPlotToTableClient:
+    def __init__(self, endpoint: HttpEndpoint):
+        self.endpoint = endpoint
+
+    def extract_table(self, image):
+        return self.endpoint.cached_call(_image_fields(image))["rows"]
 
 
 class HttpVerifierClient:
@@ -435,34 +437,24 @@ class MockPlotToTableClient:
         return [["label", "value"], [image.id, "1"]]
 
 
+MOCK_VERIFIER_AGREEMENT = 0.7    # share of greedy answers that are the gold one
+
+
 @dataclass
 class MockVerifierClient:
-    """Scores are pure functions of (seed, request); fixtures override.
+    """Scores are pure functions of (seed, request)."""
 
-    greedy fixture key: (image id, question, has_rationale) -> answer.
-    logprob fixture key: (image id, question, answer, has_rationale) -> float.
-    """
-
-    greedy_fixtures: dict = field(default_factory=dict)
-    logprob_fixtures: dict = field(default_factory=dict)
     seed: int = 0
     gold_by_question: dict = field(default_factory=dict)
-    agreement_rate: float = 0.7
 
     def greedy_answer(self, image, question, rationale=None):
-        key = (image.id, question, rationale is not None)
-        if key in self.greedy_fixtures:
-            return self.greedy_fixtures[key]
         gold = self.gold_by_question.get(question)
         u = _unit(self.seed, "greedy", image.id, question, str(rationale))
-        if gold is not None and u < self.agreement_rate:
+        if gold is not None and u < MOCK_VERIFIER_AGREEMENT:
             return gold
         return f"wrong{int(u * 100)}"
 
     def answer_logprob(self, image, question, answer, rationale=None):
-        key = (image.id, question, answer, rationale is not None)
-        if key in self.logprob_fixtures:
-            return self.logprob_fixtures[key]
         u = _unit(self.seed, "logprob", image.id, question, answer, str(rationale))
         return math.log(u)
 

@@ -1,5 +1,6 @@
 import collections
 import concurrent.futures
+import dataclasses
 import hashlib
 import http.server
 import json
@@ -186,7 +187,7 @@ def test_filter_scores_rationale_as_encoded_under_counter(tmp_path, monkeypatch)
     monkeypatch.setattr(pipeline, "make_clients", clients)
     run(config, ["crop", "generate-rationales", "filter"])
     rationales = pipeline._read_rationales(
-        pipeline.crop_rationales_path(config, config.datasets[0])).values()
+        pipeline.stage_file(config, config.datasets[0], "crop_rationales")).values()
     as_char4 = {rationale_text(r, CharBlockCounter()) for r in rationales}
     as_word = {rationale_text(r, WordCounter()) for r in rationales}
     assert as_char4 != as_word     # the two counters trim this table differently
@@ -266,11 +267,23 @@ def parses(monkeypatch):
 MOCK_EXAMPLES, MOCK_CROPS = 20, 64
 
 
+def run_stage(config, stage):
+    assert stages_run(run(config, [stage])) == {stage}
+
+
+def run_stage_command(config, stage):
+    result = CliRunner().invoke(cli.main, [stage, "--mock", "--out-dir", config.out_dir])
+    assert result.exit_code == 0, result.output
+    assert f"[{stage}] skipped" not in result.output
+
+
 class TestInRunHandoff:
     """Stages of one run pass records in memory; the files they write stay the same."""
 
-    @pytest.mark.parametrize("whole_image", [False, True], ids=["crops", "whole-image"])
-    def test_stage_by_stage_runs_match_one_run(self, tmp_path, whole_image):
+    @pytest.mark.parametrize("whole_image,run_one_stage", [
+        (False, run_stage), (True, run_stage), (False, run_stage_command),
+    ], ids=["crops", "whole-image", "cli"])
+    def test_stage_by_stage_runs_match_one_run(self, tmp_path, whole_image, run_one_stage):
         def config(name):
             c = default_mock_config(str(tmp_path / name), seed=0)
             c.filter_whole_image = whole_image
@@ -279,7 +292,7 @@ class TestInRunHandoff:
         together, apart = config("together"), config("apart")
         run(together)
         for stage in pipeline.STAGES:
-            assert stages_run(run(apart, [stage])) == {stage}
+            run_one_stage(apart, stage)
         assert tree_files(together.out_dir) == tree_files(apart.out_dir)
 
     def test_cold_run_parses_each_dataset_example_once(self, tmp_path, parses):
@@ -302,7 +315,7 @@ class TestInRunHandoff:
     def test_records_are_released_after_their_last_reader(self, tmp_path):
         config = default_mock_config(str(tmp_path / "release"), seed=0)
         handoff = pipeline._Handoff(config, list(pipeline.STAGES))
-        crops = pipeline.crops_path(config, config.datasets[0])
+        crops = pipeline.stage_file(config, config.datasets[0], "crops")
         reads = []
 
         def read(path):
@@ -324,6 +337,19 @@ class TestInRunHandoff:
         config = default_mock_config(str(tmp_path / "inline"), seed=0)
         config.concurrency = 4
         assert stages_run(run(config)) == ALL_STAGES
+
+
+def test_mock_run_with_a_table_less_chart(tmp_path):
+    config = default_mock_config(str(tmp_path / "p2t"), seed=0)
+    charts = config.datasets[1]
+    examples = fixtures.make_chart_examples()
+    examples[0] = dataclasses.replace(examples[0], structured_table=None)
+    write_lines(charts.path, (serialize_example(e) for e in examples))
+    assert validate(config) == []
+    assert stages_run(run(config)) == ALL_STAGES
+    rationales = pipeline._read_rationales(pipeline.stage_file(config, charts, "rationales"))
+    assert rationales["chart00"].table == (("label", "value"), ("chart00", "1"))
+    assert rationales["chart01"].table == examples[1].structured_table
 
 
 class TestStageIsolation:
@@ -413,6 +439,50 @@ class TestValidateProperties:
         assert result.exit_code == 2, result.output
         assert "unknown task 'ans_only'" in result.output
         assert not os.path.exists(tmp_path / "out")
+
+
+GOOD_DATASET = "datasets: [{name: docs, path: DATA, flow: text-evidence}]\n"
+# config file text, with DATA standing for a dataset file that exists; what the error names
+BAD_CONFIGS = {
+    "malformed-yaml": ("datasets: [\n", "while parsing"),
+    "unknown-flow": ("datasets: [{name: d, path: DATA, flow: ocr}]\n", "unknown flow 'ocr'"),
+    "no-name": ("datasets: [{path: DATA, flow: text-evidence}]\n", "'name'"),
+    "no-path": ("datasets: [{name: d, flow: text-evidence}]\n", "'path'"),
+    "no-flow": ("datasets: [{name: d, path: DATA}]\n", "'flow'"),
+    "boost-below-one": ("filter: {boost_factor: 0.5}\n" + GOOD_DATASET,
+                        "boost_factor must be > 1"),
+    "unknown-space": ("filter: {space: odds}\n" + GOOD_DATASET, "unknown score space 'odds'"),
+}
+CONFIG_COMMANDS = ("run", "validate", "crop", "generate-rationales", "filter", "build-tasks")
+BAD_INPUTS = [
+    *(pytest.param(command, text + "tools: {mock: true}\n", [], named, id=f"{name}-{command}")
+      for name, (text, named) in BAD_CONFIGS.items() for command in CONFIG_COMMANDS),
+    pytest.param("filter", None, ["--lambda", "0.5"], "boost_factor must be > 1",
+                 id="filter-lambda"),
+    pytest.param("build-tasks", None, ["--tasks", "qra,bogus"], "unknown task 'bogus'",
+                 id="build-tasks-unknown-task"),
+]
+
+
+class TestConfigErrors:
+    """A config that cannot be built, or would fail later, exits 2 before any stage."""
+
+    @pytest.mark.parametrize("command,config_text,options,named", BAD_INPUTS)
+    def test_exits_2_with_a_diagnostic(self, tmp_path, mock_data_dir, command, config_text,
+                                       options, named):
+        out_dir = tmp_path / "out"
+        if config_text is None:
+            args = ["--mock", "--out-dir", str(out_dir)]
+        else:
+            cfg_path = tmp_path / "cfg.yaml"
+            cfg_path.write_text(config_text.replace("DATA", f"{mock_data_dir}/data/docs.jsonl"))
+            args = ["--config", str(cfg_path), "--out-dir", str(out_dir)]
+        result = CliRunner().invoke(cli.main, [command, *args, *options])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "config error: " in result.output and named in result.output
+        assert "Traceback" not in result.output
+        assert not os.path.exists(out_dir / "tasks")
 
 
 class TestConfigFile:

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from rdistill import pipeline
 from rdistill.codec import WordCounter
 from rdistill.records import Crop, ImageRef, QAExample
 from rdistill.tools import (EVIDENCE_TOKEN_LIMIT, HttpEndpoint, HttpOcrClient,
@@ -237,6 +238,21 @@ class TestHttpPayloads:
         url, handler = scripted_server([200], reply={"text": "t", "boxes": []})
         HttpOcrClient(HttpEndpoint(url, FAST)).recognize(self.IMAGE)
         assert handler.bodies == [self.WINDOW]
+
+
+def test_http_config_asks_plot_to_table_for_a_missing_table(scripted_server, tmp_path):
+    rows = [["animal", "count"], ["cats", "25"], ["dogs", "5"]]
+    table_url, table_tool = scripted_server([200], reply={"rows": rows})
+    programmer_url, _ = scripted_server([200], reply={"text": "Div(25, 5)"})
+    config = pipeline.PipelineConfig(out_dir=str(tmp_path), endpoints={
+        "plot_to_table": table_url, "programmer": programmer_url})
+    chart = make_example(image=TestHttpPayloads.IMAGE, question="q", gold_answers=("5",))
+    assert chart.structured_table is None
+    r = generate_rationale(chart, "table-program", pipeline.make_clients(config),
+                           pipeline.make_templates(config))
+    assert r.table == tuple(tuple(row) for row in rows)
+    assert r.program_source == "Div(25, 5)"
+    assert table_tool.bodies == [TestHttpPayloads.WINDOW]
 
 
 class TestResponseCache:
