@@ -95,7 +95,11 @@ def with_config_opts(fn):
               help="Comma-separated subset of: " + ",".join(pipeline.STAGES))
 def run_cmd(stages, **options):
     """Run the dataset pipeline end to end."""
-    cfg, summary = _run_stages(stages.split(",") if stages else None, **options)
+    names = stages.split(",") if stages else None
+    diags = pipeline.stage_diagnostics(names)
+    if diags:
+        _exit_config_errors(diags)
+    cfg, summary = _run_stages(names, **options)
     click.echo(json.dumps({"out_dir": cfg.out_dir, "stages": list(summary)}))
 
 

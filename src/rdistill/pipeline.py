@@ -14,6 +14,12 @@ each file is parsed at most once per run: a stage parses a file only when
 its producer was skipped as fresh or was not part of the run. The files
 are written all the same. With mock tools, generate-rationales and filter
 call the tools inline; HTTP tools run on `concurrency` threads.
+
+Filter's categorized files hold verdict lines only (example_id, category,
+effective answer, scores). When build-tasks parses one, it joins each
+verdict with the crop and crop-rationale files, all three sorted by
+example_id; within a run that ran filter, it gets the joined crops in
+memory. Build-tasks writes one task file at a time.
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ import yaml
 from . import cropping, filtering, fixtures, tasks, tools
 from .codec import CharBlockCounter, WordCounter
 from .records import (TASK_NAMES, CategorizedExample, MalformedRecord, QAExample,
-                      Rationale, parse_categorized, parse_example, read_lines,
-                      serialize_categorized, serialize_example, serialize_record,
-                      write_lines)
+                      Rationale, Verdict, _dumps, parse_categorized, parse_example,
+                      read_lines, serialize_categorized, serialize_example,
+                      serialize_record, write_lines)
 
 log = logging.getLogger(__name__)
 
@@ -192,16 +198,22 @@ def validate(config: PipelineConfig) -> list[str]:
         except OSError as e:
             diags.append(f"dataset {ds.name!r}: unreadable ({e})")
             continue
-        if first is not None and ds.flow == tools.TABLE_PROGRAM_FLOW:
-            try:
-                ex = parse_example(first)
-            except MalformedRecord as e:
-                diags.append(f"dataset {ds.name!r}: malformed first record ({e})")
-                continue
-            if ex.structured_table is None and not config.mock \
-                    and "plot_to_table" not in config.endpoints:
-                diags.append(f"dataset {ds.name!r}: table-program flow without "
-                             "structured_table or a plot-to-table client")
+        if first is None:
+            continue
+        try:
+            ex = parse_example(first)
+        except MalformedRecord as e:
+            diags.append(f"dataset {ds.name!r}: malformed first record ({e})")
+            continue
+        if config.mock:
+            continue
+        if ds.flow == tools.TABLE_PROGRAM_FLOW and ex.structured_table is None \
+                and "plot_to_table" not in config.endpoints:
+            diags.append(f"dataset {ds.name!r}: table-program flow without "
+                         "structured_table or a plot-to-table client")
+        if not ex.ocr_text and "ocr" not in config.endpoints:
+            diags.append(f"dataset {ds.name!r}: first record has no ocr_text and "
+                         "no endpoint is configured for tool 'ocr'")
     for name, expected in (("summarizer", tools.SUMMARIZER_SHOTS),
                            ("programmer", tools.PROGRAMMER_SHOTS)):
         tmpl = config.templates.get(name)
@@ -215,8 +227,11 @@ def validate(config: PipelineConfig) -> list[str]:
         if key not in TASK_NAMES:
             diags.append(f"unknown task {key!r}; known tasks: {', '.join(TASK_NAMES)}")
     if not config.mock:
-        for tool in ("summarizer", "verifier"):
-            if tool not in config.endpoints:
+        flows = {ds.flow for ds in config.datasets}
+        for tool, needed in (("summarizer", tools.TEXT_EVIDENCE_FLOW in flows),
+                             ("programmer", tools.TABLE_PROGRAM_FLOW in flows),
+                             ("verifier", True)):
+            if needed and tool not in config.endpoints:
                 diags.append(f"no endpoint configured for tool {tool!r} (and mock mode off)")
         if "apr" in config.task_list:
             diags.append("task 'apr' needs student rationale clients, which exist only "
@@ -359,8 +374,7 @@ def task_path(config, task_key):
 
 
 def _serialize_rationale_line(example_id: str, rationale: Rationale) -> str:
-    return json.dumps({"example_id": example_id, "rationale": rationale.to_json()},
-                      ensure_ascii=False, separators=(",", ":"))
+    return _dumps({"example_id": example_id, "rationale": rationale.to_json()})
 
 
 def _parse_rationale_line(line: str) -> tuple[str, Rationale]:
@@ -376,7 +390,7 @@ def _read_examples(path: str) -> list[QAExample]:
     return [parse_example(line, i + 1) for i, line in enumerate(read_lines(path))]
 
 
-def _read_categorized(path: str) -> list[CategorizedExample]:
+def _read_verdicts(path: str) -> list[Verdict]:
     return [parse_categorized(line, i + 1) for i, line in enumerate(read_lines(path))]
 
 
@@ -390,8 +404,12 @@ class _Handoff:
     """
 
     def __init__(self, config: PipelineConfig, stages: list[str]):
+        # build-tasks reads the join files only when filter did not run here
+        join_only = ({stage_file(config, ds, kind) for ds in config.datasets
+                      for kind in _JOIN_KINDS} if "filter" in stages else set())
         self._last_reader = {path: i for i, stage in enumerate(stages)
-                             for path in _stage_paths(config, stage)[0]}
+                             for path in _stage_paths(config, stage)[0]
+                             if not (stage == "build-tasks" and path in join_only)}
         self._records = {}
         self.position = 0  # index in `stages` of the stage now running
 
@@ -500,21 +518,56 @@ def stage_filter(config: PipelineConfig, handoff: _Handoff) -> dict:
     return counts
 
 
+def _read_categorized(config: PipelineConfig, ds: DatasetConfig, handoff: _Handoff):
+    """A reader of `ds`'s categorized file that joins each verdict line with
+    its crop and crop rationale, giving back the categorized crops filter made."""
+    def read(path: str) -> list[CategorizedExample]:
+        crops = {c.example_id: c for c in
+                 handoff.take(stage_file(config, ds, "crops"), _read_examples)}
+        rationales = handoff.take(stage_file(config, ds, "crop_rationales"), _read_rationales)
+        joined = []
+        for verdict in _read_verdicts(path):
+            if verdict.example_id not in crops or verdict.example_id not in rationales:
+                raise MalformedRecord(f"{path}: no crop or crop rationale for verdict "
+                                      f"{verdict.example_id!r}")
+            joined.append(CategorizedExample.join(verdict, crops[verdict.example_id],
+                                                  rationales[verdict.example_id]))
+        return joined
+    return read
+
+
 def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
+    """Write the task files one at a time: a task's records are built, sorted,
+    written and released before the next task starts."""
     counter = config.make_counter()
     os.makedirs(os.path.join(config.out_dir, "tasks"), exist_ok=True)
-    all_records = {key: [] for key in config.task_list}
+    wanted = dict.fromkeys(config.task_list)
 
-    examples_by_subset = {}
-    all_examples = []
+    # Each file is taken from the hand-off once: the last reader's take pops it.
+    inputs = []
     for ds in config.datasets:
-        examples = handoff.take(ds.path, _read_examples)
-        examples_by_subset.setdefault(ds.subset, []).extend(examples)
-        all_examples.append((ds, examples))
+        d = {"examples": handoff.take(ds.path, _read_examples)}
+        if "qra" in wanted:
+            d["rationales"] = handoff.take(stage_file(config, ds, "rationales"),
+                                           _read_rationales)
+            d["qra_examples"] = d["examples"]
+            if config.filter_whole_image:
+                irrelevant = {v.example_id for v in
+                              handoff.take(stage_file(config, ds, "whole_categorized"),
+                                           _read_verdicts)
+                              if v.category == "irrelevant"}
+                d["qra_examples"] = [e for e in d["examples"] if e.example_id not in irrelevant]
+        if "qraci" in wanted or "apraci" in wanted:
+            d["categorized"] = handoff.take(stage_file(config, ds, "categorized"),
+                                            _read_categorized(config, ds, handoff))
+        inputs.append(d)
 
     fold_plan = None
     students = None
-    if "apr" in config.task_list:
+    if "apr" in wanted:
+        examples_by_subset = {}
+        for ds, d in zip(config.datasets, inputs):
+            examples_by_subset.setdefault(ds.subset, []).extend(d["examples"])
         fold_plan = tasks.plan_folds(examples_by_subset, seed=config.seed)
         if config.mock:
             students = fixtures.make_mock_students(fold_plan.fold_count)
@@ -523,38 +576,22 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
                                "APR requires student rationale clients; only mock "
                                "students are available, enable tools.mock or drop 'apr'")
 
-    for ds, examples in all_examples:
-        if "qra" in all_records:
-            rationales = handoff.take(stage_file(config, ds, "rationales"), _read_rationales)
-            qra_examples = examples
-            if config.filter_whole_image:
-                whole_cats = {c.example_id: c for c in
-                              handoff.take(stage_file(config, ds, "whole_categorized"),
-                                           _read_categorized)}
-                qra_examples = [e for e in examples
-                                if whole_cats.get(e.example_id) is None
-                                or whole_cats[e.example_id].category != "irrelevant"]
-            all_records["qra"].extend(tasks.build_qra(qra_examples, rationales, counter))
-        if "apr" in all_records:
-            all_records["apr"].extend(tasks.build_apr(examples, students, fold_plan, counter))
-        if "qraci" in all_records or "apraci" in all_records:
-            categorized = handoff.take(stage_file(config, ds, "categorized"),
-                                       _read_categorized)
-            if "qraci" in all_records:
-                all_records["qraci"].extend(tasks.build_qraci(categorized, counter))
-            if "apraci" in all_records:
-                all_records["apraci"].extend(tasks.build_apraci(categorized, counter))
-        if "qid" in all_records:
-            all_records["qid"].extend(tasks.build_qid(examples, counter))
-        if "ans-only" in all_records:
-            all_records["ans-only"].extend(tasks.build_ans_only(examples, counter))
+    builders = {
+        "qra": lambda d: tasks.build_qra(d["qra_examples"], d["rationales"], counter),
+        "apr": lambda d: tasks.build_apr(d["examples"], students, fold_plan, counter),
+        "qraci": lambda d: tasks.build_qraci(d["categorized"], counter),
+        "apraci": lambda d: tasks.build_apraci(d["categorized"], counter),
+        "qid": lambda d: tasks.build_qid(d["examples"], counter),
+        "ans-only": lambda d: tasks.build_ans_only(d["examples"], counter),
+    }
 
-    counts = {}
-    for key, records in all_records.items():
+    def write_task(key: str) -> int:
+        records = [r for d in inputs for r in builders[key](d)]
         records.sort(key=lambda r: (r.example_id, r.decoder_input, r.decoder_output))
         _write_atomic(task_path(config, key), (serialize_record(r) for r in records))
-        counts[key] = len(records)
-    return counts
+        return len(records)
+
+    return {key: write_task(key) for key in wanted}
 
 
 _STAGE_FNS = {
@@ -598,6 +635,10 @@ def _fingerprint(config: PipelineConfig, stage: str) -> str:
     return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
 
 
+# The files build-tasks joins verdict lines with when it parses a categorized
+# file. A run that runs filter hands the kept crops over whole instead.
+_JOIN_KINDS = ("crops", "crop_rationales")
+
 # Per-dataset file kinds (see `stage_file`) each stage reads and writes, then
 # those it also reads and writes when `filter_whole_image` is on.
 _STAGE_FILES = {
@@ -605,7 +646,8 @@ _STAGE_FILES = {
     "generate-rationales": (("dataset", "crops"), ("rationales", "crop_rationales"), (), ()),
     "filter": (("crops", "crop_rationales"), ("categorized", "balance"),
                ("dataset", "rationales"), ("whole_categorized",)),
-    "build-tasks": (("dataset", "rationales", "categorized"), (), ("whole_categorized",), ()),
+    "build-tasks": (("dataset", "rationales", "categorized", *_JOIN_KINDS), (),
+                    ("whole_categorized",), ()),
 }
 
 
@@ -621,6 +663,12 @@ def _stage_paths(config: PipelineConfig, stage: str) -> tuple[list[str], list[st
     return inputs, outputs
 
 
+def stage_diagnostics(stages: list[str] | None) -> list[str]:
+    """One diagnostic per name in `stages` that is not a stage."""
+    return [f"unknown stage {s!r}; known stages: {', '.join(STAGES)}"
+            for s in stages or () if s not in STAGES]
+
+
 def run(config: PipelineConfig, stages: list[str] | None = None,
         progress=None) -> dict:
     """Run the requested stages in dependency order; returns per-stage counts.
@@ -628,7 +676,11 @@ def run(config: PipelineConfig, stages: list[str] | None = None,
     A stage is skipped while its manifest still matches its input files,
     its outputs and the fingerprint of the settings it reads. Records pass
     from stage to stage in memory for the length of this call only.
+    ConfigError if `stages` names a stage that does not exist.
     """
+    diags = stage_diagnostics(stages)
+    if diags:
+        raise ConfigError("; ".join(diags))
     os.makedirs(config.out_dir, exist_ok=True)
     selected = [s for s in STAGES if stages is None or s in stages]
     handoff = _Handoff(config, selected)

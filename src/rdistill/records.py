@@ -35,7 +35,7 @@ class MalformedRecord(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Crop:
     """A window along one axis of the parent image, in parent pixel coords."""
 
@@ -50,7 +50,7 @@ class Crop:
             raise ValueError(f"bad crop window [{self.start}, {self.end})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageRef:
     """Reference to an image: geometry plus an opaque id, no pixel data.
 
@@ -102,7 +102,7 @@ class ImageRef:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OcrBox:
     """One recognized text span with its pixel bounding box."""
 
@@ -120,7 +120,7 @@ class OcrBox:
         return cls(obj[0], obj[1], obj[2], obj[3], obj[4])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QAExample:
     """One (image, question, gold answers) record plus OCR text."""
 
@@ -184,7 +184,7 @@ TEXT_EVIDENCE = "text_evidence"
 TABLE_PROGRAM = "table_program"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rationale:
     """Tagged union: OCR-derived text evidence, or table + program source.
 
@@ -244,7 +244,7 @@ class Rationale:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifierScores:
     """Audit record of the verifier calls behind one categorization."""
 
@@ -253,7 +253,31 @@ class VerifierScores:
     greedy: str
 
 
-@dataclass(frozen=True)
+def _check_verdict(category: str, effective_answer: str) -> None:
+    if category not in CATEGORIES:
+        raise ValueError(f"bad category {category!r}")
+    if (category == "irrelevant") != is_none_answer(effective_answer):
+        raise ValueError("irrelevant category must pair with the None sentinel answer")
+
+
+@dataclass(frozen=True, slots=True)
+class Verdict:
+    """The filter's decision about one crop and the scores behind it.
+
+    This is all a categorized line holds: the crop's question and image live
+    in the crop file, its rationale in the crop-rationale file.
+    """
+
+    example_id: str
+    category: str
+    effective_answer: str
+    scores: VerifierScores
+
+    def __post_init__(self):
+        _check_verdict(self.category, self.effective_answer)
+
+
+@dataclass(frozen=True, slots=True)
 class CategorizedExample:
     """A (cropped image, rationale) pair with its filter category."""
 
@@ -266,41 +290,22 @@ class CategorizedExample:
     scores: VerifierScores
 
     def __post_init__(self):
-        if self.category not in CATEGORIES:
-            raise ValueError(f"bad category {self.category!r}")
-        if (self.category == "irrelevant") != is_none_answer(self.effective_answer):
-            raise ValueError("irrelevant category must pair with the None sentinel answer")
-
-    def to_json(self) -> dict:
-        return {
-            "example_id": self.example_id,
-            "question": self.question,
-            "image": self.image.to_json(),
-            "rationale": self.rationale.to_json(),
-            "category": self.category,
-            "effective_answer": self.effective_answer,
-            "scores": {
-                "logp_with": self.scores.logp_with,
-                "logp_without": self.scores.logp_without,
-                "greedy": self.scores.greedy,
-            },
-        }
+        _check_verdict(self.category, self.effective_answer)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "CategorizedExample":
-        s = obj["scores"]
-        return cls(
-            example_id=obj["example_id"],
-            question=obj["question"],
-            image=ImageRef.from_json(obj["image"]),
-            rationale=Rationale.from_json(obj["rationale"]),
-            category=obj["category"],
-            effective_answer=obj["effective_answer"],
-            scores=VerifierScores(s["logp_with"], s["logp_without"], s["greedy"]),
-        )
+    def join(cls, verdict: Verdict, crop: QAExample,
+             rationale: Rationale) -> "CategorizedExample":
+        """The categorized crop a verdict line stands for, rebuilt from the
+        crop and its rationale."""
+        if crop.example_id != verdict.example_id:
+            raise ValueError(f"verdict {verdict.example_id!r} joined with crop "
+                             f"{crop.example_id!r}")
+        return cls(example_id=verdict.example_id, question=crop.question, image=crop.image,
+                   rationale=rationale, category=verdict.category,
+                   effective_answer=verdict.effective_answer, scores=verdict.scores)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskRecord:
     """One emitted training line for a student task."""
 
@@ -322,7 +327,7 @@ class TaskRecord:
             raise ValueError("decoder_output must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredHypothesis:
     """One beam-search hypothesis: full decoded sequence plus probability."""
 
@@ -334,8 +339,9 @@ class ScoredHypothesis:
             raise ValueError("hypothesis probability must be > 0")
 
 
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+# One encoder for every stage line: json.dumps with these options would
+# build a new one per call. The bytes are the same.
+_dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def serialize_record(record: TaskRecord) -> str:
@@ -383,13 +389,27 @@ def parse_example(line: str, line_no: int = 0) -> QAExample:
         raise MalformedRecord(str(e), line_no) from e
 
 
-def serialize_categorized(cat: CategorizedExample) -> str:
-    return _dumps(cat.to_json())
+def serialize_categorized(cat: CategorizedExample | Verdict) -> str:
+    """A verdict line: example_id, category, effective_answer and scores."""
+    s = cat.scores
+    return _dumps({
+        "example_id": cat.example_id,
+        "category": cat.category,
+        "effective_answer": cat.effective_answer,
+        "scores": {"logp_with": s.logp_with, "logp_without": s.logp_without,
+                   "greedy": s.greedy},
+    })
 
 
-def parse_categorized(line: str, line_no: int = 0) -> CategorizedExample:
+def parse_categorized(line: str, line_no: int = 0) -> Verdict:
+    """Inverse of serialize_categorized. Lines in the older full format, which
+    also repeat the crop's question, image and rationale, parse to the same."""
     try:
-        return CategorizedExample.from_json(json.loads(line))
+        obj = json.loads(line)
+        s = obj["scores"]
+        return Verdict(example_id=obj["example_id"], category=obj["category"],
+                       effective_answer=obj["effective_answer"],
+                       scores=VerifierScores(s["logp_with"], s["logp_without"], s["greedy"]))
     except (ValueError, KeyError, TypeError) as e:
         raise MalformedRecord(str(e), line_no) from e
 

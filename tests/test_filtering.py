@@ -1,13 +1,17 @@
 import math
+import operator
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rdistill.filtering import (BalanceReport, FilterConfig, balance, categorize,
-                                is_useful)
+from rdistill.filtering import (LOG_SPACE, PROBABILITY_SPACE, BalanceReport,
+                                FilterConfig, balance, categorize, is_useful)
 from rdistill.records import (NONE_SENTINEL, CategorizedExample, ImageRef,
-                              QAExample, Rationale, VerifierScores)
+                              QAExample, Rationale, VerifierScores,
+                              parse_categorized, serialize_categorized)
 
 
 class StubVerifier:
@@ -132,6 +136,114 @@ def test_filter_config_validation():
         FilterConfig(boost_factor=0.5, space="probability")
     with pytest.raises(ValueError):
         FilterConfig(space="weird")
+
+
+class LogStubVerifier:
+    """Fixed greedy answer and log-probs given as logs, so any float can be one."""
+
+    def __init__(self, greedy, logp_with, logp_without):
+        self._greedy = greedy
+        self._logp_with = logp_with
+        self._logp_without = logp_without
+
+    def greedy_answer(self, image, question, rationale=None):
+        return self._greedy
+
+    def answer_logprob(self, image, question, answer, rationale=None):
+        return self._logp_with if rationale is not None else self._logp_without
+
+
+def rounded_once(op, x, y):
+    """x op y in exact arithmetic, rounded once to a float as IEEE arithmetic
+    rounds a single operation. With an infinity the operation is exact (or NaN)."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return op(x, y)
+    exact = op(Fraction(x), Fraction(y))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def category_reference(greedy, gold, logp_with, logp_without, cfg):
+    """The filter's rule evaluated without is_useful: probability space tests
+    p_with >= λ·p_without as log p_with − log p_without >= log λ, log space
+    tests log p_with >= λ·log p_without. A comparison with NaN is false, so
+    a NaN score is never useful; so is a difference of two equal infinities."""
+    if greedy.strip() != gold.strip():
+        return "irrelevant"
+    if cfg.space == PROBABILITY_SPACE:
+        useful = rounded_once(operator.sub, logp_with, logp_without) >= math.log(cfg.boost_factor)
+    else:
+        useful = logp_with >= rounded_once(operator.mul, cfg.boost_factor, logp_without)
+    return "useful" if useful else "relevant-not-useful"
+
+
+# the largest finite float (about 1.8e308), the smallest subnormal, infinities
+EXTREMES = (sys.float_info.max, -sys.float_info.max, math.inf, -math.inf,
+            5e-324, -5e-324, 0.0, -0.0)
+LAMBDAS = (2.0, 3.0, 1.0000000000000002, 1e300)
+extreme_or_any = st.sampled_from(EXTREMES) | st.floats(allow_nan=False)
+
+
+@st.composite
+def score_cases(draw):
+    """(cfg, logp_with, logp_without), often at an extreme or at the boundary:
+    equal scores, or scores exactly log λ apart."""
+    space = draw(st.sampled_from([PROBABILITY_SPACE, LOG_SPACE]))
+    lam = draw(st.sampled_from(LAMBDAS))
+    cfg = FilterConfig(boost_factor=lam, space=space)
+    logp_without = draw(extreme_or_any | st.sampled_from([math.log(lam), -math.log(lam)]))
+    logp_with = draw(st.sampled_from([logp_without, logp_without + math.log(lam),
+                                      lam * logp_without]) | extreme_or_any)
+    return cfg, logp_with, logp_without
+
+
+class TestExtremeScores:
+    """Verdict lines are the only record of the scores, so the category must
+    be right, and survive a round trip, wherever a float can go."""
+
+    @given(score_cases(), st.sampled_from(["G", " G ", "X"]))
+    def test_categorize_matches_the_reference(self, case, greedy):
+        cfg, logp_with, logp_without = case
+        cat = categorize(make_example(gold="G"), RATIONALE,
+                         LogStubVerifier(greedy, logp_with, logp_without), cfg)
+        assert cat.category == category_reference(greedy, "G", logp_with, logp_without, cfg)
+
+    @given(score_cases())
+    def test_verdict_line_keeps_the_category(self, case):
+        cfg, logp_with, logp_without = case
+        cat = categorize(make_example(gold="G"), RATIONALE,
+                         LogStubVerifier("G", logp_with, logp_without), cfg)
+        verdict = parse_categorized(serialize_categorized(cat))
+        assert verdict.scores == cat.scores
+        assert category_reference(verdict.scores.greedy, "G", verdict.scores.logp_with,
+                                  verdict.scores.logp_without, cfg) == cat.category
+
+    def test_scores_exactly_log_lambda_apart_are_useful(self):
+        lam = 2.0
+        cfg = FilterConfig(boost_factor=lam)
+        cat = categorize(make_example(gold="G"), RATIONALE,
+                         LogStubVerifier("G", 0.0, -math.log(lam)), cfg)
+        assert cat.category == "useful"
+        cat = categorize(make_example(gold="G"), RATIONALE,
+                         LogStubVerifier("G", -math.log(lam), -math.log(lam)), cfg)
+        assert cat.category == "relevant-not-useful"
+
+    @pytest.mark.parametrize("space", [PROBABILITY_SPACE, LOG_SPACE])
+    @pytest.mark.parametrize("logp_with,logp_without", [
+        (math.nan, -1.0), (-1.0, math.nan), (math.nan, math.nan), (0.0, math.nan),
+        (math.nan, -math.inf), (-math.inf, math.nan),
+    ])
+    def test_nan_is_never_useful(self, space, logp_with, logp_without):
+        cfg = FilterConfig(boost_factor=2.0, space=space)
+        cat = categorize(make_example(gold="G"), RATIONALE,
+                         LogStubVerifier("G", logp_with, logp_without), cfg)
+        assert cat.category == "relevant-not-useful"
+        verdict = parse_categorized(serialize_categorized(cat))
+        assert verdict.category == cat.category
+        assert [math.isnan(x) for x in (verdict.scores.logp_with, verdict.scores.logp_without)] \
+            == [math.isnan(x) for x in (logp_with, logp_without)]
 
 
 def make_categorized(example_id, category):

@@ -3,8 +3,10 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import http.server
+import importlib.util
 import json
 import os
+import pathlib
 import shutil
 import threading
 
@@ -17,8 +19,8 @@ from rdistill.codec import CharBlockCounter, WordCounter
 from rdistill.filtering import FilterConfig
 from rdistill.pipeline import (DatasetConfig, PipelineConfig, StageFailure,
                                TemplateConfig, default_mock_config, run, validate)
-from rdistill.records import (ImageRef, QAExample, read_lines, serialize_example,
-                              write_lines)
+from rdistill.records import (ImageRef, QAExample, _dumps, read_lines,
+                              serialize_example, write_lines)
 from rdistill.tools import rationale_text
 
 
@@ -329,6 +331,33 @@ class TestInRunHandoff:
         assert handoff.take(crops, read) == ["from file"]
         assert reads == [crops]
 
+    @pytest.mark.parametrize("stages,last_reader", [
+        (list(pipeline.STAGES), "filter"),
+        (["crop", "generate-rationales", "build-tasks"], "build-tasks"),
+    ], ids=["with-filter", "without-filter"])
+    def test_build_tasks_keeps_crops_only_to_join_verdicts(self, tmp_path, stages,
+                                                           last_reader):
+        # with filter in the run, build-tasks gets the kept crops joined already
+        config = default_mock_config(str(tmp_path / "join"), seed=0)
+        handoff = pipeline._Handoff(config, stages)
+        for ds in config.datasets:
+            for kind in ("crops", "crop_rationales"):
+                path = pipeline.stage_file(config, ds, kind)
+                assert stages[handoff._last_reader[path]] == last_reader
+
+    def test_build_tasks_alone_parses_each_file_once(self, tmp_path, parses):
+        config = default_mock_config(str(tmp_path / "once"), seed=0)
+        config.filter_whole_image = True
+        run(config)
+        kept = sum(1 for ds in config.datasets
+                   for _ in read_lines(pipeline.stage_file(config, ds, "categorized")))
+        shutil.rmtree(os.path.join(config.out_dir, "tasks"))
+        parses.clear()
+        run_stage(config, "build-tasks")
+        assert parses == {"parse_example": MOCK_EXAMPLES + MOCK_CROPS,
+                          "_parse_rationale_line": MOCK_EXAMPLES + MOCK_CROPS,
+                          "parse_categorized": kept + MOCK_EXAMPLES}
+
     def test_mock_run_starts_no_thread_pool(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a mock run started a thread pool")
@@ -337,6 +366,131 @@ class TestInRunHandoff:
         config = default_mock_config(str(tmp_path / "inline"), seed=0)
         config.concurrency = 4
         assert stages_run(run(config)) == ALL_STAGES
+
+
+def categorized_files(config):
+    return [pipeline.stage_file(config, ds, kind) for ds in config.datasets
+            for kind in ("categorized", "whole_categorized")]
+
+
+def rerecord_filter_manifest(config):
+    """Record filter's manifest over its outputs as they are now, so a rerun
+    takes the rewritten files for filter's own."""
+    inputs, outputs = pipeline._stage_paths(config, "filter")
+    with open(pipeline._manifest_path(config.out_dir, "filter")) as f:
+        counts = json.load(f)["counts"]
+    pipeline._write_manifest(config.out_dir, "filter", inputs,
+                             pipeline._fingerprint(config, "filter"), outputs, counts)
+
+
+def write_full_format(config):
+    """Rewrite the categorized files in the older format, which also repeats
+    each crop's question, image and rationale, as a tree written before
+    verdict-only lines holds them."""
+    for ds in config.datasets:
+        for kind, examples_kind, rationales_kind in (
+                ("categorized", "crops", "crop_rationales"),
+                ("whole_categorized", "dataset", "rationales")):
+            path = pipeline.stage_file(config, ds, kind)
+            if not os.path.exists(path):
+                continue
+            examples = {e.example_id: e for e in
+                        pipeline._read_examples(pipeline.stage_file(config, ds, examples_kind))}
+            rationales = pipeline._read_rationales(
+                pipeline.stage_file(config, ds, rationales_kind))
+            lines = []
+            for line in read_lines(path):
+                obj = json.loads(line)
+                ex = examples[obj["example_id"]]
+                lines.append(_dumps({
+                    "example_id": obj["example_id"], "question": ex.question,
+                    "image": ex.image.to_json(),
+                    "rationale": rationales[obj["example_id"]].to_json(),
+                    "category": obj["category"], "effective_answer": obj["effective_answer"],
+                    "scores": obj["scores"]}))
+            write_lines(path, lines)
+    rerecord_filter_manifest(config)
+
+
+class TestVerdictOnlyFilterFiles:
+    """Filter writes verdicts; build-tasks joins them with the crop files."""
+
+    @pytest.mark.parametrize("whole_image", [False, True], ids=["crops", "whole-image"])
+    def test_each_line_has_exactly_the_verdict_keys(self, tmp_path, whole_image):
+        config = default_mock_config(str(tmp_path / "v"), seed=0)
+        config.filter_whole_image = whole_image
+        run(config)
+        files = [p for p in categorized_files(config) if os.path.exists(p)]
+        assert len(files) == (4 if whole_image else 2)
+        for path in files:
+            lines = list(read_lines(path))
+            assert lines
+            ids = [json.loads(line)["example_id"] for line in lines]
+            assert ids == sorted(ids)
+            for line in lines:
+                assert list(json.loads(line)) == ["example_id", "category",
+                                                  "effective_answer", "scores"]
+
+    @pytest.mark.parametrize("whole_image", [False, True], ids=["crops", "whole-image"])
+    def test_build_tasks_after_a_skipped_filter_matches_one_run(self, tmp_path, whole_image):
+        def config(name):
+            c = default_mock_config(str(tmp_path / name), seed=0)
+            c.filter_whole_image = whole_image
+            return c
+
+        together, resumed = config("together"), config("resumed")
+        run(together)
+        run(resumed)
+        shutil.rmtree(os.path.join(resumed.out_dir, "tasks"))
+        summary = run(resumed)
+        assert stages_run(summary) == {"build-tasks"}
+        assert tree_files(together.out_dir) == tree_files(resumed.out_dir)
+
+    @pytest.mark.parametrize("whole_image", [False, True], ids=["crops", "whole-image"])
+    def test_tree_with_full_format_lines_reruns_to_the_same_tasks(self, tmp_path, whole_image):
+        def config(name):
+            c = default_mock_config(str(tmp_path / name), seed=0)
+            c.filter_whole_image = whole_image
+            return c
+
+        fresh, old = config("fresh"), config("old")
+        run(fresh)
+        run(old, ["crop", "generate-rationales", "filter"])
+        write_full_format(old)
+        assert stages_run(run(old)) == {"build-tasks"}
+        assert tree_hashes(old.out_dir) == tree_hashes(fresh.out_dir)
+
+    def test_verdict_without_a_crop_fails_build_tasks(self, tmp_path):
+        config = default_mock_config(str(tmp_path / "orphan"), seed=0)
+        run(config, ["crop", "generate-rationales", "filter"])
+        path = pipeline.stage_file(config, config.datasets[0], "categorized")
+        lines = list(read_lines(path))
+        write_lines(path, lines + [lines[-1].replace("#c", "#x", 1)])
+        rerecord_filter_manifest(config)
+        with pytest.raises(StageFailure, match="no crop or crop rationale"):
+            run(config)
+
+
+def load_benchmark_checks():
+    """The benchmark's output checks, loaded by path: they import nothing of rdistill."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mock_run_passes_the_benchmark_checks(tmp_path):
+    # every benchmark operation runs these checks; a stage-file change that
+    # breaks them fails here first
+    checks = load_benchmark_checks()
+    out_dir = tmp_path / "bench"
+    result = CliRunner().invoke(cli.main, ["run", "--mock", "--out-dir", str(out_dir)])
+    assert result.exit_code == 0, result.output
+    config = default_mock_config(str(out_dir))
+    corpus = {ds.name: ds.path for ds in config.datasets}
+    assert checks.check_build(corpus, str(out_dir), config.filter.boost_factor,
+                              list(config.task_list)) == []
 
 
 def test_mock_run_with_a_table_less_chart(tmp_path):
@@ -387,6 +541,54 @@ class TestValidate:
         assert any("verifier" in d for d in diags)
 
 
+def http_config(data_dir, flows, tools):
+    """A non-mock config over the bundled datasets of `flows`, with endpoints for `tools`."""
+    config = default_mock_config(data_dir)
+    config.mock = False
+    config.task_list = ("qra", "qraci", "apraci", "qid", "ans-only")
+    config.datasets = [ds for ds in config.datasets if ds.flow in flows]
+    config.endpoints = {t: f"http://127.0.0.1:9/{t}" for t in tools}
+    return config
+
+
+class TestEndpointsPerFlow:
+    """`validate` asks for exactly the endpoints the configured flows call."""
+
+    def test_chart_only_config_needs_a_programmer(self, mock_data_dir):
+        config = http_config(mock_data_dir, {"table-program"}, ("summarizer", "verifier"))
+        assert validate(config) == [
+            "no endpoint configured for tool 'programmer' (and mock mode off)"]
+
+    def test_chart_only_config_needs_no_summarizer(self, mock_data_dir):
+        config = http_config(mock_data_dir, {"table-program"}, ("programmer", "verifier"))
+        assert validate(config) == []
+
+    def test_docs_only_config_needs_no_programmer(self, mock_data_dir):
+        config = http_config(mock_data_dir, {"text-evidence"}, ("summarizer", "verifier"))
+        assert validate(config) == []
+
+    @pytest.mark.parametrize("flows", [{"text-evidence"}, {"table-program"}])
+    def test_every_config_needs_a_verifier(self, mock_data_dir, flows):
+        config = http_config(mock_data_dir, flows, ("summarizer", "programmer"))
+        assert validate(config) == [
+            "no endpoint configured for tool 'verifier' (and mock mode off)"]
+
+    def test_ocr_needed_when_the_first_record_has_no_ocr_text(self, tmp_path, mock_data_dir):
+        examples = fixtures.make_doc_examples()
+        examples[0] = dataclasses.replace(examples[0], ocr_text="", ocr_boxes=None)
+        write_lines(tmp_path / "docs.jsonl", (serialize_example(e) for e in examples))
+        config = http_config(mock_data_dir, {"text-evidence"}, ("summarizer", "verifier"))
+        config.datasets[0].path = str(tmp_path / "docs.jsonl")
+        assert validate(config) == [
+            "dataset 'docs': first record has no ocr_text and no endpoint is "
+            "configured for tool 'ocr'"]
+        config.endpoints["ocr"] = "http://127.0.0.1:9/ocr"
+        assert validate(config) == []
+        config.endpoints.pop("ocr")
+        config.mock = True
+        assert validate(config) == []
+
+
 @pytest.fixture(scope="module")
 def mock_data_dir(tmp_path_factory):
     out_dir = str(tmp_path_factory.mktemp("validate"))
@@ -423,7 +625,8 @@ class TestValidateProperties:
     def test_apr_needs_mock_students(self, mock_data_dir, mock, task_list):
         config = default_mock_config(mock_data_dir)
         config.mock = mock
-        config.endpoints = {t: f"http://127.0.0.1:9/{t}" for t in ("summarizer", "verifier")}
+        config.endpoints = {t: f"http://127.0.0.1:9/{t}"
+                            for t in ("summarizer", "programmer", "verifier")}
         config.task_list = tuple(task_list)
         assert (validate(config) != []) == (not mock and "apr" in task_list)
 
@@ -507,6 +710,22 @@ class TestConfigFile:
 
 
 class TestCli:
+    def test_run_rejects_unknown_stages(self, tmp_path):
+        out_dir = tmp_path / "stages"
+        result = CliRunner().invoke(cli.main, ["run", "--mock", "--out-dir", str(out_dir),
+                                               "--stages", "crop,filtr,bild"])
+        assert result.exit_code == 2, result.output
+        assert "config error: unknown stage 'filtr'" in result.output
+        assert "config error: unknown stage 'bild'" in result.output
+        assert result.output.count("config error:") == 2
+        assert not os.path.exists(out_dir)
+
+    def test_pipeline_run_rejects_unknown_stages(self, tmp_path):
+        config = default_mock_config(str(tmp_path / "api"), seed=0)
+        with pytest.raises(pipeline.ConfigError, match="unknown stage 'filtr'"):
+            run(config, ["filtr"])
+        assert not os.path.exists(os.path.join(config.out_dir, "manifests"))
+
     def test_run_mock(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(cli.main, ["run", "--mock", "--out-dir", str(tmp_path / "c1")])

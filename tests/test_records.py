@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,10 +8,10 @@ from hypothesis import given, strategies as st
 from rdistill.pipeline import _parse_rationale_line, _serialize_rationale_line
 from rdistill.records import (CATEGORIES, CategorizedExample, Crop, ImageRef,
                               MalformedRecord, OcrBox, QAExample, Rationale,
-                              TaskRecord, VerifierScores, is_none_answer,
-                              parse_categorized, parse_example, parse_record,
-                              serialize_categorized, serialize_example,
-                              serialize_record)
+                              ScoredHypothesis, TaskRecord, Verdict, VerifierScores,
+                              is_none_answer, parse_categorized, parse_example,
+                              parse_record, serialize_categorized,
+                              serialize_example, serialize_record)
 
 
 def make_image(id="img1", h=400, w=400, crop=None):
@@ -169,7 +171,10 @@ origins = st.sampled_from(["tool", "student"])
 rationales = (st.builds(Rationale.text, any_text, origin=origins)
               | st.builds(Rationale.program, tables, any_text, origin=origins,
                           flagged=st.booleans()))
-finite_scores = st.floats(allow_nan=False, allow_infinity=False)
+# any float but NaN, which is unequal to itself; the extremes drawn often
+scores = (st.sampled_from([sys.float_info.max, -sys.float_info.max, -math.inf,
+                           5e-324, -5e-324, -0.0])
+          | st.floats(allow_nan=False))
 
 
 @st.composite
@@ -180,7 +185,7 @@ def categorized(draw):
     return CategorizedExample(
         example_id=draw(any_text), question=draw(any_text), image=draw(images()),
         rationale=draw(rationales), category=category, effective_answer=answer,
-        scores=VerifierScores(draw(finite_scores), draw(finite_scores), draw(any_text)))
+        scores=VerifierScores(draw(scores), draw(scores), draw(any_text)))
 
 
 class TestParseInvertsSerialize:
@@ -194,12 +199,56 @@ class TestParseInvertsSerialize:
         assert _parse_rationale_line(line) == (example_id, rationale)
 
     @given(categorized())
-    def test_categorized(self, cat):
-        assert parse_categorized(serialize_categorized(cat)) == cat
+    def test_verdict_line(self, cat):
+        line = serialize_categorized(cat)
+        assert list(json.loads(line)) == ["example_id", "category", "effective_answer", "scores"]
+        assert parse_categorized(line) == Verdict(cat.example_id, cat.category,
+                                                  cat.effective_answer, cat.scores)
 
-    def test_categorized_extreme_scores(self):
-        cat = CategorizedExample(
-            example_id="e", question="q", image=make_image(), rationale=Rationale.text("t"),
-            category="useful", effective_answer="a",
-            scores=VerifierScores(-1.7976931348623157e308, -5e-324, "a"))
-        assert parse_categorized(serialize_categorized(cat)) == cat
+    @given(categorized())
+    def test_verdict_joins_back_into_the_categorized_crop(self, cat):
+        crop = QAExample(example_id=cat.example_id, image=cat.image, question=cat.question,
+                         gold_answers=("gold",))
+        verdict = parse_categorized(serialize_categorized(cat))
+        assert CategorizedExample.join(verdict, crop, cat.rationale) == cat
+
+
+def test_join_rejects_another_crop():
+    verdict = Verdict("e1", "useful", "a", VerifierScores(-1.0, -2.0, "a"))
+    crop = QAExample(example_id="e2", image=make_image(), question="q", gold_answers=("a",))
+    with pytest.raises(ValueError):
+        CategorizedExample.join(verdict, crop, Rationale.text("t"))
+
+
+def test_categorized_line_in_the_older_full_format_parses():
+    line = ('{"example_id":"doc00#c1","question":"Who?","image":{"id":"doc00","height":1000,'
+            '"width":400,"crop":{"axis":"height","start":200,"end":600},"source_uri":""},'
+            '"rationale":{"kind":"text_evidence","evidence":"CEO: Maria Santos","table":[],'
+            '"program_source":"","origin":"tool","flagged":false},"category":"useful",'
+            '"effective_answer":"Maria Santos","scores":{"logp_with":-0.25,'
+            '"logp_without":-3.5,"greedy":"Maria Santos"}}')
+    assert parse_categorized(line) == Verdict(
+        "doc00#c1", "useful", "Maria Santos", VerifierScores(-0.25, -3.5, "Maria Santos"))
+
+
+@pytest.mark.parametrize("line", [
+    "not json",
+    '{"example_id":"e","category":"useful","effective_answer":"a"}',
+    '{"example_id":"e","category":"irrelevant","effective_answer":"a",'
+    '"scores":{"logp_with":0,"logp_without":0,"greedy":"a"}}',
+    '{"example_id":"e","category":"odd","effective_answer":"a",'
+    '"scores":{"logp_with":0,"logp_without":0,"greedy":"a"}}',
+])
+def test_malformed_verdict_line(line):
+    with pytest.raises(MalformedRecord):
+        parse_categorized(line)
+
+
+@pytest.mark.parametrize("record", [
+    Crop("height", 0, 1), make_image(), OcrBox("t", 0, 0, 1, 1), Rationale.text("t"),
+    VerifierScores(-1.0, -2.0, "a"), Verdict("e", "useful", "a", VerifierScores(0.0, 0.0, "a")),
+    make_record(), ScoredHypothesis("q <answer> a", 0.5),
+    QAExample(example_id="e", image=make_image(), question="q", gold_answers=("a",)),
+], ids=lambda r: type(r).__name__)
+def test_records_are_slotted(record):
+    assert not hasattr(record, "__dict__")
