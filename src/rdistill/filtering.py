@@ -59,11 +59,12 @@ def is_useful(logp_with: float, logp_without: float, cfg: FilterConfig) -> bool:
     """The usefulness inequality in the configured score space.
 
     In probability space p_with >= λ·p_without is tested on the logs, so
-    scores far below exp()'s range still compare correctly.
+    scores far below exp()'s range still compare correctly. A logp_with of
+    −inf is never useful, in either space.
     """
     if cfg.space == PROBABILITY_SPACE:
         return logp_with - logp_without >= math.log(cfg.boost_factor)
-    return logp_with >= cfg.boost_factor * logp_without
+    return logp_with > -math.inf and logp_with >= cfg.boost_factor * logp_without
 
 
 def categorize(example: QAExample, rationale: Rationale,

@@ -1,12 +1,15 @@
 """File-based pipeline orchestration with manifests and resumability.
 
 Stages (crop -> generate-rationales -> filter -> build-tasks) hand off
-through line-delimited record files under the output directory. Each
-stage writes a manifest of its input and output file hashes and a
-fingerprint of the settings it reads; a rerun skips the stage while that
-manifest still matches. HTTP tool responses are cached under
-out_dir/cache, so a rerun re-issues only calls it has no response for.
-Failed stages leave their partial output behind with a ".partial" suffix.
+through line-delimited record files under the output directory. One
+table, `_STAGE_TABLE`, declares each stage's function, the files it reads
+and writes and the settings it reads; execution, manifests and the in-run
+hand-off all derive from it. Each stage writes a manifest of its input and
+output file hashes and a fingerprint of those settings; a rerun skips the
+stage while that manifest still matches. HTTP tool responses are cached
+under out_dir/cache, so a rerun re-issues only calls it has no response
+for. Failed stages leave their partial output behind with a ".partial"
+suffix.
 
 Within one `run`, the records a stage writes (and the dataset examples
 crop reads) also pass in memory to the later stages that read them, so
@@ -31,7 +34,7 @@ import logging
 import os
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import yaml
 
@@ -404,12 +407,10 @@ class _Handoff:
     """
 
     def __init__(self, config: PipelineConfig, stages: list[str]):
-        # build-tasks reads the join files only when filter did not run here
-        join_only = ({stage_file(config, ds, kind) for ds in config.datasets
-                      for kind in _JOIN_KINDS} if "filter" in stages else set())
-        self._last_reader = {path: i for i, stage in enumerate(stages)
-                             for path in _stage_paths(config, stage)[0]
-                             if not (stage == "build-tasks" and path in join_only)}
+        rows = [_STAGE_TABLE[stage] for stage in stages]
+        written = {kind for row in rows for kind in row.writes}
+        self._last_reader = {path: i for i, row in enumerate(rows) for path in _paths(
+            config, row, row.reads, skip={k for kind in written for k in row.joins.get(kind, ())})}
         self._records = {}
         self.position = 0  # index in `stages` of the stage now running
 
@@ -594,73 +595,74 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
     return {key: write_task(key) for key in wanted}
 
 
-_STAGE_FNS = {
-    "crop": stage_crop,
-    "generate-rationales": stage_generate_rationales,
-    "filter": stage_filter,
-    "build-tasks": stage_build_tasks,
+# One row per stage. File kinds are those of `stage_file`, "tasks" standing for the task files.
+@dataclass(frozen=True)
+class _Stage:
+    fn: object
+    settings: tuple[str, ...]  # what its fingerprint covers, besides the datasets
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    whole_image: tuple[str, ...] = ()  # reads and writes counted only with filter_whole_image
+    # kind -> reads taken only to join its verdicts, which a run writing it hands over joined
+    joins: dict = field(default_factory=dict)
+
+
+_STAGE_TABLE = {
+    "crop": _Stage(stage_crop, ("crop_mode",), reads=("dataset",), writes=("crops",)),
+    "generate-rationales": _Stage(
+        stage_generate_rationales,
+        ("counter", "mock", "mock_seed", "max_retries", "endpoints", "templates"),
+        reads=("dataset", "crops"), writes=("rationales", "crop_rationales")),
+    "filter": _Stage(
+        stage_filter,
+        ("seed", "counter", "filter", "verifier", "mock", "mock_seed", "filter_whole_image"),
+        reads=("crops", "crop_rationales", "dataset", "rationales"),
+        writes=("categorized", "balance", "whole_categorized"),
+        whole_image=("dataset", "rationales", "whole_categorized")),
+    "build-tasks": _Stage(
+        stage_build_tasks, ("seed", "counter", "tasks", "mock_seed", "filter_whole_image"),
+        reads=("dataset", "rationales", "categorized", "crops", "crop_rationales",
+               "whole_categorized"),
+        writes=("tasks",), whole_image=("whole_categorized",),
+        joins={"categorized": ("crops", "crop_rationales")}),
 }
-STAGES = tuple(_STAGE_FNS)
+_STAGE_FNS = {name: stage.fn for name, stage in _STAGE_TABLE.items()}
+STAGES = tuple(_STAGE_TABLE)
+
+# Fingerprinted settings that are not the config field of the same name.
+# Concurrency changes no output, so no fingerprint covers it.
+_SETTINGS = {
+    "endpoints": lambda c: {t: c.endpoints.get(t)
+                            for t in ("ocr", "summarizer", "programmer", "plot_to_table")},
+    "templates": lambda c: astuple(make_templates(c), tuple_factory=list),  # [name, shots, body] each
+    "filter": lambda c: asdict(c.filter),
+    "verifier": lambda c: c.endpoints.get("verifier"),
+    "tasks": lambda c: list(c.task_list),
+}
 
 
 def _fingerprint(config: PipelineConfig, stage: str) -> str:
-    """Hash of the settings `stage` reads, and of nothing else.
-
-    Dataset paths are left out: the manifest lists them with their hashes.
-    Concurrency changes no output, so no fingerprint covers it.
-    """
-    settings = {"datasets": [{"name": d.name, "flow": d.flow, "subset": d.subset}
-                             for d in config.datasets]}
-    if stage == "crop":
-        settings["crop_mode"] = config.crop_mode
-    elif stage == "generate-rationales":
-        templates = make_templates(config)
-        settings.update(
-            counter=config.counter, mock=config.mock, mock_seed=config.mock_seed,
-            max_retries=config.max_retries,
-            endpoints={t: config.endpoints.get(t)
-                       for t in ("ocr", "summarizer", "programmer", "plot_to_table")},
-            templates=[[t.name, t.shot_count, t.body]
-                       for t in (templates.summarizer, templates.programmer)])
-    elif stage == "filter":
-        settings.update(
-            seed=config.seed, counter=config.counter,
-            filter={"boost_factor": config.filter.boost_factor, "space": config.filter.space},
-            verifier=config.endpoints.get("verifier"), mock=config.mock,
-            mock_seed=config.mock_seed, filter_whole_image=config.filter_whole_image)
-    elif stage == "build-tasks":
-        settings.update(
-            seed=config.seed, counter=config.counter, tasks=list(config.task_list),
-            mock_seed=config.mock_seed, filter_whole_image=config.filter_whole_image)
+    """Hash of the settings `stage` reads, and of nothing else. Dataset
+    paths are left out: the manifest lists them with their hashes."""
+    settings = {name: _SETTINGS[name](config) if name in _SETTINGS else getattr(config, name)
+                for name in _STAGE_TABLE[stage].settings}
+    settings["datasets"] = [{"name": d.name, "flow": d.flow, "subset": d.subset}
+                            for d in config.datasets]
     return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
 
 
-# The files build-tasks joins verdict lines with when it parses a categorized
-# file. A run that runs filter hands the kept crops over whole instead.
-_JOIN_KINDS = ("crops", "crop_rationales")
-
-# Per-dataset file kinds (see `stage_file`) each stage reads and writes, then
-# those it also reads and writes when `filter_whole_image` is on.
-_STAGE_FILES = {
-    "crop": (("dataset",), ("crops",), (), ()),
-    "generate-rationales": (("dataset", "crops"), ("rationales", "crop_rationales"), (), ()),
-    "filter": (("crops", "crop_rationales"), ("categorized", "balance"),
-               ("dataset", "rationales"), ("whole_categorized",)),
-    "build-tasks": (("dataset", "rationales", "categorized", *_JOIN_KINDS), (),
-                    ("whole_categorized",), ()),
-}
+def _paths(config: PipelineConfig, stage: _Stage, kinds, skip=()) -> list[str]:
+    """Paths of the files of `kinds` that `stage` reads or writes under `config`."""
+    return [path for kind in kinds if kind not in skip
+            and (config.filter_whole_image or kind not in stage.whole_image)
+            for path in ([task_path(config, key) for key in config.task_list] if kind == "tasks"
+                         else [stage_file(config, ds, kind) for ds in config.datasets])]
 
 
 def _stage_paths(config: PipelineConfig, stage: str) -> tuple[list[str], list[str]]:
-    """(input paths, output paths) of `stage`, for manifests and the in-run hand-off."""
-    reads, writes, whole_reads, whole_writes = _STAGE_FILES[stage]
-    if config.filter_whole_image:
-        reads, writes = reads + whole_reads, writes + whole_writes
-    inputs = [stage_file(config, ds, kind) for ds in config.datasets for kind in reads]
-    outputs = [stage_file(config, ds, kind) for ds in config.datasets for kind in writes]
-    if stage == "build-tasks":
-        outputs += [task_path(config, key) for key in config.task_list]
-    return inputs, outputs
+    """(input paths, output paths) of `stage`, for its manifest."""
+    row = _STAGE_TABLE[stage]
+    return _paths(config, row, row.reads), _paths(config, row, row.writes)
 
 
 def stage_diagnostics(stages: list[str] | None) -> list[str]:

@@ -429,11 +429,7 @@ class MockProgrammerClient:
 
 @dataclass
 class MockPlotToTableClient:
-    fixtures: dict = field(default_factory=dict)  # image id -> rows
-
     def extract_table(self, image):
-        if image.id in self.fixtures:
-            return [list(r) for r in self.fixtures[image.id]]
         return [["label", "value"], [image.id, "1"]]
 
 

@@ -169,13 +169,15 @@ def category_reference(greedy, gold, logp_with, logp_without, cfg):
     """The filter's rule evaluated without is_useful: probability space tests
     p_with >= λ·p_without as log p_with − log p_without >= log λ, log space
     tests log p_with >= λ·log p_without. A comparison with NaN is false, so
-    a NaN score is never useful; so is a difference of two equal infinities."""
+    a NaN score is never useful; so is a difference of two equal infinities.
+    A log p_with of −inf (p_with = 0) is never useful in either space."""
     if greedy.strip() != gold.strip():
         return "irrelevant"
     if cfg.space == PROBABILITY_SPACE:
         useful = rounded_once(operator.sub, logp_with, logp_without) >= math.log(cfg.boost_factor)
     else:
-        useful = logp_with >= rounded_once(operator.mul, cfg.boost_factor, logp_without)
+        useful = (logp_with != -math.inf
+                  and logp_with >= rounded_once(operator.mul, cfg.boost_factor, logp_without))
     return "useful" if useful else "relevant-not-useful"
 
 
@@ -233,7 +235,7 @@ class TestExtremeScores:
     @pytest.mark.parametrize("space", [PROBABILITY_SPACE, LOG_SPACE])
     @pytest.mark.parametrize("logp_with,logp_without", [
         (math.nan, -1.0), (-1.0, math.nan), (math.nan, math.nan), (0.0, math.nan),
-        (math.nan, -math.inf), (-math.inf, math.nan),
+        (math.nan, -math.inf), (-math.inf, math.nan), (-math.inf, -math.inf),
     ])
     def test_nan_is_never_useful(self, space, logp_with, logp_without):
         cfg = FilterConfig(boost_factor=2.0, space=space)

@@ -8,6 +8,8 @@ import json
 import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -366,6 +368,121 @@ class TestInRunHandoff:
         config = default_mock_config(str(tmp_path / "inline"), seed=0)
         config.concurrency = 4
         assert stages_run(run(config)) == ALL_STAGES
+
+
+# Fingerprints that trees already written carry in their manifests: changing
+# one makes every such tree rerun that stage.
+PINNED_FINGERPRINTS = {
+    "mock": {
+        "crop": "15d0d673eb6ff54dd2e13645794f1fbec349119f568ef24b0d8b7dcdabe2db20",
+        "generate-rationales": "d6418b12668ac9cfd47d94beadda509a0ed8421c371861e0cbb6255b652f3f74",
+        "filter": "8ec11af9ce9207d5a78f47c9768ba4c2d6eb0c14b2c7a50e39fdd86b11aa7a27",
+        "build-tasks": "21d571c632c7cfa97c3f0556fad025ac09e8c7d3be360ab819bb7e582b8e31ab",
+    },
+    "mock-whole-image": {
+        "crop": "15d0d673eb6ff54dd2e13645794f1fbec349119f568ef24b0d8b7dcdabe2db20",
+        "generate-rationales": "d6418b12668ac9cfd47d94beadda509a0ed8421c371861e0cbb6255b652f3f74",
+        "filter": "77d7d388b2d9f21ad9dc8612550bf15a49a9d15184a977ae70ad0ff00bdb1917",
+        "build-tasks": "0b6d3774944d661c0d60f2e49fc158d7f1be5dcce45ff48577db2fd38fda182a",
+    },
+    "http": {
+        "crop": "15d0d673eb6ff54dd2e13645794f1fbec349119f568ef24b0d8b7dcdabe2db20",
+        "generate-rationales": "f10e613fdea12fbbb30b260147d1685ea698d908e74c50e01d35cc9bea47d503",
+        "filter": "49a35fc1fc88abd444f28268f31a48f4a992f82bcb6eccea35934b78dc591765",
+        "build-tasks": "e7ae138dcb87f75dee94a4ee253a09d3ea1523dcb90d0dffccf6c69df249a949",
+    },
+}
+
+
+def pinned_config(tmp_path, name):
+    config = default_mock_config(str(tmp_path / name), seed=0)
+    config.filter_whole_image = name != "mock"
+    if name == "http":
+        config.mock = False
+        config.counter = "char4"
+        config.endpoints = {t: f"http://127.0.0.1:9/{t}" for t in
+                            ("ocr", "summarizer", "programmer", "plot_to_table", "verifier")}
+        template = tmp_path / "summarizer.txt"
+        template.write_text("Summarize {ocr}\nQ: {question}\nA: {answer}\n")
+        config.templates = {"summarizer": TemplateConfig(path=str(template), shots=5)}
+    return config
+
+
+# The per-dataset file kinds each stage read and wrote, then those it added
+# with filter_whole_image, before one table declared them; build-tasks also
+# wrote the task files.
+EARLIER_STAGE_FILES = {
+    "crop": (("dataset",), ("crops",), (), ()),
+    "generate-rationales": (("dataset", "crops"), ("rationales", "crop_rationales"), (), ()),
+    "filter": (("crops", "crop_rationales"), ("categorized", "balance"),
+               ("dataset", "rationales"), ("whole_categorized",)),
+    "build-tasks": (("dataset", "rationales", "categorized", "crops", "crop_rationales"), (),
+                    ("whole_categorized",), ()),
+}
+
+
+def write_earlier_manifest(config, stage):
+    reads, writes, whole_reads, whole_writes = EARLIER_STAGE_FILES[stage]
+    if config.filter_whole_image:
+        reads, writes = reads + whole_reads, writes + whole_writes
+    inputs = [pipeline.stage_file(config, ds, kind) for ds in config.datasets for kind in reads]
+    outputs = [pipeline.stage_file(config, ds, kind) for ds in config.datasets for kind in writes]
+    if stage == "build-tasks":
+        outputs += [pipeline.task_path(config, key) for key in config.task_list]
+    with open(pipeline._manifest_path(config.out_dir, stage)) as f:
+        counts = json.load(f)["counts"]
+    name = "mock-whole-image" if config.filter_whole_image else "mock"
+    pipeline._write_manifest(config.out_dir, stage, inputs, PINNED_FINGERPRINTS[name][stage],
+                             outputs, counts)
+
+
+TRACED_RUN = """
+import importlib.util, json, sys
+import rdistill.cli
+from rdistill import pipeline
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+spans.install(tracer)
+pipeline.run(pipeline.default_mock_config(sys.argv[2]))
+print(json.dumps(tracer.wall_s))
+"""
+
+
+class TestStageTable:
+    """One table declares each stage's function, files and fingerprinted settings."""
+
+    @pytest.mark.parametrize("name", list(PINNED_FINGERPRINTS))
+    def test_fingerprints_are_pinned(self, tmp_path, name):
+        config = pinned_config(tmp_path, name)
+        assert {stage: pipeline._fingerprint(config, stage) for stage in pipeline.STAGES} \
+            == PINNED_FINGERPRINTS[name]
+
+    @pytest.mark.parametrize("whole_image", [False, True], ids=["crops", "whole-image"])
+    def test_tree_with_earlier_manifests_reruns_all_skipped(self, tmp_path, whole_image):
+        config = default_mock_config(str(tmp_path / "earlier"), seed=0)
+        config.filter_whole_image = whole_image
+        run(config)
+        manifests = tree_files(os.path.join(config.out_dir, "manifests"))
+        for stage in pipeline.STAGES:
+            write_earlier_manifest(config, stage)
+        assert tree_files(os.path.join(config.out_dir, "manifests")) == manifests
+        assert all(result == "skipped" for result in run(config).values())
+
+    def test_traced_benchmark_records_every_stage(self, tmp_path):
+        # the traced benchmark wraps the entries of _STAGE_FNS; a run that
+        # called the stage functions another way would read 0 for them
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", TRACED_RUN, str(root / "perfbench" / "spans.py"),
+             str(tmp_path / "traced")], capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        wall_s = json.loads(result.stdout.splitlines()[-1])
+        for metric in ("crop_s", "generate_s", "filter_s", "build_tasks_s", "manifest_s"):
+            assert wall_s.get(f"pipeline.{metric}", 0) > 0, metric
 
 
 def categorized_files(config):

@@ -1,6 +1,11 @@
+import collections
+
 import pytest
+from hypothesis import given, strategies as st
 
 from rdistill.codec import parse_target
+from rdistill.filtering import balance
+from rdistill.fixtures import make_mock_students
 from rdistill.records import (NONE_SENTINEL, CategorizedExample, ImageRef,
                               QAExample, Rationale, VerifierScores)
 from rdistill.tasks import (FoldLeak, MissingRationale, SubsetTooSmall,
@@ -157,6 +162,79 @@ class TestRouting:
     def test_every_output_parses_with_non_empty_answer(self):
         for rec in build_qraci(fixture_30_crops()):
             assert parse_target(rec.decoder_output).answer
+
+
+CATEGORIES = ("useful", "irrelevant", "relevant-not-useful")
+
+
+class TestRoutingProperties:
+    @given(categories=st.lists(st.sampled_from(CATEGORIES), max_size=40),
+           balanced=st.booleans(), seed=st.integers(0, 2**32))
+    def test_every_crop_lands_in_one_task_with_the_answer_its_category_needs(
+            self, categories, balanced, seed):
+        crops = [make_categorized(i, c) for i, c in enumerate(categories)]
+        if balanced:
+            crops, _ = balance(crops, seed=seed)
+        routed = {}
+        for rec in build_qraci(crops):
+            routed.setdefault(rec.example_id, []).append(
+                (rec.task, parse_target(rec.decoder_output).answer))
+        for rec in build_apraci(crops):
+            routed.setdefault(rec.example_id, []).append((rec.task, rec.decoder_output))
+        expected = {}
+        for crop in crops:
+            gold = f"answer{crop.example_id[1:]}"  # make_categorized's gold for "c{i}"
+            expected[crop.example_id] = [{"useful": ("QRACI", gold),
+                                          "irrelevant": ("QRACI", NONE_SENTINEL),
+                                          "relevant-not-useful": ("APRCI", gold),
+                                          }[crop.category]]
+        assert routed == expected
+
+
+SUBSETS = ("augmented", "human", "s", "t")
+
+
+class TestFoldProperties:
+    @given(sizes=st.dictionaries(st.sampled_from(SUBSETS), st.integers(0, 25), min_size=1),
+           folds_per_subset=st.integers(1, 5), seed=st.integers(0, 2**32))
+    def test_each_id_in_one_fold_of_its_subset_with_even_sizes(self, sizes,
+                                                               folds_per_subset, seed):
+        data = {subset: [make_example(i, subset) for i in range(n)]
+                for subset, n in sizes.items()}
+        if min(sizes.values()) < folds_per_subset:
+            with pytest.raises(SubsetTooSmall):
+                plan_folds(data, folds_per_subset, seed)
+            return
+        plan = plan_folds(data, folds_per_subset, seed)
+        assert set(plan.assignment) == {e.example_id for exs in data.values() for e in exs}
+        owned = [f for subset in data for f in plan.subset_folds[subset]]
+        assert sorted(owned) == list(range(plan.fold_count))
+        for subset, examples in data.items():
+            assert len(plan.subset_folds[subset]) == folds_per_subset
+            sizes_of = collections.Counter(plan.assignment[e.example_id] for e in examples)
+            assert set(sizes_of) <= set(plan.subset_folds[subset])
+            fold_sizes = [sizes_of[f] for f in plan.subset_folds[subset]]
+            assert max(fold_sizes) - min(fold_sizes) <= 1
+
+    @given(st.integers(1, 40))
+    def test_mock_students_never_serve_a_fold_they_trained_on(self, fold_count):
+        students = make_mock_students(fold_count)
+        assert set(students) == set(range(fold_count))
+        for fold, student in students.items():
+            assert student.train_folds == set(range(fold_count)) - {fold}
+
+    @given(n=st.integers(3, 12), trained=st.lists(st.sets(st.integers(0, 2)),
+                                                  min_size=3, max_size=3))
+    def test_build_apr_raises_fold_leak_for_any_leaking_student_map(self, n, trained):
+        examples = [make_example(i) for i in range(n)]
+        plan = plan_folds({"s": examples}, seed=0)
+        students = {f: MockStudentClient(train_folds=frozenset(t))
+                    for f, t in enumerate(trained)}
+        if any(f in t for f, t in enumerate(trained)):
+            with pytest.raises(FoldLeak):
+                build_apr(examples, students, plan)
+        else:
+            assert len(build_apr(examples, students, plan)) == 3 * n
 
 
 class TestBaselines:
