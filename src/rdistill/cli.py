@@ -31,7 +31,8 @@ def _exit_config_errors(diags):
 def _load_config(config_path, mock, seed, out_dir, boost_factor=None, space=None, **fields):
     """The --config file's config, or the bundled mock corpus's, with the
     command's options applied: `fields` are PipelineConfig fields, and
-    `boost_factor` and `space` set `filter`. Exits 2 if no valid config results."""
+    `boost_factor` and `space` set `filter`. Exits 2 if no valid config results.
+    The bundled corpus's data files are not written here (see `_diagnostics`)."""
     if not (config_path or mock):
         raise click.UsageError("either --config or --mock is required")
     try:
@@ -39,7 +40,7 @@ def _load_config(config_path, mock, seed, out_dir, boost_factor=None, space=None
             cfg = pipeline.PipelineConfig.from_file(config_path)
             fields.update(mock=mock or None, seed=seed, out_dir=out_dir)
         else:
-            cfg = pipeline.default_mock_config(out_dir or "out", seed=seed or 0)
+            cfg = pipeline.default_mock_config(out_dir or "out", seed=seed or 0, write=False)
         for name, value in fields.items():
             if value is not None:
                 setattr(cfg, name, value)
@@ -51,11 +52,23 @@ def _load_config(config_path, mock, seed, out_dir, boost_factor=None, space=None
     return cfg
 
 
+def _diagnostics(cfg, config_path) -> list[str]:
+    """`pipeline.validate`'s diagnostics. Without a --config file, the
+    bundled corpus's data files are written only once nothing else is
+    wrong, so a config error leaves no file behind."""
+    if not config_path:
+        diags = pipeline.validate(cfg, read_datasets=False)
+        if diags:
+            return diags
+        pipeline.write_mock_data(cfg)
+    return pipeline.validate(cfg)
+
+
 def _run_stages(stage_names, **options):
     """Load and validate the config (exit 2 on a problem), then run
     `stage_names`, all stages if None (exit 1 on a stage failure)."""
     cfg = _load_config(**options)
-    diags = pipeline.validate(cfg)
+    diags = _diagnostics(cfg, options["config_path"])
     if diags:
         _exit_config_errors(diags)
     try:
@@ -107,7 +120,7 @@ def run_cmd(stages, **options):
 @with_config_opts
 def validate_cmd(**options):
     """Report configuration diagnostics without running anything."""
-    diags = pipeline.validate(_load_config(**options))
+    diags = _diagnostics(_load_config(**options), options["config_path"])
     for d in diags:
         click.echo(d)
     sys.exit(EXIT_VALIDATION_FAILURE if diags else 0)

@@ -16,7 +16,10 @@ crop reads) also pass in memory to the later stages that read them, so
 each file is parsed at most once per run: a stage parses a file only when
 its producer was skipped as fresh or was not part of the run. The files
 are written all the same. With mock tools, generate-rationales and filter
-call the tools inline; HTTP tools run on `concurrency` threads.
+call the tools inline. HTTP tools run on `concurrency` threads, so at most
+`concurrency` requests are in flight; the transport is the standard
+library's `http.client`, with kept-alive connections that each tool stage
+closes when it ends.
 
 Filter's categorized files hold verdict lines only (example_id, category,
 effective answer, scores). When build-tasks parses one, it joins each
@@ -28,12 +31,12 @@ memory. Build-tasks writes one task file at a time.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import logging
 import os
 import re
-import threading
 from dataclasses import asdict, astuple, dataclass, field
 
 import yaml
@@ -161,30 +164,37 @@ class PipelineConfig:
         raise ConfigError(f"unknown token counter {self.counter!r}")
 
 
-def default_mock_config(out_dir: str, seed: int = 0) -> PipelineConfig:
-    """Config for the bundled synthetic corpus, materializing its data files."""
-    data_dir = os.path.join(out_dir, "data")
-    os.makedirs(data_dir, exist_ok=True)
-    docs_path = os.path.join(data_dir, "docs.jsonl")
-    charts_path = os.path.join(data_dir, "charts.jsonl")
-    if not os.path.exists(docs_path):
-        write_lines(docs_path, (serialize_example(e) for e in fixtures.make_doc_examples()))
-    if not os.path.exists(charts_path):
-        write_lines(charts_path, (serialize_example(e) for e in fixtures.make_chart_examples()))
-    return PipelineConfig(
+_MOCK_DATASETS = {"docs": (tools.TEXT_EVIDENCE_FLOW, fixtures.make_doc_examples),
+                  "charts": (tools.TABLE_PROGRAM_FLOW, fixtures.make_chart_examples)}
+
+
+def default_mock_config(out_dir: str, seed: int = 0, write: bool = True) -> PipelineConfig:
+    """Config for the bundled synthetic corpus under out_dir/data; with
+    `write`, its data files are materialized (see `write_mock_data`)."""
+    config = PipelineConfig(
         out_dir=out_dir,
         seed=seed,
         mock=True,
         mock_seed=seed,
-        datasets=[
-            DatasetConfig(name="docs", path=docs_path, flow=tools.TEXT_EVIDENCE_FLOW),
-            DatasetConfig(name="charts", path=charts_path, flow=tools.TABLE_PROGRAM_FLOW),
-        ],
+        datasets=[DatasetConfig(name=name, path=os.path.join(out_dir, "data", f"{name}.jsonl"),
+                                flow=flow) for name, (flow, _) in _MOCK_DATASETS.items()],
     )
+    if write:
+        write_mock_data(config)
+    return config
 
 
-def validate(config: PipelineConfig) -> list[str]:
-    """Non-fatal configuration diagnostics."""
+def write_mock_data(config: PipelineConfig) -> None:
+    """Write each bundled dataset of `config` whose file does not exist yet."""
+    for ds in config.datasets:
+        if not os.path.exists(ds.path):
+            os.makedirs(os.path.dirname(ds.path), exist_ok=True)
+            write_lines(ds.path, (serialize_example(e) for e in _MOCK_DATASETS[ds.name][1]()))
+
+
+def validate(config: PipelineConfig, read_datasets: bool = True) -> list[str]:
+    """Non-fatal configuration diagnostics; those that read the dataset
+    files are left out unless `read_datasets`."""
     diags = []
     if not config.datasets:
         diags.append("no datasets configured")
@@ -192,7 +202,7 @@ def validate(config: PipelineConfig) -> list[str]:
     for name in sorted({n for n in names if names.count(n) > 1}):
         diags.append(f"dataset {name!r}: duplicate name; stage files are named "
                      "after the dataset, so they would overwrite each other")
-    for ds in config.datasets:
+    for ds in config.datasets if read_datasets else ():
         if not os.path.exists(ds.path):
             diags.append(f"dataset {ds.name!r}: path {ds.path} does not exist")
             continue
@@ -229,6 +239,10 @@ def validate(config: PipelineConfig) -> list[str]:
     for key in config.task_list:
         if key not in TASK_NAMES:
             diags.append(f"unknown task {key!r}; known tasks: {', '.join(TASK_NAMES)}")
+    for tool, url in sorted(config.endpoints.items()):
+        problem = url and tools.url_problem(url)
+        if problem:
+            diags.append(f"endpoint {tool!r}: {problem}")
     if not config.mock:
         flows = {ds.flow for ds in config.datasets}
         for tool, needed in (("summarizer", tools.TEXT_EVIDENCE_FLOW in flows),
@@ -273,10 +287,9 @@ def make_clients(config: PipelineConfig) -> tools.ToolClients:
     if config.mock:
         return fixtures.make_mock_clients(seed=config.mock_seed)
     policy = tools.RetryPolicy(max_retries=config.max_retries)
-    sem = threading.Semaphore(config.concurrency)
     cache = tools.ResponseCache(response_cache_path(config.out_dir))
     return tools.ToolClients(**{
-        name: client(tools.HttpEndpoint(config.endpoints[name], policy, sem, cache=cache))
+        name: client(tools.HttpEndpoint(config.endpoints[name], policy, cache=cache))
         for name, client in _HTTP_CLIENTS.items() if config.endpoints.get(name)})
 
 
@@ -446,8 +459,10 @@ def stage_crop(config: PipelineConfig, handoff: _Handoff) -> dict:
 def _parallel_map(fn, items, config: PipelineConfig):
     """Map a tool-calling `fn` over `items`, on `concurrency` threads for HTTP tools.
 
-    In-process mock tools never wait, so they run inline: threads would
-    only contend for the interpreter lock.
+    Each thread makes one request at a time, so the pool alone holds the
+    requests in flight to at most `concurrency`. In-process mock tools
+    never wait, so they run inline: threads would only contend for the
+    interpreter lock.
     """
     if config.mock or config.concurrency <= 1:
         return [fn(item) for item in items]
@@ -456,66 +471,66 @@ def _parallel_map(fn, items, config: PipelineConfig):
 
 
 def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff) -> dict:
-    clients = make_clients(config)
     templates = make_templates(config)
     counter = config.make_counter()
     counts = {}
-    for ds in config.datasets:
-        def generate(ex: QAExample) -> tuple[str, Rationale]:
-            try:
-                r = tools.generate_rationale(ex, ds.flow, clients, templates,
-                                             max_retries=config.max_retries,
-                                             counter=counter)
-            except tools.InvalidProgram as e:
-                r = Rationale.program(e.table, "", flagged=True)
-            return ex.example_id, r
+    with contextlib.closing(make_clients(config)) as clients:
+        for ds in config.datasets:
+            def generate(ex: QAExample) -> tuple[str, Rationale]:
+                try:
+                    r = tools.generate_rationale(ex, ds.flow, clients, templates,
+                                                 max_retries=config.max_retries,
+                                                 counter=counter)
+                except tools.InvalidProgram as e:
+                    r = Rationale.program(e.table, "", flagged=True)
+                return ex.example_id, r
 
-        for src, dest in ((ds.path, stage_file(config, ds, "rationales")),
-                          (stage_file(config, ds, "crops"),
-                           stage_file(config, ds, "crop_rationales"))):
-            results = _parallel_map(generate, handoff.take(src, _read_examples), config)
-            results.sort(key=lambda pair: pair[0])
-            _write_atomic(dest, (_serialize_rationale_line(i, r) for i, r in results))
-            handoff.put(dest, dict(results))
-            counts[_manifest_key(config.out_dir, dest)] = len(results)
+            for src, dest in ((ds.path, stage_file(config, ds, "rationales")),
+                              (stage_file(config, ds, "crops"),
+                               stage_file(config, ds, "crop_rationales"))):
+                results = _parallel_map(generate, handoff.take(src, _read_examples), config)
+                results.sort(key=lambda pair: pair[0])
+                _write_atomic(dest, (_serialize_rationale_line(i, r) for i, r in results))
+                handoff.put(dest, dict(results))
+                counts[_manifest_key(config.out_dir, dest)] = len(results)
     return counts
 
 
 def stage_filter(config: PipelineConfig, handoff: _Handoff) -> dict:
-    clients = make_clients(config)
-    if clients.verifier is None:
-        raise StageFailure("filter", "no verifier client configured")
     counter = config.make_counter()
-
-    def categorize_all(examples_path: str, rationales_file: str):
-        examples = {e.example_id: e for e in handoff.take(examples_path, _read_examples)}
-        rationales = handoff.take(rationales_file, _read_rationales)
-
-        def run_one(example_id: str):
-            return filtering.categorize(examples[example_id], rationales[example_id],
-                                        clients.verifier, config.filter, counter)
-
-        ids = sorted(examples.keys() & rationales.keys())
-        return _parallel_map(run_one, ids, config)
-
     counts = {}
-    for ds in config.datasets:
-        categorized = categorize_all(stage_file(config, ds, "crops"),
-                                     stage_file(config, ds, "crop_rationales"))
-        kept, report = filtering.balance(categorized, seed=config.seed)
-        kept.sort(key=lambda c: c.example_id)
-        kept_path = stage_file(config, ds, "categorized")
-        _write_atomic(kept_path, (serialize_categorized(c) for c in kept))
-        _write_json_atomic(stage_file(config, ds, "balance"), report.to_json())
-        handoff.put(kept_path, kept)
-        counts[ds.name] = {"categorized": len(categorized), "kept": len(kept)}
+    with contextlib.closing(make_clients(config)) as clients:
+        if clients.verifier is None:
+            raise StageFailure("filter", "no verifier client configured")
 
-        # whole-image rationales skip the verifier filter unless explicitly enabled
-        if config.filter_whole_image:
-            whole = categorize_all(ds.path, stage_file(config, ds, "rationales"))
-            whole_path = stage_file(config, ds, "whole_categorized")
-            _write_atomic(whole_path, (serialize_categorized(c) for c in whole))
-            handoff.put(whole_path, whole)
+        def categorize_all(examples_path: str, rationales_file: str):
+            examples = {e.example_id: e for e in handoff.take(examples_path, _read_examples)}
+            rationales = handoff.take(rationales_file, _read_rationales)
+
+            def run_one(example_id: str):
+                return filtering.categorize(examples[example_id], rationales[example_id],
+                                            clients.verifier, config.filter, counter)
+
+            ids = sorted(examples.keys() & rationales.keys())
+            return _parallel_map(run_one, ids, config)
+
+        for ds in config.datasets:
+            categorized = categorize_all(stage_file(config, ds, "crops"),
+                                         stage_file(config, ds, "crop_rationales"))
+            kept, report = filtering.balance(categorized, seed=config.seed)
+            kept.sort(key=lambda c: c.example_id)
+            kept_path = stage_file(config, ds, "categorized")
+            _write_atomic(kept_path, (serialize_categorized(c) for c in kept))
+            _write_json_atomic(stage_file(config, ds, "balance"), report.to_json())
+            handoff.put(kept_path, kept)
+            counts[ds.name] = {"categorized": len(categorized), "kept": len(kept)}
+
+            # whole-image rationales skip the verifier filter unless explicitly enabled
+            if config.filter_whole_image:
+                whole = categorize_all(ds.path, stage_file(config, ds, "rationales"))
+                whole_path = stage_file(config, ds, "whole_categorized")
+                _write_atomic(whole_path, (serialize_categorized(c) for c in whole))
+                handoff.put(whole_path, whole)
     return counts
 
 

@@ -105,19 +105,21 @@ def build_apr(examples: Iterable[QAExample],
               counter: TokenCounter = DEFAULT_COUNTER) -> list[TaskRecord]:
     """Answer-with-provided-rationale records, three student samples each.
 
-    The student client serving a fold must not have been trained on it;
-    a violation raises FoldLeak before any generation happens.
+    The student client serving a fold must not have been trained on it.
+    Every example's fold is checked before the first sample is drawn: a
+    leak raises FoldLeak, and an example without a fold MissingRationale.
     """
-    records = []
-    for ex in examples:
-        fold = fold_plan.assignment.get(ex.example_id)
+    examples = list(examples)
+    folds = [fold_plan.assignment.get(ex.example_id) for ex in examples]
+    for ex, fold in zip(examples, folds):
         if fold is None:
             raise MissingRationale(ex.example_id)
-        client = students[fold]
-        if fold in client.train_folds:
+        if fold in students[fold].train_folds:
             raise FoldLeak(
                 f"student for fold {fold} was trained on it (example {ex.example_id})")
-        samples = client.sample_rationales(ex.image, ex.question, STUDENT_SAMPLES)
+    records = []
+    for ex, fold in zip(examples, folds):
+        samples = students[fold].sample_rationales(ex.image, ex.question, STUDENT_SAMPLES)
         for r_hat in samples:
             decoder_input = _trim_input(ex.question, r_hat, counter)
             records.append(TaskRecord(

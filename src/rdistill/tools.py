@@ -10,7 +10,6 @@ without any network access.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import logging
@@ -19,6 +18,7 @@ import os
 import re
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -135,6 +135,13 @@ class ToolClients:
     programmer: ProgrammerClient | None = None
     plot_to_table: PlotToTableClient | None = None
     verifier: VerifierClient | None = None
+
+    def close(self) -> None:
+        """Close the kept-alive connections of the HTTP clients."""
+        for client in vars(self).values():
+            endpoint = getattr(client, "endpoint", None)
+            if endpoint is not None:
+                endpoint.close()
 
 
 @dataclass
@@ -264,19 +271,50 @@ class ResponseCache:
         return response
 
 
+def url_problem(url) -> str | None:
+    """Why `HttpEndpoint` cannot call `url`, or None when it can."""
+    if not isinstance(url, str):
+        return f"{url!r} is not a URL"
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port      # a port that is not a number raises here
+    except ValueError as e:
+        return f"{url!r} is not a URL ({e})"
+    if parts.scheme not in ("http", "https"):
+        return f"{url!r} is not an http or https URL"
+    if not parts.hostname:
+        return f"{url!r} names no host"
+    return None
+
+
+_JSON_HEADERS = {"Content-Type": "application/json"}
+
+
 class HttpEndpoint:
-    """POST-JSON endpoint with retries, exponential backoff, a shared
-    concurrency limit across in-flight calls and an optional response cache."""
+    """POST-JSON endpoint with retries, exponential backoff, kept-alive
+    connections and an optional response cache.
+
+    Connections are the standard library's `http.client` ones. A call takes
+    an idle connection, or opens one, and puts it back after a complete
+    response; a connection that fails is dropped. A caller running calls on
+    N threads thus holds at most N connections and N requests in flight.
+    `close` closes the idle connections.
+    """
 
     def __init__(self, url: str, policy: RetryPolicy = RetryPolicy(),
-                 semaphore: threading.Semaphore | None = None,
                  cache: ResponseCache | None = None):
+        problem = url_problem(url)
+        if problem:
+            raise ValueError(problem)
+        parts = urllib.parse.urlsplit(url)
         self.url = url
         self.policy = policy
-        self.semaphore = semaphore
         self.cache = cache
-        self._session = None    # opened on the first upstream call; a cached rerun opens none
-        self._session_lock = threading.Lock()
+        self._https = parts.scheme == "https"
+        self._host, self._port = parts.hostname, parts.port
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._idle = []     # kept-alive connections; a cached rerun opens none
+        self._lock = threading.Lock()
 
     def cached_call(self, payload: dict) -> dict:
         """call() through the response cache, when there is one."""
@@ -286,33 +324,68 @@ class HttpEndpoint:
                                 lambda: self.call(payload))
 
     def call(self, payload: dict) -> dict:
-        """One upstream request, retried on connection errors and 5xx."""
-        import requests     # the HTTP stack (~10 MB) loads with the first upstream call
+        """One upstream request, retried on connection errors, timeouts and
+        5xx; ToolFailure on 4xx, with no retry."""
+        import http.client     # with ssl (~1.6 MB), loaded by the first upstream call
 
-        with self._session_lock:
-            if self._session is None:
-                self._session = requests.Session()
+        body = json.dumps(payload).encode("utf-8")
         attempts = self.policy.max_retries + 1
         last = "no attempt made"
         for attempt in range(attempts):
             if attempt:
                 time.sleep(self.policy.backoff * (2 ** (attempt - 1)))
             try:
-                with self.semaphore or contextlib.nullcontext():
-                    resp = self._session.post(self.url, json=payload,
-                                              timeout=self.policy.timeout)
-            except requests.RequestException as e:
-                last = str(e)
-                log.warning("call to %s failed (attempt %d): %s", self.url, attempt + 1, e)
-                continue
-            if resp.status_code >= 500:
-                last = f"HTTP {resp.status_code}"
-                log.warning("call to %s failed (attempt %d): %s", self.url, attempt + 1, last)
-                continue
-            if resp.status_code >= 400:
-                raise ToolFailure(self.url, f"HTTP {resp.status_code}", attempt + 1)
-            return resp.json()
+                status, data = self._post(body)
+            except (OSError, http.client.HTTPException) as e:
+                last = str(e) or type(e).__name__
+            else:
+                if status < 400:
+                    return json.loads(data)
+                if status < 500:
+                    raise ToolFailure(self.url, f"HTTP {status}", attempt + 1)
+                last = f"HTTP {status}"
+            log.warning("call to %s failed (attempt %d): %s", self.url, attempt + 1, last)
         raise ToolFailure(self.url, last, attempts)
+
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """(status, body) of one POST. A kept-alive connection that the server
+        closed while it sat idle is replaced at once, without using an attempt."""
+        import http.client
+
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is not None:
+            try:
+                return self._exchange(conn, body)
+            except ConnectionError:
+                log.debug("kept-alive connection to %s was closed; reopening", self.url)
+        cls = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
+        return self._exchange(cls(self._host, self._port, timeout=self.policy.timeout), body)
+
+    def _exchange(self, conn, body: bytes) -> tuple[int, bytes]:
+        """One request on `conn`, which goes back to the idle list after a
+        complete 2xx or 3xx response and is closed otherwise."""
+        try:
+            conn.request("POST", self._target, body, _JSON_HEADERS)
+            resp = conn.getresponse()
+            data = resp.read() if resp.status < 400 else b""
+        except BaseException:
+            conn.close()
+            raise
+        if resp.status < 400 and not resp.will_close:
+            with self._lock:
+                self._idle.append(conn)
+        else:
+            resp.close()
+            conn.close()
+        return resp.status, data
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
 
 def _image_fields(image: ImageRef) -> dict:

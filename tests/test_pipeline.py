@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -218,17 +219,24 @@ class _ToolHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+def http_run_config(out_dir, url, concurrency):
+    """The bundled corpus, run against the HTTP tools at `url`."""
+    config = default_mock_config(out_dir, seed=0)
+    config.mock = False
+    config.concurrency = concurrency
+    config.task_list = ("qra", "qraci", "apraci", "qid", "ans-only")
+    config.endpoints = {t: f"{url}/{t}" for t in ("ocr", "summarizer", "programmer",
+                                                  "verifier")}
+    return config
+
+
 def test_http_rerun_replays_cached_responses(tmp_path):
     handler = type("Handler", (_ToolHandler,), {"calls": 0})
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     try:
         url = f"http://127.0.0.1:{server.server_port}"
-        config = default_mock_config(str(tmp_path / "h"), seed=0)
-        config.mock = False
-        config.task_list = ("qra", "qraci", "apraci", "qid", "ans-only")
-        config.endpoints = {t: f"{url}/{t}" for t in ("ocr", "summarizer", "programmer",
-                                                      "verifier")}
+        config = http_run_config(str(tmp_path / "h"), url, concurrency=4)
         assert stages_run(run(config)) == ALL_STAGES
         cold_calls = handler.calls
         assert cold_calls > 0
@@ -239,6 +247,132 @@ def test_http_rerun_replays_cached_responses(tmp_path):
     finally:
         server.shutdown()
         server.server_close()
+
+
+class _ConnectionCountingHandler(_ToolHandler):
+    """`_ToolHandler` over kept-alive HTTP/1.1 connections. Records, server
+    side, the paths each connection served, the connections open and the
+    largest number of requests in flight."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    lock = None
+    served = None       # one set of paths per connection
+    open = in_flight = max_in_flight = 0
+
+    def setup(self):
+        super().setup()
+        self.paths = set()
+        with self.lock:
+            type(self).served.append(self.paths)
+            type(self).open += 1
+
+    def finish(self):
+        super().finish()
+        with self.lock:
+            type(self).open -= 1
+
+    def do_POST(self):
+        cls = type(self)
+        with self.lock:
+            self.paths.add(self.path)
+            cls.in_flight += 1
+            cls.max_in_flight = max(cls.max_in_flight, cls.in_flight)
+        try:
+            time.sleep(0.002)   # lets the pool's requests overlap
+            super().do_POST()
+        finally:
+            with self.lock:
+                cls.in_flight -= 1
+
+
+@pytest.fixture
+def counting_server():
+    handler = type("Handler", (_ConnectionCountingHandler,),
+                   {"calls": 0, "lock": threading.Lock(), "served": []})
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_port}", handler
+    server.shutdown()
+    server.server_close()
+
+
+class TestHttpTransport:
+    """A run's HTTP tools share kept-alive connections, at most `concurrency`
+    of them and of requests in flight, and close them all before it returns."""
+
+    CONCURRENCY = 3
+
+    @pytest.fixture
+    def http_run(self, tmp_path, counting_server, monkeypatch):
+        url, handler = counting_server
+        made = []   # holding the clients keeps garbage collection from closing their sockets
+
+        def make_clients(config, make=pipeline.make_clients):
+            made.append(make(config))
+            return made[-1]
+
+        monkeypatch.setattr(pipeline, "make_clients", make_clients)
+        assert stages_run(run(http_run_config(str(tmp_path / "t"), url, self.CONCURRENCY))) \
+            == ALL_STAGES
+        assert len(made) == 2
+        return handler
+
+    def test_at_most_concurrency_connections_per_endpoint(self, http_run):
+        assert http_run.calls > 10 * self.CONCURRENCY
+        assert all(len(paths) == 1 for paths in http_run.served)
+        per_endpoint = collections.Counter(path for paths in http_run.served for path in paths)
+        assert set(per_endpoint) == {"/summarizer", "/programmer", "/verifier"}
+        assert max(per_endpoint.values()) <= self.CONCURRENCY
+
+    def test_at_most_concurrency_requests_in_flight(self, http_run):
+        assert 1 <= http_run.max_in_flight <= self.CONCURRENCY
+
+    def test_every_connection_closed_when_run_returns(self, http_run):
+        deadline = time.monotonic() + 5     # the server sees each close a moment later
+        while http_run.open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert http_run.open == 0
+
+
+NO_HTTP_STACK = """
+import json, sys
+import rdistill.cli
+from rdistill import cli
+cli.main.main(sys.argv[1:], prog_name="rdistill", standalone_mode=False)
+print(json.dumps(sorted(m for m in ("http.client", "requests") if m in sys.modules)))
+"""
+
+
+def loaded_http_modules(*args):
+    """The HTTP modules loaded by one `rdistill` command, run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", NO_HTTP_STACK, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestHttpStackLoadedLazily:
+    """Only an upstream call loads the HTTP stack."""
+
+    def test_mock_run_loads_no_http_module(self, tmp_path):
+        assert loaded_http_modules("run", "--mock", "--out-dir", str(tmp_path / "m")) == []
+
+    def test_cached_retune_loads_no_http_module(self, tmp_path, counting_server):
+        url, handler = counting_server
+        config = http_run_config(str(tmp_path / "r"), url, 2)
+        run(config)
+        calls = handler.calls
+        cfg_path = tmp_path / "retune.yaml"
+        cfg_path.write_text(json.dumps({
+            "out_dir": config.out_dir, "concurrency": 2, "tasks": list(config.task_list),
+            "filter": {"boost_factor": 3.0},
+            "datasets": [dataclasses.asdict(ds) for ds in config.datasets],
+            "tools": {"endpoints": config.endpoints}}))
+        assert loaded_http_modules("run", "--config", str(cfg_path)) == []
+        assert handler.calls == calls
 
 
 def tree_files(out_dir):
@@ -855,6 +989,34 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(cli.main, ["validate", "--config", str(cfg_path)])
         assert result.exit_code == 2
+
+    def test_mock_config_error_leaves_no_files(self, tmp_path):
+        out_dir = tmp_path / "x"
+        result = CliRunner().invoke(cli.main, ["build-tasks", "--mock", "--out-dir",
+                                               str(out_dir), "--tasks", "qra,bogus"])
+        assert result.exit_code == 2, result.output
+        assert "config error: unknown task 'bogus'" in result.output
+        assert not os.path.exists(out_dir)
+
+    @pytest.mark.parametrize("url", ["localhost:9000/s", "ftp://tools.example/s",
+                                     "http:///s", "http://tools.example:port/s", 9000])
+    def test_validate_rejects_an_endpoint_url_it_cannot_call(self, tmp_path, url):
+        data = tmp_path / "docs.jsonl"
+        write_lines(data, (serialize_example(e) for e in fixtures.make_doc_examples()))
+        endpoints = {"summarizer": url, "verifier": "http://127.0.0.1:9/verifier"}
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(json.dumps({
+            "tasks": ["qra", "qid"], "tools": {"endpoints": endpoints},
+            "datasets": [{"name": "docs", "path": str(data), "flow": "text-evidence"}]}))
+        result = CliRunner().invoke(cli.main, ["validate", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"endpoint 'summarizer': {url!r}")
+        assert result.output.count("\n") == 1
+        endpoints["summarizer"] = "https://tools.example/s"
+        cfg_path.write_text(cfg_path.read_text().replace(json.dumps(url), json.dumps(
+            endpoints["summarizer"])))
+        result = CliRunner().invoke(cli.main, ["validate", "--config", str(cfg_path)])
+        assert result.exit_code == 0, result.output
 
     def test_dsl_exec(self):
         runner = CliRunner()

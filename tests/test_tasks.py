@@ -113,6 +113,36 @@ class TestBuildApr:
         with pytest.raises(FoldLeak):
             build_apr(examples, leaky, plan)
 
+    def spy_students(self, leaking_fold=None):
+        """Students that count their samples; `leaking_fold`'s was trained on it."""
+        calls = []
+
+        class Spy(MockStudentClient):
+            def sample_rationales(self, image, question, n):
+                calls.append(image.id)
+                return super().sample_rationales(image, question, n)
+
+        folds = set(range(3))
+        return calls, {f: Spy(train_folds=frozenset(folds - {f} | ({f} & {leaking_fold})))
+                       for f in folds}
+
+    @pytest.mark.parametrize("leaking_fold", [0, 1, 2])
+    def test_fold_leak_before_any_sample(self, leaking_fold):
+        examples = [make_example(i) for i in range(9)]
+        plan = plan_folds({"s": examples}, seed=0)
+        calls, students = self.spy_students(leaking_fold)
+        with pytest.raises(FoldLeak):
+            build_apr(examples, students, plan)
+        assert calls == []
+
+    def test_missing_fold_before_any_sample(self):
+        examples = [make_example(i) for i in range(9)]
+        plan = plan_folds({"s": examples[:8]}, seed=0)
+        calls, students = self.spy_students()
+        with pytest.raises(MissingRationale):
+            build_apr(examples, students, plan)
+        assert calls == []
+
     def test_no_dedup_of_identical_samples(self):
         examples = [make_example(i) for i in range(3)]
         plan = plan_folds({"s": examples}, seed=0)

@@ -1,10 +1,14 @@
+import concurrent.futures
 import http.server
 import json
+import sys
 import threading
+import time
+import types
 
 import pytest
 
-from rdistill import pipeline
+from rdistill import pipeline, tools
 from rdistill.codec import WordCounter
 from rdistill.records import Crop, ImageRef, QAExample
 from rdistill.tools import (EVIDENCE_TOKEN_LIMIT, HttpEndpoint, HttpOcrClient,
@@ -13,7 +17,7 @@ from rdistill.tools import (EVIDENCE_TOKEN_LIMIT, HttpEndpoint, HttpOcrClient,
                             MockSummarizerClient, MockVerifierClient,
                             PromptTemplate, ResponseCache, RetryPolicy, Templates,
                             ToolClients, ToolFailure, generate_rationale,
-                            render_prompt, verifier_prompt)
+                            render_prompt, url_problem, verifier_prompt)
 
 WORD = WordCounter()
 
@@ -187,6 +191,7 @@ def scripted_server():
     yield factory
     for server in servers:
         server.shutdown()
+        server.server_close()
 
 
 FAST = RetryPolicy(timeout=5, max_retries=3, backoff=0.01)
@@ -325,3 +330,137 @@ class TestResponseCache:
         assert entry["key"] == ResponseCache.key(url, {"a": 2, "b": 1})
         assert entry["key"] != ResponseCache.key(url + "x", {"a": 2, "b": 1})
         assert entry["response"]["echo"] == {"b": 1, "a": 2}
+
+
+class _KeepAliveHandler(http.server.BaseHTTPRequestHandler):
+    """HTTP/1.1 replies that keep the connection open unless the class says
+    otherwise; counts connections and requests. `delays` holds the seconds to
+    wait before each reply, in request order."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    close_after_reply = False   # close while the client still takes it for kept alive
+    delays = ()
+    connections = 0
+    requests = 0
+    closed = None               # a threading.Event set when a connection ends
+
+    def setup(self):
+        super().setup()
+        type(self).connections += 1
+
+    def finish(self):
+        super().finish()
+        type(self).closed.set()
+
+    def do_POST(self):
+        cls = type(self)
+        n = cls.requests
+        cls.requests += 1
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        if n < len(cls.delays):
+            time.sleep(cls.delays[n])
+        payload = json.dumps({"echo": json.loads(body)}).encode()
+        try:
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+        except OSError:         # the client gave up waiting
+            pass
+        self.close_connection = self.close_connection or cls.close_after_reply
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def keep_alive_server():
+    servers = []
+
+    def start(**attrs):
+        handler = type("Handler", (_KeepAliveHandler,),
+                       {"closed": threading.Event(), **attrs})
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_port}/tool", handler
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The backoff sleeps of HttpEndpoint.call, recorded instead of slept."""
+    slept = []
+    monkeypatch.setattr(tools, "time", types.SimpleNamespace(sleep=slept.append))
+    return slept
+
+
+class TestKeptAliveConnections:
+    def test_calls_share_one_connection(self, keep_alive_server):
+        url, handler = keep_alive_server()
+        ep = HttpEndpoint(url, FAST)
+        assert [ep.call({"x": i})["echo"] for i in range(3)] == [{"x": i} for i in range(3)]
+        assert (handler.requests, handler.connections) == (3, 1)
+        ep.close()
+        assert handler.closed.wait(5)
+
+    def test_connection_closed_while_idle_is_reopened_without_an_attempt(
+            self, keep_alive_server, sleeps):
+        url, handler = keep_alive_server(close_after_reply=True)
+        ep = HttpEndpoint(url, RetryPolicy(timeout=5, max_retries=0, backoff=60))
+        ep.call({"x": 1})
+        assert handler.closed.wait(5)   # the server has closed the idle connection
+        assert ep.call({"x": 2}) == {"echo": {"x": 2}}
+        ep.close()
+        assert (handler.requests, handler.connections) == (2, 2)
+        assert sleeps == []
+
+    def test_read_timeout_is_retried_like_a_5xx(self, keep_alive_server, sleeps):
+        url, handler = keep_alive_server(delays=(1.0,))
+        ep = HttpEndpoint(url, RetryPolicy(timeout=0.2, max_retries=1, backoff=0.01))
+        assert ep.call({"x": 1}) == {"echo": {"x": 1}}
+        ep.close()
+        assert handler.requests == 2
+        assert sleeps == [0.01]
+
+    def test_read_timeout_uses_an_attempt(self, keep_alive_server, sleeps):
+        url, handler = keep_alive_server(delays=(1.0,))
+        with pytest.raises(ToolFailure) as exc:
+            HttpEndpoint(url, RetryPolicy(timeout=0.2, max_retries=0)).call({})
+        assert exc.value.attempts == 1
+
+
+@pytest.mark.parametrize("url", ["localhost:9000/s", "ftp://host/s", "http:///s",
+                                 "http://host:port/s", "http://[::1/s", 9000])
+def test_endpoint_rejects_a_url_it_cannot_call(url):
+    assert url_problem(url)
+    with pytest.raises(ValueError):
+        HttpEndpoint(url)
+
+
+@pytest.mark.parametrize("url", ["http://127.0.0.1:9/s", "https://tools.example/v1?k=1",
+                                 "http://[::1]:8080/"])
+def test_endpoint_accepts_http_and_https_urls(url):
+    assert url_problem(url) is None
+    HttpEndpoint(url)
+
+
+def test_threads_never_share_a_connection(keep_alive_server):
+    url, handler = keep_alive_server()
+    ep = HttpEndpoint(url, FAST)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(8) as pool:
+            echoed = list(pool.map(lambda i: ep.call({"i": i})["echo"]["i"], range(400)))
+    finally:
+        sys.setswitchinterval(interval)
+    ep.close()
+    assert echoed == list(range(400))   # a connection used by two threads at once mixes replies
+    assert handler.connections <= 8
