@@ -138,7 +138,8 @@ def crop_cmd(**options):
 @main.command(name="generate-rationales")
 @with_config_opts
 def generate_cmd(**options):
-    """Run the tool flows to produce rationales for whole images and crops."""
+    """Run the tool flows to produce rationales for whole images and crops,
+    and score each crop rationale with the verifier."""
     _run_stages(["generate-rationales"], **options)
 
 
@@ -147,7 +148,8 @@ def generate_cmd(**options):
 @click.option("--lambda", "boost_factor", type=float, default=None)
 @click.option("--space", type=click.Choice(["probability", "log"]), default=None)
 def filter_cmd(**options):
-    """Categorize crop rationales with the verifier and balance the output."""
+    """Categorize crop rationales from their stored verifier scores and
+    balance the output. Calls no tool: no endpoint has to be reachable."""
     _run_stages(["filter"], **options)
 
 

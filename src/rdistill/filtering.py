@@ -1,10 +1,12 @@
 """Relevance / usefulness filtering of crop rationales, plus balancing.
 
-A rationale is *irrelevant* when the verifier's greedy answer with the
-rationale differs from the gold answer (the example keeps the None
-sentinel as its effective answer). Otherwise the usefulness test asks
-whether the rationale boosts the gold answer's score by the configured
-factor; failures are *relevant-not-useful*, passes are *useful*.
+`score` asks the verifier about one crop's rationale; `categorize` turns
+those scores into a verdict without calling it, so changing the boost
+factor needs no verifier. A rationale is *irrelevant* when the verifier's
+greedy answer with the rationale differs from the gold answer (the example
+keeps the None sentinel as its effective answer). Otherwise the usefulness
+test asks whether the rationale boosts the gold answer's score by the
+configured factor; failures are *relevant-not-useful*, passes are *useful*.
 
 Balancing subsamples the None-labeled examples down to
 max(n_bad_r - n_good_r, 0), capped by supply, with a seeded generator.
@@ -17,8 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .codec import DEFAULT_COUNTER, TokenCounter
-from .records import (NONE_SENTINEL, CategorizedExample, QAExample, Rationale,
-                      VerifierScores)
+from .records import NONE_SENTINEL, QAExample, Rationale, Verdict, VerifierScores
 from .tools import VerifierClient, rationale_text
 
 PROBABILITY_SPACE = "probability"
@@ -67,42 +68,39 @@ def is_useful(logp_with: float, logp_without: float, cfg: FilterConfig) -> bool:
     return logp_with > -math.inf and logp_with >= cfg.boost_factor * logp_without
 
 
-def categorize(example: QAExample, rationale: Rationale,
-               verifier: VerifierClient, cfg: FilterConfig,
-               counter: TokenCounter = DEFAULT_COUNTER) -> CategorizedExample:
-    """Assign one (crop, rationale) pair to its filter category.
-
-    Greedy comparison is case-sensitive exact match after whitespace
-    trimming; the canonical gold answer is the first of gold_answers. The
-    verifier sees the rationale as the task files encode it under `counter`.
-    """
+def score(example: QAExample, rationale: Rationale, verifier: VerifierClient,
+          counter: TokenCounter = DEFAULT_COUNTER) -> VerifierScores:
+    """The verifier's three judgements of one (crop, rationale) pair: its
+    greedy answer with the rationale, and the gold answer's log-probability
+    with and without it. The verifier sees the rationale as the task files
+    encode it under `counter`; the canonical gold answer is the first of
+    gold_answers."""
     gold = example.canonical_answer
     r_text = rationale_text(rationale, counter)
     greedy = verifier.greedy_answer(example.image, example.question, r_text)
     logp_with = verifier.answer_logprob(example.image, example.question, gold, r_text)
     logp_without = verifier.answer_logprob(example.image, example.question, gold, None)
-    scores = VerifierScores(logp_with=logp_with, logp_without=logp_without, greedy=greedy)
+    return VerifierScores(logp_with=logp_with, logp_without=logp_without, greedy=greedy)
 
-    if greedy.strip() != gold.strip():
+
+def categorize(example_id: str, gold: str, scores: VerifierScores,
+               cfg: FilterConfig) -> Verdict:
+    """Assign one scored crop to its filter category; no verifier call.
+
+    Greedy comparison is case-sensitive exact match after whitespace trimming.
+    """
+    if scores.greedy.strip() != gold.strip():
         category, answer = "irrelevant", NONE_SENTINEL
-    elif is_useful(logp_with, logp_without, cfg):
+    elif is_useful(scores.logp_with, scores.logp_without, cfg):
         category, answer = "useful", gold
     else:
         category, answer = "relevant-not-useful", gold
-
-    return CategorizedExample(
-        example_id=example.example_id,
-        question=example.question,
-        image=example.image,
-        rationale=rationale,
-        category=category,
-        effective_answer=answer,
-        scores=scores,
-    )
+    return Verdict(example_id=example_id, category=category, effective_answer=answer,
+                   scores=scores)
 
 
-def balance(categorized: list[CategorizedExample],
-            seed: int) -> tuple[list[CategorizedExample], BalanceReport]:
+def balance(categorized: list[Verdict],
+            seed: int) -> tuple[list[Verdict], BalanceReport]:
     """Subsample None-labeled examples; keep everything else.
 
     Deterministic given the seed; kept examples preserve input order.

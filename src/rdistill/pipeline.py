@@ -15,22 +15,25 @@ Within one `run`, the records a stage writes (and the dataset examples
 crop reads) also pass in memory to the later stages that read them, so
 each file is parsed at most once per run: a stage parses a file only when
 its producer was skipped as fresh or was not part of the run. The files
-are written all the same. With mock tools, generate-rationales and filter
-call the tools inline. HTTP tools run on `concurrency` threads, so at most
-`concurrency` requests are in flight; the transport is the standard
-library's `http.client`, with kept-alive connections that each tool stage
-closes when it ends.
+are written all the same.
 
-Filter's categorized files hold verdict lines only (example_id, category,
-effective answer, scores). When build-tasks parses one, it joins each
-verdict with the crop and crop-rationale files, all three sorted by
-example_id; within a run that ran filter, it gets the joined crops in
-memory. Build-tasks writes one task file at a time.
+Generate-rationales is the only stage that calls tools. In the same task
+that makes a crop's rationale, it asks the verifier for the rationale's
+scores and stores them in the scores file. With mock tools it calls them
+inline. HTTP tools run on `concurrency` threads, so at most `concurrency`
+requests are in flight; the transport is the standard library's
+`http.client`, with kept-alive connections closed when the stage ends.
+
+Filter is a pure function of the stored scores: it zips the crops (for
+their gold answers) with the scores, both sorted by example_id, and
+writes verdict lines (example_id, category, effective answer, scores). A
+λ retune thus needs no reachable tool endpoint. Build-tasks joins each
+verdict with its crop and crop rationale, and writes one task file at a
+time.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import hashlib
 import json
@@ -39,14 +42,12 @@ import os
 import re
 from dataclasses import asdict, astuple, dataclass, field
 
-import yaml
-
 from . import cropping, filtering, fixtures, tasks, tools
 from .codec import CharBlockCounter, WordCounter
 from .records import (TASK_NAMES, CategorizedExample, MalformedRecord, QAExample,
-                      Rationale, Verdict, _dumps, parse_categorized, parse_example,
-                      read_lines, serialize_categorized, serialize_example,
-                      serialize_record, write_lines)
+                      Rationale, Verdict, VerifierScores, _dumps, parse_categorized,
+                      parse_example, parse_scores, read_lines, serialize_categorized,
+                      serialize_example, serialize_record, serialize_scores, write_lines)
 
 log = logging.getLogger(__name__)
 
@@ -114,6 +115,8 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
+        import yaml     # only a config file needs the YAML parser
+
         try:
             with open(path, "r", encoding="utf-8") as f:
                 raw = yaml.safe_load(f) or {}
@@ -377,8 +380,8 @@ def _write_json_atomic(path: str, obj) -> None:
 
 def stage_file(config, ds, kind: str) -> str:
     """Path of dataset `ds`'s file of `kind`: "dataset" (the dataset file
-    itself), "crops", "rationales", "crop_rationales", "categorized",
-    "whole_categorized" or "balance"."""
+    itself), "crops", "rationales", "crop_rationales", "scores",
+    "whole_scores", "categorized", "whole_categorized" or "balance"."""
     if kind == "dataset":
         return ds.path
     ext = "json" if kind == "balance" else "jsonl"
@@ -410,6 +413,10 @@ def _read_verdicts(path: str) -> list[Verdict]:
     return [parse_categorized(line, i + 1) for i, line in enumerate(read_lines(path))]
 
 
+def _read_scores(path: str) -> list[tuple[str, VerifierScores]]:
+    return [parse_scores(line, i + 1) for i, line in enumerate(read_lines(path))]
+
+
 class _Handoff:
     """Records of stage files, kept in memory between the stages of one `run`.
 
@@ -420,10 +427,8 @@ class _Handoff:
     """
 
     def __init__(self, config: PipelineConfig, stages: list[str]):
-        rows = [_STAGE_TABLE[stage] for stage in stages]
-        written = {kind for row in rows for kind in row.writes}
-        self._last_reader = {path: i for i, row in enumerate(rows) for path in _paths(
-            config, row, row.reads, skip={k for kind in written for k in row.joins.get(kind, ())})}
+        self._last_reader = {path: i for i, stage in enumerate(stages)
+                             for path in _stage_paths(config, stage)[0]}
         self._records = {}
         self.position = 0  # index in `stages` of the stage now running
 
@@ -466,90 +471,108 @@ def _parallel_map(fn, items, config: PipelineConfig):
     """
     if config.mock or config.concurrency <= 1:
         return [fn(item) for item in items]
+    import concurrent.futures   # only a pool needs it
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=config.concurrency) as pool:
         return list(pool.map(fn, items))
 
 
 def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff) -> dict:
+    """Rationales for the examples and the crops, and the verifier's scores of
+    each crop rationale (and, with filter_whole_image, of each example's),
+    both made in one task per record."""
     templates = make_templates(config)
     counter = config.make_counter()
     counts = {}
     with contextlib.closing(make_clients(config)) as clients:
+        if clients.verifier is None:
+            raise StageFailure("generate-rationales", "no verifier client configured")
+        whole_scores = "whole_scores" if config.filter_whole_image else None
         for ds in config.datasets:
-            def generate(ex: QAExample) -> tuple[str, Rationale]:
-                try:
-                    r = tools.generate_rationale(ex, ds.flow, clients, templates,
-                                                 max_retries=config.max_retries,
-                                                 counter=counter)
-                except tools.InvalidProgram as e:
-                    r = Rationale.program(e.table, "", flagged=True)
-                return ex.example_id, r
+            for src, kind, scores_kind in ((ds.path, "rationales", whole_scores),
+                                           (stage_file(config, ds, "crops"),
+                                            "crop_rationales", "scores")):
+                def generate(ex: QAExample):
+                    try:
+                        r = tools.generate_rationale(ex, ds.flow, clients, templates,
+                                                     max_retries=config.max_retries,
+                                                     counter=counter)
+                    except tools.InvalidProgram as e:
+                        r = Rationale.program(e.table, "", flagged=True)
+                    scores = scores_kind and filtering.score(ex, r, clients.verifier, counter)
+                    return ex.example_id, r, scores
 
-            for src, dest in ((ds.path, stage_file(config, ds, "rationales")),
-                              (stage_file(config, ds, "crops"),
-                               stage_file(config, ds, "crop_rationales"))):
                 results = _parallel_map(generate, handoff.take(src, _read_examples), config)
-                results.sort(key=lambda pair: pair[0])
-                _write_atomic(dest, (_serialize_rationale_line(i, r) for i, r in results))
-                handoff.put(dest, dict(results))
+                results.sort(key=lambda result: result[0])
+                dest = stage_file(config, ds, kind)
+                _write_atomic(dest, (_serialize_rationale_line(i, r) for i, r, _ in results))
+                handoff.put(dest, {i: r for i, r, _ in results})
                 counts[_manifest_key(config.out_dir, dest)] = len(results)
+                if scores_kind:
+                    scores_path = stage_file(config, ds, scores_kind)
+                    _write_atomic(scores_path, (serialize_scores(i, s) for i, _, s in results))
+                    handoff.put(scores_path, [(i, s) for i, _, s in results])
     return counts
+
+
+def _verdicts(config: PipelineConfig, handoff: _Handoff, examples: list[QAExample],
+              scores_path: str) -> list[Verdict]:
+    """The verdict on each of `examples`, from the line of `scores_path` at
+    the same position, which must hold the same example_id: both are sorted
+    by example_id."""
+    scores = handoff.take(scores_path, _read_scores)
+    if len(scores) != len(examples):
+        raise MalformedRecord(f"{scores_path}: {len(scores)} scores for {len(examples)} examples")
+    verdicts = []
+    for ex, (example_id, s) in zip(examples, scores):
+        if example_id != ex.example_id:
+            raise MalformedRecord(f"{scores_path}: scores of {example_id!r} where those of "
+                                  f"{ex.example_id!r} belong")
+        verdicts.append(filtering.categorize(example_id, ex.canonical_answer, s, config.filter))
+    return verdicts
 
 
 def stage_filter(config: PipelineConfig, handoff: _Handoff) -> dict:
-    counter = config.make_counter()
+    """Categorize each crop from its stored scores and balance; calls no tool."""
     counts = {}
-    with contextlib.closing(make_clients(config)) as clients:
-        if clients.verifier is None:
-            raise StageFailure("filter", "no verifier client configured")
+    for ds in config.datasets:
+        crops = handoff.take(stage_file(config, ds, "crops"), _read_examples)
+        categorized = _verdicts(config, handoff, crops, stage_file(config, ds, "scores"))
+        kept, report = filtering.balance(categorized, seed=config.seed)
+        kept_path = stage_file(config, ds, "categorized")
+        _write_atomic(kept_path, (serialize_categorized(v) for v in kept))
+        _write_json_atomic(stage_file(config, ds, "balance"), report.to_json())
+        handoff.put(kept_path, kept)
+        counts[ds.name] = {"categorized": len(categorized), "kept": len(kept)}
 
-        def categorize_all(examples_path: str, rationales_file: str):
-            examples = {e.example_id: e for e in handoff.take(examples_path, _read_examples)}
-            rationales = handoff.take(rationales_file, _read_rationales)
-
-            def run_one(example_id: str):
-                return filtering.categorize(examples[example_id], rationales[example_id],
-                                            clients.verifier, config.filter, counter)
-
-            ids = sorted(examples.keys() & rationales.keys())
-            return _parallel_map(run_one, ids, config)
-
-        for ds in config.datasets:
-            categorized = categorize_all(stage_file(config, ds, "crops"),
-                                         stage_file(config, ds, "crop_rationales"))
-            kept, report = filtering.balance(categorized, seed=config.seed)
-            kept.sort(key=lambda c: c.example_id)
-            kept_path = stage_file(config, ds, "categorized")
-            _write_atomic(kept_path, (serialize_categorized(c) for c in kept))
-            _write_json_atomic(stage_file(config, ds, "balance"), report.to_json())
-            handoff.put(kept_path, kept)
-            counts[ds.name] = {"categorized": len(categorized), "kept": len(kept)}
-
-            # whole-image rationales skip the verifier filter unless explicitly enabled
-            if config.filter_whole_image:
-                whole = categorize_all(ds.path, stage_file(config, ds, "rationales"))
-                whole_path = stage_file(config, ds, "whole_categorized")
-                _write_atomic(whole_path, (serialize_categorized(c) for c in whole))
-                handoff.put(whole_path, whole)
+        # whole-image rationales skip the verifier filter unless explicitly enabled
+        if config.filter_whole_image:
+            examples = sorted(handoff.take(ds.path, _read_examples), key=lambda e: e.example_id)
+            whole = _verdicts(config, handoff, examples, stage_file(config, ds, "whole_scores"))
+            whole_path = stage_file(config, ds, "whole_categorized")
+            _write_atomic(whole_path, (serialize_categorized(v) for v in whole))
+            handoff.put(whole_path, whole)
     return counts
 
 
-def _read_categorized(config: PipelineConfig, ds: DatasetConfig, handoff: _Handoff):
-    """A reader of `ds`'s categorized file that joins each verdict line with
-    its crop and crop rationale, giving back the categorized crops filter made."""
-    def read(path: str) -> list[CategorizedExample]:
-        crops = {c.example_id: c for c in
-                 handoff.take(stage_file(config, ds, "crops"), _read_examples)}
-        rationales = handoff.take(stage_file(config, ds, "crop_rationales"), _read_rationales)
-        joined = []
-        for verdict in _read_verdicts(path):
-            if verdict.example_id not in crops or verdict.example_id not in rationales:
-                raise MalformedRecord(f"{path}: no crop or crop rationale for verdict "
-                                      f"{verdict.example_id!r}")
-            joined.append(CategorizedExample.join(verdict, crops[verdict.example_id],
-                                                  rationales[verdict.example_id]))
-        return joined
-    return read
+def _join(path: str, verdicts: list[Verdict], crops: list[QAExample],
+          rationales: dict[str, Rationale]) -> list[CategorizedExample]:
+    """The categorized crop each verdict of `path` stands for, joined with its
+    crop and crop rationale. Verdicts and crops are both sorted by
+    example_id, so one pass over the crops finds every verdict's."""
+    joined = []
+    remaining = iter(crops)
+    for verdict in verdicts:
+        for crop in remaining:
+            if crop.example_id == verdict.example_id:
+                break
+        else:
+            crop = None
+        if crop is None or verdict.example_id not in rationales:
+            raise MalformedRecord(f"{path}: no crop or crop rationale for verdict "
+                                  f"{verdict.example_id!r}")
+        joined.append(CategorizedExample.join(verdict, crop, rationales[verdict.example_id]))
+    return joined
 
 
 def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
@@ -574,8 +597,11 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
                               if v.category == "irrelevant"}
                 d["qra_examples"] = [e for e in d["examples"] if e.example_id not in irrelevant]
         if "qraci" in wanted or "apraci" in wanted:
-            d["categorized"] = handoff.take(stage_file(config, ds, "categorized"),
-                                            _read_categorized(config, ds, handoff))
+            path = stage_file(config, ds, "categorized")
+            d["categorized"] = _join(
+                path, handoff.take(path, _read_verdicts),
+                handoff.take(stage_file(config, ds, "crops"), _read_examples),
+                handoff.take(stage_file(config, ds, "crop_rationales"), _read_rationales))
         inputs.append(d)
 
     fold_plan = None
@@ -618,28 +644,27 @@ class _Stage:
     reads: tuple[str, ...]
     writes: tuple[str, ...]
     whole_image: tuple[str, ...] = ()  # reads and writes counted only with filter_whole_image
-    # kind -> reads taken only to join its verdicts, which a run writing it hands over joined
-    joins: dict = field(default_factory=dict)
 
 
 _STAGE_TABLE = {
     "crop": _Stage(stage_crop, ("crop_mode",), reads=("dataset",), writes=("crops",)),
     "generate-rationales": _Stage(
         stage_generate_rationales,
-        ("counter", "mock", "mock_seed", "max_retries", "endpoints", "templates"),
-        reads=("dataset", "crops"), writes=("rationales", "crop_rationales")),
+        ("counter", "mock", "mock_seed", "max_retries", "endpoints", "templates", "verifier",
+         "filter_whole_image"),
+        reads=("dataset", "crops"),
+        writes=("rationales", "crop_rationales", "scores", "whole_scores"),
+        whole_image=("whole_scores",)),
     "filter": _Stage(
-        stage_filter,
-        ("seed", "counter", "filter", "verifier", "mock", "mock_seed", "filter_whole_image"),
-        reads=("crops", "crop_rationales", "dataset", "rationales"),
+        stage_filter, ("seed", "filter", "filter_whole_image"),
+        reads=("crops", "scores", "dataset", "whole_scores"),
         writes=("categorized", "balance", "whole_categorized"),
-        whole_image=("dataset", "rationales", "whole_categorized")),
+        whole_image=("dataset", "whole_scores", "whole_categorized")),
     "build-tasks": _Stage(
         stage_build_tasks, ("seed", "counter", "tasks", "mock_seed", "filter_whole_image"),
         reads=("dataset", "rationales", "categorized", "crops", "crop_rationales",
                "whole_categorized"),
-        writes=("tasks",), whole_image=("whole_categorized",),
-        joins={"categorized": ("crops", "crop_rationales")}),
+        writes=("tasks",), whole_image=("whole_categorized",)),
 }
 _STAGE_FNS = {name: stage.fn for name, stage in _STAGE_TABLE.items()}
 STAGES = tuple(_STAGE_TABLE)
@@ -666,10 +691,10 @@ def _fingerprint(config: PipelineConfig, stage: str) -> str:
     return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
 
 
-def _paths(config: PipelineConfig, stage: _Stage, kinds, skip=()) -> list[str]:
+def _paths(config: PipelineConfig, stage: _Stage, kinds) -> list[str]:
     """Paths of the files of `kinds` that `stage` reads or writes under `config`."""
-    return [path for kind in kinds if kind not in skip
-            and (config.filter_whole_image or kind not in stage.whole_image)
+    return [path for kind in kinds
+            if config.filter_whole_image or kind not in stage.whole_image
             for path in ([task_path(config, key) for key in config.task_list] if kind == "tasks"
                          else [stage_file(config, ds, kind) for ds in config.datasets])]
 

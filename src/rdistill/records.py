@@ -252,6 +252,14 @@ class VerifierScores:
     logp_without: float
     greedy: str
 
+    def to_json(self) -> dict:
+        return {"logp_with": self.logp_with, "logp_without": self.logp_without,
+                "greedy": self.greedy}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "VerifierScores":
+        return cls(obj["logp_with"], obj["logp_without"], obj["greedy"])
+
 
 def _check_verdict(category: str, effective_answer: str) -> None:
     if category not in CATEGORIES:
@@ -391,13 +399,11 @@ def parse_example(line: str, line_no: int = 0) -> QAExample:
 
 def serialize_categorized(cat: CategorizedExample | Verdict) -> str:
     """A verdict line: example_id, category, effective_answer and scores."""
-    s = cat.scores
     return _dumps({
         "example_id": cat.example_id,
         "category": cat.category,
         "effective_answer": cat.effective_answer,
-        "scores": {"logp_with": s.logp_with, "logp_without": s.logp_without,
-                   "greedy": s.greedy},
+        "scores": cat.scores.to_json(),
     })
 
 
@@ -406,10 +412,23 @@ def parse_categorized(line: str, line_no: int = 0) -> Verdict:
     also repeat the crop's question, image and rationale, parse to the same."""
     try:
         obj = json.loads(line)
-        s = obj["scores"]
         return Verdict(example_id=obj["example_id"], category=obj["category"],
                        effective_answer=obj["effective_answer"],
-                       scores=VerifierScores(s["logp_with"], s["logp_without"], s["greedy"]))
+                       scores=VerifierScores.from_json(obj["scores"]))
+    except (ValueError, KeyError, TypeError) as e:
+        raise MalformedRecord(str(e), line_no) from e
+
+
+def serialize_scores(example_id: str, scores: VerifierScores) -> str:
+    """A scores line: example_id and the scores object a verdict line holds."""
+    return _dumps({"example_id": example_id, "scores": scores.to_json()})
+
+
+def parse_scores(line: str, line_no: int = 0) -> tuple[str, VerifierScores]:
+    """Inverse of serialize_scores."""
+    try:
+        obj = json.loads(line)
+        return obj["example_id"], VerifierScores.from_json(obj["scores"])
     except (ValueError, KeyError, TypeError) as e:
         raise MalformedRecord(str(e), line_no) from e
 

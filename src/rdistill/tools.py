@@ -325,7 +325,8 @@ class HttpEndpoint:
 
     def call(self, payload: dict) -> dict:
         """One upstream request, retried on connection errors, timeouts and
-        5xx; ToolFailure on 4xx, with no retry."""
+        5xx; ToolFailure, with no retry, on a 3xx (no redirect is followed),
+        a 4xx, or a 2xx whose body is not a JSON object."""
         import http.client     # with ssl (~1.6 MB), loaded by the first upstream call
 
         body = json.dumps(payload).encode("utf-8")
@@ -339,8 +340,14 @@ class HttpEndpoint:
             except (OSError, http.client.HTTPException) as e:
                 last = str(e) or type(e).__name__
             else:
-                if status < 400:
-                    return json.loads(data)
+                if status < 300:
+                    try:
+                        out = json.loads(data)
+                    except ValueError:
+                        out = None
+                    if not isinstance(out, dict):
+                        raise ToolFailure(self.url, "response is not a JSON object", attempt + 1)
+                    return out
                 if status < 500:
                     raise ToolFailure(self.url, f"HTTP {status}", attempt + 1)
                 last = f"HTTP {status}"

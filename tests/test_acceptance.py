@@ -20,7 +20,7 @@ from rdistill.codec import (ANSWER_BUDGET, PREFIX_BUDGET, PROGRAM_BUDGET,
                             encode_target)
 from rdistill.cropping import plan_crops
 from rdistill.dsl import DivisionByZero, Program, execute, parse, print_program
-from rdistill.filtering import FilterConfig, balance, categorize
+from rdistill.filtering import FilterConfig, balance, categorize, score
 from rdistill.inference import anls, apply_calculator, relaxed_accuracy, vote
 from rdistill.records import (NONE_SENTINEL, CategorizedExample, ImageRef,
                               QAExample, Rationale, ScoredHypothesis,
@@ -122,13 +122,13 @@ def test_criterion_3_filter_equivalence():
         greedy = rng.choice(["G", "X"])
         p_with = rng.uniform(1e-6, 1.0)
         p_without = rng.uniform(1e-6, 1.0)
-        verifier = _StubVerifier(greedy, math.log(p_with), math.log(p_without))
-        cat = categorize(ex, rationale, verifier, cfg)
+        scores = score(ex, rationale, _StubVerifier(greedy, math.log(p_with), math.log(p_without)))
+        cat = categorize(ex.example_id, "G", scores, cfg)
         expect = _filter_reference(greedy, "G", p_with, p_without, cfg.boost_factor)
         assert (cat.category, cat.effective_answer) == expect
         seen.add(cat.category)
         # lambda monotonicity: larger lambda never promotes to useful
-        big = categorize(ex, rationale, verifier, FilterConfig(boost_factor=5.0))
+        big = categorize(ex.example_id, "G", scores, FilterConfig(boost_factor=5.0))
         if big.category == "useful":
             assert cat.category == "useful"
     assert seen == {"useful", "irrelevant", "relevant-not-useful"}  # partition hit

@@ -5,13 +5,15 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from rdistill.codec import CharBlockCounter, WordCounter
 from rdistill.filtering import (LOG_SPACE, PROBABILITY_SPACE, BalanceReport,
-                                FilterConfig, balance, categorize, is_useful)
+                                FilterConfig, balance, categorize, is_useful, score)
 from rdistill.records import (NONE_SENTINEL, CategorizedExample, ImageRef,
                               QAExample, Rationale, VerifierScores,
                               parse_categorized, serialize_categorized)
+from rdistill.tools import rationale_text
 
 
 class StubVerifier:
@@ -47,53 +49,51 @@ RATIONALE = Rationale.text("some evidence")
 CFG = FilterConfig()
 
 
+def scored_verdict(verifier, cfg=CFG, crop=None):
+    """The verdict on one crop that `verifier` scores: score, then categorize."""
+    crop = crop or make_example()
+    return categorize(crop.example_id, crop.canonical_answer,
+                      score(crop, RATIONALE, verifier), cfg)
+
+
 class TestCategorize:
     def test_wrong_greedy_is_irrelevant(self):
-        cat = categorize(make_example(), RATIONALE,
-                         StubVerifier("Paris", 0.5, 0.2), CFG)
+        cat = scored_verdict(StubVerifier("Paris", 0.5, 0.2))
         assert cat.category == "irrelevant"
         assert cat.effective_answer == NONE_SENTINEL
 
     def test_boosted_is_useful(self):
-        cat = categorize(make_example(), RATIONALE,
-                         StubVerifier("Instagram", 0.5, 0.2), CFG)
+        cat = scored_verdict(StubVerifier("Instagram", 0.5, 0.2))
         assert cat.category == "useful"
         assert cat.effective_answer == "Instagram"
 
     def test_unboosted_is_relevant_not_useful(self):
-        cat = categorize(make_example(), RATIONALE,
-                         StubVerifier("Instagram", 0.3, 0.2), CFG)
+        cat = scored_verdict(StubVerifier("Instagram", 0.3, 0.2))
         assert cat.category == "relevant-not-useful"
         assert cat.effective_answer == "Instagram"
 
     def test_boundary_counts_as_useful(self):
-        cat = categorize(make_example(), RATIONALE,
-                         StubVerifier("Instagram", 0.4, 0.2), CFG)
+        cat = scored_verdict(StubVerifier("Instagram", 0.4, 0.2))
         assert cat.category == "useful"
 
     def test_greedy_comparison_trims_whitespace(self):
-        cat = categorize(make_example(), RATIONALE,
-                         StubVerifier(" Instagram ", 0.5, 0.2), CFG)
+        cat = scored_verdict(StubVerifier(" Instagram ", 0.5, 0.2))
         assert cat.category == "useful"
 
     def test_greedy_comparison_case_sensitive(self):
-        cat = categorize(make_example(), RATIONALE,
-                         StubVerifier("instagram", 0.5, 0.2), CFG)
+        cat = scored_verdict(StubVerifier("instagram", 0.5, 0.2))
         assert cat.category == "irrelevant"
 
     def test_log_space_variant(self):
         cfg = FilterConfig(boost_factor=2.0, space="log")
         # logp_with = log(0.5), needs >= 2*log(0.25) = log(0.0625)
-        cat = categorize(make_example(), RATIONALE,
-                         StubVerifier("Instagram", 0.5, 0.25), cfg)
+        cat = scored_verdict(StubVerifier("Instagram", 0.5, 0.25), cfg)
         assert cat.category == "useful"
-        cat = categorize(make_example(), RATIONALE,
-                         StubVerifier("Instagram", 0.05, 0.25), cfg)
+        cat = scored_verdict(StubVerifier("Instagram", 0.05, 0.25), cfg)
         assert cat.category == "relevant-not-useful"
 
     def test_scores_recorded_for_audit(self):
-        cat = categorize(make_example(), RATIONALE,
-                         StubVerifier("Paris", 0.5, 0.2), CFG)
+        cat = scored_verdict(StubVerifier("Paris", 0.5, 0.2))
         assert cat.scores.greedy == "Paris"
         assert cat.scores.logp_with == pytest.approx(math.log(0.5))
         assert cat.scores.logp_without == pytest.approx(math.log(0.2))
@@ -106,7 +106,7 @@ def test_oracle_equivalence_on_randomized_scores():
         greedy = rng.choice(["G", "X"])
         p_with = rng.uniform(1e-6, 1.0)
         p_without = rng.uniform(1e-6, 1.0)
-        cat = categorize(ex, RATIONALE, StubVerifier(greedy, p_with, p_without), CFG)
+        cat = scored_verdict(StubVerifier(greedy, p_with, p_without), crop=ex)
         expected_cat, expected_ans = filter_reference(
             greedy, "G", p_with, p_without, CFG.boost_factor)
         assert cat.category == expected_cat
@@ -138,19 +138,48 @@ def test_filter_config_validation():
         FilterConfig(space="weird")
 
 
-class LogStubVerifier:
-    """Fixed greedy answer and log-probs given as logs, so any float can be one."""
+class SpyVerifier:
+    """Records every request; answers "G" with log-probability -1."""
 
-    def __init__(self, greedy, logp_with, logp_without):
-        self._greedy = greedy
-        self._logp_with = logp_with
-        self._logp_without = logp_without
+    def __init__(self):
+        self.requests = []
 
     def greedy_answer(self, image, question, rationale=None):
-        return self._greedy
+        self.requests.append(("greedy", image, question, rationale))
+        return "G"
 
     def answer_logprob(self, image, question, answer, rationale=None):
-        return self._logp_with if rationale is not None else self._logp_without
+        self.requests.append(("logprob", image, question, answer, rationale))
+        return -1.0
+
+
+def chart(rows):
+    """A chart crop with a `rows`-row table and a program rationale over it."""
+    table = [["label", "value"]] + [[f"category_label_number_{i}", f"{1000 + i}"]
+                                    for i in range(rows)]
+    crop = QAExample(example_id="c1", image=ImageRef(id="img", height=400, width=1200),
+                     question="Which is largest?", gold_answers=(" 1029 ",),
+                     structured_table=tuple(tuple(r) for r in table))
+    return crop, Rationale.program(table, "Max(1000, 1029)")
+
+
+class TestScore:
+    """`score` is the only filter step that calls the verifier: three
+    requests, each carrying the rationale as the task files encode it."""
+
+    # at 30 rows char4 and word trim the table differently
+    @example(rows=30, counter=CharBlockCounter())
+    @given(st.integers(0, 40), st.sampled_from([CharBlockCounter(), WordCounter()]))
+    def test_three_requests_carry_the_encoded_rationale(self, rows, counter):
+        crop, rationale = chart(rows)
+        spy = SpyVerifier()
+        scores = score(crop, rationale, spy, counter)
+        encoded = rationale_text(rationale, counter)
+        q, img, gold = crop.question, crop.image, crop.canonical_answer
+        assert spy.requests == [("greedy", img, q, encoded),
+                                ("logprob", img, q, gold, encoded),
+                                ("logprob", img, q, gold, None)]
+        assert scores == VerifierScores(logp_with=-1.0, logp_without=-1.0, greedy="G")
 
 
 def rounded_once(op, x, y):
@@ -185,13 +214,14 @@ def category_reference(greedy, gold, logp_with, logp_without, cfg):
 EXTREMES = (sys.float_info.max, -sys.float_info.max, math.inf, -math.inf,
             5e-324, -5e-324, 0.0, -0.0)
 LAMBDAS = (2.0, 3.0, 1.0000000000000002, 1e300)
-extreme_or_any = st.sampled_from(EXTREMES) | st.floats(allow_nan=False)
 
 
 @st.composite
-def score_cases(draw):
+def score_cases(draw, allow_nan=False):
     """(cfg, logp_with, logp_without), often at an extreme or at the boundary:
-    equal scores, or scores exactly log λ apart."""
+    equal scores, or scores exactly log λ apart; NaN too with `allow_nan`."""
+    extreme_or_any = (st.sampled_from(EXTREMES + ((math.nan,) if allow_nan else ()))
+                      | st.floats(allow_nan=allow_nan))
     space = draw(st.sampled_from([PROBABILITY_SPACE, LOG_SPACE]))
     lam = draw(st.sampled_from(LAMBDAS))
     cfg = FilterConfig(boost_factor=lam, space=space)
@@ -202,21 +232,23 @@ def score_cases(draw):
 
 
 class TestExtremeScores:
-    """Verdict lines are the only record of the scores, so the category must
-    be right, and survive a round trip, wherever a float can go."""
+    """Scores and verdict lines are the only record of the verifier's
+    judgement, so the category must be right, and survive a round trip,
+    wherever a float can go."""
 
-    @given(score_cases(), st.sampled_from(["G", " G ", "X"]))
+    @given(score_cases(allow_nan=True), st.sampled_from(["G", " G ", "X"]))
     def test_categorize_matches_the_reference(self, case, greedy):
         cfg, logp_with, logp_without = case
-        cat = categorize(make_example(gold="G"), RATIONALE,
-                         LogStubVerifier(greedy, logp_with, logp_without), cfg)
-        assert cat.category == category_reference(greedy, "G", logp_with, logp_without, cfg)
+        scores = VerifierScores(logp_with, logp_without, greedy)
+        verdict = categorize("c1", "G", scores, cfg)
+        assert verdict.category == category_reference(greedy, "G", logp_with, logp_without, cfg)
+        assert verdict.effective_answer == ("None" if verdict.category == "irrelevant" else "G")
+        assert verdict.example_id == "c1" and verdict.scores is scores
 
     @given(score_cases())
     def test_verdict_line_keeps_the_category(self, case):
         cfg, logp_with, logp_without = case
-        cat = categorize(make_example(gold="G"), RATIONALE,
-                         LogStubVerifier("G", logp_with, logp_without), cfg)
+        cat = categorize("c1", "G", VerifierScores(logp_with, logp_without, "G"), cfg)
         verdict = parse_categorized(serialize_categorized(cat))
         assert verdict.scores == cat.scores
         assert category_reference(verdict.scores.greedy, "G", verdict.scores.logp_with,
@@ -225,11 +257,9 @@ class TestExtremeScores:
     def test_scores_exactly_log_lambda_apart_are_useful(self):
         lam = 2.0
         cfg = FilterConfig(boost_factor=lam)
-        cat = categorize(make_example(gold="G"), RATIONALE,
-                         LogStubVerifier("G", 0.0, -math.log(lam)), cfg)
+        cat = categorize("c1", "G", VerifierScores(0.0, -math.log(lam), "G"), cfg)
         assert cat.category == "useful"
-        cat = categorize(make_example(gold="G"), RATIONALE,
-                         LogStubVerifier("G", -math.log(lam), -math.log(lam)), cfg)
+        cat = categorize("c1", "G", VerifierScores(-math.log(lam), -math.log(lam), "G"), cfg)
         assert cat.category == "relevant-not-useful"
 
     @pytest.mark.parametrize("space", [PROBABILITY_SPACE, LOG_SPACE])
@@ -239,8 +269,7 @@ class TestExtremeScores:
     ])
     def test_nan_is_never_useful(self, space, logp_with, logp_without):
         cfg = FilterConfig(boost_factor=2.0, space=space)
-        cat = categorize(make_example(gold="G"), RATIONALE,
-                         LogStubVerifier("G", logp_with, logp_without), cfg)
+        cat = categorize("c1", "G", VerifierScores(logp_with, logp_without, "G"), cfg)
         assert cat.category == "relevant-not-useful"
         verdict = parse_categorized(serialize_categorized(cat))
         assert verdict.category == cat.category

@@ -1,10 +1,12 @@
 import collections
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
 import http.server
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -12,17 +14,18 @@ import subprocess
 import sys
 import threading
 import time
+import unittest.mock
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from rdistill import cli, fixtures, pipeline
+from rdistill import cli, fixtures, pipeline, tools
 from rdistill.codec import CharBlockCounter, WordCounter
 from rdistill.filtering import FilterConfig
 from rdistill.pipeline import (DatasetConfig, PipelineConfig, StageFailure,
                                TemplateConfig, default_mock_config, run, validate)
-from rdistill.records import (ImageRef, QAExample, _dumps, read_lines,
+from rdistill.records import (ImageRef, MalformedRecord, QAExample, _dumps, read_lines,
                               serialize_example, write_lines)
 from rdistill.tools import rationale_text
 
@@ -204,11 +207,12 @@ class _ToolHandler(http.server.BaseHTTPRequestHandler):
 
     calls = 0
 
+    def reply(self, request: bytes) -> dict:
+        return {"text": "Find(1)", "boxes": [], "answer": "no", "logprob": -1.0}
+
     def do_POST(self):
         type(self).calls += 1
-        self.rfile.read(int(self.headers["Content-Length"]))
-        body = json.dumps({"text": "Find(1)", "boxes": [], "answer": "no",
-                           "logprob": -1.0}).encode()
+        body = json.dumps(self.reply(self.rfile.read(int(self.headers["Content-Length"])))).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -272,7 +276,11 @@ class _ConnectionCountingHandler(_ToolHandler):
         with self.lock:
             type(self).open -= 1
 
-    def do_POST(self):
+    def reply(self, request):
+        # A request is in flight from its arrival until its response is
+        # sent, not until the handler returns: once the response is out, the
+        # client may already be waiting on its next request, to another
+        # endpoint over another connection.
         cls = type(self)
         with self.lock:
             self.paths.add(self.path)
@@ -280,7 +288,7 @@ class _ConnectionCountingHandler(_ToolHandler):
             cls.max_in_flight = max(cls.max_in_flight, cls.in_flight)
         try:
             time.sleep(0.002)   # lets the pool's requests overlap
-            super().do_POST()
+            return super().reply(request)
         finally:
             with self.lock:
                 cls.in_flight -= 1
@@ -315,7 +323,7 @@ class TestHttpTransport:
         monkeypatch.setattr(pipeline, "make_clients", make_clients)
         assert stages_run(run(http_run_config(str(tmp_path / "t"), url, self.CONCURRENCY))) \
             == ALL_STAGES
-        assert len(made) == 2
+        assert len(made) == 1      # generate-rationales is the only stage calling tools
         return handler
 
     def test_at_most_concurrency_connections_per_endpoint(self, http_run):
@@ -335,17 +343,22 @@ class TestHttpTransport:
         assert http_run.open == 0
 
 
+# Modules a command loads only when it needs them: the HTTP stack for an
+# upstream call, the thread pool for HTTP tools, the YAML parser for a
+# config file.
 NO_HTTP_STACK = """
 import json, sys
 import rdistill.cli
 from rdistill import cli
 cli.main.main(sys.argv[1:], prog_name="rdistill", standalone_mode=False)
-print(json.dumps(sorted(m for m in ("http.client", "requests") if m in sys.modules)))
+print(json.dumps(sorted(m for m in ("concurrent.futures", "http.client", "requests", "yaml")
+                        if m in sys.modules)))
 """
 
 
 def loaded_http_modules(*args):
-    """The HTTP modules loaded by one `rdistill` command, run in a fresh interpreter."""
+    """The lazily loaded modules that one `rdistill` command loads, run in a
+    fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(pathlib.Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", NO_HTTP_STACK, *args], env=env,
@@ -365,14 +378,95 @@ class TestHttpStackLoadedLazily:
         config = http_run_config(str(tmp_path / "r"), url, 2)
         run(config)
         calls = handler.calls
-        cfg_path = tmp_path / "retune.yaml"
-        cfg_path.write_text(json.dumps({
-            "out_dir": config.out_dir, "concurrency": 2, "tasks": list(config.task_list),
-            "filter": {"boost_factor": 3.0},
-            "datasets": [dataclasses.asdict(ds) for ds in config.datasets],
-            "tools": {"endpoints": config.endpoints}}))
-        assert loaded_http_modules("run", "--config", str(cfg_path)) == []
+        cfg_path = write_config_file(tmp_path / "retune.yaml", config, boost_factor=3.0)
+        # the config file needs the YAML parser; the retune itself loads nothing
+        assert loaded_http_modules("run", "--config", str(cfg_path)) == ["yaml"]
         assert handler.calls == calls
+
+
+def write_config_file(path, config, boost_factor):
+    """A config file (JSON is YAML) for the HTTP tree of `config`, at `boost_factor`."""
+    path.write_text(json.dumps({
+        "out_dir": config.out_dir, "concurrency": config.concurrency,
+        "tasks": list(config.task_list), "filter_whole_image": config.filter_whole_image,
+        "filter": {"boost_factor": boost_factor},
+        "datasets": [dataclasses.asdict(ds) for ds in config.datasets],
+        "tools": {"endpoints": config.endpoints}}))
+    return path
+
+
+GOLD_BY_QUESTION = {e.question: e.canonical_answer
+                    for e in fixtures.make_doc_examples() + fixtures.make_chart_examples()}
+
+
+class _ModelLikeHandler(_ToolHandler):
+    """Replies that vary with the request, as a model's do: the verifier
+    answers the bundled corpus's gold answer for about 70 % of requests and
+    gives spread log-probabilities, so crops fall into every category."""
+
+    def reply(self, request):
+        u = (int.from_bytes(hashlib.sha256(request).digest()[:8], "big") + 1) / (2 ** 64 + 2)
+        question = json.loads(request).get("text_input", "").rpartition("Answer in en: ")[2]
+        return {**super().reply(request), "logprob": 4 * math.log(u),
+                "answer": GOLD_BY_QUESTION.get(question, "no") if u < 0.7 else "no"}
+
+
+def construction_spy(monkeypatch):
+    """Names of the tool clients, endpoints and response caches constructed
+    from now on, in order."""
+    made = []
+
+    def spy(name, make):
+        def wrapper(*args, **kwargs):
+            made.append(name)
+            return make(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "make_clients", spy("clients", pipeline.make_clients))
+    for cls in (tools.HttpEndpoint, tools.ResponseCache):
+        monkeypatch.setattr(cls, "__init__", spy(cls.__name__, cls.__init__))
+    return made
+
+
+def test_retune_needs_no_endpoint(tmp_path, monkeypatch):
+    # an HTTP tree whose server is gone: a λ switch constructs no client and
+    # no cache, and gives the files of a run made while the server was up
+    handler = type("Handler", (_ModelLikeHandler,), {"calls": 0})
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        url = f"http://127.0.0.1:{server.server_port}"
+        connected = http_run_config(str(tmp_path / "connected"), url, concurrency=2)
+        connected.filter = FilterConfig(boost_factor=3.0)
+        run(connected)
+        offline = http_run_config(str(tmp_path / "offline"), url, concurrency=2)
+        run(offline)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+    def outputs(out_dir, prefixes=("tasks",)):
+        """The categorized files under out_dir, and the task files."""
+        return {name: digest for name, digest in tree_files(out_dir).items()
+                if ".categorized." in name or name.startswith(prefixes)}
+
+    def ran(args):
+        result = CliRunner().invoke(cli.main, args)
+        assert result.exit_code == 0, result.output
+        return [s for s in pipeline.STAGES
+                if f"[{s}] " in result.output and f"[{s}] skipped" not in result.output]
+
+    at_lambda_2, at_lambda_3 = outputs(offline.out_dir), outputs(connected.out_dir)
+    assert at_lambda_2 != at_lambda_3
+    made = construction_spy(monkeypatch)
+    cfg_path = str(write_config_file(tmp_path / "offline.yaml", offline, boost_factor=2.0))
+    assert ran(["filter", "--config", cfg_path, "--lambda", "3.0"]) == ["filter"]
+    assert outputs(offline.out_dir, ()) == outputs(connected.out_dir, ())
+    assert ran(["build-tasks", "--config", cfg_path]) == ["build-tasks"]
+    assert outputs(offline.out_dir) == at_lambda_3
+    assert ran(["run", "--config", cfg_path]) == ["filter", "build-tasks"]
+    assert outputs(offline.out_dir) == at_lambda_2
+    assert made == []
 
 
 def tree_files(out_dir):
@@ -461,25 +555,28 @@ class TestInRunHandoff:
             return ["from file"]
 
         handoff.put(crops, ["from crop"])  # crop is stage 0
-        for position in (1, 2):            # generate-rationales, then filter
+        for position in (1, 2, 3):         # generate-rationales, filter, build-tasks
             handoff.position = position
             assert handoff.take(crops, read) == ["from crop"]
         assert handoff.take(crops, read) == ["from file"]
         assert reads == [crops]
 
-    @pytest.mark.parametrize("stages,last_reader", [
-        (list(pipeline.STAGES), "filter"),
-        (["crop", "generate-rationales", "build-tasks"], "build-tasks"),
+    @pytest.mark.parametrize("stages,last_readers", [
+        (list(pipeline.STAGES), {"scores": "filter"}),
+        (["crop", "generate-rationales", "build-tasks"], {"scores": None}),
     ], ids=["with-filter", "without-filter"])
     def test_build_tasks_keeps_crops_only_to_join_verdicts(self, tmp_path, stages,
-                                                           last_reader):
-        # with filter in the run, build-tasks gets the kept crops joined already
+                                                           last_readers):
+        # build-tasks always joins the verdicts with the crops and crop
+        # rationales; only filter reads the scores
         config = default_mock_config(str(tmp_path / "join"), seed=0)
         handoff = pipeline._Handoff(config, stages)
+        last = {path: stages[i] for path, i in handoff._last_reader.items()}
+        last_readers = {"crops": "build-tasks", "crop_rationales": "build-tasks",
+                        **last_readers}
         for ds in config.datasets:
-            for kind in ("crops", "crop_rationales"):
-                path = pipeline.stage_file(config, ds, kind)
-                assert stages[handoff._last_reader[path]] == last_reader
+            assert {kind: last.get(pipeline.stage_file(config, ds, kind))
+                    for kind in last_readers} == last_readers
 
     def test_build_tasks_alone_parses_each_file_once(self, tmp_path, parses):
         config = default_mock_config(str(tmp_path / "once"), seed=0)
@@ -509,23 +606,50 @@ class TestInRunHandoff:
 PINNED_FINGERPRINTS = {
     "mock": {
         "crop": "15d0d673eb6ff54dd2e13645794f1fbec349119f568ef24b0d8b7dcdabe2db20",
-        "generate-rationales": "d6418b12668ac9cfd47d94beadda509a0ed8421c371861e0cbb6255b652f3f74",
-        "filter": "8ec11af9ce9207d5a78f47c9768ba4c2d6eb0c14b2c7a50e39fdd86b11aa7a27",
+        "generate-rationales": "bb0979e8f1a4ad6dcef93938c5dd8d1cb4e5b2e9cf0b2e55709cc7d556777295",
+        "filter": "f90d9453315ee341c34b81e64109838b9c7e14312d5022a014857b9ea48c7c40",
         "build-tasks": "21d571c632c7cfa97c3f0556fad025ac09e8c7d3be360ab819bb7e582b8e31ab",
     },
     "mock-whole-image": {
         "crop": "15d0d673eb6ff54dd2e13645794f1fbec349119f568ef24b0d8b7dcdabe2db20",
-        "generate-rationales": "d6418b12668ac9cfd47d94beadda509a0ed8421c371861e0cbb6255b652f3f74",
-        "filter": "77d7d388b2d9f21ad9dc8612550bf15a49a9d15184a977ae70ad0ff00bdb1917",
+        "generate-rationales": "84c0bb1d9096746469733c468e2e58126fd4cc11f8978031a8b268144d39af57",
+        "filter": "478b6e1940249f560b3fb8c541ddd363fef8fd5c0d07deb9c0afe058b5e10669",
         "build-tasks": "0b6d3774944d661c0d60f2e49fc158d7f1be5dcce45ff48577db2fd38fda182a",
     },
     "http": {
         "crop": "15d0d673eb6ff54dd2e13645794f1fbec349119f568ef24b0d8b7dcdabe2db20",
-        "generate-rationales": "f10e613fdea12fbbb30b260147d1685ea698d908e74c50e01d35cc9bea47d503",
-        "filter": "49a35fc1fc88abd444f28268f31a48f4a992f82bcb6eccea35934b78dc591765",
+        "generate-rationales": "da8e4101599218da2b1c6939df487a87faf61620d3288a5b2ef2122b2f96428b",
+        # filter reads only seed, filter.* and filter_whole_image: no endpoint, no counter
+        "filter": "478b6e1940249f560b3fb8c541ddd363fef8fd5c0d07deb9c0afe058b5e10669",
         "build-tasks": "e7ae138dcb87f75dee94a4ee253a09d3ea1523dcb90d0dffccf6c69df249a949",
     },
 }
+
+# Trees written before generate-rationales scored the crops carry these
+# generate-rationales and filter fingerprints, over these settings.
+EARLIER_SETTINGS = {
+    "generate-rationales": ("counter", "mock", "mock_seed", "max_retries", "endpoints",
+                            "templates"),
+    "filter": ("seed", "counter", "filter", "verifier", "mock", "mock_seed",
+               "filter_whole_image"),
+}
+EARLIER_FINGERPRINTS = {
+    "mock": ("d6418b12668ac9cfd47d94beadda509a0ed8421c371861e0cbb6255b652f3f74",
+             "8ec11af9ce9207d5a78f47c9768ba4c2d6eb0c14b2c7a50e39fdd86b11aa7a27"),
+    "mock-whole-image": ("d6418b12668ac9cfd47d94beadda509a0ed8421c371861e0cbb6255b652f3f74",
+                         "77d7d388b2d9f21ad9dc8612550bf15a49a9d15184a977ae70ad0ff00bdb1917"),
+    "http": ("f10e613fdea12fbbb30b260147d1685ea698d908e74c50e01d35cc9bea47d503",
+             "49a35fc1fc88abd444f28268f31a48f4a992f82bcb6eccea35934b78dc591765"),
+}
+
+
+def earlier_fingerprint(config, stage):
+    """The fingerprint of `stage` in a tree written before generate-rationales
+    scored the crops."""
+    row = pipeline._STAGE_TABLE[stage]
+    earlier = dataclasses.replace(row, settings=EARLIER_SETTINGS.get(stage, row.settings))
+    with unittest.mock.patch.dict(pipeline._STAGE_TABLE, {stage: earlier}):
+        return pipeline._fingerprint(config, stage)
 
 
 def pinned_config(tmp_path, name):
@@ -543,8 +667,8 @@ def pinned_config(tmp_path, name):
 
 
 # The per-dataset file kinds each stage read and wrote, then those it added
-# with filter_whole_image, before one table declared them; build-tasks also
-# wrote the task files.
+# with filter_whole_image, before generate-rationales wrote scores files (and
+# before one table declared them); build-tasks also wrote the task files.
 EARLIER_STAGE_FILES = {
     "crop": (("dataset",), ("crops",), (), ()),
     "generate-rationales": (("dataset", "crops"), ("rationales", "crop_rationales"), (), ()),
@@ -565,8 +689,7 @@ def write_earlier_manifest(config, stage):
         outputs += [pipeline.task_path(config, key) for key in config.task_list]
     with open(pipeline._manifest_path(config.out_dir, stage)) as f:
         counts = json.load(f)["counts"]
-    name = "mock-whole-image" if config.filter_whole_image else "mock"
-    pipeline._write_manifest(config.out_dir, stage, inputs, PINNED_FINGERPRINTS[name][stage],
+    pipeline._write_manifest(config.out_dir, stage, inputs, earlier_fingerprint(config, stage),
                              outputs, counts)
 
 
@@ -592,17 +715,34 @@ class TestStageTable:
         config = pinned_config(tmp_path, name)
         assert {stage: pipeline._fingerprint(config, stage) for stage in pipeline.STAGES} \
             == PINNED_FINGERPRINTS[name]
+        # and the earlier trees that test_tree_written_before_scores_files_reruns_once
+        # rebuilds carry the digests such trees hold
+        assert tuple(earlier_fingerprint(config, stage) for stage in EARLIER_SETTINGS) \
+            == EARLIER_FINGERPRINTS[name]
 
     @pytest.mark.parametrize("whole_image", [False, True], ids=["crops", "whole-image"])
-    def test_tree_with_earlier_manifests_reruns_all_skipped(self, tmp_path, whole_image):
-        config = default_mock_config(str(tmp_path / "earlier"), seed=0)
+    def test_tree_written_before_scores_files_reruns_once(self, tmp_path, counting_server,
+                                                          whole_image):
+        # no scores files and the earlier fingerprints: generate-rationales
+        # replays its cached responses to score the crops, filter rewrites
+        # the same verdicts, and build-tasks, whose inputs keep their bytes,
+        # stays up to date
+        url, handler = counting_server
+        config = http_run_config(str(tmp_path / "earlier"), url, concurrency=2)
         config.filter_whole_image = whole_image
         run(config)
-        manifests = tree_files(os.path.join(config.out_dir, "manifests"))
+        files = tree_files(config.out_dir)
+        for ds in config.datasets:
+            for kind in ("scores", "whole_scores"):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(pipeline.stage_file(config, ds, kind))
         for stage in pipeline.STAGES:
             write_earlier_manifest(config, stage)
-        assert tree_files(os.path.join(config.out_dir, "manifests")) == manifests
-        assert all(result == "skipped" for result in run(config).values())
+        calls = handler.calls
+        assert stages_run(run(config)) == {"generate-rationales", "filter"}
+        assert handler.calls == calls
+        assert tree_files(config.out_dir) == files
+        assert stages_run(run(config)) == set()
 
     def test_traced_benchmark_records_every_stage(self, tmp_path):
         # the traced benchmark wraps the entries of _STAGE_FNS; a run that
@@ -763,11 +903,36 @@ class TestStageIsolation:
         run(config, ["crop", "generate-rationales"])
         crops = os.path.join(config.out_dir, "docs.crops.jsonl")
         assert os.path.exists(crops)
-        config.mock = False  # verifier endpoint now unconfigured
+        scores = pipeline.stage_file(config, config.datasets[0], "scores")
+        lines = list(read_lines(scores))
+        write_lines(scores, lines[:-1] + [lines[-1][:-5]])     # a torn last line
         with pytest.raises(StageFailure) as exc:
             run(config, ["filter"])
         assert exc.value.stage == "filter"
+        assert f"line {len(lines)}" in str(exc.value)
         assert os.path.exists(crops)
+
+    def test_generate_needs_a_verifier(self, tmp_path):
+        config = default_mock_config(str(tmp_path / "noverifier"), seed=0)
+        run(config, ["crop"])
+        config.mock = False     # no endpoint configured
+        with pytest.raises(StageFailure, match="no verifier client configured") as exc:
+            run(config, ["generate-rationales"])
+        assert exc.value.stage == "generate-rationales"
+
+    @pytest.mark.parametrize("change", [
+        lambda lines: lines[1:],                                       # a crop without scores
+        lambda lines: lines + [lines[-1].replace("#c", "#x", 1)],      # scores without a crop
+        lambda lines: [lines[1], lines[0]] + lines[2:],                # not sorted
+    ], ids=["missing", "extra", "unsorted"])
+    def test_filter_rejects_scores_that_do_not_match_the_crops(self, tmp_path, change):
+        config = default_mock_config(str(tmp_path / "mismatch"), seed=0)
+        run(config, ["crop", "generate-rationales"])
+        scores = pipeline.stage_file(config, config.datasets[0], "scores")
+        write_lines(scores, change(list(read_lines(scores))))
+        with pytest.raises(StageFailure, match="scores") as exc:
+            run(config, ["filter"])
+        assert isinstance(exc.value.cause, MalformedRecord)
 
 
 class TestValidate:

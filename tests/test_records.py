@@ -10,8 +10,8 @@ from rdistill.records import (CATEGORIES, CategorizedExample, Crop, ImageRef,
                               MalformedRecord, OcrBox, QAExample, Rationale,
                               ScoredHypothesis, TaskRecord, Verdict, VerifierScores,
                               is_none_answer, parse_categorized, parse_example,
-                              parse_record, serialize_categorized,
-                              serialize_example, serialize_record)
+                              parse_record, parse_scores, serialize_categorized,
+                              serialize_example, serialize_record, serialize_scores)
 
 
 def make_image(id="img1", h=400, w=400, crop=None):
@@ -206,6 +206,13 @@ class TestParseInvertsSerialize:
                                                   cat.effective_answer, cat.scores)
 
     @given(categorized())
+    def test_scores_line(self, cat):
+        line = serialize_scores(cat.example_id, cat.scores)
+        assert list(json.loads(line)) == ["example_id", "scores"]
+        assert json.loads(line)["scores"] == json.loads(serialize_categorized(cat))["scores"]
+        assert parse_scores(line) == (cat.example_id, cat.scores)
+
+    @given(categorized())
     def test_verdict_joins_back_into_the_categorized_crop(self, cat):
         crop = QAExample(example_id=cat.example_id, image=cat.image, question=cat.question,
                          gold_answers=("gold",))
@@ -242,6 +249,16 @@ def test_categorized_line_in_the_older_full_format_parses():
 def test_malformed_verdict_line(line):
     with pytest.raises(MalformedRecord):
         parse_categorized(line)
+
+
+@pytest.mark.parametrize("line", [
+    "not json", "[]", '{"example_id":"e"}', '{"example_id":"e","scores":1}',
+    '{"scores":{"logp_with":0,"logp_without":0,"greedy":"a"}}',
+    '{"example_id":"e","scores":{"logp_with":0,"greedy":"a"}}',
+])
+def test_malformed_scores_line(line):
+    with pytest.raises(MalformedRecord):
+        parse_scores(line, 3)
 
 
 @pytest.mark.parametrize("record", [

@@ -145,10 +145,12 @@ class TestMockDeterminism:
 
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
     # class-level script: list of status codes to serve in order; `reply`
-    # holds extra response fields, `bodies` the request bodies received
+    # holds extra response fields, or `raw` the whole response body, and
+    # `bodies` the request bodies received
     script = []
     calls = 0
     reply = {}
+    raw = None
     bodies = []
 
     def do_POST(self):
@@ -158,8 +160,11 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         cls.bodies.append(body)
-        payload = json.dumps({"echo": body, "ok": True, **cls.reply}).encode()
+        payload = cls.raw if cls.raw is not None else \
+            json.dumps({"echo": body, "ok": True, **cls.reply}).encode()
         self.send_response(status)
+        if 300 <= status < 400:
+            self.send_header("Location", "/elsewhere")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -172,9 +177,9 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
 
 @pytest.fixture
 def scripted_server():
-    def start(script, reply):
-        handler = type("Handler", (_ScriptedHandler,),
-                       {"script": script, "calls": 0, "reply": reply or {}, "bodies": []})
+    def start(script, reply, raw):
+        handler = type("Handler", (_ScriptedHandler,), {
+            "script": script, "calls": 0, "reply": reply or {}, "raw": raw, "bodies": []})
         server = http.server.HTTPServer(("127.0.0.1", 0), handler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -183,8 +188,8 @@ def scripted_server():
 
     servers = []
 
-    def factory(script, reply=None):
-        url, handler, server = start(script, reply)
+    def factory(script, reply=None, raw=None):
+        url, handler, server = start(script, reply, raw)
         servers.append(server)
         return url, handler
 
@@ -221,6 +226,23 @@ class TestHttpEndpoint:
         with pytest.raises(ToolFailure):
             HttpEndpoint(url, FAST).call({})
         assert handler.calls == 1
+
+    @pytest.mark.parametrize("status,raw,cause", [
+        (302, None, "HTTP 302"),
+        (301, b"<html>moved</html>", "HTTP 301"),
+        (200, b"<html>login</html>", "response is not a JSON object"),
+        (200, b"[1, 2]", "response is not a JSON object"),
+        (200, b"\xff\xfe", "response is not a JSON object"),
+    ], ids=["redirect", "redirect-html", "html", "json-list", "not-utf8"])
+    def test_unusable_response_fails_once_and_is_not_cached(self, scripted_server, tmp_path,
+                                                           status, raw, cause):
+        url, handler = scripted_server([status], raw=raw)
+        cache = ResponseCache(str(tmp_path / "cache" / "responses.jsonl"))
+        with pytest.raises(ToolFailure) as exc:
+            HttpEndpoint(url, FAST, cache=cache).cached_call({"x": 1})
+        assert (exc.value.tool, exc.value.cause, exc.value.attempts) == (url, cause, 1)
+        assert handler.calls == 1
+        assert not (tmp_path / "cache" / "responses.jsonl").exists()
 
 
 class TestHttpPayloads:
