@@ -28,11 +28,14 @@ def _exit_config_errors(diags):
     sys.exit(EXIT_VALIDATION_FAILURE)
 
 
-def _load_config(config_path, mock, seed, out_dir, boost_factor=None, space=None, **fields):
+def _load_config(config_path, mock, seed, out_dir, boost_factor=None, space=None,
+                 stages=None, **fields):
     """The --config file's config, or the bundled mock corpus's, with the
     command's options applied: `fields` are PipelineConfig fields, and
     `boost_factor` and `space` set `filter`. Exits 2 if no valid config results.
-    The bundled corpus's data files are not written here (see `_diagnostics`)."""
+    The bundled corpus's data files are written only once `pipeline.validate`
+    finds nothing wrong with a run of `stages` without them, so a config
+    error leaves no file behind."""
     if not (config_path or mock):
         raise click.UsageError("either --config or --mock is required")
     try:
@@ -49,31 +52,24 @@ def _load_config(config_path, mock, seed, out_dir, boost_factor=None, space=None
             if v is not None})
     except ValueError as e:     # pipeline.ConfigError, or FilterConfig's check
         _exit_config_errors([e])
+    if not config_path:
+        diags = pipeline.validate(cfg, stages, read_datasets=False)
+        if diags:
+            _exit_config_errors(diags)
+        pipeline.write_mock_data(cfg)
     return cfg
 
 
-def _diagnostics(cfg, config_path) -> list[str]:
-    """`pipeline.validate`'s diagnostics. Without a --config file, the
-    bundled corpus's data files are written only once nothing else is
-    wrong, so a config error leaves no file behind."""
-    if not config_path:
-        diags = pipeline.validate(cfg, read_datasets=False)
-        if diags:
-            return diags
-        pipeline.write_mock_data(cfg)
-    return pipeline.validate(cfg)
-
-
 def _run_stages(stage_names, **options):
-    """Load and validate the config (exit 2 on a problem), then run
-    `stage_names`, all stages if None (exit 1 on a stage failure)."""
-    cfg = _load_config(**options)
-    diags = _diagnostics(cfg, options["config_path"])
-    if diags:
-        _exit_config_errors(diags)
+    """Load the config and run `stage_names`, all stages if None: exit 2 on
+    a config problem, which `pipeline.run` reports before its first stage,
+    and 1 on a stage failure."""
+    cfg = _load_config(stages=stage_names, **options)
     try:
         summary = pipeline.run(cfg, stage_names,
                                progress=lambda s, c: click.echo(f"[{s}] {c}"))
+    except pipeline.ConfigError as e:
+        _exit_config_errors(e.diagnostics)
     except pipeline.StageFailure as e:
         click.echo(str(e), err=True)
         sys.exit(EXIT_STAGE_FAILURE)
@@ -108,19 +104,15 @@ def with_config_opts(fn):
               help="Comma-separated subset of: " + ",".join(pipeline.STAGES))
 def run_cmd(stages, **options):
     """Run the dataset pipeline end to end."""
-    names = stages.split(",") if stages else None
-    diags = pipeline.stage_diagnostics(names)
-    if diags:
-        _exit_config_errors(diags)
-    cfg, summary = _run_stages(names, **options)
+    cfg, summary = _run_stages(stages.split(",") if stages else None, **options)
     click.echo(json.dumps({"out_dir": cfg.out_dir, "stages": list(summary)}))
 
 
 @main.command(name="validate")
 @with_config_opts
 def validate_cmd(**options):
-    """Report configuration diagnostics without running anything."""
-    diags = _diagnostics(_load_config(**options), options["config_path"])
+    """Report the diagnostics of a run of every stage without running anything."""
+    diags = pipeline.validate(_load_config(**options))
     for d in diags:
         click.echo(d)
     sys.exit(EXIT_VALIDATION_FAILURE if diags else 0)

@@ -60,7 +60,10 @@ class StageFailure(RuntimeError):
 
 
 class ConfigError(ValueError):
-    pass
+    """A config that cannot be run; `diagnostics` lists what is wrong with it."""
+    def __init__(self, *diagnostics: str):
+        super().__init__("; ".join(diagnostics))
+        self.diagnostics = list(diagnostics)
 
 
 _ENV_RE = re.compile(r"\$\{(\w+)\}")
@@ -195,10 +198,17 @@ def write_mock_data(config: PipelineConfig) -> None:
             write_lines(ds.path, (serialize_example(e) for e in _MOCK_DATASETS[ds.name][1]()))
 
 
-def validate(config: PipelineConfig, read_datasets: bool = True) -> list[str]:
-    """Non-fatal configuration diagnostics; those that read the dataset
-    files are left out unless `read_datasets`."""
-    diags = []
+def validate(config: PipelineConfig, stages: list[str] | None = None,
+             read_datasets: bool = True) -> list[str]:
+    """Diagnostics of a run of `stages` (all stages if None); `run` raises
+    them as a ConfigError. The stage names and the datasets are always
+    checked, any other setting only when the `_STAGE_TABLE` row of a
+    selected stage lists it. Checks that read the dataset files are left
+    out unless `read_datasets`. A null or empty endpoint URL counts as none."""
+    diags = [f"unknown stage {s!r}; known stages: {', '.join(STAGES)}"
+             for s in stages or () if s not in STAGES]
+    reads = {setting for stage in STAGES if stages is None or stage in stages
+             for setting in _STAGE_TABLE[stage].settings}
     if not config.datasets:
         diags.append("no datasets configured")
     names = [ds.name for ds in config.datasets]
@@ -221,46 +231,52 @@ def validate(config: PipelineConfig, read_datasets: bool = True) -> list[str]:
         except MalformedRecord as e:
             diags.append(f"dataset {ds.name!r}: malformed first record ({e})")
             continue
-        if config.mock:
+        if config.mock or "endpoints" not in reads:
             continue
         if ds.flow == tools.TABLE_PROGRAM_FLOW and ex.structured_table is None \
-                and "plot_to_table" not in config.endpoints:
+                and not config.endpoints.get("plot_to_table"):
             diags.append(f"dataset {ds.name!r}: table-program flow without "
                          "structured_table or a plot-to-table client")
-        if not ex.ocr_text and "ocr" not in config.endpoints:
+        if not ex.ocr_text and not config.endpoints.get("ocr"):
             diags.append(f"dataset {ds.name!r}: first record has no ocr_text and "
                          "no endpoint is configured for tool 'ocr'")
     for name, expected in (("summarizer", tools.SUMMARIZER_SHOTS),
                            ("programmer", tools.PROGRAMMER_SHOTS)):
         tmpl = config.templates.get(name)
-        if tmpl is None:
+        if tmpl is None or "templates" not in reads:
             continue
         if tmpl.path and not os.path.exists(tmpl.path):
             diags.append(f"template {name!r}: path {tmpl.path} does not exist")
         if tmpl.shots and tmpl.shots != expected:
             diags.append(f"template {name!r}: shot count {tmpl.shots}, expected {expected}")
-    for key in config.task_list:
+    retries = config.max_retries
+    if "max_retries" in reads and not (type(retries) is int and retries > 0):
+        diags.append(f"tools.max_retries {retries!r}: not an integer >= 1, the programmer's "
+                     "attempts per rationale and the retries of an HTTP request")
+    for key in config.task_list if "tasks" in reads else ():
         if key not in TASK_NAMES:
             diags.append(f"unknown task {key!r}; known tasks: {', '.join(TASK_NAMES)}")
-    for tool, url in sorted(config.endpoints.items()):
-        problem = url and tools.url_problem(url)
-        if problem:
-            diags.append(f"endpoint {tool!r}: {problem}")
-    if not config.mock:
-        flows = {ds.flow for ds in config.datasets}
-        for tool, needed in (("summarizer", tools.TEXT_EVIDENCE_FLOW in flows),
-                             ("programmer", tools.TABLE_PROGRAM_FLOW in flows),
-                             ("verifier", True)):
-            if needed and tool not in config.endpoints:
-                diags.append(f"no endpoint configured for tool {tool!r} (and mock mode off)")
-        if "apr" in config.task_list:
+        elif key == "apr" and not config.mock:
             diags.append("task 'apr' needs student rationale clients, which exist only "
                          "as mocks: enable tools.mock or drop 'apr'")
-    try:
-        config.make_counter()
-    except ConfigError as e:
-        diags.append(str(e))
-    if config.crop_mode not in (cropping.VERBATIM, cropping.FULL_COVERAGE):
+    flows = {ds.flow for ds in config.datasets}
+    needed = {"summarizer": tools.TEXT_EVIDENCE_FLOW in flows,
+              "programmer": tools.TABLE_PROGRAM_FLOW in flows, "verifier": True}
+    for tool in sorted(config.endpoints.keys() | needed.keys()):
+        if ("verifier" if tool == "verifier" else "endpoints") not in reads:
+            continue    # the verifier's endpoint is a setting apart from the other tools'
+        url = config.endpoints.get(tool)
+        if not url and needed.get(tool) and not config.mock:
+            diags.append(f"no endpoint configured for tool {tool!r} (and mock mode off)")
+        elif url and (problem := tools.url_problem(url)):
+            diags.append(f"endpoint {tool!r}: {problem}")
+    if "counter" in reads:
+        try:
+            config.make_counter()
+        except ConfigError as e:
+            diags.append(str(e))
+    if "crop_mode" in reads and config.crop_mode not in (cropping.VERBATIM,
+                                                         cropping.FULL_COVERAGE):
         diags.append(f"unknown crop mode {config.crop_mode!r}")
     return diags
 
@@ -485,8 +501,6 @@ def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff) -> dict
     counter = config.make_counter()
     counts = {}
     with contextlib.closing(make_clients(config)) as clients:
-        if clients.verifier is None:
-            raise StageFailure("generate-rationales", "no verifier client configured")
         whole_scores = "whole_scores" if config.filter_whole_image else None
         for ds in config.datasets:
             for src, kind, scores_kind in ((ds.path, "rationales", whole_scores),
@@ -611,12 +625,8 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
         for ds, d in zip(config.datasets, inputs):
             examples_by_subset.setdefault(ds.subset, []).extend(d["examples"])
         fold_plan = tasks.plan_folds(examples_by_subset, seed=config.seed)
-        if config.mock:
-            students = fixtures.make_mock_students(fold_plan.fold_count)
-        else:
-            raise StageFailure("build-tasks",
-                               "APR requires student rationale clients; only mock "
-                               "students are available, enable tools.mock or drop 'apr'")
+        # the only students are mocks: outside mock mode, `validate` refuses 'apr'
+        students = fixtures.make_mock_students(fold_plan.fold_count)
 
     builders = {
         "qra": lambda d: tasks.build_qra(d["qra_examples"], d["rationales"], counter),
@@ -705,12 +715,6 @@ def _stage_paths(config: PipelineConfig, stage: str) -> tuple[list[str], list[st
     return _paths(config, row, row.reads), _paths(config, row, row.writes)
 
 
-def stage_diagnostics(stages: list[str] | None) -> list[str]:
-    """One diagnostic per name in `stages` that is not a stage."""
-    return [f"unknown stage {s!r}; known stages: {', '.join(STAGES)}"
-            for s in stages or () if s not in STAGES]
-
-
 def run(config: PipelineConfig, stages: list[str] | None = None,
         progress=None) -> dict:
     """Run the requested stages in dependency order; returns per-stage counts.
@@ -718,11 +722,12 @@ def run(config: PipelineConfig, stages: list[str] | None = None,
     A stage is skipped while its manifest still matches its input files,
     its outputs and the fingerprint of the settings it reads. Records pass
     from stage to stage in memory for the length of this call only.
-    ConfigError if `stages` names a stage that does not exist.
+    ConfigError, before out_dir is created, if `validate` finds anything
+    wrong with a run of `stages`.
     """
-    diags = stage_diagnostics(stages)
+    diags = validate(config, stages)
     if diags:
-        raise ConfigError("; ".join(diags))
+        raise ConfigError(*diags)
     os.makedirs(config.out_dir, exist_ok=True)
     selected = [s for s in STAGES if stages is None or s in stages]
     handoff = _Handoff(config, selected)

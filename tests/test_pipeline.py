@@ -428,9 +428,10 @@ def construction_spy(monkeypatch):
     return made
 
 
-def test_retune_needs_no_endpoint(tmp_path, monkeypatch):
-    # an HTTP tree whose server is gone: a λ switch constructs no client and
-    # no cache, and gives the files of a run made while the server was up
+@pytest.fixture
+def offline_trees(tmp_path):
+    """Two finished HTTP trees of the bundled corpus whose server is gone:
+    (connected, offline), made at λ 3 and at λ 2."""
     handler = type("Handler", (_ModelLikeHandler,), {"calls": 0})
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -444,18 +445,27 @@ def test_retune_needs_no_endpoint(tmp_path, monkeypatch):
     finally:
         server.shutdown()
         server.server_close()
+    return connected, offline
 
-    def outputs(out_dir, prefixes=("tasks",)):
-        """The categorized files under out_dir, and the task files."""
-        return {name: digest for name, digest in tree_files(out_dir).items()
-                if ".categorized." in name or name.startswith(prefixes)}
 
-    def ran(args):
-        result = CliRunner().invoke(cli.main, args)
-        assert result.exit_code == 0, result.output
-        return [s for s in pipeline.STAGES
-                if f"[{s}] " in result.output and f"[{s}] skipped" not in result.output]
+def outputs(out_dir, prefixes=("tasks",)):
+    """The categorized files under out_dir, and the task files."""
+    return {name: digest for name, digest in tree_files(out_dir).items()
+            if ".categorized." in name or name.startswith(prefixes)}
 
+
+def ran(args):
+    """The stages that the `rdistill` command `args` ran; it must exit 0."""
+    result = CliRunner().invoke(cli.main, args)
+    assert result.exit_code == 0, result.output
+    return [s for s in pipeline.STAGES
+            if f"[{s}] " in result.output and f"[{s}] skipped" not in result.output]
+
+
+def test_retune_needs_no_endpoint(tmp_path, monkeypatch, offline_trees):
+    # a λ switch constructs no client and no cache, and gives the files of a
+    # run made while the server was up
+    connected, offline = offline_trees
     at_lambda_2, at_lambda_3 = outputs(offline.out_dir), outputs(connected.out_dir)
     assert at_lambda_2 != at_lambda_3
     made = construction_spy(monkeypatch)
@@ -467,6 +477,29 @@ def test_retune_needs_no_endpoint(tmp_path, monkeypatch):
     assert ran(["run", "--config", cfg_path]) == ["filter", "build-tasks"]
     assert outputs(offline.out_dir) == at_lambda_2
     assert made == []
+
+
+def test_stages_that_call_no_tool_need_no_endpoint(tmp_path, offline_trees):
+    # a config naming no endpoint runs crop, filter and build-tasks on a
+    # finished tree and gives a connected run's files; a run of every stage,
+    # and `rdistill validate`, which checks one, still ask for the endpoints
+    connected, offline = offline_trees
+    cfg_path = str(write_config_file(tmp_path / "no-endpoints.yaml",
+                                     dataclasses.replace(offline, endpoints={}), 2.0))
+    assert ran(["crop", "--config", cfg_path]) == []
+    assert ran(["filter", "--config", cfg_path, "--lambda", "3.0"]) == ["filter"]
+    assert ran(["build-tasks", "--config", cfg_path]) == ["build-tasks"]
+
+    def files(out_dir):
+        return {name: digest for name, digest in tree_files(out_dir).items()
+                if not name.startswith("cache")}
+
+    assert files(offline.out_dir) == files(connected.out_dir)
+    for command in ("validate", "run"):
+        result = CliRunner().invoke(cli.main, [command, "--config", cfg_path])
+        assert result.exit_code == 2, result.output
+        for tool in ("programmer", "summarizer", "verifier"):
+            assert f"no endpoint configured for tool {tool!r}" in result.output
 
 
 def tree_files(out_dir):
@@ -497,6 +530,7 @@ def parses(monkeypatch):
 
 
 MOCK_EXAMPLES, MOCK_CROPS = 20, 64
+FIRST_RECORDS = 2   # `run` validates the config, which parses each dataset's first record
 
 
 def run_stage(config, stage):
@@ -529,7 +563,7 @@ class TestInRunHandoff:
 
     def test_cold_run_parses_each_dataset_example_once(self, tmp_path, parses):
         run(default_mock_config(str(tmp_path / "cold"), seed=0))
-        assert parses == {"parse_example": MOCK_EXAMPLES}
+        assert parses == {"parse_example": FIRST_RECORDS + MOCK_EXAMPLES}
 
     def test_rerun_after_skipped_crop_reads_the_crop_file(self, tmp_path, parses):
         config = default_mock_config(str(tmp_path / "resume"), seed=0)
@@ -539,7 +573,7 @@ class TestInRunHandoff:
         assert summary["crop"] == "skipped"
         assert stages_run(summary) == ALL_STAGES - {"crop"}
         # generate-rationales parses the dataset and the crop files; later stages reuse both
-        assert parses == {"parse_example": MOCK_EXAMPLES + MOCK_CROPS}
+        assert parses == {"parse_example": FIRST_RECORDS + MOCK_EXAMPLES + MOCK_CROPS}
         fresh = default_mock_config(str(tmp_path / "fresh"), seed=0)
         run(fresh)
         assert tree_files(config.out_dir) == tree_files(fresh.out_dir)
@@ -587,7 +621,7 @@ class TestInRunHandoff:
         shutil.rmtree(os.path.join(config.out_dir, "tasks"))
         parses.clear()
         run_stage(config, "build-tasks")
-        assert parses == {"parse_example": MOCK_EXAMPLES + MOCK_CROPS,
+        assert parses == {"parse_example": FIRST_RECORDS + MOCK_EXAMPLES + MOCK_CROPS,
                           "_parse_rationale_line": MOCK_EXAMPLES + MOCK_CROPS,
                           "parse_categorized": kept + MOCK_EXAMPLES}
 
@@ -914,11 +948,12 @@ class TestStageIsolation:
 
     def test_generate_needs_a_verifier(self, tmp_path):
         config = default_mock_config(str(tmp_path / "noverifier"), seed=0)
-        run(config, ["crop"])
         config.mock = False     # no endpoint configured
-        with pytest.raises(StageFailure, match="no verifier client configured") as exc:
-            run(config, ["generate-rationales"])
-        assert exc.value.stage == "generate-rationales"
+        with pytest.raises(pipeline.ConfigError) as exc:
+            run(config)
+        assert "no endpoint configured for tool 'verifier' (and mock mode off)" \
+            in exc.value.diagnostics
+        assert os.listdir(config.out_dir) == ["data"]   # crop wrote nothing
 
     @pytest.mark.parametrize("change", [
         lambda lines: lines[1:],                                       # a crop without scores
@@ -1004,6 +1039,50 @@ class TestEndpointsPerFlow:
         config.mock = True
         assert validate(config) == []
 
+    @pytest.mark.parametrize("url", [None, ""], ids=["null", "empty"])
+    def test_a_null_or_empty_url_is_no_endpoint(self, tmp_path, mock_data_dir, url):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(json.dumps({
+            "tasks": ["qra", "qid"],
+            "tools": {"endpoints": {"summarizer": "http://127.0.0.1:9/s", "verifier": url}},
+            "datasets": [{"name": "docs", "path": f"{mock_data_dir}/data/docs.jsonl",
+                          "flow": "text-evidence"}]}))
+        result = CliRunner().invoke(cli.main, ["validate", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert result.output == "no endpoint configured for tool 'verifier' (and mock mode off)\n"
+
+
+class TestMaxRetries:
+    """`tools.max_retries` counts the programmer's attempts, and the retries
+    after an HTTP request's first attempt: below 1, no program is ever asked for."""
+
+    @pytest.mark.parametrize("value", [0, -1, 1.5, "3", True, None])
+    def test_anything_but_a_positive_integer_is_rejected(self, mock_data_dir, value):
+        config = default_mock_config(mock_data_dir)
+        config.max_retries = value
+        assert validate(config) == [
+            f"tools.max_retries {value!r}: not an integer >= 1, the programmer's attempts "
+            "per rationale and the retries of an HTTP request"]
+        # only generate-rationales reads it
+        assert validate(config, ["crop", "filter", "build-tasks"]) == []
+
+    @pytest.mark.parametrize("value", [1, 3])
+    def test_a_positive_integer_is_accepted(self, mock_data_dir, value):
+        config = default_mock_config(mock_data_dir)
+        config.max_retries = value
+        assert validate(config) == []
+
+    def test_run_exits_2_before_any_stage(self, tmp_path, mock_data_dir):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(json.dumps({
+            "out_dir": str(tmp_path / "out"), "tools": {"mock": True, "max_retries": 0},
+            "datasets": [{"name": "charts", "path": f"{mock_data_dir}/data/charts.jsonl",
+                          "flow": "table-program"}]}))
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert "config error: tools.max_retries 0: " in result.output
+        assert not os.path.exists(tmp_path / "out")
+
 
 @pytest.fixture(scope="module")
 def mock_data_dir(tmp_path_factory):
@@ -1058,6 +1137,73 @@ class TestValidateProperties:
         assert result.exit_code == 2, result.output
         assert "unknown task 'ans_only'" in result.output
         assert not os.path.exists(tmp_path / "out")
+
+
+GENERATE, BUILD = {"generate-rationales"}, {"build-tasks"}
+# Defects a config can carry: the stages whose runs report it (None: every
+# run, even of no stage), whether only HTTP tools make it one, and the change
+# that makes it. "no-datasets" comes last, as it drops what the others change.
+CONFIG_DEFECTS = {
+    "missing-dataset": (None, False,
+                        lambda c: setattr(c.datasets[0], "path", c.datasets[0].path + ".gone")),
+    "duplicate-dataset": (None, False, lambda c: c.datasets.append(c.datasets[0])),
+    "crop-mode": ({"crop"}, False, lambda c: setattr(c, "crop_mode", "tiles")),
+    "counter": (GENERATE | BUILD, False, lambda c: setattr(c, "counter", "bpe")),
+    "max-retries": (GENERATE, False, lambda c: setattr(c, "max_retries", 0)),
+    "template": (GENERATE, False,
+                 lambda c: c.templates.update(programmer=TemplateConfig(path="/gone"))),
+    "unknown-task": (BUILD, False, lambda c: setattr(c, "task_list", c.task_list + ("qa",))),
+    "apr": (BUILD, True, lambda c: setattr(c, "task_list", c.task_list + ("apr",))),
+    "bad-url": (GENERATE, False, lambda c: c.endpoints.update(summarizer="localhost:9/s")),
+    "empty-programmer": (GENERATE, True, lambda c: c.endpoints.update(programmer="")),
+    "null-verifier": (GENERATE, True, lambda c: c.endpoints.update(verifier=None)),
+    "no-datasets": (None, False, lambda c: c.datasets.clear()),
+}
+
+
+class _Reached(Exception):
+    """Raised in place of a stage: `run` got past its config check."""
+
+
+def reached(config, handoff):
+    raise _Reached
+
+
+class TestOneConfigGate:
+    """`run` checks exactly the settings its stages read, before out_dir exists."""
+
+    @given(defects=st.sets(st.sampled_from(list(CONFIG_DEFECTS))), mock=st.booleans(),
+           stages=st.none() | st.lists(st.sampled_from(pipeline.STAGES), unique=True))
+    def test_run_raises_the_diagnostics_of_its_stages(self, mock_data_dir, defects, mock,
+                                                      stages):
+        config = default_mock_config(mock_data_dir)
+        config.out_dir = os.path.join(mock_data_dir, "gate")
+        config.mock = mock
+        config.task_list = ("qra", "qraci", "apraci", "qid", "ans-only")
+        config.endpoints = {t: f"http://127.0.0.1:9/{t}"
+                            for t in ("summarizer", "programmer", "verifier")}
+        selected = set(pipeline.STAGES if stages is None else stages)
+        for name, (_, _, change) in CONFIG_DEFECTS.items():
+            if name in defects:
+                change(config)
+        reported = [name for name in defects if not (CONFIG_DEFECTS[name][1] and mock)
+                    and (CONFIG_DEFECTS[name][0] is None or CONFIG_DEFECTS[name][0] & selected)]
+        diags = validate(config, stages)
+        assert bool(diags) == bool(reported)
+        assert not collections.Counter(diags) - collections.Counter(validate(config))
+        try:
+            with unittest.mock.patch.dict(pipeline._STAGE_FNS,
+                                          dict.fromkeys(pipeline.STAGES, reached)):
+                run(config, stages)
+        except pipeline.ConfigError as e:
+            assert e.diagnostics == diags
+            assert not os.path.exists(config.out_dir)
+        except StageFailure as e:
+            assert isinstance(e.cause, _Reached) and diags == []
+        else:
+            assert diags == [] and not selected
+        finally:
+            shutil.rmtree(config.out_dir, ignore_errors=True)
 
 
 GOOD_DATASET = "datasets: [{name: docs, path: DATA, flow: text-evidence}]\n"

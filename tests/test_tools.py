@@ -1,6 +1,7 @@
 import concurrent.futures
 import http.server
 import json
+import os
 import sys
 import threading
 import time
@@ -280,6 +281,24 @@ def test_http_config_asks_plot_to_table_for_a_missing_table(scripted_server, tmp
     assert r.table == tuple(tuple(row) for row in rows)
     assert r.program_source == "Div(25, 5)"
     assert table_tool.bodies == [TestHttpPayloads.WINDOW]
+
+
+def test_run_with_apr_and_http_tools_calls_no_tool(scripted_server, tmp_path):
+    # APR's student clients exist only as mocks: the config check stops the
+    # run before generate-rationales pays for a single tool call
+    url, tool = scripted_server([200], reply={"text": "Find(1)", "answer": "no",
+                                              "logprob": -1.0})
+    config = pipeline.default_mock_config(str(tmp_path / "corpus"))
+    config.out_dir = str(tmp_path / "out")
+    config.mock = False
+    config.endpoints = {t: url for t in ("summarizer", "programmer", "verifier")}
+    assert "apr" in config.task_list
+    with pytest.raises(pipeline.ConfigError) as exc:
+        pipeline.run(config)
+    assert exc.value.diagnostics == ["task 'apr' needs student rationale clients, which "
+                                     "exist only as mocks: enable tools.mock or drop 'apr'"]
+    assert tool.calls == 0
+    assert not os.path.exists(config.out_dir)
 
 
 class TestResponseCache:
