@@ -13,7 +13,7 @@ import sys
 import click
 
 from . import cropping, dsl, inference, pipeline
-from .records import (ScoredHypothesis, parse_example, read_lines,
+from .records import (TASK_NAMES, ScoredHypothesis, parse_example, read_lines,
                       serialize_example, write_lines)
 
 log = logging.getLogger(__name__)
@@ -51,7 +51,7 @@ def _load_config(config_path, mock, seed, out_dir, boost_factor=None, space=None
             k: v for k, v in (("boost_factor", boost_factor), ("space", space))
             if v is not None})
     except ValueError as e:     # pipeline.ConfigError, or FilterConfig's check
-        _exit_config_errors([e])
+        _exit_config_errors(getattr(e, "diagnostics", [e]))
     if not config_path:
         diags = pipeline.validate(cfg, stages, read_datasets=False)
         if diags:
@@ -147,12 +147,11 @@ def filter_cmd(**options):
 
 @main.command(name="build-tasks")
 @with_config_opts
-@click.option("--tasks", "task_list", default=None,
-              help="Comma-separated: qra,apr,qraci,apraci,qid,ans-only")
-def build_tasks_cmd(task_list, **options):
+@click.option("--tasks", default=None,
+              help="Comma-separated subset of: " + ",".join(TASK_NAMES))
+def build_tasks_cmd(tasks, **options):
     """Emit the training task files."""
-    _run_stages(["build-tasks"], task_list=tuple(task_list.split(",")) if task_list else None,
-                **options)
+    _run_stages(["build-tasks"], tasks=tuple(tasks.split(",")) if tasks else None, **options)
 
 
 @main.command(name="vote")

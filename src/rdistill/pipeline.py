@@ -35,11 +35,13 @@ time.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import hashlib
 import json
 import logging
 import os
 import re
+import reprlib
 from dataclasses import asdict, astuple, dataclass, field
 
 from . import cropping, filtering, fixtures, tasks, tools
@@ -79,6 +81,66 @@ def _interpolate(value):
     return value
 
 
+_HTTP_CLIENTS = {"ocr": tools.HttpOcrClient, "summarizer": tools.HttpSummarizerClient,
+                 "programmer": tools.HttpProgrammerClient,
+                 "plot_to_table": tools.HttpPlotToTableClient,
+                 "verifier": tools.HttpVerifierClient}
+
+# The layout of a config file: each key's type, or the table of its keys.
+# A list holds the type of its items; `object` takes any value.
+_SCHEMA = {
+    "out_dir": str, "seed": int, "crop_mode": str, "counter": str, "concurrency": int,
+    "filter_whole_image": bool,
+    "tasks": [str],
+    "filter": {"boost_factor": float, "space": str},
+    "datasets": [{"name": str, "path": str, "flow": str, "subset": str}],
+    "templates": dict.fromkeys(("summarizer", "programmer"), {"path": str, "shots": int}),
+    "tools": {"mock": bool, "mock_seed": int, "max_retries": int,
+              # `validate` refuses, through tools.url_problem, a URL it cannot call
+              "endpoints": dict.fromkeys(_HTTP_CLIENTS, object)},
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+               dict: "a mapping", list: "a list"}
+
+
+def _schema_paths(schema: dict, prefix: str = ""):
+    """The dotted path of each key of `schema`; a list's items are under `[]`."""
+    for key, sub in schema.items():
+        yield prefix + key
+        if isinstance(sub, list):
+            key, sub = key + "[]", sub[0]
+        if isinstance(sub, dict):
+            yield from _schema_paths(sub, f"{prefix}{key}.")
+
+
+def _shape_problems(value, schema, path: str = "") -> list[str]:
+    """A diagnostic for each key in `value` that `schema` does not list, and
+    for each value not of the type `schema` gives it. An int is no bool, a
+    float may be an int, and a null mapping counts as empty."""
+    kind = type(schema) if isinstance(schema, (dict, list)) else schema
+    if kind is dict and value is None:
+        return []
+    if not (kind is object or isinstance(value, bool) == (kind is bool)
+            and isinstance(value, (int, float) if kind is float else kind)):
+        return [f"{path or 'config'}: expected {_TYPE_NAMES[kind]}, got {reprlib.repr(value)}"]
+    if kind is list:
+        return [p for i, item in enumerate(value)
+                for p in _shape_problems(item, schema[0], f"{path}[{i}]")]
+    if kind is not dict:
+        return []
+    problems = []
+    for key, item in value.items():
+        key_path = f"{path}.{key}" if path else str(key)
+        if key in schema:
+            problems += _shape_problems(item, schema[key], key_path)
+            continue
+        generic = re.sub(r"\[\d+\]", "[]", key_path)
+        close = difflib.get_close_matches(
+            generic, [p for p in _schema_paths(_SCHEMA) if not generic.startswith(p)], n=1)
+        problems.append(f"{key_path}: unknown key" + (f"; did you mean {close[0]}?" if close else ""))
+    return problems
+
+
 @dataclass
 class DatasetConfig:
     name: str
@@ -106,7 +168,7 @@ class PipelineConfig:
     crop_mode: str = cropping.VERBATIM
     counter: str = "word"
     concurrency: int = 4
-    task_list: tuple[str, ...] = tuple(TASK_NAMES)
+    tasks: tuple[str, ...] = tuple(TASK_NAMES)
     filter: filtering.FilterConfig = field(default_factory=filtering.FilterConfig)
     datasets: list[DatasetConfig] = field(default_factory=list)
     mock: bool = False
@@ -129,37 +191,25 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        """The config `raw` describes; ConfigError if it describes none."""
+        """The config `raw` describes; ConfigError if it describes none, with
+        one diagnostic per key or type `_SCHEMA` refuses, or else the one a
+        dataclass's own check gives."""
+        problems = _shape_problems(raw, _SCHEMA)
+        if problems:
+            raise ConfigError(*problems)
+        # the keys under `tools` are fields of their own; a null mapping counts as empty
+        fields = {key: value for key, value in {**raw, **(raw.get("tools") or {})}.items()
+                  if key != "tools" and value is not None}
+        build = {"tasks": tuple, "filter": lambda f: filtering.FilterConfig(**f),
+                 "datasets": lambda ds: [DatasetConfig(**(d or {})) for d in ds],
+                 "templates": lambda ts: {name: TemplateConfig(**(t or {}))
+                                          for name, t in ts.items()}}
         try:
-            filt = raw.get("filter", {})
-            tool_cfg = raw.get("tools", {})
-            templates = {
-                name: TemplateConfig(path=t.get("path", ""), shots=t.get("shots", 0))
-                for name, t in (raw.get("templates") or {}).items()
-            }
-            return cls(
-                out_dir=raw.get("out_dir", "out"),
-                seed=raw.get("seed", 0),
-                crop_mode=raw.get("crop_mode", cropping.VERBATIM),
-                counter=raw.get("counter", "word"),
-                concurrency=raw.get("concurrency", 4),
-                task_list=tuple(raw.get("tasks", TASK_NAMES)),
-                filter=filtering.FilterConfig(
-                    boost_factor=filt.get("boost_factor", 2.0),
-                    space=filt.get("space", filtering.PROBABILITY_SPACE)),
-                datasets=[DatasetConfig(name=d["name"], path=d["path"],
-                                        flow=d["flow"], subset=d.get("subset", ""))
-                          for d in raw.get("datasets", [])],
-                mock=bool(tool_cfg.get("mock", False)),
-                mock_seed=tool_cfg.get("mock_seed", 0),
-                max_retries=tool_cfg.get("max_retries", 3),
-                endpoints=tool_cfg.get("endpoints", {}) or {},
-                templates=templates,
-                filter_whole_image=raw.get("filter_whole_image", False),
-            )
-        except KeyError as e:
-            raise ConfigError(f"dataset without required key {e}") from e
-        except (AttributeError, TypeError, ValueError) as e:
+            return cls(**{key: build[key](value) if key in build else value
+                          for key, value in fields.items()})
+        except TypeError as e:      # a dataset without a required key
+            raise ConfigError(f"datasets: {e}") from e
+        except ValueError as e:     # a dataclass's own check
             raise ConfigError(str(e)) from e
 
     def make_counter(self):
@@ -221,7 +271,7 @@ def validate(config: PipelineConfig, stages: list[str] | None = None,
             continue
         try:
             first = next(iter(read_lines(ds.path)), None)
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             diags.append(f"dataset {ds.name!r}: unreadable ({e})")
             continue
         if first is None:
@@ -245,15 +295,15 @@ def validate(config: PipelineConfig, stages: list[str] | None = None,
         tmpl = config.templates.get(name)
         if tmpl is None or "templates" not in reads:
             continue
-        if tmpl.path and not os.path.exists(tmpl.path):
-            diags.append(f"template {name!r}: path {tmpl.path} does not exist")
+        if tmpl.path and not os.path.isfile(tmpl.path):
+            diags.append(f"template {name!r}: path {tmpl.path} is not a file")
         if tmpl.shots and tmpl.shots != expected:
             diags.append(f"template {name!r}: shot count {tmpl.shots}, expected {expected}")
     retries = config.max_retries
     if "max_retries" in reads and not (type(retries) is int and retries > 0):
         diags.append(f"tools.max_retries {retries!r}: not an integer >= 1, the programmer's "
                      "attempts per rationale and the retries of an HTTP request")
-    for key in config.task_list if "tasks" in reads else ():
+    for key in config.tasks if "tasks" in reads else ():
         if key not in TASK_NAMES:
             diags.append(f"unknown task {key!r}; known tasks: {', '.join(TASK_NAMES)}")
         elif key == "apr" and not config.mock:
@@ -289,12 +339,6 @@ def _load_template(config: PipelineConfig, name: str, default) -> tools.PromptTe
         body = f.read()
     shots = tmpl.shots or default.shot_count
     return tools.PromptTemplate(name=name, shot_count=shots, body=body)
-
-
-_HTTP_CLIENTS = {"ocr": tools.HttpOcrClient, "summarizer": tools.HttpSummarizerClient,
-                 "programmer": tools.HttpProgrammerClient,
-                 "plot_to_table": tools.HttpPlotToTableClient,
-                 "verifier": tools.HttpVerifierClient}
 
 
 def response_cache_path(out_dir: str) -> str:
@@ -594,7 +638,7 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
     written and released before the next task starts."""
     counter = config.make_counter()
     os.makedirs(os.path.join(config.out_dir, "tasks"), exist_ok=True)
-    wanted = dict.fromkeys(config.task_list)
+    wanted = dict.fromkeys(config.tasks)
 
     # Each file is taken from the hand-off once: the last reader's take pops it.
     inputs = []
@@ -687,7 +731,6 @@ _SETTINGS = {
     "templates": lambda c: astuple(make_templates(c), tuple_factory=list),  # [name, shots, body] each
     "filter": lambda c: asdict(c.filter),
     "verifier": lambda c: c.endpoints.get("verifier"),
-    "tasks": lambda c: list(c.task_list),
 }
 
 
@@ -705,7 +748,7 @@ def _paths(config: PipelineConfig, stage: _Stage, kinds) -> list[str]:
     """Paths of the files of `kinds` that `stage` reads or writes under `config`."""
     return [path for kind in kinds
             if config.filter_whole_image or kind not in stage.whole_image
-            for path in ([task_path(config, key) for key in config.task_list] if kind == "tasks"
+            for path in ([task_path(config, key) for key in config.tasks] if kind == "tasks"
                          else [stage_file(config, ds, kind) for ds in config.datasets])]
 
 

@@ -18,7 +18,7 @@ import unittest.mock
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from rdistill import cli, fixtures, pipeline, tools
 from rdistill.codec import CharBlockCounter, WordCounter
@@ -109,7 +109,7 @@ class TestStageInvalidation:
     @pytest.mark.parametrize("change,expected", [
         (lambda c: setattr(c, "filter", FilterConfig(boost_factor=3.0)),
          {"filter", "build-tasks"}),
-        (lambda c: setattr(c, "task_list", ("qra", "qid")), {"build-tasks"}),
+        (lambda c: setattr(c, "tasks", ("qra", "qid")), {"build-tasks"}),
         (lambda c: setattr(c, "crop_mode", "full-coverage"), ALL_STAGES),
         (lambda c: setattr(c, "concurrency", 1), set()),
     ], ids=["boost", "tasks", "crop-mode", "concurrency"])
@@ -228,7 +228,7 @@ def http_run_config(out_dir, url, concurrency):
     config = default_mock_config(out_dir, seed=0)
     config.mock = False
     config.concurrency = concurrency
-    config.task_list = ("qra", "qraci", "apraci", "qid", "ans-only")
+    config.tasks = ("qra", "qraci", "apraci", "qid", "ans-only")
     config.endpoints = {t: f"{url}/{t}" for t in ("ocr", "summarizer", "programmer",
                                                   "verifier")}
     return config
@@ -388,7 +388,7 @@ def write_config_file(path, config, boost_factor):
     """A config file (JSON is YAML) for the HTTP tree of `config`, at `boost_factor`."""
     path.write_text(json.dumps({
         "out_dir": config.out_dir, "concurrency": config.concurrency,
-        "tasks": list(config.task_list), "filter_whole_image": config.filter_whole_image,
+        "tasks": list(config.tasks), "filter_whole_image": config.filter_whole_image,
         "filter": {"boost_factor": boost_factor},
         "datasets": [dataclasses.asdict(ds) for ds in config.datasets],
         "tools": {"endpoints": config.endpoints}}))
@@ -720,7 +720,7 @@ def write_earlier_manifest(config, stage):
     inputs = [pipeline.stage_file(config, ds, kind) for ds in config.datasets for kind in reads]
     outputs = [pipeline.stage_file(config, ds, kind) for ds in config.datasets for kind in writes]
     if stage == "build-tasks":
-        outputs += [pipeline.task_path(config, key) for key in config.task_list]
+        outputs += [pipeline.task_path(config, key) for key in config.tasks]
     with open(pipeline._manifest_path(config.out_dir, stage)) as f:
         counts = json.load(f)["counts"]
     pipeline._write_manifest(config.out_dir, stage, inputs, earlier_fingerprint(config, stage),
@@ -915,7 +915,7 @@ def test_mock_run_passes_the_benchmark_checks(tmp_path):
     config = default_mock_config(str(out_dir))
     corpus = {ds.name: ds.path for ds in config.datasets}
     assert checks.check_build(corpus, str(out_dir), config.filter.boost_factor,
-                              list(config.task_list)) == []
+                              list(config.tasks)) == []
 
 
 def test_mock_run_with_a_table_less_chart(tmp_path):
@@ -996,7 +996,7 @@ def http_config(data_dir, flows, tools):
     """A non-mock config over the bundled datasets of `flows`, with endpoints for `tools`."""
     config = default_mock_config(data_dir)
     config.mock = False
-    config.task_list = ("qra", "qraci", "apraci", "qid", "ans-only")
+    config.tasks = ("qra", "qraci", "apraci", "qid", "ans-only")
     config.datasets = [ds for ds in config.datasets if ds.flow in flows]
     config.endpoints = {t: f"http://127.0.0.1:9/{t}" for t in tools}
     return config
@@ -1098,14 +1098,14 @@ task_keys = st.sampled_from(TASK_KEYS) | st.text(min_size=1, max_size=8)
 class TestValidateProperties:
     """Configs that would fail at a later stage are rejected before the first."""
 
-    @given(task_list=st.lists(task_keys, max_size=8))
-    def test_flags_exactly_the_unknown_task_keys(self, mock_data_dir, task_list):
+    @given(tasks=st.lists(task_keys, max_size=8))
+    def test_flags_exactly_the_unknown_task_keys(self, mock_data_dir, tasks):
         config = default_mock_config(mock_data_dir)
-        config.task_list = tuple(task_list)
+        config.tasks = tuple(tasks)
         flagged = {d.rsplit("; known tasks:", 1)[0] for d in validate(config)
                    if d.startswith("unknown task")}
         assert flagged == \
-            {f"unknown task {k!r}" for k in task_list if k not in TASK_KEYS}
+            {f"unknown task {k!r}" for k in tasks if k not in TASK_KEYS}
 
     @given(names=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=5))
     def test_flags_exactly_the_duplicate_dataset_names(self, mock_data_dir, names):
@@ -1116,14 +1116,14 @@ class TestValidateProperties:
         assert flagged == {f"dataset {n!r}" for n in names if names.count(n) > 1}
 
     @given(mock=st.booleans(),
-           task_list=st.lists(st.sampled_from(TASK_KEYS), min_size=1, unique=True))
-    def test_apr_needs_mock_students(self, mock_data_dir, mock, task_list):
+           tasks=st.lists(st.sampled_from(TASK_KEYS), min_size=1, unique=True))
+    def test_apr_needs_mock_students(self, mock_data_dir, mock, tasks):
         config = default_mock_config(mock_data_dir)
         config.mock = mock
         config.endpoints = {t: f"http://127.0.0.1:9/{t}"
                             for t in ("summarizer", "programmer", "verifier")}
-        config.task_list = tuple(task_list)
-        assert (validate(config) != []) == (not mock and "apr" in task_list)
+        config.tasks = tuple(tasks)
+        assert (validate(config) != []) == (not mock and "apr" in tasks)
 
     def test_run_exits_before_any_stage(self, tmp_path, mock_data_dir):
         cfg_path = tmp_path / "cfg.yaml"
@@ -1152,8 +1152,8 @@ CONFIG_DEFECTS = {
     "max-retries": (GENERATE, False, lambda c: setattr(c, "max_retries", 0)),
     "template": (GENERATE, False,
                  lambda c: c.templates.update(programmer=TemplateConfig(path="/gone"))),
-    "unknown-task": (BUILD, False, lambda c: setattr(c, "task_list", c.task_list + ("qa",))),
-    "apr": (BUILD, True, lambda c: setattr(c, "task_list", c.task_list + ("apr",))),
+    "unknown-task": (BUILD, False, lambda c: setattr(c, "tasks", c.tasks + ("qa",))),
+    "apr": (BUILD, True, lambda c: setattr(c, "tasks", c.tasks + ("apr",))),
     "bad-url": (GENERATE, False, lambda c: c.endpoints.update(summarizer="localhost:9/s")),
     "empty-programmer": (GENERATE, True, lambda c: c.endpoints.update(programmer="")),
     "null-verifier": (GENERATE, True, lambda c: c.endpoints.update(verifier=None)),
@@ -1179,7 +1179,7 @@ class TestOneConfigGate:
         config = default_mock_config(mock_data_dir)
         config.out_dir = os.path.join(mock_data_dir, "gate")
         config.mock = mock
-        config.task_list = ("qra", "qraci", "apraci", "qid", "ans-only")
+        config.tasks = ("qra", "qraci", "apraci", "qid", "ans-only")
         config.endpoints = {t: f"http://127.0.0.1:9/{t}"
                             for t in ("summarizer", "programmer", "verifier")}
         selected = set(pipeline.STAGES if stages is None else stages)
@@ -1271,6 +1271,137 @@ class TestConfigFile:
         assert config.mock
 
 
+# config file text, with DATA standing for a dataset file that exists; the
+# diagnostics it gets, all at once
+SHAPE_ERRORS = {
+    "misplaced-key": ("max_retries: 0\n",
+                      ["max_retries: unknown key; did you mean tools.max_retries?"]),
+    "misspelt-key": ("filter: {boost_factr: 3.0}\n",
+                     ["filter.boost_factr: unknown key; did you mean filter.boost_factor?"]),
+    "list-for-mapping": ("tools: {endpoints: [http://a/s]}\n",
+                         ["tools.endpoints: expected a mapping, got ['http://a/s']"]),
+    "string-for-list": ("tasks: qra\n", ["tasks: expected a list, got 'qra'"]),
+    "string-seed": ('seed: "1"\n', ["seed: expected an integer, got '1'"]),
+    "string-flag": ('filter_whole_image: "no"\n',
+                    ["filter_whole_image: expected a boolean, got 'no'"]),
+    "string-boost": ('filter: {boost_factor: "3"}\n',
+                     ["filter.boost_factor: expected a number, got '3'"]),
+    "several": ("endpoints: {verifier: http://a/v}\nseed: true\n"
+                "datasets: [{name: d, path: DATA, flow: text-evidence, subst: d}]\n",
+                ["endpoints: unknown key; did you mean tools.endpoints?",
+                 "seed: expected an integer, got True",
+                 "datasets[0].subst: unknown key; did you mean datasets[].subset?"]),
+}
+
+# Values `_SCHEMA`'s types take that the dataclasses' own checks accept too.
+CHECKED_VALUES = {"filter.boost_factor": st.integers(2, 9) | st.floats(1.5, 9.0),
+                  "filter.space": st.sampled_from(["probability", "log"]),
+                  "datasets[].flow": st.sampled_from([tools.TEXT_EVIDENCE_FLOW,
+                                                      tools.TABLE_PROGRAM_FLOW]),
+                  "datasets[].subset": st.text(min_size=1, max_size=4)}
+LEAF_VALUES = {str: st.text(max_size=4), int: st.integers(), bool: st.booleans(),
+               float: st.integers() | st.floats(allow_nan=False), object: st.none() | st.text()}
+# values that a key of each type does not take
+WRONG_VALUES = {str: [None, True, 1, 1.5, ["a"], {"a": 1}], int: [None, False, 1.5, "1", [1]],
+                float: [None, True, "3", [3.0]], bool: [None, 0, 1, "no"],
+                list: [None, "qra", 1, {"a": 1}], dict: ["x", 1, True, [{"a": 1}]]}
+
+
+def raw_configs(schema=pipeline._SCHEMA, path=""):
+    """Raw configs of `schema`'s keys and types, which load; a dataset has its
+    required keys, and any other mapping may be null."""
+    if isinstance(schema, list):
+        return st.lists(raw_configs(schema[0], path + "[]"), max_size=3)
+    if not isinstance(schema, dict):
+        return CHECKED_VALUES.get(path, LEAF_VALUES.get(schema))
+    keys = {key: raw_configs(sub, f"{path}.{key}" if path else key) for key, sub in schema.items()}
+    required = ("name", "path", "flow") if path == "datasets[]" else ()
+    mapping = st.fixed_dictionaries({k: keys[k] for k in required},
+                                    optional={k: v for k, v in keys.items() if k not in required})
+    return mapping if path in ("", "datasets[]") else mapping | st.none()
+
+
+def positions(value, schema=pipeline._SCHEMA, path=""):
+    """(path, container, key, schema) of each value inside `value`."""
+    items = (value.items() if isinstance(schema, dict) and isinstance(value, dict) else
+             enumerate(value) if isinstance(schema, list) else ())
+    for key, item in items:
+        sub = schema[key] if isinstance(schema, dict) else schema[0]
+        item_path = (f"{path}[{key}]" if isinstance(schema, list) else
+                     f"{path}.{key}" if path else key)
+        yield item_path, value, key, sub
+        yield from positions(item, sub, item_path)
+
+
+def field_value(config, path):
+    """The value a raw config's `path` sets on `config`; `tools`' keys are fields."""
+    value = config
+    for part in path.removeprefix("tools.").replace("[", ".").replace("]", "").split("."):
+        value = (value[int(part)] if isinstance(value, (list, tuple)) else
+                 value[part] if isinstance(value, dict) else getattr(value, part))
+    return value
+
+
+class TestConfigSchema:
+    """Every config file loads through `_SCHEMA`: a key it does not list or a
+    value of the wrong type is a diagnostic that names the key's path."""
+
+    @pytest.mark.parametrize("text,expected", SHAPE_ERRORS.values(), ids=SHAPE_ERRORS)
+    def test_validate_exits_2_naming_each_path(self, tmp_path, mock_data_dir, text, expected):
+        cfg_path = tmp_path / "cfg.yaml"
+        text = text if "datasets" in text else text + GOOD_DATASET
+        cfg_path.write_text(text.replace("DATA", f"{mock_data_dir}/data/docs.jsonl"))
+        result = CliRunner().invoke(cli.main, ["validate", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"config error: {d}" for d in expected]
+
+    @given(raw=raw_configs())
+    def test_a_config_of_the_schema_loads_onto_its_fields(self, raw):
+        config = PipelineConfig.from_dict(raw)
+        for path, container, key, schema in positions(raw):
+            if not isinstance(schema, (dict, list)):
+                assert field_value(config, path) == container[key], path
+
+    @given(raw=raw_configs(), data=st.data())
+    def test_an_unknown_key_at_any_depth_is_one_diagnostic(self, raw, data):
+        mappings = [("", {"": raw}, "", pipeline._SCHEMA)] + [
+            position for position in positions(raw) if isinstance(position[3], dict)]
+        path, container, key, schema = data.draw(st.sampled_from(mappings))
+        if container[key] is None:
+            container[key] = {}
+        unknown = data.draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in schema))
+        container[key][unknown] = data.draw(LEAF_VALUES[str])
+        with pytest.raises(pipeline.ConfigError) as exc:
+            PipelineConfig.from_dict(raw)
+        named = f"{path}.{unknown}" if path else unknown
+        assert len(exc.value.diagnostics) == 1
+        assert exc.value.diagnostics[0].startswith(f"{named}: unknown key")
+
+    @given(raw=raw_configs(), data=st.data())
+    def test_a_value_of_the_wrong_type_is_one_diagnostic(self, raw, data):
+        typed = [(path, container, key, schema) for path, container, key, schema
+                 in positions(raw) if schema is not object]
+        assume(typed)
+        path, container, key, schema = data.draw(st.sampled_from(typed))
+        container[key] = data.draw(st.sampled_from(
+            WRONG_VALUES[type(schema) if isinstance(schema, (dict, list)) else schema]))
+        with pytest.raises(pipeline.ConfigError) as exc:
+            PipelineConfig.from_dict(raw)
+        assert len(exc.value.diagnostics) == 1
+        assert exc.value.diagnostics[0].startswith(f"{path}: expected ")
+
+    def test_the_readme_config_loads(self, monkeypatch, tmp_path):
+        readme = pathlib.Path(__file__).parent.parent / "README.md"
+        block = readme.read_text().split("```yaml\n", 1)[1].split("```", 1)[0]
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(block)
+        monkeypatch.setenv("DATA_DIR", str(tmp_path))
+        config = PipelineConfig.from_file(str(cfg_path))
+        assert [ds.path for ds in config.datasets] == [
+            f"{tmp_path}/infovqa.jsonl", f"{tmp_path}/chartqa.jsonl"]
+
+
 class TestCli:
     def test_run_rejects_unknown_stages(self, tmp_path):
         out_dir = tmp_path / "stages"
@@ -1300,6 +1431,30 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(cli.main, ["validate", "--config", str(cfg_path)])
         assert result.exit_code == 2
+
+    def test_validate_reports_a_dataset_that_is_not_utf8(self, tmp_path):
+        data = tmp_path / "d.jsonl"
+        data.write_bytes(b"\xff\xfe{}\n")
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(f"datasets: [{{name: d, path: {data}, flow: text-evidence}}]\n"
+                            "tools: {mock: true}\n")
+        result = CliRunner().invoke(cli.main, ["validate", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("dataset 'd': unreadable (")
+
+    def test_run_refuses_a_template_path_that_is_a_directory(self, tmp_path, mock_data_dir):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(GOOD_DATASET.replace("DATA", f"{mock_data_dir}/data/docs.jsonl")
+                            + f"templates: {{summarizer: {{path: {tmp_path}}}}}\n"
+                            "tools: {mock: true}\n")
+        out_dir = tmp_path / "out"
+        result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path),
+                                               "--out-dir", str(out_dir)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: template 'summarizer': path {tmp_path} is not a file" \
+            in result.output
+        assert not os.path.exists(out_dir)
 
     def test_mock_config_error_leaves_no_files(self, tmp_path):
         out_dir = tmp_path / "x"

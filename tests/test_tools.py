@@ -292,7 +292,7 @@ def test_run_with_apr_and_http_tools_calls_no_tool(scripted_server, tmp_path):
     config.out_dir = str(tmp_path / "out")
     config.mock = False
     config.endpoints = {t: url for t in ("summarizer", "programmer", "verifier")}
-    assert "apr" in config.task_list
+    assert "apr" in config.tasks
     with pytest.raises(pipeline.ConfigError) as exc:
         pipeline.run(config)
     assert exc.value.diagnostics == ["task 'apr' needs student rationale clients, which "
