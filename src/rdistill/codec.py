@@ -12,6 +12,7 @@ words so budgets are enforceable without a model tokenizer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -145,9 +146,18 @@ def encode_target(question: str, rationale: str | None, answer: str,
     return f"{prefix(q, r)} {SEP_ANSWER} {a}"
 
 
+_CELL_SEP = " | "
+_ROW_SEP = " \n "
+
+
 def linearize_table(table) -> str:
     """Row-major linearization: ' | ' between cells, ' \\n ' between rows."""
-    return " \n ".join(" | ".join(str(c) for c in row) for row in table)
+    return _ROW_SEP.join(_CELL_SEP.join(str(c) for c in row) for row in table)
+
+
+def _part_ends(parts: list[str], sep: str) -> list[int]:
+    """End offset, in `sep.join(parts)`, of the join of each prefix of `parts`."""
+    return [end - len(sep) for end in itertools.accumulate(len(p) + len(sep) for p in parts)]
 
 
 def encode_program_rationale(table, program_source: str,
@@ -155,18 +165,21 @@ def encode_program_rationale(table, program_source: str,
     """Encode "[table] <program> [program]" within the 64/44 budgets.
 
     The table segment is trimmed by dropping whole trailing rows, then
-    trailing cells of the last remaining row.
+    trailing cells of the last remaining row, then that row. Each candidate
+    linearizes to a prefix of the whole table's linearization, so it is
+    taken as a slice of it.
     """
-    rows = [list(r) for r in table]
-    lin = linearize_table(rows)
-    while rows and counter.count(lin) > TABLE_BUDGET:
-        if len(rows) > 1:
-            rows.pop()
-        elif len(rows[-1]) > 1:
-            rows[-1].pop()
-        else:
-            rows.pop()
-        lin = linearize_table(rows)
+    rows = [[str(c) for c in row] for row in table]
+    row_text = [_CELL_SEP.join(row) for row in rows]
+    full = _ROW_SEP.join(row_text)
+    # the candidates' lengths in drop order: fewer rows, then fewer cells of
+    # the first row, then none
+    cuts = (_part_ends(row_text, _ROW_SEP)[::-1]
+            + _part_ends(rows[0] if rows else [], _CELL_SEP)[-2::-1] + [0])
+    for cut in cuts:
+        lin = full[:cut]
+        if counter.count(lin) <= TABLE_BUDGET:
+            break
     lin = escape_field(lin)
     if counter.count(lin) > TABLE_BUDGET:  # pathological single cell
         lin = counter.truncate(lin, TABLE_BUDGET)

@@ -6,10 +6,13 @@ table, `_STAGE_TABLE`, declares each stage's function, the files it reads
 and writes and the settings it reads; execution, manifests and the in-run
 hand-off all derive from it. Each stage writes a manifest of its input and
 output file hashes and a fingerprint of those settings; a rerun skips the
-stage while that manifest still matches. HTTP tool responses are cached
-under out_dir/cache, so a rerun re-issues only calls it has no response
-for. Failed stages leave their partial output behind with a ".partial"
-suffix.
+stage while that manifest still matches. Build-tasks' manifest also holds
+one such entry per task file, over the files and settings that task reads
+(`_TASKS`), and a rerun rebuilds only the task files whose entry no longer
+matches. Within one `run` each file is hashed at most once. HTTP tool
+responses are cached under out_dir/cache, so a rerun re-issues only calls
+it has no response for. Failed stages leave their partial output behind
+with a ".partial" suffix.
 
 Within one `run`, the records a stage writes (and the dataset examples
 crop reads) also pass in memory to the later stages that read them, so
@@ -385,40 +388,97 @@ def _manifest_key(out_dir: str, path: str) -> str:
     return path if rel.split(os.sep)[0] == os.pardir else rel
 
 
-def _hashes(out_dir: str, paths: list[str]) -> dict[str, str]:
-    return {_manifest_key(out_dir, p): _file_hash(p) for p in paths}
+def _digest(memo: dict, key: str, path: str) -> str:
+    """The sha256 of `path`, read only when `memo` holds none under `key`."""
+    if key not in memo:
+        memo[key] = _file_hash(path)
+    return memo[key]
 
 
-def _stage_fresh(out_dir: str, stage: str, inputs: list[str], fingerprint: str) -> bool:
-    path = _manifest_path(out_dir, stage)
-    if not os.path.exists(path):
-        return False
+def _hashes(out_dir: str, paths: list[str], memo: dict | None = None) -> dict[str, str]:
+    """The sha256 of each of `paths`, by manifest key. `memo` holds the digests
+    already taken, by the same key, and gains the new ones."""
+    memo = {} if memo is None else memo
+    keys = [_manifest_key(out_dir, path) for path in paths]
+    return {key: _digest(memo, key, path) for key, path in zip(keys, paths)}
+
+
+def _input_hashes(out_dir: str, inputs: list[str], memo: dict) -> dict[str, str]:
+    """`_hashes` of the `inputs` that exist: a file no selected task reads may not."""
+    return _hashes(out_dir, [p for p in inputs if os.path.exists(p)], memo)
+
+
+def _forget(out_dir: str, memo: dict, paths: list[str]) -> None:
+    """Drop from `memo` the digests of `paths`, which are about to be rewritten."""
+    for path in paths:
+        memo.pop(_manifest_key(out_dir, path), None)
+
+
+def _read_manifest(out_dir: str, stage: str) -> dict:
+    """`stage`'s manifest, or {} when there is none or it cannot be read."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(_manifest_path(out_dir, stage), "r", encoding="utf-8") as f:
             manifest = json.load(f)
     except (OSError, json.JSONDecodeError):
+        return {}
+    return manifest if isinstance(manifest, dict) else {}
+
+
+def _entry_fresh(out_dir: str, entry, inputs: list[str], fingerprint: str, memo: dict) -> bool:
+    """Whether a manifest entry (a stage's manifest, or a task's entry in
+    build-tasks') still matches: the same fingerprint, the same hashes of the
+    inputs that exist, and every output it lists still there with its hash."""
+    if not isinstance(entry, dict) or entry.get("fingerprint") != fingerprint:
         return False
-    if manifest.get("fingerprint") != fingerprint:
+    if entry.get("inputs") != _input_hashes(out_dir, inputs, memo):
         return False
-    if manifest.get("inputs") != _hashes(out_dir, [p for p in inputs if os.path.exists(p)]):
-        return False
-    for key, digest in manifest.get("outputs", {}).items():
+    for key, digest in entry.get("outputs", {}).items():
         out_path = os.path.join(out_dir, key)
-        if not os.path.exists(out_path) or _file_hash(out_path) != digest:
+        if not os.path.exists(out_path) or \
+                _digest(memo, _manifest_key(out_dir, out_path), out_path) != digest:
             return False
     return True
 
 
+def _stale_tasks(out_dir: str, manifest: dict, tasks: dict, memo: dict) -> list[str]:
+    """The keys of `tasks` ({key: (inputs, fingerprint, outputs)}) whose entry
+    in build-tasks' `manifest`, or whose count, is missing or out of date."""
+    entries, counts = manifest.get("tasks") or {}, manifest.get("counts") or {}
+    return [key for key, (inputs, fingerprint, _) in tasks.items()
+            if key not in counts
+            or not _entry_fresh(out_dir, entries.get(key), inputs, fingerprint, memo)]
+
+
+def _stage_fresh(out_dir: str, stage: str, inputs: list[str], fingerprint: str,
+                 memo: dict | None = None, tasks: dict | None = None) -> bool:
+    """Whether `stage`'s manifest still matches; with `tasks` (build-tasks'
+    task entries, as `_stale_tasks` takes them), each task's entry must too."""
+    memo = {} if memo is None else memo
+    manifest = _read_manifest(out_dir, stage)
+    return (_entry_fresh(out_dir, manifest, inputs, fingerprint, memo)
+            and not (tasks and _stale_tasks(out_dir, manifest, tasks, memo)))
+
+
 def _write_manifest(out_dir: str, stage: str, inputs: list[str], fingerprint: str,
-                    outputs: list[str], counts: dict) -> None:
+                    outputs: list[str], counts: dict, memo: dict | None = None,
+                    tasks: dict | None = None) -> None:
+    """Record `stage`'s manifest; with `tasks`, an entry per task as well."""
+    memo = {} if memo is None else memo
     os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
-    _write_json_atomic(_manifest_path(out_dir, stage), {
+    manifest = {
         "stage": stage,
         "fingerprint": fingerprint,
-        "inputs": _hashes(out_dir, inputs),
-        "outputs": _hashes(out_dir, outputs),
+        "inputs": _input_hashes(out_dir, inputs, memo),
+        "outputs": _hashes(out_dir, outputs, memo),
         "counts": counts,
-    })
+    }
+    if tasks is not None:
+        manifest["tasks"] = {key: {"fingerprint": task_fingerprint,
+                                   "inputs": _input_hashes(out_dir, task_inputs, memo),
+                                   "outputs": _hashes(out_dir, task_outputs, memo)}
+                             for key, (task_inputs, task_fingerprint, task_outputs)
+                             in tasks.items()}
+    _write_json_atomic(_manifest_path(out_dir, stage), manifest)
 
 
 def _write_atomic(path: str, lines) -> None:
@@ -483,7 +543,8 @@ class _Handoff:
     Keyed by file path. A producer puts the records it just wrote; a reader
     takes them instead of parsing the file, and parses it only when no
     earlier stage of the run wrote or read it. An entry is kept only while
-    a later stage of the run lists its file among its inputs.
+    a later stage of the run lists its file among its inputs. The run's
+    file digests travel with it, so each file is hashed at most once.
     """
 
     def __init__(self, config: PipelineConfig, stages: list[str]):
@@ -491,6 +552,9 @@ class _Handoff:
                              for path in _stage_paths(config, stage)[0]}
         self._records = {}
         self.position = 0  # index in `stages` of the stage now running
+        # file digests taken during the run, by manifest key (see `_hashes`);
+        # a writer drops a file's digest before it rewrites the file
+        self.hashes = {}
 
     def put(self, path: str, records) -> None:
         if self._last_reader.get(path, -1) > self.position:
@@ -634,17 +698,24 @@ def _join(path: str, verdicts: list[Verdict], crops: list[QAExample],
 
 
 def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
-    """Write the task files one at a time: a task's records are built, sorted,
-    written and released before the next task starts."""
+    """Rebuild the stale task files, one at a time: a task's records are
+    built, sorted, written and released before the next task starts. A task
+    file is stale when its entry in the manifest no longer matches; only the
+    files the stale tasks read are taken. A fresh task keeps its file and
+    its count."""
     counter = config.make_counter()
     os.makedirs(os.path.join(config.out_dir, "tasks"), exist_ok=True)
-    wanted = dict.fromkeys(config.tasks)
+    manifest = _read_manifest(config.out_dir, "build-tasks")
+    stale = _stale_tasks(config.out_dir, manifest, _task_entries(config), handoff.hashes)
+    reads = {kind for key in stale for kind in _TASKS[key].reads}
 
     # Each file is taken from the hand-off once: the last reader's take pops it.
     inputs = []
     for ds in config.datasets:
-        d = {"examples": handoff.take(ds.path, _read_examples)}
-        if "qra" in wanted:
+        d = {}
+        if "dataset" in reads:
+            d["examples"] = handoff.take(ds.path, _read_examples)
+        if "qra" in stale:
             d["rationales"] = handoff.take(stage_file(config, ds, "rationales"),
                                            _read_rationales)
             d["qra_examples"] = d["examples"]
@@ -654,7 +725,7 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
                                            _read_verdicts)
                               if v.category == "irrelevant"}
                 d["qra_examples"] = [e for e in d["examples"] if e.example_id not in irrelevant]
-        if "qraci" in wanted or "apraci" in wanted:
+        if "categorized" in reads:
             path = stage_file(config, ds, "categorized")
             d["categorized"] = _join(
                 path, handoff.take(path, _read_verdicts),
@@ -664,7 +735,7 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
 
     fold_plan = None
     students = None
-    if "apr" in wanted:
+    if "apr" in stale:
         examples_by_subset = {}
         for ds, d in zip(config.datasets, inputs):
             examples_by_subset.setdefault(ds.subset, []).extend(d["examples"])
@@ -684,13 +755,43 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
     def write_task(key: str) -> int:
         records = [r for d in inputs for r in builders[key](d)]
         records.sort(key=lambda r: (r.example_id, r.decoder_input, r.decoder_output))
-        _write_atomic(task_path(config, key), (serialize_record(r) for r in records))
+        path = task_path(config, key)
+        _forget(config.out_dir, handoff.hashes, [path])
+        _write_atomic(path, (serialize_record(r) for r in records))
         return len(records)
 
-    return {key: write_task(key) for key in wanted}
+    return {key: write_task(key) if key in stale else manifest["counts"][key]
+            for key in dict.fromkeys(config.tasks)}
 
 
-# One row per stage. File kinds are those of `stage_file`, "tasks" standing for the task files.
+# What each task reads: the file kinds of `stage_file` and the settings its
+# entry's fingerprint covers. Build-tasks reads and fingerprints their union.
+@dataclass(frozen=True)
+class _Task:
+    reads: tuple[str, ...]
+    settings: tuple[str, ...]
+    whole_image: tuple[str, ...] = ()  # reads counted only with filter_whole_image
+
+
+_CROP_TASK = _Task(("categorized", "crops", "crop_rationales"), ("counter",))
+_EXAMPLE_TASK = _Task(("dataset",), ("counter",))
+_TASKS = {
+    "qra": _Task(("dataset", "rationales", "whole_categorized"),
+                 ("counter", "filter_whole_image"), whole_image=("whole_categorized",)),
+    "apr": _Task(("dataset",), ("seed", "counter", "mock_seed")),
+    "qraci": _CROP_TASK,
+    "apraci": _CROP_TASK,
+    "qid": _EXAMPLE_TASK,
+    "ans-only": _EXAMPLE_TASK,
+}
+
+
+def _union(attr: str) -> tuple[str, ...]:
+    """The items of field `attr` over every `_TASKS` row, in order, each once."""
+    return tuple(dict.fromkeys(item for task in _TASKS.values() for item in getattr(task, attr)))
+
+
+# One row per stage. File kinds are those of `stage_file`.
 @dataclass(frozen=True)
 class _Stage:
     fn: object
@@ -714,11 +815,9 @@ _STAGE_TABLE = {
         reads=("crops", "scores", "dataset", "whole_scores"),
         writes=("categorized", "balance", "whole_categorized"),
         whole_image=("dataset", "whole_scores", "whole_categorized")),
-    "build-tasks": _Stage(
-        stage_build_tasks, ("seed", "counter", "tasks", "mock_seed", "filter_whole_image"),
-        reads=("dataset", "rationales", "categorized", "crops", "crop_rationales",
-               "whole_categorized"),
-        writes=("tasks",), whole_image=("whole_categorized",)),
+    # the task files are the outputs of the task entries (`_task_entries`)
+    "build-tasks": _Stage(stage_build_tasks, ("tasks", *_union("settings")),
+                          reads=_union("reads"), writes=(), whole_image=_union("whole_image")),
 }
 _STAGE_FNS = {name: stage.fn for name, stage in _STAGE_TABLE.items()}
 STAGES = tuple(_STAGE_TABLE)
@@ -734,28 +833,36 @@ _SETTINGS = {
 }
 
 
-def _fingerprint(config: PipelineConfig, stage: str) -> str:
-    """Hash of the settings `stage` reads, and of nothing else. Dataset
-    paths are left out: the manifest lists them with their hashes."""
+def _fingerprint(config: PipelineConfig, stage: str, task: str | None = None) -> str:
+    """Hash of the settings `stage` reads (with `task`, the settings that
+    build-tasks task reads), and of nothing else. Dataset paths are left
+    out: the manifest lists them with their hashes."""
+    row = _TASKS[task] if task else _STAGE_TABLE[stage]
     settings = {name: _SETTINGS[name](config) if name in _SETTINGS else getattr(config, name)
-                for name in _STAGE_TABLE[stage].settings}
+                for name in row.settings}
     settings["datasets"] = [{"name": d.name, "flow": d.flow, "subset": d.subset}
                             for d in config.datasets]
     return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
 
 
-def _paths(config: PipelineConfig, stage: _Stage, kinds) -> list[str]:
-    """Paths of the files of `kinds` that `stage` reads or writes under `config`."""
-    return [path for kind in kinds
-            if config.filter_whole_image or kind not in stage.whole_image
-            for path in ([task_path(config, key) for key in config.tasks] if kind == "tasks"
-                         else [stage_file(config, ds, kind) for ds in config.datasets])]
+def _paths(config: PipelineConfig, row: _Stage | _Task, kinds) -> list[str]:
+    """Paths of the files of `kinds` that the stage or task `row` reads or writes under `config`."""
+    return [stage_file(config, ds, kind) for kind in kinds
+            if config.filter_whole_image or kind not in row.whole_image
+            for ds in config.datasets]
 
 
 def _stage_paths(config: PipelineConfig, stage: str) -> tuple[list[str], list[str]]:
     """(input paths, output paths) of `stage`, for its manifest."""
     row = _STAGE_TABLE[stage]
     return _paths(config, row, row.reads), _paths(config, row, row.writes)
+
+
+def _task_entries(config: PipelineConfig) -> dict:
+    """Build-tasks' entry for each task of `config`: (input paths, fingerprint, output paths)."""
+    return {key: (_paths(config, _TASKS[key], _TASKS[key].reads),
+                  _fingerprint(config, "build-tasks", key), [task_path(config, key)])
+            for key in dict.fromkeys(config.tasks)}
 
 
 def run(config: PipelineConfig, stages: list[str] | None = None,
@@ -781,7 +888,8 @@ def run(config: PipelineConfig, stages: list[str] | None = None,
             fingerprint = _fingerprint(config, stage)
         except OSError as e:
             raise StageFailure(stage, e) from e
-        if _stage_fresh(config.out_dir, stage, inputs, fingerprint):
+        tasks = _task_entries(config) if stage == "build-tasks" else None
+        if _stage_fresh(config.out_dir, stage, inputs, fingerprint, handoff.hashes, tasks):
             log.info("stage %s: up to date, skipping", stage)
             summary[stage] = "skipped"
             if progress:
@@ -789,13 +897,15 @@ def run(config: PipelineConfig, stages: list[str] | None = None,
             continue
         log.info("stage %s: running", stage)
         handoff.position = position
+        _forget(config.out_dir, handoff.hashes, outputs)
         try:
             counts = _STAGE_FNS[stage](config, handoff)
         except StageFailure:
             raise
         except Exception as e:
             raise StageFailure(stage, e) from e
-        _write_manifest(config.out_dir, stage, inputs, fingerprint, outputs, counts)
+        _write_manifest(config.out_dir, stage, inputs, fingerprint, outputs, counts,
+                        handoff.hashes, tasks)
         summary[stage] = counts
         if progress:
             progress(stage, counts)

@@ -282,8 +282,18 @@ def url_problem(url) -> str | None:
         return f"{url!r} is not a URL ({e})"
     if parts.scheme not in ("http", "https"):
         return f"{url!r} is not an http or https URL"
-    if not parts.hostname:
+    host = parts.hostname
+    if not host:
         return f"{url!r} names no host"
+    if any(c.isspace() for c in host):
+        return f"{url!r} names a host holding whitespace"
+    if ":" not in host:     # an IPv6 literal has no IDNA form to check
+        try:
+            labels = host.encode("idna").decode("ascii").removesuffix(".").split(".")
+        except UnicodeError:
+            labels = [""]
+        if not all(labels):
+            return f"{url!r} names a host that is no IDNA host name"
     return None
 
 

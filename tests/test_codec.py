@@ -1,10 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rdistill.codec import (ANSWER_BUDGET, CharBlockCounter, EmptyAnswer,
                             NoAnswerMarker, PREFIX_BUDGET, PROGRAM_BUDGET,
                             SEP_ANSWER, TABLE_BUDGET, WordCounter,
-                            encode_program_rationale, encode_target,
+                            encode_program_rationale, encode_target, escape_field,
                             linearize_table, parse_target)
 
 WORD = WordCounter()
@@ -148,3 +148,49 @@ def test_counter_truncate_contract(text, budget):
 
 def test_linearize_table_basic():
     assert linearize_table([["a", "b"], ["c"]]) == "a | b \n c"
+
+
+def naive_encode_program_rationale(table, program_source, counter):
+    """The table trim as first written: relinearize the table after each drop."""
+    rows = [list(r) for r in table]
+    lin = linearize_table(rows)
+    while rows and counter.count(lin) > TABLE_BUDGET:
+        if len(rows) > 1:
+            rows.pop()
+        elif len(rows[-1]) > 1:
+            rows[-1].pop()
+        else:
+            rows.pop()
+        lin = linearize_table(rows)
+    lin = escape_field(lin)
+    if counter.count(lin) > TABLE_BUDGET:
+        lin = counter.truncate(lin, TABLE_BUDGET)
+    prog = escape_field(program_source)
+    if counter.count(prog) > PROGRAM_BUDGET:
+        prog = counter.truncate(prog, PROGRAM_BUDGET)
+    return f"{lin} <program> {prog}" if lin else f"<program> {prog}"
+
+
+wide_cell = st.integers(0, 40).map(lambda n: " ".join(["w"] * n))
+any_cell = st.one_of(
+    st.text(max_size=12),
+    st.integers(-10**6, 10**6),
+    st.sampled_from(["", " ", "\n", "\t ", "<program>", "<s>", "<answer>", "a <s> b",
+                     "x | y", "⟨s⟩"]),
+    wide_cell,
+)
+
+
+@pytest.mark.parametrize("counter", [WORD, CHAR4], ids=["word", "char4"])
+@settings(max_examples=300)
+@given(table=st.one_of(st.lists(st.lists(any_cell, max_size=10), max_size=60),
+                       # one or two rows wide enough to reach the cell-drop phase
+                       st.lists(st.lists(wide_cell, min_size=1, max_size=10),
+                                min_size=1, max_size=2)),
+       program=st.one_of(st.text(max_size=40),
+                         st.text(alphabet="Add(1, 2) <program>", min_size=100, max_size=600)))
+@example(table=[[" ".join(["w"] * 30), " ".join(["w"] * 40)]], program="Add(1, 2)")
+@example(table=[["a" * 200, "b" * 100, "c"]], program="Add(1, 2)")
+def test_program_trim_matches_the_relinearizing_reference(counter, table, program):
+    assert encode_program_rationale(table, program, counter) \
+        == naive_encode_program_rationale(table, program, counter)

@@ -18,7 +18,7 @@ import unittest.mock
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rdistill import cli, fixtures, pipeline, tools
 from rdistill.codec import CharBlockCounter, WordCounter
@@ -635,6 +635,168 @@ class TestInRunHandoff:
         assert stages_run(run(config)) == ALL_STAGES
 
 
+def task_stamps(config):
+    """(inode, mtime) of each task file, by task key: a rewrite changes them."""
+    stamps = {}
+    for key in pipeline.TASK_NAMES:
+        with contextlib.suppress(FileNotFoundError):
+            st = os.stat(pipeline.task_path(config, key))
+            stamps[key] = (st.st_ino, st.st_mtime_ns)
+    return stamps
+
+
+def rewritten(before, after):
+    """The task keys whose file was written between two `task_stamps`."""
+    return {key for key, stamp in after.items() if before.get(key) != stamp}
+
+
+ALL_TASKS = set(pipeline.TASK_NAMES)
+
+
+class TestPerTaskFreshness:
+    """Build-tasks keeps one manifest entry per task file and rebuilds only the stale ones."""
+
+    @pytest.mark.parametrize("whole_image,moved", [(False, False), (True, False), (False, True)],
+                             ids=["crops", "whole-image", "moved"])
+    def test_a_lambda_switch_rewrites_only_what_lambda_reaches(self, tmp_path, parses,
+                                                              whole_image, moved):
+        config = default_mock_config(str(tmp_path / "a"), seed=0)
+        config.filter_whole_image = whole_image
+        run(config)
+        if moved:
+            shutil.copytree(tmp_path / "a", tmp_path / "b")
+            config = default_mock_config(str(tmp_path / "b"), seed=0)
+            assert stages_run(run(config)) == set()
+        before = task_stamps(config)
+        parses.clear()
+        config.filter = FilterConfig(boost_factor=10.0)  # changes whole-image verdicts too
+        assert stages_run(run(config)) == {"filter", "build-tasks"}
+        reached = {"qraci", "apraci"} | ({"qra"} if whole_image else set())
+        assert rewritten(before, task_stamps(config)) == reached
+        # filter parses the crops, for their gold answers (and the dataset,
+        # with filter_whole_image); build-tasks takes them from it and parses
+        # only the crop rationales (and the whole-image ones, for QRA)
+        whole = MOCK_EXAMPLES if whole_image else 0
+        assert parses == {"parse_example": FIRST_RECORDS + MOCK_CROPS + whole,
+                          "_parse_rationale_line": MOCK_CROPS + whole}
+        cold = default_mock_config(str(tmp_path / "cold"), seed=0)
+        cold.filter_whole_image, cold.filter = whole_image, config.filter
+        run(cold)
+        assert tree_hashes(config.out_dir) == tree_hashes(cold.out_dir)
+
+    def test_adding_a_task_builds_only_its_file(self, tmp_path, parses):
+        config = default_mock_config(str(tmp_path / "add"), seed=0)
+        config.tasks = ("qra", "apr", "qraci", "apraci", "ans-only")
+        run(config)
+        before = task_stamps(config)
+        parses.clear()
+        config.tasks += ("qid",)
+        assert stages_run(run(config)) == {"build-tasks"}
+        assert rewritten(before, task_stamps(config)) == {"qid"}
+        assert parses == {"parse_example": FIRST_RECORDS + MOCK_EXAMPLES}
+        assert stages_run(run(config)) == set()
+
+    @pytest.mark.parametrize("switch", [False, True], ids=["cold", "lambda-switch"])
+    def test_a_run_hashes_each_file_at_most_once(self, tmp_path, monkeypatch, switch):
+        config = default_mock_config(str(tmp_path / "hashed"), seed=0)
+        if switch:
+            run(config)
+            config.filter = FilterConfig(boost_factor=3.0)
+        hashed = collections.Counter()
+        file_hash = pipeline._file_hash
+
+        def counting(path):
+            hashed[os.path.normpath(path)] += 1
+            return file_hash(path)
+
+        monkeypatch.setattr(pipeline, "_file_hash", counting)
+        run(config)
+        assert hashed and max(hashed.values()) == 1
+
+    def test_tasks_that_read_no_stage_file_build_after_crop_alone(self, tmp_path):
+        # build-tasks lists every file a task may read; those no selected
+        # task reads need not exist
+        config = default_mock_config(str(tmp_path / "early"), seed=0)
+        config.tasks = ("qid", "ans-only")
+        run(config, ["crop"])
+        assert stages_run(run(config, ["build-tasks"])) == {"build-tasks"}
+        assert sorted(os.listdir(os.path.join(config.out_dir, "tasks"))) \
+            == ["ANS_ONLY.jsonl", "QID.jsonl"]
+        assert stages_run(run(config, ["build-tasks"])) == set()
+
+    @pytest.mark.parametrize("change", ["delete", "edit"])
+    def test_a_deleted_or_edited_task_file_is_the_only_one_rebuilt(self, tmp_path, change):
+        config = default_mock_config(str(tmp_path / "one"), seed=0)
+        run(config)
+        files = tree_files(config.out_dir)
+        before = task_stamps(config)
+        path = pipeline.task_path(config, "apr")
+        if change == "delete":
+            os.remove(path)
+        else:
+            with open(path, "a", encoding="utf-8") as f:
+                f.write("{}\n")
+        assert stages_run(run(config)) == {"build-tasks"}
+        assert rewritten(before, task_stamps(config)) == {"apr"}
+        assert tree_files(config.out_dir) == files
+
+    @pytest.mark.parametrize("whole_image", [False, True], ids=["crops", "whole-image"])
+    def test_a_manifest_without_task_entries_rebuilds_every_task_once(self, tmp_path,
+                                                                      whole_image):
+        # a tree written before build-tasks kept an entry per task: one
+        # fingerprint for the stage, the task files among its outputs
+        config = default_mock_config(str(tmp_path / "earlier"), seed=0)
+        config.filter_whole_image = whole_image
+        run(config)
+        files = tree_files(config.out_dir)
+        inputs, _ = pipeline._stage_paths(config, "build-tasks")
+        with open(pipeline._manifest_path(config.out_dir, "build-tasks")) as f:
+            counts = json.load(f)["counts"]
+        pipeline._write_manifest(config.out_dir, "build-tasks", inputs,
+                                 pipeline._fingerprint(config, "build-tasks"),
+                                 [pipeline.task_path(config, key) for key in config.tasks],
+                                 counts)
+        before = task_stamps(config)
+        assert stages_run(run(config)) == {"build-tasks"}
+        assert rewritten(before, task_stamps(config)) == ALL_TASKS
+        assert tree_files(config.out_dir) == files
+        assert stages_run(run(config)) == set()
+
+    @settings(max_examples=25, deadline=None)
+    @given(changes=st.lists(st.one_of(
+        st.tuples(st.just("boost_factor"), st.sampled_from([1.5, 2.0, 3.0])),
+        st.tuples(st.just("space"), st.sampled_from(["log", "probability"])),
+        st.tuples(st.just("counter"), st.sampled_from(["word", "char4"])),
+        st.tuples(st.just("tasks"), st.lists(st.sampled_from(sorted(ALL_TASKS)), min_size=1,
+                                             unique=True).map(tuple)),
+        st.tuples(st.just("filter_whole_image"), st.booleans()),
+        st.tuples(st.just("seed"), st.integers(0, 2))), min_size=1, max_size=4))
+    def test_incremental_runs_match_a_cold_build(self, tmp_path_factory, changes):
+        # every file of a cold build at the final settings, manifests
+        # included, is in the incremental tree with the same bytes; files of
+        # a dropped task or of filter_whole_image stay behind
+        root = tmp_path_factory.mktemp("incremental")
+
+        def change(config, setting, value):
+            if setting in ("boost_factor", "space"):
+                config.filter = dataclasses.replace(config.filter, **{setting: value})
+            else:
+                setattr(config, setting, value)
+
+        incremental = default_mock_config(str(root / "incremental"), seed=0)
+        run(incremental)
+        for setting, value in changes:
+            change(incremental, setting, value)
+            run(incremental)
+        cold = default_mock_config(str(root / "cold"), seed=0)
+        for setting, value in changes:
+            change(cold, setting, value)
+        run(cold)
+        cold_files, incremental_files = tree_files(cold.out_dir), tree_files(incremental.out_dir)
+        assert {name: incremental_files.get(name) for name in cold_files} == cold_files
+        assert stages_run(run(incremental)) == set()
+
+
 # Fingerprints that trees already written carry in their manifests: changing
 # one makes every such tree rerun that stage.
 PINNED_FINGERPRINTS = {
@@ -759,8 +921,8 @@ class TestStageTable:
                                                           whole_image):
         # no scores files and the earlier fingerprints: generate-rationales
         # replays its cached responses to score the crops, filter rewrites
-        # the same verdicts, and build-tasks, whose inputs keep their bytes,
-        # stays up to date
+        # the same verdicts, and build-tasks, whose manifest holds no task
+        # entries yet, rewrites the same task files once
         url, handler = counting_server
         config = http_run_config(str(tmp_path / "earlier"), url, concurrency=2)
         config.filter_whole_image = whole_image
@@ -773,7 +935,7 @@ class TestStageTable:
         for stage in pipeline.STAGES:
             write_earlier_manifest(config, stage)
         calls = handler.calls
-        assert stages_run(run(config)) == {"generate-rationales", "filter"}
+        assert stages_run(run(config)) == {"generate-rationales", "filter", "build-tasks"}
         assert handler.calls == calls
         assert tree_files(config.out_dir) == files
         assert stages_run(run(config)) == set()
@@ -1465,7 +1627,8 @@ class TestCli:
         assert not os.path.exists(out_dir)
 
     @pytest.mark.parametrize("url", ["localhost:9000/s", "ftp://tools.example/s",
-                                     "http:///s", "http://tools.example:port/s", 9000])
+                                     "http:///s", "http://tools.example:port/s", 9000,
+                                     "http://a b/s", "https://…"])
     def test_validate_rejects_an_endpoint_url_it_cannot_call(self, tmp_path, url):
         data = tmp_path / "docs.jsonl"
         write_lines(data, (serialize_example(e) for e in fixtures.make_doc_examples()))

@@ -478,7 +478,8 @@ class TestKeptAliveConnections:
 
 
 @pytest.mark.parametrize("url", ["localhost:9000/s", "ftp://host/s", "http:///s",
-                                 "http://host:port/s", "http://[::1/s", 9000])
+                                 "http://host:port/s", "http://[::1/s", 9000, "http://a b/s",
+                                 "https://…", "http://a..b/s", "http://.host/s"])
 def test_endpoint_rejects_a_url_it_cannot_call(url):
     assert url_problem(url)
     with pytest.raises(ValueError):
@@ -486,7 +487,8 @@ def test_endpoint_rejects_a_url_it_cannot_call(url):
 
 
 @pytest.mark.parametrize("url", ["http://127.0.0.1:9/s", "https://tools.example/v1?k=1",
-                                 "http://[::1]:8080/"])
+                                 "http://[::1]:8080/", "http://127.0.0.1:53121/verifier",
+                                 "http://localhost./s", "http://bücher.example/s"])
 def test_endpoint_accepts_http_and_https_urls(url):
     assert url_problem(url) is None
     HttpEndpoint(url)
