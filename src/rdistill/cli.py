@@ -13,7 +13,8 @@ import sys
 import click
 
 from . import cropping, dsl, inference, pipeline
-from .records import (TASK_NAMES, ScoredHypothesis, parse_example, read_lines,
+from .records import (TASK_NAMES, MalformedRecord, ScoredHypothesis, _dumps,
+                      numbered_lines, parse_example, parse_hypothesis, parse_prediction,
                       serialize_example, write_lines)
 
 log = logging.getLogger(__name__)
@@ -163,21 +164,22 @@ def build_tasks_cmd(tasks, **options):
 def vote_cmd(hypotheses_file, output, calculator):
     """Aggregate beam hypotheses per example into final answers.
 
-    Input lines: {"example_id":..., "decoded":..., "prob":...}
+    Input lines: {"example_id":..., "decoded":..., "prob":...}. A line that
+    is not one, or whose prob is not > 0, is skipped with a warning.
     """
     by_example: dict[str, list[ScoredHypothesis]] = {}
-    order: list[str] = []
-    for line in read_lines(hypotheses_file):
-        obj = json.loads(line)
-        if obj["example_id"] not in by_example:
-            order.append(obj["example_id"])
-        by_example.setdefault(obj["example_id"], []).append(
-            ScoredHypothesis(decoded=obj["decoded"], prob=obj["prob"]))
+    for line_no, line in numbered_lines(hypotheses_file):
+        try:
+            example_id, hyp = parse_hypothesis(line, line_no)
+        except MalformedRecord as e:
+            log.warning("skipping %s %s", hypotheses_file, e)
+            continue
+        by_example.setdefault(example_id, []).append(hyp)
 
     lines = []
-    for example_id in order:
+    for example_id, hyps in by_example.items():
         try:
-            result = inference.vote(by_example[example_id])
+            result = inference.vote(hyps)
         except inference.AllNone:
             log.warning("example %s: every hypothesis answered None", example_id)
             answer, prob = "None", 0.0
@@ -185,14 +187,18 @@ def vote_cmd(hypotheses_file, output, calculator):
             answer, prob = result.answer, result.aggregate_prob
             if calculator:
                 answer = inference.apply_calculator(result.beam.decoded, answer)
-        lines.append(json.dumps({"example_id": example_id, "answer": answer,
-                                 "aggregate_prob": prob},
-                                ensure_ascii=False, separators=(",", ":")))
+        lines.append(_dumps({"example_id": example_id, "answer": answer,
+                             "aggregate_prob": prob}))
     if output == "-":
         for line in lines:
             click.echo(line)
     else:
         write_lines(output, lines)
+
+
+def _eval_error(message: str):
+    click.echo(f"eval error: {message}", err=True)
+    sys.exit(EXIT_VALIDATION_FAILURE)
 
 
 @main.command(name="eval")
@@ -204,16 +210,38 @@ def eval_cmd(predictions_file, gold_file, metric, output):
     """Score predictions against gold examples.
 
     Predictions: {"example_id":..., "answer":...} lines; gold: example records.
+    Each gold example needs exactly one prediction; a prediction for an
+    unknown example is skipped with a warning. A malformed line, a second
+    prediction or gold record for an example, or a gold example without a
+    prediction exits 2.
     """
-    gold = {ex.example_id: ex.gold_answers
-            for ex in (parse_example(line) for line in read_lines(gold_file))}
-    pairs = []
-    for line in read_lines(predictions_file):
-        obj = json.loads(line)
-        if obj["example_id"] not in gold:
-            log.warning("prediction for unknown example %s", obj["example_id"])
+    gold = {}
+    for line_no, line in numbered_lines(gold_file):
+        try:
+            ex = parse_example(line, line_no)
+        except MalformedRecord as e:
+            _eval_error(f"{gold_file} {e}")
+        if ex.example_id in gold:
+            _eval_error(f"{gold_file} line {line_no}: second gold example {ex.example_id!r}")
+        gold[ex.example_id] = ex.gold_answers
+    pairs, predicted = [], set()
+    for line_no, line in numbered_lines(predictions_file):
+        try:
+            example_id, answer = parse_prediction(line, line_no)
+        except MalformedRecord as e:
+            _eval_error(f"{predictions_file} {e}")
+        if example_id not in gold:
+            log.warning("prediction for unknown example %s", example_id)
             continue
-        pairs.append((obj["answer"], gold[obj["example_id"]]))
+        if example_id in predicted:
+            _eval_error(f"{predictions_file} line {line_no}: second prediction for "
+                        f"example {example_id!r}")
+        predicted.add(example_id)
+        pairs.append((answer, gold[example_id]))
+    missing = [example_id for example_id in gold if example_id not in predicted]
+    if missing:
+        _eval_error(f"{len(missing)} gold example(s) have no prediction, first "
+                    + ", ".join(map(repr, missing[:3])))
     report = inference.score_predictions(metric.upper(), pairs)
     text = json.dumps(report.to_json(), indent=2)
     if output == "-":

@@ -101,6 +101,8 @@ def escape_field(text: str, keep_program: bool = False) -> str:
 
 
 def unescape_field(text: str) -> str:
+    if "⟨" not in text:  # every escape starts with it
+        return text
     for sep, esc in _ESCAPES:
         text = text.replace(esc, sep)
     return text
@@ -193,21 +195,27 @@ def encode_program_rationale(table, program_source: str,
     return f"{SEP_PROGRAM} {prog}"
 
 
-def parse_target(decoded: str) -> DecodedTarget:
-    """Split on the LAST <answer> and the FIRST <s>; missing <s> means
-    no rationale. An answer of "None" maps to the None sentinel."""
+def parse_answer(decoded: str) -> str:
+    """The answer of a decoded sequence: the text after the LAST <answer>,
+    unescaped. An answer of "None" maps to the None sentinel."""
     idx = decoded.rfind(SEP_ANSWER)
     if idx < 0:
         raise NoAnswerMarker(f"no {SEP_ANSWER!r} in {decoded!r}")
     answer = decoded[idx + len(SEP_ANSWER):].strip()
     if not answer:
         raise EmptyAnswer(f"empty answer in {decoded!r}")
-    before = decoded[:idx]
+    return NONE_SENTINEL if is_none_answer(answer) else unescape_field(answer)
+
+
+def parse_target(decoded: str) -> DecodedTarget:
+    """Split on the LAST <answer> and the FIRST <s>; missing <s> means
+    no rationale. The answer is `parse_answer`'s."""
+    answer = parse_answer(decoded)
+    before = decoded[:decoded.rfind(SEP_ANSWER)]
     s_idx = before.find(SEP_RATIONALE)
     if s_idx < 0:
         question, rationale = before.strip(), None
     else:
         question = before[:s_idx].strip()
         rationale = unescape_field(before[s_idx + len(SEP_RATIONALE):].strip())
-    answer = NONE_SENTINEL if is_none_answer(answer) else unescape_field(answer)
     return DecodedTarget(question=unescape_field(question), rationale=rationale, answer=answer)

@@ -5,7 +5,9 @@ picks the best non-None answer. The calculator executes a program found
 in a decoded rationale and substitutes its result for the model answer,
 falling back to the model prediction for Find or invalid programs.
 Metrics: ANLS (threshold 0.5, max over golds) and relaxed accuracy
-(5% numeric tolerance, else case-insensitive exact match).
+(5% numeric tolerance, else case-insensitive exact match). ANLS's edit
+distance is Myers' (1999) bit-parallel algorithm in Hyyrö's (2003)
+Levenshtein form, over Python ints, so it has no length limit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import dsl
-from .codec import SEP_ANSWER, SEP_PROGRAM, parse_target
+from .codec import SEP_ANSWER, SEP_PROGRAM, parse_answer
 from .records import ScoredHypothesis
 
 log = logging.getLogger(__name__)
@@ -37,6 +39,7 @@ class VoteResult:
 def vote(hypotheses: Sequence[ScoredHypothesis]) -> VoteResult:
     """Sum probabilities per distinct answer; argmax over non-None answers.
 
+    Only each hypothesis's answer is parsed (`codec.parse_answer`).
     Unparseable hypotheses are skipped with a warning. Ties break by
     first occurrence in beam order, both between answers and between the
     beams of the winning answer.
@@ -46,11 +49,10 @@ def vote(hypotheses: Sequence[ScoredHypothesis]) -> VoteResult:
     top_beam: dict[str, ScoredHypothesis] = {}
     for i, hyp in enumerate(hypotheses):
         try:
-            target = parse_target(hyp.decoded)
+            key = parse_answer(hyp.decoded)
         except ValueError as e:
             log.warning("skipping unparseable hypothesis %d: %s", i, e)
             continue
-        key = target.answer.strip()
         tally[key] = tally.get(key, 0.0) + hyp.prob
         order.setdefault(key, i)
         if key not in top_beam or hyp.prob > top_beam[key].prob:
@@ -99,18 +101,38 @@ def apply_calculator(decoded: str, fallback_answer: str) -> str:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance, single-row DP."""
+    """Edit distance (unit-cost insert, delete, substitute), bit-parallel.
+
+    Myers (1999) in Hyyrö's (2003) form: bit i of each vector stands for
+    row i+1 of the DP column over the shorter string, and `pv`/`mv` mark
+    where that column steps up or down by one. One pass over the longer
+    string updates a whole column in a few integer operations; `score`
+    follows the last row, which ends at the distance.
+    """
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        row = [i]
-        for j, cb in enumerate(b, start=1):
-            row.append(min(prev[j] + 1, row[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = row
-    return prev[-1]
+    peq: dict[str, int] = {}  # character -> bits of its positions in b
+    for i, c in enumerate(b):
+        peq[c] = peq.get(c, 0) | 1 << i
+    mask = (1 << len(b)) - 1
+    last = 1 << (len(b) - 1)
+    pv, mv, score = mask, 0, len(b)
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = ph << 1 | 1  # row 0 steps up by one per column
+        pv = (mh << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def anls(pred: str, golds: Sequence[str], tau: float = 0.5) -> float:

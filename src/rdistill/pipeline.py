@@ -45,14 +45,15 @@ import logging
 import os
 import re
 import reprlib
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 from . import cropping, filtering, fixtures, tasks, tools
 from .codec import CharBlockCounter, WordCounter
 from .records import (TASK_NAMES, CategorizedExample, MalformedRecord, QAExample,
-                      Rationale, Verdict, VerifierScores, _dumps, parse_categorized,
-                      parse_example, parse_scores, read_lines, serialize_categorized,
-                      serialize_example, serialize_record, serialize_scores, write_lines)
+                      Rationale, Verdict, VerifierScores, _dumps, numbered_lines,
+                      parse_categorized, parse_example, parse_scores, read_lines,
+                      serialize_categorized, serialize_example, serialize_record,
+                      serialize_scores, write_lines)
 
 log = logging.getLogger(__name__)
 
@@ -255,13 +256,13 @@ def validate(config: PipelineConfig, stages: list[str] | None = None,
              read_datasets: bool = True) -> list[str]:
     """Diagnostics of a run of `stages` (all stages if None); `run` raises
     them as a ConfigError. The stage names and the datasets are always
-    checked, any other setting only when the `_STAGE_TABLE` row of a
-    selected stage lists it. Checks that read the dataset files are left
+    checked, any other setting only when the row (`_row`) of a selected
+    stage lists it. Checks that read the dataset files are left
     out unless `read_datasets`. A null or empty endpoint URL counts as none."""
     diags = [f"unknown stage {s!r}; known stages: {', '.join(STAGES)}"
              for s in stages or () if s not in STAGES]
     reads = {setting for stage in STAGES if stages is None or stage in stages
-             for setting in _STAGE_TABLE[stage].settings}
+             for setting in _row(config, stage).settings}
     if not config.datasets:
         diags.append("no datasets configured")
     names = [ds.name for ds in config.datasets]
@@ -526,15 +527,15 @@ def _read_rationales(path: str) -> dict[str, Rationale]:
 
 
 def _read_examples(path: str) -> list[QAExample]:
-    return [parse_example(line, i + 1) for i, line in enumerate(read_lines(path))]
+    return [parse_example(line, line_no) for line_no, line in numbered_lines(path)]
 
 
 def _read_verdicts(path: str) -> list[Verdict]:
-    return [parse_categorized(line, i + 1) for i, line in enumerate(read_lines(path))]
+    return [parse_categorized(line, line_no) for line_no, line in numbered_lines(path)]
 
 
 def _read_scores(path: str) -> list[tuple[str, VerifierScores]]:
-    return [parse_scores(line, i + 1) for i, line in enumerate(read_lines(path))]
+    return [parse_scores(line, line_no) for line_no, line in numbered_lines(path)]
 
 
 class _Handoff:
@@ -765,7 +766,8 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
 
 
 # What each task reads: the file kinds of `stage_file` and the settings its
-# entry's fingerprint covers. Build-tasks reads and fingerprints their union.
+# entry's fingerprint covers. Build-tasks reads and fingerprints their union
+# over the tasks of the config (`_row`).
 @dataclass(frozen=True)
 class _Task:
     reads: tuple[str, ...]
@@ -786,9 +788,10 @@ _TASKS = {
 }
 
 
-def _union(attr: str) -> tuple[str, ...]:
-    """The items of field `attr` over every `_TASKS` row, in order, each once."""
-    return tuple(dict.fromkeys(item for task in _TASKS.values() for item in getattr(task, attr)))
+def _union(keys, attr: str) -> tuple[str, ...]:
+    """The items of field `attr` over the `_TASKS` rows of `keys`, in order, each once."""
+    return tuple(dict.fromkeys(item for key in keys if key in _TASKS
+                               for item in getattr(_TASKS[key], attr)))
 
 
 # One row per stage. File kinds are those of `stage_file`.
@@ -815,9 +818,9 @@ _STAGE_TABLE = {
         reads=("crops", "scores", "dataset", "whole_scores"),
         writes=("categorized", "balance", "whole_categorized"),
         whole_image=("dataset", "whole_scores", "whole_categorized")),
-    # the task files are the outputs of the task entries (`_task_entries`)
-    "build-tasks": _Stage(stage_build_tasks, ("tasks", *_union("settings")),
-                          reads=_union("reads"), writes=(), whole_image=_union("whole_image")),
+    # the task files are the outputs of the task entries (`_task_entries`);
+    # what it reads and fingerprints is that of the config's tasks (`_row`)
+    "build-tasks": _Stage(stage_build_tasks, ("tasks",), reads=(), writes=()),
 }
 _STAGE_FNS = {name: stage.fn for name, stage in _STAGE_TABLE.items()}
 STAGES = tuple(_STAGE_TABLE)
@@ -833,11 +836,22 @@ _SETTINGS = {
 }
 
 
+def _row(config: PipelineConfig, stage: str) -> _Stage:
+    """`stage`'s row under `config`: build-tasks' adds the reads and settings
+    of the tasks `config` selects, and of no other task."""
+    row = _STAGE_TABLE[stage]
+    if stage != "build-tasks":
+        return row
+    return replace(row, settings=row.settings + _union(config.tasks, "settings"),
+                   reads=_union(config.tasks, "reads"),
+                   whole_image=_union(config.tasks, "whole_image"))
+
+
 def _fingerprint(config: PipelineConfig, stage: str, task: str | None = None) -> str:
     """Hash of the settings `stage` reads (with `task`, the settings that
     build-tasks task reads), and of nothing else. Dataset paths are left
     out: the manifest lists them with their hashes."""
-    row = _TASKS[task] if task else _STAGE_TABLE[stage]
+    row = _TASKS[task] if task else _row(config, stage)
     settings = {name: _SETTINGS[name](config) if name in _SETTINGS else getattr(config, name)
                 for name in row.settings}
     settings["datasets"] = [{"name": d.name, "flow": d.flow, "subset": d.subset}
@@ -854,7 +868,7 @@ def _paths(config: PipelineConfig, row: _Stage | _Task, kinds) -> list[str]:
 
 def _stage_paths(config: PipelineConfig, stage: str) -> tuple[list[str], list[str]]:
     """(input paths, output paths) of `stage`, for its manifest."""
-    row = _STAGE_TABLE[stage]
+    row = _row(config, stage)
     return _paths(config, row, row.reads), _paths(config, row, row.writes)
 
 

@@ -433,6 +433,38 @@ def parse_scores(line: str, line_no: int = 0) -> tuple[str, VerifierScores]:
         raise MalformedRecord(str(e), line_no) from e
 
 
+def _line_error(e: Exception, line_no: int) -> MalformedRecord:
+    if isinstance(e, KeyError):
+        return MalformedRecord(f"missing field {e}", line_no)
+    if isinstance(e, json.JSONDecodeError):
+        return MalformedRecord(f"not JSON ({e})", line_no)
+    return MalformedRecord(str(e), line_no)
+
+
+def parse_hypothesis(line: str, line_no: int = 0) -> tuple[str, ScoredHypothesis]:
+    """A beam line, {"example_id", "decoded", "prob"}: its example_id and hypothesis."""
+    try:
+        obj = json.loads(line)
+        example_id, decoded = obj["example_id"], obj["decoded"]
+        if not (isinstance(example_id, str) and isinstance(decoded, str)):
+            raise TypeError("example_id and decoded must be strings")
+        return example_id, ScoredHypothesis(decoded=decoded, prob=obj["prob"])
+    except (ValueError, KeyError, TypeError) as e:
+        raise _line_error(e, line_no) from e
+
+
+def parse_prediction(line: str, line_no: int = 0) -> tuple[str, str]:
+    """A prediction line, {"example_id", "answer", ...}: its example_id and answer."""
+    try:
+        obj = json.loads(line)
+        example_id, answer = obj["example_id"], obj["answer"]
+        if not (isinstance(example_id, str) and isinstance(answer, str)):
+            raise TypeError("example_id and answer must be strings")
+        return example_id, answer
+    except (ValueError, KeyError, TypeError) as e:
+        raise _line_error(e, line_no) from e
+
+
 def write_lines(path, lines) -> None:
     """Write records as UTF-8 LF lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -441,7 +473,17 @@ def write_lines(path, lines) -> None:
             f.write("\n")
 
 
+def numbered_lines(path):
+    """(line number, line) of each non-empty line, numbered as in the file, from 1."""
+    with open(path, "r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            if line:
+                yield line_no, line
+
+
 def read_lines(path):
+    """The non-empty lines of `path`, as `numbered_lines` without the numbers."""
     with open(path, "r", encoding="utf-8") as f:
         for line in f:
             line = line.rstrip("\n")

@@ -5,7 +5,7 @@ from rdistill.codec import (ANSWER_BUDGET, CharBlockCounter, EmptyAnswer,
                             NoAnswerMarker, PREFIX_BUDGET, PROGRAM_BUDGET,
                             SEP_ANSWER, TABLE_BUDGET, WordCounter,
                             encode_program_rationale, encode_target, escape_field,
-                            linearize_table, parse_target)
+                            linearize_table, parse_answer, parse_target)
 
 WORD = WordCounter()
 CHAR4 = CharBlockCounter()
@@ -100,6 +100,28 @@ class TestParseTarget:
         t = parse_target("Q <s> r1 <s> r2 <answer> A")
         assert t.question == "Q"
         assert t.rationale == "r1 <s> r2"
+
+
+# decoded sequences built from separators, their escapes, the None sentinel,
+# whitespace and plain text, so that every branch of the parse is drawn
+decoded_pieces = st.lists(st.one_of(
+    st.sampled_from(["<answer>", "<s>", "<program>", "⟨answer⟩", "⟨s⟩", "⟨program⟩",
+                     "⟨", "None", " None ", " ", "\n", "\t"]),
+    st.text(max_size=6)), max_size=12).map("".join)
+
+
+@given(decoded_pieces)
+@example("Q <s> R <answer>  ")
+@example("Q <answer> ⟨answer⟩ None")
+def test_parse_answer_is_parse_targets_answer(decoded):
+    try:
+        expected = parse_target(decoded).answer
+    except ValueError as e:
+        with pytest.raises(ValueError) as raised:
+            parse_answer(decoded)
+        assert type(raised.value) is type(e)
+    else:
+        assert parse_answer(decoded) == expected
 
 
 clean_text = st.text(

@@ -1,10 +1,16 @@
-import pytest
-from hypothesis import given, strategies as st
+import json
+import logging
 
+import pytest
+from click.testing import CliRunner
+from hypothesis import example, given, strategies as st
+
+from rdistill import cli
+from rdistill.codec import parse_target
 from rdistill.inference import (AllNone, anls, apply_calculator,
                                 extract_program_source, levenshtein,
                                 relaxed_accuracy, score_predictions, vote)
-from rdistill.records import ScoredHypothesis
+from rdistill.records import ImageRef, QAExample, ScoredHypothesis, serialize_example
 
 
 def hyp(answer, prob, rationale="r"):
@@ -50,6 +56,47 @@ class TestVote:
         assert vote(list(reversed(hyps))).answer == vote(hyps).answer
 
 
+def reference_vote(hypotheses):
+    """Vote as it reads from whole parsed targets: (answer, aggregate
+    probability, tally, beam), or None when every answer is None."""
+    tally, order, top = {}, {}, {}
+    for i, h in enumerate(hypotheses):
+        try:
+            key = parse_target(h.decoded).answer.strip()
+        except ValueError:
+            continue
+        tally[key] = tally.get(key, 0.0) + h.prob
+        order.setdefault(key, i)
+        if key not in top or h.prob > top[key].prob:
+            top[key] = h
+    candidates = [a for a in tally if a != "None"]
+    if not candidates:
+        return None
+    best = max(candidates, key=lambda a: (tally[a], -order[a]))
+    return best, tally[best], tally, top[best]
+
+
+decoded = st.one_of(
+    st.sampled_from(["A", "B", " B ", "None", "⟨s⟩ A", "", "<s>"]).map("q <s> r <answer> {}".format),
+    st.lists(st.sampled_from(["<answer>", "<s>", "⟨answer⟩", "None", "A", " ", "x"]),
+             max_size=6).map("".join))
+hypotheses = st.lists(st.builds(ScoredHypothesis, decoded,
+                                st.sampled_from([0.1, 0.2, 0.25, 0.3, 1e-9, 7.5])),
+                      max_size=8)
+
+
+@given(hypotheses)
+def test_vote_equals_a_vote_over_parsed_targets(hyps):
+    expected = reference_vote(hyps)
+    if expected is None:
+        with pytest.raises(AllNone):
+            vote(hyps)
+        return
+    result = vote(hyps)
+    assert (result.answer, result.aggregate_prob, result.tally) == expected[:3]
+    assert result.beam is expected[3]
+
+
 class TestApplyCalculator:
     def test_valid_program_replaces_answer(self):
         decoded = "q <s> t1 | t2 <program> Div(25, 5) <answer> 4"
@@ -86,6 +133,50 @@ class TestLevenshtein:
     ])
     def test_known_distances(self, a, b, d):
         assert levenshtein(a, b) == d
+
+
+def reference_levenshtein(a, b):
+    """The full (len(a)+1) x (len(b)+1) edit-distance table, cell by cell."""
+    d = [[i + j if i == 0 or j == 0 else 0 for j in range(len(b) + 1)]
+         for i in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1,
+                          d[i - 1][j - 1] + (a[i - 1] != b[j - 1]))
+    return d[len(a)][len(b)]
+
+
+def reference_anls(pred, golds, tau):
+    p = pred.strip().lower()
+    scores = []
+    for gold in golds:
+        g = gold.strip().lower()
+        nl = reference_levenshtein(p, g) / max(len(p), len(g), 1)
+        scores.append(1.0 - nl if nl < tau else 0.0)
+    return max(scores)
+
+
+# strings of 0-150 characters: few distinct characters (long runs and many
+# matches), any characters, and non-ASCII ones past the 64- and 128-bit marks
+edit_text = st.one_of(
+    st.text(alphabet="ab", max_size=150),
+    st.text(max_size=150),
+    st.text(alphabet="aé漢 Z\u0301", min_size=60, max_size=150),
+)
+
+
+@given(edit_text, edit_text)
+@example("a" * 65, "a" * 64 + "b")
+@example("x" * 129, "")
+@example("漢" * 130, "漢" * 128)
+def test_levenshtein_equals_the_full_table(a, b):
+    assert levenshtein(a, b) == reference_levenshtein(a, b)
+
+
+@given(edit_text, st.lists(edit_text, min_size=1, max_size=3),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_anls_equals_the_reference_at_any_threshold(pred, golds, tau):
+    assert anls(pred, golds, tau) == reference_anls(pred, golds, tau)
 
 
 class TestAnls:
@@ -165,3 +256,114 @@ class TestScorePredictions:
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             score_predictions("BLEU", [("a", ["a"])])
+
+
+def write_jsonl(path, objs):
+    path.write_text("".join((o if isinstance(o, str) else json.dumps(o)) + "\n"
+                            for o in objs), encoding="utf-8")
+    return str(path)
+
+
+def gold_line(example_id, answer):
+    return serialize_example(QAExample(example_id=example_id,
+                                       image=ImageRef(id="i", height=10, width=10),
+                                       question="q", gold_answers=(answer,)))
+
+
+class TestVoteCommand:
+    def test_a_bad_line_costs_only_that_line(self, tmp_path, caplog):
+        beams = write_jsonl(tmp_path / "beams.jsonl", [
+            {"example_id": "e1", "decoded": "q <answer> A", "prob": 0.4},
+            "not json",
+            {"example_id": "e1", "decoded": "q <answer> B", "prob": 0},
+            {"example_id": "e1", "decoded": "q <answer> B"},
+            {"example_id": "e2", "decoded": "q <answer> C", "prob": "0.5"},
+            {"decoded": "q <answer> B", "prob": 0.9},
+            {"example_id": "e1", "decoded": 7, "prob": 0.9},
+            {"example_id": "e1", "decoded": "q <answer> B", "prob": 0.3},
+        ])
+        with caplog.at_level(logging.WARNING):
+            result = CliRunner().invoke(cli.main, ["vote", beams])
+        assert result.exit_code == 0, result.output
+        assert [json.loads(line) for line in result.output.splitlines()] \
+            == [{"example_id": "e1", "answer": "A", "aggregate_prob": 0.4}]
+        skipped = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+        assert [m.split(" line ")[1].split(":")[0] for m in skipped] == \
+            ["2", "3", "4", "5", "6", "7"]
+        assert all(m.startswith(f"skipping {beams} line ") for m in skipped)
+
+    def test_blank_lines_keep_the_file_line_numbers(self, tmp_path, caplog):
+        beams = tmp_path / "beams.jsonl"
+        beams.write_text('\n{"example_id": "e1", "decoded": "q <answer> A", "prob": 1}\n'
+                         '\n{"example_id": "e1", "prob": 1}\n', encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            result = CliRunner().invoke(cli.main, ["vote", str(beams)])
+        assert result.exit_code == 0, result.output
+        assert f"skipping {beams} line 4: missing field 'decoded'" in caplog.text
+
+
+class TestEvalCommand:
+    """`eval` scores each gold example exactly once."""
+
+    def run_eval(self, tmp_path, preds, golds, metric="anls"):
+        pred_path = write_jsonl(tmp_path / "preds.jsonl", preds)
+        gold_path = write_jsonl(tmp_path / "gold.jsonl", golds)
+        result = CliRunner().invoke(cli.main, ["eval", pred_path, gold_path,
+                                               "--metric", metric])
+        return result, pred_path, gold_path
+
+    def test_scores_each_example_once_in_prediction_order(self, tmp_path):
+        result, _, _ = self.run_eval(
+            tmp_path, [{"example_id": "e2", "answer": "9.6"}, {"example_id": "e1", "answer": "x"}],
+            [gold_line("e1", "A"), gold_line("e2", "10")], metric="ra")
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == {"metric": "RA", "mean": 0.5,
+                                             "per_example": [1.0, 0.0]}
+
+    def test_a_second_prediction_for_an_example_exits_2(self, tmp_path):
+        result, pred_path, _ = self.run_eval(
+            tmp_path, [{"example_id": "e1", "answer": "A"}] * 2, [gold_line("e1", "A")])
+        assert result.exit_code == 2, result.output
+        assert f"eval error: {pred_path} line 2: second prediction for example 'e1'" \
+            in result.output
+        assert "per_example" not in result.output
+
+    def test_gold_examples_without_a_prediction_exit_2(self, tmp_path):
+        result, _, _ = self.run_eval(
+            tmp_path, [{"example_id": "e2", "answer": "A"}],
+            [gold_line(f"e{i}", "A") for i in range(1, 6)])
+        assert result.exit_code == 2, result.output
+        assert "eval error: 4 gold example(s) have no prediction, first 'e1', 'e3', 'e4'" \
+            in result.output
+
+    def test_a_second_gold_record_for_an_example_exits_2(self, tmp_path):
+        result, _, gold_path = self.run_eval(
+            tmp_path, [{"example_id": "e1", "answer": "A"}],
+            [gold_line("e1", "A"), gold_line("e1", "B")])
+        assert result.exit_code == 2, result.output
+        assert f"eval error: {gold_path} line 2: second gold example 'e1'" in result.output
+
+    @pytest.mark.parametrize("bad", ["not json", '{"answer": "A"}',
+                                     '{"example_id": "e1", "answer": 3}'])
+    def test_a_malformed_prediction_line_exits_2(self, tmp_path, bad):
+        result, pred_path, _ = self.run_eval(tmp_path, [bad], [gold_line("e1", "A")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"eval error: {pred_path} line 1: " in result.output
+
+    def test_a_malformed_gold_line_exits_2(self, tmp_path):
+        result, _, gold_path = self.run_eval(
+            tmp_path, [{"example_id": "e1", "answer": "A"}],
+            [gold_line("e1", "A"), '{"example_id": "e2"}'])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"eval error: {gold_path} line 2: " in result.output
+
+    def test_a_prediction_for_an_unknown_example_is_skipped(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING):
+            result, _, _ = self.run_eval(
+                tmp_path, [{"example_id": "zz", "answer": "A"},
+                           {"example_id": "e1", "answer": "A"}], [gold_line("e1", "A")])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["per_example"] == [1.0]
+        assert "prediction for unknown example zz" in caplog.text

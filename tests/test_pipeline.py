@@ -612,6 +612,22 @@ class TestInRunHandoff:
             assert {kind: last.get(pipeline.stage_file(config, ds, kind))
                     for kind in last_readers} == last_readers
 
+    @pytest.mark.parametrize("stages,crops_reader", [
+        (list(pipeline.STAGES), "filter"),
+        (["crop", "generate-rationales", "build-tasks"], "generate-rationales"),
+    ], ids=["with-filter", "without-filter"])
+    def test_build_tasks_keeps_no_crops_for_tasks_that_read_none(self, tmp_path, stages,
+                                                                 crops_reader):
+        config = default_mock_config(str(tmp_path / "subset"), seed=0)
+        config.tasks = ("qid", "qra")
+        handoff = pipeline._Handoff(config, stages)
+        last = {path: stages[i] for path, i in handoff._last_reader.items()}
+        for ds in config.datasets:
+            assert {kind: last.get(pipeline.stage_file(config, ds, kind))
+                    for kind in ("crops", "crop_rationales", "categorized", "rationales")} \
+                == {"crops": crops_reader, "crop_rationales": None, "categorized": None,
+                    "rationales": "build-tasks"}
+
     def test_build_tasks_alone_parses_each_file_once(self, tmp_path, parses):
         config = default_mock_config(str(tmp_path / "once"), seed=0)
         config.filter_whole_image = True
@@ -684,6 +700,21 @@ class TestPerTaskFreshness:
         run(cold)
         assert tree_hashes(config.out_dir) == tree_hashes(cold.out_dir)
 
+    @pytest.mark.parametrize("setting,value", [("filter", FilterConfig(boost_factor=3.0)),
+                                               ("seed", 1)], ids=["lambda", "seed"])
+    def test_a_switch_no_selected_task_reads_leaves_build_tasks_fresh(self, tmp_path,
+                                                                     setting, value):
+        config = default_mock_config(str(tmp_path / "subset"), seed=0)
+        config.tasks = ("qid", "qra")
+        run(config)
+        manifest = pipeline._manifest_path(config.out_dir, "build-tasks")
+        with open(manifest, "rb") as f:
+            recorded = f.read()
+        setattr(config, setting, value)
+        assert stages_run(run(config)) == {"filter"}
+        with open(manifest, "rb") as f:
+            assert f.read() == recorded
+
     def test_adding_a_task_builds_only_its_file(self, tmp_path, parses):
         config = default_mock_config(str(tmp_path / "add"), seed=0)
         config.tasks = ("qra", "apr", "qraci", "apraci", "ans-only")
@@ -714,8 +745,8 @@ class TestPerTaskFreshness:
         assert hashed and max(hashed.values()) == 1
 
     def test_tasks_that_read_no_stage_file_build_after_crop_alone(self, tmp_path):
-        # build-tasks lists every file a task may read; those no selected
-        # task reads need not exist
+        # build-tasks lists only the files its selected tasks read; the
+        # others need not exist
         config = default_mock_config(str(tmp_path / "early"), seed=0)
         config.tasks = ("qid", "ans-only")
         run(config, ["crop"])
@@ -1128,6 +1159,16 @@ class TestStageIsolation:
         scores = pipeline.stage_file(config, config.datasets[0], "scores")
         write_lines(scores, change(list(read_lines(scores))))
         with pytest.raises(StageFailure, match="scores") as exc:
+            run(config, ["filter"])
+        assert isinstance(exc.value.cause, MalformedRecord)
+
+    def test_a_malformed_line_is_named_by_its_line_in_the_file(self, tmp_path):
+        config = default_mock_config(str(tmp_path / "numbered"), seed=0)
+        run(config, ["crop", "generate-rationales"])
+        scores = pipeline.stage_file(config, config.datasets[0], "scores")
+        lines = list(read_lines(scores))
+        write_lines(scores, [lines[0], "", lines[1][:-1]] + lines[2:])
+        with pytest.raises(StageFailure, match="line 3: ") as exc:
             run(config, ["filter"])
         assert isinstance(exc.value.cause, MalformedRecord)
 
