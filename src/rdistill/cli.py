@@ -179,7 +179,7 @@ def vote_cmd(hypotheses_file, output, calculator):
     lines = []
     for example_id, hyps in by_example.items():
         try:
-            result = inference.vote(hyps)
+            result = inference.vote(hyps, example_id)
         except inference.AllNone:
             log.warning("example %s: every hypothesis answered None", example_id)
             answer, prob = "None", 0.0

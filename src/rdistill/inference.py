@@ -36,13 +36,14 @@ class VoteResult:
     beam: ScoredHypothesis  # the most probable hypothesis answering `answer`
 
 
-def vote(hypotheses: Sequence[ScoredHypothesis]) -> VoteResult:
+def vote(hypotheses: Sequence[ScoredHypothesis], example_id: str | None = None) -> VoteResult:
     """Sum probabilities per distinct answer; argmax over non-None answers.
 
     Only each hypothesis's answer is parsed (`codec.parse_answer`).
-    Unparseable hypotheses are skipped with a warning. Ties break by
-    first occurrence in beam order, both between answers and between the
-    beams of the winning answer.
+    Unparseable hypotheses are skipped with a warning, which names
+    `example_id` when given and the beam file's line when the hypothesis
+    has one. Ties break by first occurrence in beam order, both between
+    answers and between the beams of the winning answer.
     """
     tally: dict[str, float] = {}
     order: dict[str, int] = {}
@@ -51,7 +52,9 @@ def vote(hypotheses: Sequence[ScoredHypothesis]) -> VoteResult:
         try:
             key = parse_answer(hyp.decoded)
         except ValueError as e:
-            log.warning("skipping unparseable hypothesis %d: %s", i, e)
+            log.warning("%sskipping the unparseable %s: %s",
+                        f"example {example_id}: " if example_id is not None else "",
+                        f"beam on line {hyp.line_no}" if hyp.line_no else f"hypothesis {i}", e)
             continue
         tally[key] = tally.get(key, 0.0) + hyp.prob
         order.setdefault(key, i)

@@ -274,16 +274,16 @@ def validate(config: PipelineConfig, stages: list[str] | None = None,
             diags.append(f"dataset {ds.name!r}: path {ds.path} does not exist")
             continue
         try:
-            first = next(iter(read_lines(ds.path)), None)
+            line_no, first = next(iter(numbered_lines(ds.path)), (0, None))
         except (OSError, UnicodeDecodeError) as e:
             diags.append(f"dataset {ds.name!r}: unreadable ({e})")
             continue
         if first is None:
             continue
         try:
-            ex = parse_example(first)
+            ex = parse_example(first, line_no)
         except MalformedRecord as e:
-            diags.append(f"dataset {ds.name!r}: malformed first record ({e})")
+            diags.append(f"dataset {ds.name!r}: malformed first record ({ds.path}: {e})")
             continue
         if config.mock or "endpoints" not in reads:
             continue
@@ -527,7 +527,10 @@ def _read_rationales(path: str) -> dict[str, Rationale]:
 
 
 def _read_examples(path: str) -> list[QAExample]:
-    return [parse_example(line, line_no) for line_no, line in numbered_lines(path)]
+    try:
+        return [parse_example(line, line_no) for line_no, line in numbered_lines(path)]
+    except MalformedRecord as e:
+        raise MalformedRecord(f"{path}: {e}") from e
 
 
 def _read_verdicts(path: str) -> list[Verdict]:

@@ -4,12 +4,20 @@ All types are immutable after construction and safe to share across
 parallel workers. Stage files are UTF-8, one JSON object per line, LF
 line endings, with a fixed field order so identical inputs always
 produce byte-identical output.
+
+Every JSONL line the package writes (stage, task, prediction and
+response-cache lines) goes through one encoder, `_dumps`, built once at
+import. A line keeps the bytes of `json.dumps(obj, ensure_ascii=False,
+separators=(",", ":"))`, NaN and infinities included. A line whose JSON
+escapes a lone surrogate holds no UTF-8 text and parses as a
+MalformedRecord.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 
 NONE_SENTINEL = "None"
 
@@ -158,11 +166,10 @@ class QAExample:
             "example_id": self.example_id,
             "image": self.image.to_json(),
             "question": self.question,
-            "gold_answers": list(self.gold_answers),
+            "gold_answers": self.gold_answers,
             "ocr_text": self.ocr_text,
             "ocr_boxes": [b.to_json() for b in self.ocr_boxes] if self.ocr_boxes is not None else None,
-            "structured_table": [list(r) for r in self.structured_table]
-            if self.structured_table is not None else None,
+            "structured_table": self.structured_table,
         }
 
     @classmethod
@@ -226,7 +233,7 @@ class Rationale:
         return {
             "kind": self.kind,
             "evidence": self.evidence,
-            "table": [list(r) for r in self.table],
+            "table": self.table,
             "program_source": self.program_source,
             "origin": self.origin,
             "flagged": self.flagged,
@@ -341,34 +348,68 @@ class ScoredHypothesis:
 
     decoded: str
     prob: float
+    line_no: int = field(default=0, compare=False)  # its line in the beam file, 0 if none
 
     def __post_init__(self):
         if not self.prob > 0:
             raise ValueError("hypothesis probability must be > 0")
 
 
-# One encoder for every stage line: json.dumps with these options would
-# build a new one per call. The bytes are the same.
-_dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+def _make_dumps():
+    """The encoder of every JSONL line. json.dumps with these options builds
+    a new encoder per call, and so does JSONEncoder.encode; this one is built
+    once, with the same options and so the same bytes. A tuple is written as
+    an array, as json.dumps writes it."""
+    encoder = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    encode = json.encoder.c_make_encoder(
+        None, encoder.default, json.encoder.encode_basestring, None, encoder.key_separator,
+        encoder.item_separator, False, False, True)
+
+    def dumps(obj) -> str:
+        return "".join(encode(obj, 0))
+
+    return dumps
+
+
+_dumps = _make_dumps()
+_string = json.encoder.encode_basestring   # a str as the JSON string _dumps writes for it
+
+
+def _loads(line: str):
+    """json.loads, refusing a string that escapes a lone surrogate: valid
+    JSON, but no text UTF-8 can hold. Only a line with a \\u escape can hold
+    one, so other lines pay for the check with a search for a backslash
+    (one memchr, where a search for "\\u" costs several times as much)."""
+    obj = json.loads(line)
+    if "\\" in line and "\\u" in line:
+        try:
+            _dumps(obj).encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise ValueError(f"lone surrogate \\u{ord(e.object[e.start]):04x} in a string") \
+                from None
+    return obj
 
 
 def serialize_record(record: TaskRecord) -> str:
-    """One deterministic line per task record, fixed field order."""
-    return _dumps({
-        "task": record.task,
-        "example_id": record.example_id,
-        "image": record.image.to_json(),
-        "decoder_input": record.decoder_input,
-        "decoder_output": record.decoder_output,
-    })
+    """One deterministic line per task record, fixed field order: the line
+    `_dumps` writes for {"task", "example_id", "image", "decoder_input",
+    "decoder_output"}, put together without building that dict."""
+    return (f'{{"task":{_string(record.task)},"example_id":{_string(record.example_id)},'
+            f'"image":{_dumps(record.image.to_json())},'
+            f'"decoder_input":{_string(record.decoder_input)},'
+            f'"decoder_output":{_string(record.decoder_output)}}}')
 
 
 def parse_record(line: str, line_no: int = 0) -> TaskRecord:
     """Inverse of serialize_record; raises MalformedRecord on schema violations."""
     try:
-        obj = json.loads(line)
+        obj = _loads(line)
     except json.JSONDecodeError as e:
         raise MalformedRecord(f"invalid JSON: {e}", line_no) from e
+    except ValueError as e:
+        raise MalformedRecord(str(e), line_no) from e
     if not isinstance(obj, dict):
         raise MalformedRecord("record is not an object", line_no)
     for key in ("task", "example_id", "image", "decoder_input", "decoder_output"):
@@ -392,7 +433,7 @@ def serialize_example(example: QAExample) -> str:
 
 def parse_example(line: str, line_no: int = 0) -> QAExample:
     try:
-        return QAExample.from_json(json.loads(line))
+        return QAExample.from_json(_loads(line))
     except (ValueError, KeyError, TypeError) as e:
         raise MalformedRecord(str(e), line_no) from e
 
@@ -411,7 +452,7 @@ def parse_categorized(line: str, line_no: int = 0) -> Verdict:
     """Inverse of serialize_categorized. Lines in the older full format, which
     also repeat the crop's question, image and rationale, parse to the same."""
     try:
-        obj = json.loads(line)
+        obj = _loads(line)
         return Verdict(example_id=obj["example_id"], category=obj["category"],
                        effective_answer=obj["effective_answer"],
                        scores=VerifierScores.from_json(obj["scores"]))
@@ -427,7 +468,7 @@ def serialize_scores(example_id: str, scores: VerifierScores) -> str:
 def parse_scores(line: str, line_no: int = 0) -> tuple[str, VerifierScores]:
     """Inverse of serialize_scores."""
     try:
-        obj = json.loads(line)
+        obj = _loads(line)
         return obj["example_id"], VerifierScores.from_json(obj["scores"])
     except (ValueError, KeyError, TypeError) as e:
         raise MalformedRecord(str(e), line_no) from e
@@ -444,11 +485,11 @@ def _line_error(e: Exception, line_no: int) -> MalformedRecord:
 def parse_hypothesis(line: str, line_no: int = 0) -> tuple[str, ScoredHypothesis]:
     """A beam line, {"example_id", "decoded", "prob"}: its example_id and hypothesis."""
     try:
-        obj = json.loads(line)
+        obj = _loads(line)
         example_id, decoded = obj["example_id"], obj["decoded"]
         if not (isinstance(example_id, str) and isinstance(decoded, str)):
             raise TypeError("example_id and decoded must be strings")
-        return example_id, ScoredHypothesis(decoded=decoded, prob=obj["prob"])
+        return example_id, ScoredHypothesis(decoded, obj["prob"], line_no)
     except (ValueError, KeyError, TypeError) as e:
         raise _line_error(e, line_no) from e
 
@@ -456,7 +497,7 @@ def parse_hypothesis(line: str, line_no: int = 0) -> tuple[str, ScoredHypothesis
 def parse_prediction(line: str, line_no: int = 0) -> tuple[str, str]:
     """A prediction line, {"example_id", "answer", ...}: its example_id and answer."""
     try:
-        obj = json.loads(line)
+        obj = _loads(line)
         example_id, answer = obj["example_id"], obj["answer"]
         if not (isinstance(example_id, str) and isinstance(answer, str)):
             raise TypeError("example_id and answer must be strings")
@@ -465,12 +506,16 @@ def parse_prediction(line: str, line_no: int = 0) -> tuple[str, str]:
         raise _line_error(e, line_no) from e
 
 
+_WRITE_BATCH = 256   # lines joined into one write
+
+
 def write_lines(path, lines) -> None:
-    """Write records as UTF-8 LF lines."""
+    """Write records as UTF-8 LF lines, a batch of them per write."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in lines:
-            f.write(line)
-            f.write("\n")
+        while batch := list(islice(lines, _WRITE_BATCH)):
+            batch.append("")
+            f.write("\n".join(batch))
 
 
 def numbered_lines(path):

@@ -24,7 +24,7 @@ from typing import Protocol
 
 from . import dsl
 from .codec import DEFAULT_COUNTER, TokenCounter, encode_program_rationale
-from .records import ImageRef, OcrBox, QAExample, Rationale
+from .records import ImageRef, OcrBox, QAExample, Rationale, _dumps
 
 log = logging.getLogger(__name__)
 
@@ -264,8 +264,7 @@ class ResponseCache:
             if stored:
                 return stored.pop(0)    # replayed once; the memory goes with it
         response = call()
-        line = json.dumps({"key": key, "response": response}, ensure_ascii=False,
-                          separators=(",", ":"))
+        line = _dumps({"key": key, "response": response})
         with self._lock, open(self.path, "a", encoding="utf-8") as f:
             f.write(line + "\n")
         return response

@@ -301,6 +301,32 @@ class TestVoteCommand:
         assert result.exit_code == 0, result.output
         assert f"skipping {beams} line 4: missing field 'decoded'" in caplog.text
 
+    def test_an_unparseable_beam_is_named_by_its_example_and_line(self, tmp_path, caplog):
+        beams = write_jsonl(tmp_path / "beams.jsonl", [
+            {"example_id": "e1", "decoded": "q <answer> A", "prob": 0.4},
+            {"example_id": "e2", "decoded": "q <answer> B", "prob": 0.4},
+            {"example_id": "e1", "decoded": "no marker", "prob": 0.5},
+        ])
+        with caplog.at_level(logging.WARNING):
+            result = CliRunner().invoke(cli.main, ["vote", beams])
+        assert result.exit_code == 0, result.output
+        assert [json.loads(line)["answer"] for line in result.output.splitlines()] == ["A", "B"]
+        assert "example e1: skipping the unparseable beam on line 3: no '<answer>' in " \
+               "'no marker'" in caplog.text
+
+    def test_a_beam_with_a_lone_surrogate_costs_only_that_line(self, tmp_path, caplog):
+        beams = write_jsonl(tmp_path / "beams.jsonl", [
+            {"example_id": "e1", "decoded": "q <answer> \ud800", "prob": 0.9},
+            {"example_id": "e1", "decoded": "q <answer> A", "prob": 0.4},
+        ])
+        output = tmp_path / "preds.jsonl"
+        with caplog.at_level(logging.WARNING):
+            result = CliRunner().invoke(cli.main, ["vote", beams, "-o", str(output)])
+        assert result.exit_code == 0, result.output
+        assert [json.loads(line) for line in output.read_text().splitlines()] \
+            == [{"example_id": "e1", "answer": "A", "aggregate_prob": 0.4}]
+        assert f"skipping {beams} line 1: " in caplog.text and "surrogate" in caplog.text
+
 
 class TestEvalCommand:
     """`eval` scores each gold example exactly once."""

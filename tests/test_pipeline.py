@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -57,6 +58,24 @@ class TestEndToEnd:
         other = default_mock_config(str(tmp_path / "run2"), seed=0)
         run(other)
         assert tree_hashes(config.out_dir) == tree_hashes(other.out_dir)
+
+    def test_stage_and_task_files_match_the_pinned_digests(self, mock_run, tmp_path):
+        # tests/mock_outputs.sha256 (`sha256sum -c` format, paths under
+        # mock/ and whole/) holds the digest of every stage and task file of
+        # `rdistill run --mock` and of a mock run with filter_whole_image;
+        # CI checks the same two runs against it
+        config, _ = mock_run
+        whole = default_mock_config(str(tmp_path / "whole"), seed=0)
+        whole.filter_whole_image = True
+        run(whole)
+        with open(os.path.join(os.path.dirname(__file__), "mock_outputs.sha256")) as f:
+            pinned = {path: digest for digest, path in
+                      (line.rstrip("\n").split("  ", 1) for line in f)}
+        written = {f"{name}/{path}": digest
+                   for name, out_dir in (("mock", config.out_dir), ("whole", whole.out_dir))
+                   for path, digest in tree_files(out_dir).items()
+                   if not path.startswith("manifests")}
+        assert written == pinned
 
     def test_rerun_skips_all_stages(self, mock_run):
         config, _ = mock_run
@@ -1171,6 +1190,40 @@ class TestStageIsolation:
         with pytest.raises(StageFailure, match="line 3: ") as exc:
             run(config, ["filter"])
         assert isinstance(exc.value.cause, MalformedRecord)
+
+
+def with_lone_surrogate(line: str) -> str:
+    """`line` with a lone high surrogate, escaped as JSON must, in its question."""
+    obj = json.loads(line)
+    obj["question"] += "\ud800"
+    return json.dumps(obj)
+
+
+class TestLoneSurrogates:
+    """A dataset line whose JSON escapes a lone surrogate is valid JSON but no
+    UTF-8 text: it is a malformed record, named by its file and line, found
+    before a stage writes anything."""
+
+    def test_crop_names_the_file_and_line(self, tmp_path):
+        config = default_mock_config(str(tmp_path / "s"), seed=0)
+        path = config.datasets[0].path
+        lines = list(read_lines(path))
+        lines[2] = with_lone_surrogate(lines[2])
+        write_lines(path, lines)
+        with pytest.raises(StageFailure, match=re.escape(f"{path}: line 3: ")) as exc:
+            run(config, ["crop"])
+        assert isinstance(exc.value.cause, MalformedRecord)
+        assert not [name for name in os.listdir(config.out_dir) if name.endswith(".partial")]
+
+    def test_validate_names_the_file_and_line(self, tmp_path):
+        config = default_mock_config(str(tmp_path / "v"), seed=0)
+        path = config.datasets[0].path
+        lines = list(read_lines(path))
+        write_lines(path, [""] + [with_lone_surrogate(lines[0])] + lines[1:])
+        diags = validate(config)
+        assert len(diags) == 1 and f"{path}: line 2: " in diags[0], diags
+        result = CliRunner().invoke(cli.main, ["validate", "--mock", "--out-dir", config.out_dir])
+        assert result.exit_code == 2 and f"{path}: line 2: lone surrogate" in result.output
 
 
 class TestValidate:

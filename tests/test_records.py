@@ -1,17 +1,19 @@
 import json
 import math
 import sys
+import unittest.mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rdistill.pipeline import _parse_rationale_line, _serialize_rationale_line
-from rdistill.records import (CATEGORIES, CategorizedExample, Crop, ImageRef,
+from rdistill.records import (CATEGORIES, TASK_NAMES, CategorizedExample, Crop, ImageRef,
                               MalformedRecord, OcrBox, QAExample, Rationale,
-                              ScoredHypothesis, TaskRecord, Verdict, VerifierScores,
-                              is_none_answer, parse_categorized, parse_example,
-                              parse_record, parse_scores, serialize_categorized,
-                              serialize_example, serialize_record, serialize_scores)
+                              ScoredHypothesis, TaskRecord, Verdict, VerifierScores, _dumps,
+                              _make_dumps, is_none_answer, parse_categorized, parse_example,
+                              parse_hypothesis, parse_prediction, parse_record,
+                              parse_scores, serialize_categorized, serialize_example,
+                              serialize_record, serialize_scores, write_lines)
 
 
 def make_image(id="img1", h=400, w=400, crop=None):
@@ -123,9 +125,48 @@ def test_example_round_trip():
 
 # Within one pipeline run, later stages use the records an earlier stage
 # wrote instead of parsing its file again. That is only sound while parsing
-# a serialized record gives back the record itself.
+# a serialized record gives back the record itself. Each line also keeps
+# the bytes json.dumps gives the record's dict, written out here field by
+# field, with the options of the stage files.
 
-any_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20)
+def dumps(obj) -> str:
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+def image_dict(image):
+    crop = None if image.crop is None else \
+        {"axis": image.crop.axis, "start": image.crop.start, "end": image.crop.end}
+    return {"id": image.id, "height": image.height, "width": image.width, "crop": crop,
+            "source_uri": image.source_uri}
+
+
+def example_dict(ex):
+    return {"example_id": ex.example_id, "image": image_dict(ex.image), "question": ex.question,
+            "gold_answers": list(ex.gold_answers), "ocr_text": ex.ocr_text,
+            "ocr_boxes": None if ex.ocr_boxes is None else
+            [[b.text, b.x0, b.y0, b.x1, b.y1] for b in ex.ocr_boxes],
+            "structured_table": None if ex.structured_table is None else
+            [list(row) for row in ex.structured_table]}
+
+
+def rationale_dict(r):
+    return {"kind": r.kind, "evidence": r.evidence, "table": [list(row) for row in r.table],
+            "program_source": r.program_source, "origin": r.origin, "flagged": r.flagged}
+
+
+def scores_dict(s):
+    return {"logp_with": s.logp_with, "logp_without": s.logp_without, "greedy": s.greedy}
+
+
+def same(parsed, record):
+    """Equal field for field, by repr: NaN equals NaN, -0.0 differs from 0.0 and 1 from 1.0."""
+    assert repr(parsed) == repr(record)
+
+
+# text that JSON escapes, or must leave as it is: separators, quotes,
+# backslashes, control characters and non-ASCII
+any_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",))
+                   | st.sampled_from(',:{}[]"\\/\n\r\t\b\f\x00\x1f\x7f é€😀'), max_size=20)
 
 
 @st.composite
@@ -171,10 +212,10 @@ origins = st.sampled_from(["tool", "student"])
 rationales = (st.builds(Rationale.text, any_text, origin=origins)
               | st.builds(Rationale.program, tables, any_text, origin=origins,
                           flagged=st.booleans()))
-# any float but NaN, which is unequal to itself; the extremes drawn often
-scores = (st.sampled_from([sys.float_info.max, -sys.float_info.max, -math.inf,
-                           5e-324, -5e-324, -0.0])
-          | st.floats(allow_nan=False))
+# any float or int, the extremes drawn often
+scores = (st.sampled_from([sys.float_info.max, -sys.float_info.max, math.inf, -math.inf,
+                           math.nan, 5e-324, -5e-324, -0.0, 0])
+          | st.floats() | st.integers(-2 ** 70, 2 ** 70))
 
 
 @st.composite
@@ -188,36 +229,70 @@ def categorized(draw):
         scores=VerifierScores(draw(scores), draw(scores), draw(any_text)))
 
 
+@st.composite
+def task_records(draw):
+    task = draw(st.sampled_from(sorted(TASK_NAMES.values())))
+    input_free = task in ("QRA", "QRACI", "QID", "ANS_ONLY")
+    return TaskRecord(task=task, example_id=draw(any_text), image=draw(images()),
+                      decoder_input="" if input_free else draw(any_text.filter(bool)),
+                      decoder_output=draw(any_text.filter(bool)))
+
+
 class TestParseInvertsSerialize:
     @given(examples())
     def test_example(self, example):
-        assert parse_example(serialize_example(example)) == example
+        line = serialize_example(example)
+        assert line == dumps(example_dict(example))
+        same(parse_example(line), example)
+
+    @given(task_records())
+    def test_task_line(self, record):
+        line = serialize_record(record)
+        assert line == dumps({"task": record.task, "example_id": record.example_id,
+                              "image": image_dict(record.image),
+                              "decoder_input": record.decoder_input,
+                              "decoder_output": record.decoder_output})
+        same(parse_record(line), record)
 
     @given(any_text, rationales)
     def test_rationale_line(self, example_id, rationale):
         line = _serialize_rationale_line(example_id, rationale)
-        assert _parse_rationale_line(line) == (example_id, rationale)
+        assert line == dumps({"example_id": example_id, "rationale": rationale_dict(rationale)})
+        same(_parse_rationale_line(line), (example_id, rationale))
 
     @given(categorized())
     def test_verdict_line(self, cat):
         line = serialize_categorized(cat)
-        assert list(json.loads(line)) == ["example_id", "category", "effective_answer", "scores"]
-        assert parse_categorized(line) == Verdict(cat.example_id, cat.category,
-                                                  cat.effective_answer, cat.scores)
+        assert line == dumps({"example_id": cat.example_id, "category": cat.category,
+                              "effective_answer": cat.effective_answer,
+                              "scores": scores_dict(cat.scores)})
+        same(parse_categorized(line), Verdict(cat.example_id, cat.category,
+                                              cat.effective_answer, cat.scores))
 
     @given(categorized())
     def test_scores_line(self, cat):
         line = serialize_scores(cat.example_id, cat.scores)
-        assert list(json.loads(line)) == ["example_id", "scores"]
-        assert json.loads(line)["scores"] == json.loads(serialize_categorized(cat))["scores"]
-        assert parse_scores(line) == (cat.example_id, cat.scores)
+        assert line == dumps({"example_id": cat.example_id, "scores": scores_dict(cat.scores)})
+        same(parse_scores(line), (cat.example_id, cat.scores))
 
     @given(categorized())
     def test_verdict_joins_back_into_the_categorized_crop(self, cat):
         crop = QAExample(example_id=cat.example_id, image=cat.image, question=cat.question,
                          gold_answers=("gold",))
         verdict = parse_categorized(serialize_categorized(cat))
-        assert CategorizedExample.join(verdict, crop, cat.rationale) == cat
+        same(CategorizedExample.join(verdict, crop, cat.rationale), cat)
+
+    @given(st.recursive(st.none() | st.booleans() | scores | any_text,
+                        lambda inner: st.lists(inner, max_size=3)
+                        | st.lists(inner, max_size=3).map(tuple)
+                        | st.dictionaries(any_text, inner, max_size=3), max_leaves=12))
+    def test_any_value(self, value):
+        assert _dumps(value) == PYTHON_DUMPS(value) == dumps(value)
+
+
+# the encoder built where the C one is missing
+with unittest.mock.patch.object(json.encoder, "c_make_encoder", None):
+    PYTHON_DUMPS = _make_dumps()
 
 
 def test_join_rejects_another_crop():
@@ -269,3 +344,51 @@ def test_malformed_scores_line(line):
 ], ids=lambda r: type(r).__name__)
 def test_records_are_slotted(record):
     assert not hasattr(record, "__dict__")
+
+
+def test_lines_are_written_whole_in_order(tmp_path):
+    path = tmp_path / "lines.jsonl"
+    lines = [f'{{"i":{i},"s":"{"é" * (i % 7)}"}}' for i in range(5000)]
+    write_lines(str(path), iter(lines))
+    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
+    write_lines(str(path), [])
+    assert path.read_bytes() == b""
+
+
+class TestLoneSurrogates:
+    """A line that escapes a lone surrogate is valid JSON but holds no UTF-8
+    text: it is a malformed record, named by its line."""
+
+    @pytest.mark.parametrize("text", ["\ud800", "a\udfffb", "\udc00\ud800", "x\ud83d"])
+    def test_example_line(self, text):
+        ex = QAExample(example_id="e", image=make_image(), question="q", gold_answers=("a",),
+                       ocr_boxes=(OcrBox("t", 0, 0, 1, 1),))
+        for key in ("question", "gold_answers", "ocr_boxes", "example_id"):
+            obj = example_dict(ex)
+            obj[key] = {"question": text, "example_id": text, "gold_answers": [text],
+                        "ocr_boxes": [[text, 0, 0, 1, 1]]}[key]
+            with pytest.raises(MalformedRecord, match="line 7: .*surrogate"):
+                parse_example(json.dumps(obj), 7)
+
+    @pytest.mark.parametrize("parse,obj", [
+        (parse_hypothesis, {"example_id": "e1", "decoded": "q <answer> \ud800", "prob": 0.5}),
+        (parse_prediction, {"example_id": "e1", "answer": "\udfff"}),
+        (parse_record, {"task": "QRA", "example_id": "e\ud800", "image": image_dict(make_image()),
+                        "decoder_input": "", "decoder_output": "q"}),
+        (parse_categorized, {"example_id": "e", "category": "useful", "effective_answer": "a",
+                             "scores": {"logp_with": 0, "logp_without": 0, "greedy": "\ud800"}}),
+        (parse_scores, {"example_id": "e\udc00", "scores": {"logp_with": 0, "logp_without": 0,
+                                                             "greedy": "a"}}),
+    ], ids=lambda p: getattr(p, "__name__", ""))
+    def test_other_lines(self, parse, obj):
+        with pytest.raises(MalformedRecord, match="line 4: .*surrogate"):
+            parse(json.dumps(obj), 4)
+
+    def test_a_surrogate_pair_is_text(self):
+        ex = QAExample(example_id="e", image=make_image(), question="q \U0001F600",
+                       gold_answers=("\U0001F600",))
+        line = json.dumps(example_dict(ex))
+        assert "\\ud83d\\ude00" in line
+        assert parse_example(line) == ex
+        assert parse_hypothesis(json.dumps({"example_id": "e", "decoded": "\U0001F600",
+                                            "prob": 1}))[1].decoded == "\U0001F600"
