@@ -39,20 +39,19 @@ def _load_config(config_path, mock, seed, out_dir, boost_factor=None, space=None
     error leaves no file behind."""
     if not (config_path or mock):
         raise click.UsageError("either --config or --mock is required")
-    try:
-        if config_path:
+    if config_path:
+        try:
             cfg = pipeline.PipelineConfig.from_file(config_path)
-            fields.update(mock=mock or None, seed=seed, out_dir=out_dir)
-        else:
-            cfg = pipeline.default_mock_config(out_dir or "out", seed=seed or 0, write=False)
-        for name, value in fields.items():
-            if value is not None:
-                setattr(cfg, name, value)
-        cfg.filter = dataclasses.replace(cfg.filter, **{
-            k: v for k, v in (("boost_factor", boost_factor), ("space", space))
-            if v is not None})
-    except ValueError as e:     # pipeline.ConfigError, or FilterConfig's check
-        _exit_config_errors(getattr(e, "diagnostics", [e]))
+        except pipeline.ConfigError as e:
+            _exit_config_errors(e.diagnostics)
+        fields.update(mock=mock or None, seed=seed, out_dir=out_dir)
+    else:
+        cfg = pipeline.default_mock_config(out_dir or "out", seed=seed or 0, write=False)
+    for name, value in fields.items():
+        if value is not None:
+            setattr(cfg, name, value)
+    cfg.filter = dataclasses.replace(cfg.filter, **{
+        k: v for k, v in (("boost_factor", boost_factor), ("space", space)) if v is not None})
     if not config_path:
         diags = pipeline.validate(cfg, stages, read_datasets=False)
         if diags:

@@ -28,14 +28,10 @@ LOG_SPACE = "log"
 
 @dataclass(frozen=True)
 class FilterConfig:
+    """λ and its score space; `pipeline.validate` refuses an unknown space
+    and, in probability space, a λ that is not > 1."""
     boost_factor: float = 2.0
     space: str = PROBABILITY_SPACE
-
-    def __post_init__(self):
-        if self.space not in (PROBABILITY_SPACE, LOG_SPACE):
-            raise ValueError(f"unknown score space {self.space!r}")
-        if self.space == PROBABILITY_SPACE and not self.boost_factor > 1:
-            raise ValueError("boost_factor must be > 1 in probability space")
 
 
 @dataclass(frozen=True)

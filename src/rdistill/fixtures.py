@@ -13,6 +13,8 @@ from .tools import (MockOcrClient, MockPlotToTableClient, MockProgrammerClient,
                     MockStudentClient, MockSummarizerClient, MockVerifierClient,
                     PromptTemplate, ToolClients)
 
+# The paper's 5-shot summarizer and 8-shot programmer: a config's template
+# replaces a body, never its shot count.
 SUMMARIZER_TEMPLATE = PromptTemplate(
     name="mock-summarizer",
     shot_count=5,

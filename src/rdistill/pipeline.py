@@ -98,7 +98,7 @@ _SCHEMA = {
     "tasks": [str],
     "filter": {"boost_factor": float, "space": str},
     "datasets": [{"name": str, "path": str, "flow": str, "subset": str}],
-    "templates": dict.fromkeys(("summarizer", "programmer"), {"path": str, "shots": int}),
+    "templates": dict.fromkeys(("summarizer", "programmer"), {"path": str}),
     "tools": {"mock": bool, "mock_seed": int, "max_retries": int,
               # `validate` refuses, through tools.url_problem, a URL it cannot call
               "endpoints": dict.fromkeys(_HTTP_CLIENTS, object)},
@@ -153,8 +153,6 @@ class DatasetConfig:
     subset: str = ""
 
     def __post_init__(self):
-        if self.flow not in (tools.TEXT_EVIDENCE_FLOW, tools.TABLE_PROGRAM_FLOW):
-            raise ConfigError(f"dataset {self.name!r}: unknown flow {self.flow!r}")
         if not self.subset:
             self.subset = self.name
 
@@ -162,7 +160,6 @@ class DatasetConfig:
 @dataclass
 class TemplateConfig:
     path: str = ""
-    shots: int = 0
 
 
 @dataclass
@@ -196,8 +193,8 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         """The config `raw` describes; ConfigError if it describes none, with
-        one diagnostic per key or type `_SCHEMA` refuses, or else the one a
-        dataclass's own check gives."""
+        one diagnostic per key or type `_SCHEMA` refuses. Values are checked
+        only by `validate`, per stage."""
         problems = _shape_problems(raw, _SCHEMA)
         if problems:
             raise ConfigError(*problems)
@@ -213,15 +210,9 @@ class PipelineConfig:
                           for key, value in fields.items()})
         except TypeError as e:      # a dataset without a required key
             raise ConfigError(f"datasets: {e}") from e
-        except ValueError as e:     # a dataclass's own check
-            raise ConfigError(str(e)) from e
 
-    def make_counter(self):
-        if self.counter == "word":
-            return WordCounter()
-        if self.counter == "char4":
-            return CharBlockCounter()
-        raise ConfigError(f"unknown token counter {self.counter!r}")
+
+_COUNTERS = {"word": WordCounter, "char4": CharBlockCounter}  # `counter` setting -> class
 
 
 _MOCK_DATASETS = {"docs": (tools.TEXT_EVIDENCE_FLOW, fixtures.make_doc_examples),
@@ -265,6 +256,9 @@ def validate(config: PipelineConfig, stages: list[str] | None = None,
              for setting in _row(config, stage).settings}
     if not config.datasets:
         diags.append("no datasets configured")
+    for ds in config.datasets:
+        if ds.flow not in (tools.TEXT_EVIDENCE_FLOW, tools.TABLE_PROGRAM_FLOW):
+            diags.append(f"dataset {ds.name!r}: unknown flow {ds.flow!r}")
     names = [ds.name for ds in config.datasets]
     for name in sorted({n for n in names if names.count(n) > 1}):
         diags.append(f"dataset {name!r}: duplicate name; stage files are named "
@@ -294,15 +288,9 @@ def validate(config: PipelineConfig, stages: list[str] | None = None,
         if not ex.ocr_text and not config.endpoints.get("ocr"):
             diags.append(f"dataset {ds.name!r}: first record has no ocr_text and "
                          "no endpoint is configured for tool 'ocr'")
-    for name, expected in (("summarizer", tools.SUMMARIZER_SHOTS),
-                           ("programmer", tools.PROGRAMMER_SHOTS)):
-        tmpl = config.templates.get(name)
-        if tmpl is None or "templates" not in reads:
-            continue
+    for name, tmpl in config.templates.items() if "templates" in reads else ():
         if tmpl.path and not os.path.isfile(tmpl.path):
             diags.append(f"template {name!r}: path {tmpl.path} is not a file")
-        if tmpl.shots and tmpl.shots != expected:
-            diags.append(f"template {name!r}: shot count {tmpl.shots}, expected {expected}")
     retries = config.max_retries
     if "max_retries" in reads and not (type(retries) is int and retries > 0):
         diags.append(f"tools.max_retries {retries!r}: not an integer >= 1, the programmer's "
@@ -324,11 +312,13 @@ def validate(config: PipelineConfig, stages: list[str] | None = None,
             diags.append(f"no endpoint configured for tool {tool!r} (and mock mode off)")
         elif url and (problem := tools.url_problem(url)):
             diags.append(f"endpoint {tool!r}: {problem}")
-    if "counter" in reads:
-        try:
-            config.make_counter()
-        except ConfigError as e:
-            diags.append(str(e))
+    if "counter" in reads and config.counter not in _COUNTERS:
+        diags.append(f"unknown token counter {config.counter!r}")
+    space, boost = config.filter.space, config.filter.boost_factor
+    if "filter" in reads and space not in (filtering.PROBABILITY_SPACE, filtering.LOG_SPACE):
+        diags.append(f"unknown score space {space!r}")
+    elif "filter" in reads and space == filtering.PROBABILITY_SPACE and not boost > 1:
+        diags.append("boost_factor must be > 1 in probability space")
     if "crop_mode" in reads and config.crop_mode not in (cropping.VERBATIM,
                                                          cropping.FULL_COVERAGE):
         diags.append(f"unknown crop mode {config.crop_mode!r}")
@@ -341,8 +331,7 @@ def _load_template(config: PipelineConfig, name: str, default) -> tools.PromptTe
         return default
     with open(tmpl.path, "r", encoding="utf-8") as f:
         body = f.read()
-    shots = tmpl.shots or default.shot_count
-    return tools.PromptTemplate(name=name, shot_count=shots, body=body)
+    return tools.PromptTemplate(name=name, shot_count=default.shot_count, body=body)
 
 
 def response_cache_path(out_dir: str) -> str:
@@ -610,7 +599,7 @@ def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff) -> dict
     each crop rationale (and, with filter_whole_image, of each example's),
     both made in one task per record."""
     templates = make_templates(config)
-    counter = config.make_counter()
+    counter = _COUNTERS[config.counter]()
     counts = {}
     with contextlib.closing(make_clients(config)) as clients:
         whole_scores = "whole_scores" if config.filter_whole_image else None
@@ -707,7 +696,7 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
     file is stale when its entry in the manifest no longer matches; only the
     files the stale tasks read are taken. A fresh task keeps its file and
     its count."""
-    counter = config.make_counter()
+    counter = _COUNTERS[config.counter]()
     os.makedirs(os.path.join(config.out_dir, "tasks"), exist_ok=True)
     manifest = _read_manifest(config.out_dir, "build-tasks")
     stale = _stale_tasks(config.out_dir, manifest, _task_entries(config), handoff.hashes)
@@ -783,7 +772,7 @@ _EXAMPLE_TASK = _Task(("dataset",), ("counter",))
 _TASKS = {
     "qra": _Task(("dataset", "rationales", "whole_categorized"),
                  ("counter", "filter_whole_image"), whole_image=("whole_categorized",)),
-    "apr": _Task(("dataset",), ("seed", "counter", "mock_seed")),
+    "apr": _Task(("dataset",), ("seed", "counter")),
     "qraci": _CROP_TASK,
     "apraci": _CROP_TASK,
     "qid": _EXAMPLE_TASK,

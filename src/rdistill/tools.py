@@ -24,13 +24,11 @@ from typing import Protocol
 
 from . import dsl
 from .codec import DEFAULT_COUNTER, TokenCounter, encode_program_rationale
-from .records import ImageRef, OcrBox, QAExample, Rationale, _dumps
+from .records import ImageRef, OcrBox, QAExample, Rationale, _dumps, _loads
 
 log = logging.getLogger(__name__)
 
 EVIDENCE_TOKEN_LIMIT = 100
-SUMMARIZER_SHOTS = 5
-PROGRAMMER_SHOTS = 8
 STUDENT_SAMPLES = 3
 
 TEXT_EVIDENCE_FLOW = "text-evidence"
@@ -335,7 +333,9 @@ class HttpEndpoint:
     def call(self, payload: dict) -> dict:
         """One upstream request, retried on connection errors, timeouts and
         5xx; ToolFailure, with no retry, on a 3xx (no redirect is followed),
-        a 4xx, or a 2xx whose body is not a JSON object."""
+        a 4xx, or a 2xx whose body is not a JSON object in UTF-8 text: one
+        whose strings escape a lone surrogate is refused too, so the response
+        cache is never handed a reply it cannot write."""
         import http.client     # with ssl (~1.6 MB), loaded by the first upstream call
 
         body = json.dumps(payload).encode("utf-8")
@@ -351,9 +351,12 @@ class HttpEndpoint:
             else:
                 if status < 300:
                     try:
-                        out = json.loads(data)
-                    except ValueError:
+                        out = _loads(data.decode("utf-8"))
+                    except (UnicodeDecodeError, json.JSONDecodeError):
                         out = None
+                    except ValueError as e:     # `_loads` refused a lone surrogate
+                        raise ToolFailure(self.url, f"response is not UTF-8 text: {e}",
+                                          attempt + 1) from None
                     if not isinstance(out, dict):
                         raise ToolFailure(self.url, "response is not a JSON object", attempt + 1)
                     return out

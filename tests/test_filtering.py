@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from rdistill import pipeline
 from rdistill.codec import CharBlockCounter, WordCounter
 from rdistill.filtering import (LOG_SPACE, PROBABILITY_SPACE, BalanceReport,
                                 FilterConfig, balance, categorize, is_useful, score)
@@ -131,11 +132,18 @@ def test_usefulness_far_below_exp_range():
     assert is_useful(-800.0, -900.0, cfg)
 
 
-def test_filter_config_validation():
-    with pytest.raises(ValueError):
-        FilterConfig(boost_factor=0.5, space="probability")
-    with pytest.raises(ValueError):
-        FilterConfig(space="weird")
+def test_filter_config_validation(tmp_path):
+    # FilterConfig holds any value: `validate` refuses these, for a run of filter only
+    config = pipeline.default_mock_config(str(tmp_path), write=False)
+    for cfg, diagnostic in ((FilterConfig(boost_factor=0.5, space=PROBABILITY_SPACE),
+                             "boost_factor must be > 1 in probability space"),
+                            (FilterConfig(space="weird"), "unknown score space 'weird'")):
+        config.filter = cfg
+        assert pipeline.validate(config, ["filter"], read_datasets=False) == [diagnostic]
+        assert pipeline.validate(config, ["crop", "generate-rationales", "build-tasks"],
+                                 read_datasets=False) == []
+    config.filter = FilterConfig(boost_factor=0.5, space=LOG_SPACE)
+    assert pipeline.validate(config, ["filter"], read_datasets=False) == []
 
 
 class SpyVerifier:

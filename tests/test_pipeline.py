@@ -154,7 +154,7 @@ class TestStageInvalidation:
         template = tmp_path / "summarizer.txt"
         template.write_text("First: {ocr} {question} {answer}")
         config = default_mock_config(str(tmp_path / "t"), seed=0)
-        config.templates["summarizer"] = TemplateConfig(path=str(template), shots=5)
+        config.templates["summarizer"] = TemplateConfig(path=str(template))
         assert stages_run(run(config)) == ALL_STAGES
         template.write_text("Second: {ocr} {question} {answer}")
         assert stages_run(run(config)) == {"generate-rationales", "filter", "build-tasks"}
@@ -734,6 +734,17 @@ class TestPerTaskFreshness:
         with open(manifest, "rb") as f:
             assert f.read() == recorded
 
+    def test_a_mock_seed_switch_leaves_apr_untouched(self, tmp_path):
+        # the mock students take no seed: APR reads the dataset, seed and counter
+        config = default_mock_config(str(tmp_path / "students"), seed=0)
+        run(config)
+        before = task_stamps(config)
+        config.mock_seed = 1
+        assert stages_run(run(config)) == {"generate-rationales", "filter", "build-tasks"}
+        after = task_stamps(config)
+        assert "qraci" in rewritten(before, after)
+        assert after["apr"] == before["apr"]
+
     def test_adding_a_task_builds_only_its_file(self, tmp_path, parses):
         config = default_mock_config(str(tmp_path / "add"), seed=0)
         config.tasks = ("qra", "apr", "qraci", "apraci", "ans-only")
@@ -854,20 +865,20 @@ PINNED_FINGERPRINTS = {
         "crop": "15d0d673eb6ff54dd2e13645794f1fbec349119f568ef24b0d8b7dcdabe2db20",
         "generate-rationales": "bb0979e8f1a4ad6dcef93938c5dd8d1cb4e5b2e9cf0b2e55709cc7d556777295",
         "filter": "f90d9453315ee341c34b81e64109838b9c7e14312d5022a014857b9ea48c7c40",
-        "build-tasks": "21d571c632c7cfa97c3f0556fad025ac09e8c7d3be360ab819bb7e582b8e31ab",
+        "build-tasks": "6f7b23ee7d85e9c5e1bd044d3622275d73e24cbe77240af4caeafb458afcd307",
     },
     "mock-whole-image": {
         "crop": "15d0d673eb6ff54dd2e13645794f1fbec349119f568ef24b0d8b7dcdabe2db20",
         "generate-rationales": "84c0bb1d9096746469733c468e2e58126fd4cc11f8978031a8b268144d39af57",
         "filter": "478b6e1940249f560b3fb8c541ddd363fef8fd5c0d07deb9c0afe058b5e10669",
-        "build-tasks": "0b6d3774944d661c0d60f2e49fc158d7f1be5dcce45ff48577db2fd38fda182a",
+        "build-tasks": "9ba6a273a04c87fd62290a6c059dde3e3540f22352f40d55354da46908497a97",
     },
     "http": {
         "crop": "15d0d673eb6ff54dd2e13645794f1fbec349119f568ef24b0d8b7dcdabe2db20",
         "generate-rationales": "da8e4101599218da2b1c6939df487a87faf61620d3288a5b2ef2122b2f96428b",
         # filter reads only seed, filter.* and filter_whole_image: no endpoint, no counter
         "filter": "478b6e1940249f560b3fb8c541ddd363fef8fd5c0d07deb9c0afe058b5e10669",
-        "build-tasks": "e7ae138dcb87f75dee94a4ee253a09d3ea1523dcb90d0dffccf6c69df249a949",
+        "build-tasks": "18585ed8d079434d1bc1f3e6624b249dd945e7c5f1cc9df23ccfc375ec62bd20",
     },
 }
 
@@ -908,7 +919,7 @@ def pinned_config(tmp_path, name):
                             ("ocr", "summarizer", "programmer", "plot_to_table", "verifier")}
         template = tmp_path / "summarizer.txt"
         template.write_text("Summarize {ocr}\nQ: {question}\nA: {answer}\n")
-        config.templates = {"summarizer": TemplateConfig(path=str(template), shots=5)}
+        config.templates = {"summarizer": TemplateConfig(path=str(template))}
     return config
 
 
@@ -1236,11 +1247,6 @@ class TestValidate:
         config.datasets[0].path = str(tmp_path / "nope.jsonl")
         assert any("does not exist" in d for d in validate(config))
 
-    def test_template_shot_count_mismatch(self, tmp_path):
-        config = default_mock_config(str(tmp_path / "v3"))
-        config.templates["programmer"] = pipeline.TemplateConfig(path="", shots=5)
-        assert any("shot count 5" in d for d in validate(config))
-
     def test_no_endpoints_without_mock(self, tmp_path):
         config = default_mock_config(str(tmp_path / "v4"))
         config.mock = False
@@ -1413,6 +1419,11 @@ CONFIG_DEFECTS = {
     "bad-url": (GENERATE, False, lambda c: c.endpoints.update(summarizer="localhost:9/s")),
     "empty-programmer": (GENERATE, True, lambda c: c.endpoints.update(programmer="")),
     "null-verifier": (GENERATE, True, lambda c: c.endpoints.update(verifier=None)),
+    "unknown-space": ({"filter"}, False,
+                      lambda c: setattr(c, "filter", dataclasses.replace(c.filter, space="odds"))),
+    "boost-below-one": ({"filter"}, False, lambda c: setattr(
+        c, "filter", dataclasses.replace(c.filter, boost_factor=0.5))),
+    "unknown-flow": (None, False, lambda c: setattr(c.datasets[0], "flow", "ocr")),
     "no-datasets": (None, False, lambda c: c.datasets.clear()),
 }
 
@@ -1463,34 +1474,47 @@ class TestOneConfigGate:
 
 
 GOOD_DATASET = "datasets: [{name: docs, path: DATA, flow: text-evidence}]\n"
-# config file text, with DATA standing for a dataset file that exists; what the error names
-BAD_CONFIGS = {
-    "malformed-yaml": ("datasets: [\n", "while parsing"),
-    "unknown-flow": ("datasets: [{name: d, path: DATA, flow: ocr}]\n", "unknown flow 'ocr'"),
-    "no-name": ("datasets: [{path: DATA, flow: text-evidence}]\n", "'name'"),
-    "no-path": ("datasets: [{name: d, flow: text-evidence}]\n", "'path'"),
-    "no-flow": ("datasets: [{name: d, path: DATA}]\n", "'flow'"),
-    "boost-below-one": ("filter: {boost_factor: 0.5}\n" + GOOD_DATASET,
-                        "boost_factor must be > 1"),
-    "unknown-space": ("filter: {space: odds}\n" + GOOD_DATASET, "unknown score space 'odds'"),
-}
 CONFIG_COMMANDS = ("run", "validate", "crop", "generate-rationales", "filter", "build-tasks")
+FILTER_COMMANDS = ("run", "validate", "filter")
+BAD_FILTERS = {"boost-below-one": "filter: {boost_factor: 0.5}\n",
+               "unknown-space": "filter: {space: odds}\n"}
+# config file text, with DATA standing for a dataset file that exists; what the
+# error names; the commands that refuse it; whether the gate (`validate`)
+# reports it, rather than the loading of the file
+BAD_CONFIGS = {
+    "malformed-yaml": ("datasets: [\n", "while parsing", CONFIG_COMMANDS, False),
+    "unknown-flow": ("datasets: [{name: d, path: DATA, flow: ocr}]\n", "unknown flow 'ocr'",
+                     CONFIG_COMMANDS, True),
+    "no-name": ("datasets: [{path: DATA, flow: text-evidence}]\n", "'name'", CONFIG_COMMANDS,
+                False),
+    "no-path": ("datasets: [{name: d, flow: text-evidence}]\n", "'path'", CONFIG_COMMANDS,
+                False),
+    "no-flow": ("datasets: [{name: d, path: DATA}]\n", "'flow'", CONFIG_COMMANDS, False),
+    "boost-below-one": (BAD_FILTERS["boost-below-one"] + GOOD_DATASET,
+                        "boost_factor must be > 1", FILTER_COMMANDS, True),
+    "unknown-space": (BAD_FILTERS["unknown-space"] + GOOD_DATASET, "unknown score space 'odds'",
+                      FILTER_COMMANDS, True),
+}
 BAD_INPUTS = [
-    *(pytest.param(command, text + "tools: {mock: true}\n", [], named, id=f"{name}-{command}")
-      for name, (text, named) in BAD_CONFIGS.items() for command in CONFIG_COMMANDS),
+    *(pytest.param(command, text + "tools: {mock: true}\n", [], named,
+                   "" if gated and command == "validate" else "config error: ",
+                   id=f"{name}-{command}")
+      for name, (text, named, commands, gated) in BAD_CONFIGS.items() for command in commands),
     pytest.param("filter", None, ["--lambda", "0.5"], "boost_factor must be > 1",
-                 id="filter-lambda"),
+                 "config error: ", id="filter-lambda"),
     pytest.param("build-tasks", None, ["--tasks", "qra,bogus"], "unknown task 'bogus'",
-                 id="build-tasks-unknown-task"),
+                 "config error: ", id="build-tasks-unknown-task"),
 ]
 
 
 class TestConfigErrors:
     """A config that cannot be built, or would fail later, exits 2 before any stage."""
 
-    @pytest.mark.parametrize("command,config_text,options,named", BAD_INPUTS)
+    @pytest.mark.parametrize("command,config_text,options,named,framed", BAD_INPUTS)
     def test_exits_2_with_a_diagnostic(self, tmp_path, mock_data_dir, command, config_text,
-                                       options, named):
+                                       options, named, framed):
+        # `rdistill validate` prints the gate's diagnostics bare; any other
+        # config problem is a `config error:` line
         out_dir = tmp_path / "out"
         if config_text is None:
             args = ["--mock", "--out-dir", str(out_dir)]
@@ -1501,9 +1525,28 @@ class TestConfigErrors:
         result = CliRunner().invoke(cli.main, [command, *args, *options])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert "config error: " in result.output and named in result.output
+        assert any(line.startswith(framed) and named in line
+                   for line in result.output.splitlines()), result.output
         assert "Traceback" not in result.output
         assert not os.path.exists(out_dir / "tasks")
+
+    @pytest.mark.parametrize("name,command", [
+        pytest.param(name, command, id=f"{name}-{command}") for name in BAD_FILTERS
+        for command in ("crop", "generate-rationales", "build-tasks")])
+    def test_exits_0_if_unread(self, tmp_path, mock_data_dir, name, command):
+        # values are checked per stage: only filter reads λ and its space, so
+        # a config that filter refuses runs every other stage
+        good, bad = tmp_path / "good.yaml", tmp_path / "bad.yaml"
+        text = GOOD_DATASET.replace("DATA", f"{mock_data_dir}/data/docs.jsonl") \
+            + f"out_dir: {tmp_path / 'out'}\ntools: {{mock: true}}\n"
+        good.write_text(text)
+        bad.write_text(BAD_FILTERS[name] + text)
+        stages = pipeline.STAGES[:pipeline.STAGES.index(command) + 1]
+        for stage in stages:
+            result = CliRunner().invoke(cli.main, [
+                stage, "--config", str(good if stage == "filter" else bad)])
+            assert result.exit_code == 0, result.output
+            assert f"[{stage}] {{" in result.output     # ran, not skipped
 
 
 class TestConfigFile:
@@ -1542,6 +1585,9 @@ SHAPE_ERRORS = {
                     ["filter_whole_image: expected a boolean, got 'no'"]),
     "string-boost": ('filter: {boost_factor: "3"}\n',
                      ["filter.boost_factor: expected a number, got '3'"]),
+    "template-shots": ("templates: {summarizer: {path: '', shots: 5}}\n",
+                       ["templates.summarizer.shots: unknown key; "
+                        "did you mean templates.summarizer.path?"]),
     "several": ("endpoints: {verifier: http://a/v}\nseed: true\n"
                 "datasets: [{name: d, path: DATA, flow: text-evidence, subst: d}]\n",
                 ["endpoints: unknown key; did you mean tools.endpoints?",
@@ -1549,12 +1595,9 @@ SHAPE_ERRORS = {
                  "datasets[0].subst: unknown key; did you mean datasets[].subset?"]),
 }
 
-# Values `_SCHEMA`'s types take that the dataclasses' own checks accept too.
-CHECKED_VALUES = {"filter.boost_factor": st.integers(2, 9) | st.floats(1.5, 9.0),
-                  "filter.space": st.sampled_from(["probability", "log"]),
-                  "datasets[].flow": st.sampled_from([tools.TEXT_EVIDENCE_FLOW,
-                                                      tools.TABLE_PROGRAM_FLOW]),
-                  "datasets[].subset": st.text(min_size=1, max_size=4)}
+# Loading takes any value of the type `_SCHEMA` gives, but an empty subset
+# stands for the dataset's name.
+CHECKED_VALUES = {"datasets[].subset": st.text(min_size=1, max_size=4)}
 LEAF_VALUES = {str: st.text(max_size=4), int: st.integers(), bool: st.booleans(),
                float: st.integers() | st.floats(allow_nan=False), object: st.none() | st.text()}
 # values that a key of each type does not take

@@ -234,7 +234,10 @@ class TestHttpEndpoint:
         (200, b"<html>login</html>", "response is not a JSON object"),
         (200, b"[1, 2]", "response is not a JSON object"),
         (200, b"\xff\xfe", "response is not a JSON object"),
-    ], ids=["redirect", "redirect-html", "html", "json-list", "not-utf8"])
+        # valid JSON, yet no UTF-8 text holds it, so the cache could not write it
+        (200, b'{"text": "Find(1) \\ud800"}',
+         "response is not UTF-8 text: lone surrogate \\ud800 in a string"),
+    ], ids=["redirect", "redirect-html", "html", "json-list", "not-utf8", "lone-surrogate"])
     def test_unusable_response_fails_once_and_is_not_cached(self, scripted_server, tmp_path,
                                                            status, raw, cause):
         url, handler = scripted_server([status], raw=raw)
