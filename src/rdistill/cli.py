@@ -14,7 +14,7 @@ import click
 
 from . import cropping, dsl, inference, pipeline
 from .records import (TASK_NAMES, MalformedRecord, ScoredHypothesis, _dumps,
-                      numbered_lines, parse_example, parse_hypothesis, parse_prediction,
+                      numbered_lines, parse_gold, parse_hypothesis, parse_prediction,
                       serialize_example, write_lines)
 
 log = logging.getLogger(__name__)
@@ -111,11 +111,11 @@ def run_cmd(stages, **options):
 @main.command(name="validate")
 @with_config_opts
 def validate_cmd(**options):
-    """Report the diagnostics of a run of every stage without running anything."""
+    """Report the diagnostics of a run of every stage without running anything:
+    a `config error:` line each, and exit 2 if there are any."""
     diags = pipeline.validate(_load_config(**options))
-    for d in diags:
-        click.echo(d)
-    sys.exit(EXIT_VALIDATION_FAILURE if diags else 0)
+    if diags:
+        _exit_config_errors(diags)
 
 
 @main.command(name="crop")
@@ -208,21 +208,22 @@ def _eval_error(message: str):
 def eval_cmd(predictions_file, gold_file, metric, output):
     """Score predictions against gold examples.
 
-    Predictions: {"example_id":..., "answer":...} lines; gold: example records.
-    Each gold example needs exactly one prediction; a prediction for an
-    unknown example is skipped with a warning. A malformed line, a second
-    prediction or gold record for an example, or a gold example without a
-    prediction exits 2.
+    Predictions: {"example_id":..., "answer":...} lines; gold: example
+    records, of which only example_id and gold_answers are read. Each gold
+    example needs exactly one prediction; a prediction for an unknown
+    example is skipped with a warning. A malformed line, a second prediction
+    or gold record for an example, or a gold example without a prediction
+    exits 2.
     """
     gold = {}
     for line_no, line in numbered_lines(gold_file):
         try:
-            ex = parse_example(line, line_no)
+            example_id, answers = parse_gold(line, line_no)
         except MalformedRecord as e:
             _eval_error(f"{gold_file} {e}")
-        if ex.example_id in gold:
-            _eval_error(f"{gold_file} line {line_no}: second gold example {ex.example_id!r}")
-        gold[ex.example_id] = ex.gold_answers
+        if example_id in gold:
+            _eval_error(f"{gold_file} line {line_no}: second gold example {example_id!r}")
+        gold[example_id] = answers
     pairs, predicted = [], set()
     for line_no, line in numbered_lines(predictions_file):
         try:

@@ -50,8 +50,8 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 from . import cropping, filtering, fixtures, tasks, tools
 from .codec import CharBlockCounter, WordCounter
 from .records import (TASK_NAMES, CategorizedExample, MalformedRecord, QAExample,
-                      Rationale, Verdict, VerifierScores, _dumps, numbered_lines,
-                      parse_categorized, parse_example, parse_scores, read_lines,
+                      Rationale, Verdict, VerifierScores, _dumps, _line_error, _loads,
+                      numbered_lines, parse_categorized, parse_example, parse_scores,
                       serialize_categorized, serialize_example, serialize_record,
                       serialize_scores, write_lines)
 
@@ -506,28 +506,36 @@ def _serialize_rationale_line(example_id: str, rationale: Rationale) -> str:
     return _dumps({"example_id": example_id, "rationale": rationale.to_json()})
 
 
-def _parse_rationale_line(line: str) -> tuple[str, Rationale]:
-    obj = json.loads(line)
-    return obj["example_id"], Rationale.from_json(obj["rationale"])
-
-
-def _read_rationales(path: str) -> dict[str, Rationale]:
-    return dict(_parse_rationale_line(line) for line in read_lines(path))
-
-
-def _read_examples(path: str) -> list[QAExample]:
+def _parse_rationale_line(line: str, line_no: int = 0) -> tuple[str, Rationale]:
     try:
-        return [parse_example(line, line_no) for line_no, line in numbered_lines(path)]
+        obj = _loads(line)
+        return obj["example_id"], Rationale.from_json(obj["rationale"])
+    except (ValueError, KeyError, TypeError) as e:
+        raise _line_error(e, line_no) from e
+
+
+def _read(path: str, parse) -> list:
+    """`parse(line, line_no)` of each line of `path`; a MalformedRecord names the file."""
+    try:
+        return [parse(line, line_no) for line_no, line in numbered_lines(path)]
     except MalformedRecord as e:
         raise MalformedRecord(f"{path}: {e}") from e
 
 
+def _read_rationales(path: str) -> dict[str, Rationale]:
+    return dict(_read(path, _parse_rationale_line))
+
+
+def _read_examples(path: str) -> list[QAExample]:
+    return _read(path, parse_example)
+
+
 def _read_verdicts(path: str) -> list[Verdict]:
-    return [parse_categorized(line, line_no) for line_no, line in numbered_lines(path)]
+    return _read(path, parse_categorized)
 
 
 def _read_scores(path: str) -> list[tuple[str, VerifierScores]]:
-    return [parse_scores(line, line_no) for line_no, line in numbered_lines(path)]
+    return _read(path, parse_scores)
 
 
 class _Handoff:

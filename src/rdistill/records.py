@@ -8,8 +8,11 @@ produce byte-identical output.
 Every JSONL line the package writes (stage, task, prediction and
 response-cache lines) goes through one encoder, `_dumps`, built once at
 import. A line keeps the bytes of `json.dumps(obj, ensure_ascii=False,
-separators=(",", ":"))`, NaN and infinities included. A line whose JSON
-escapes a lone surrogate holds no UTF-8 text and parses as a
+separators=(",", ":"))`, NaN and infinities included. Every JSONL line the
+package reads (stage, task, beam, prediction and response-cache lines, and
+HTTP replies) goes through one decoder, `_loads`, built once at import: it
+returns what `json.loads` returns and raises what it raises. A line whose
+JSON escapes a lone surrogate holds no UTF-8 text and parses as a
 MalformedRecord.
 """
 
@@ -100,9 +103,10 @@ class ImageRef:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ImageRef":
+        image_id = obj["id"]    # first: a value that is not an object raises TypeError
         crop = obj.get("crop")
         return cls(
-            id=obj["id"],
+            id=image_id,
             height=obj["height"],
             width=obj["width"],
             crop=Crop(crop["axis"], crop["start"], crop["end"]) if crop else None,
@@ -128,6 +132,27 @@ class OcrBox:
         return cls(obj[0], obj[1], obj[2], obj[3], obj[4])
 
 
+def _check_gold(example_id, gold_answers) -> None:
+    """Refuse an example whose id is not a string, or whose gold answers are
+    not a non-empty list or tuple of strings, none of them the None sentinel."""
+    if not isinstance(example_id, str):
+        raise ValueError(f"example_id {example_id!r} is not a string")
+    if not isinstance(gold_answers, (list, tuple)) or not gold_answers:
+        raise ValueError(f"example {example_id!r}: gold_answers must be a non-empty "
+                         f"list of strings, not {gold_answers!r}")
+    for a in gold_answers:
+        if not isinstance(a, str):
+            raise ValueError(f"example {example_id!r}: gold answer {a!r} is not a string")
+        if is_none_answer(a):
+            raise ValueError(f"example {example_id!r}: gold answer collides with None sentinel")
+
+
+def _gold_tuple(value):
+    """A JSON gold_answers value as a record holds it: a list as a tuple,
+    anything else as it is, for `_check_gold` to refuse."""
+    return tuple(value) if isinstance(value, list) else value
+
+
 @dataclass(frozen=True, slots=True)
 class QAExample:
     """One (image, question, gold answers) record plus OCR text."""
@@ -141,13 +166,7 @@ class QAExample:
     structured_table: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self):
-        if not self.gold_answers:
-            raise ValueError(f"example {self.example_id!r}: empty gold_answers")
-        for a in self.gold_answers:
-            if is_none_answer(a):
-                raise ValueError(
-                    f"example {self.example_id!r}: gold answer collides with None sentinel"
-                )
+        _check_gold(self.example_id, self.gold_answers)
         if self.ocr_boxes:
             for b in self.ocr_boxes:
                 if not (0 <= b.x0 <= b.x1 <= self.image.width
@@ -174,13 +193,14 @@ class QAExample:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QAExample":
+        example_id = obj["example_id"]  # first: a value that is not an object raises TypeError
         boxes = obj.get("ocr_boxes")
         table = obj.get("structured_table")
         return cls(
-            example_id=obj["example_id"],
+            example_id=example_id,
             image=ImageRef.from_json(obj["image"]),
             question=obj["question"],
-            gold_answers=tuple(obj["gold_answers"]),
+            gold_answers=_gold_tuple(obj["gold_answers"]),
             ocr_text=obj.get("ocr_text", ""),
             ocr_boxes=tuple(OcrBox.from_json(b) for b in boxes) if boxes is not None else None,
             structured_table=tuple(tuple(r) for r in table) if table is not None else None,
@@ -377,12 +397,30 @@ _dumps = _make_dumps()
 _string = json.encoder.encode_basestring   # a str as the JSON string _dumps writes for it
 
 
+# the C scanner json.loads ends in, built once: json.loads reaches it through
+# JSONDecoder.decode, raw_decode and two whitespace matches per call. None
+# where the C module is missing.
+_scan = (None if json.scanner.c_make_scanner is None
+         else json.scanner.c_make_scanner(json.JSONDecoder()))
+
+
 def _loads(line: str):
     """json.loads, refusing a string that escapes a lone surrogate: valid
-    JSON, but no text UTF-8 can hold. Only a line with a \\u escape can hold
-    one, so other lines pay for the check with a search for a backslash
-    (one memchr, where a search for "\\u" costs several times as much)."""
-    obj = json.loads(line)
+    JSON, but no text UTF-8 can hold. The scanner's value is taken only when
+    it reads the whole line from its first character; any other line (one
+    with surrounding whitespace, a BOM, extra data or an error) goes to
+    json.loads, so it gets json.loads' value or exception. Only a line with a
+    \\u escape can hold a lone surrogate, so other lines pay for the check
+    with a search for a backslash (one memchr, where a search for "\\u"
+    costs several times as much)."""
+    end = -1
+    if _scan is not None:
+        try:
+            obj, end = _scan(line, 0)
+        except Exception:   # json.loads raises it again, or reads past leading space
+            pass
+    if end != len(line):
+        obj = json.loads(line)
     if "\\" in line and "\\u" in line:
         try:
             _dumps(obj).encode("utf-8")
@@ -434,6 +472,19 @@ def serialize_example(example: QAExample) -> str:
 def parse_example(line: str, line_no: int = 0) -> QAExample:
     try:
         return QAExample.from_json(_loads(line))
+    except (ValueError, KeyError, TypeError, IndexError) as e:  # IndexError: a short OCR box
+        raise MalformedRecord(str(e), line_no) from e
+
+
+def parse_gold(line: str, line_no: int = 0) -> tuple[str, tuple[str, ...]]:
+    """An example line's example_id and gold answers, checked as
+    `parse_example` checks them; its other fields are neither built nor
+    checked."""
+    try:
+        obj = _loads(line)
+        example_id, answers = obj["example_id"], _gold_tuple(obj["gold_answers"])
+        _check_gold(example_id, answers)
+        return example_id, answers
     except (ValueError, KeyError, TypeError) as e:
         raise MalformedRecord(str(e), line_no) from e
 

@@ -244,9 +244,9 @@ class ResponseCache:
                     break
                 end += len(line)
                 try:
-                    obj = json.loads(line)
+                    obj = _loads(line[:-1].decode("utf-8"))
                     self._stored.setdefault(obj["key"], []).append(obj["response"])
-                except (ValueError, KeyError, TypeError):
+                except (ValueError, KeyError, TypeError):     # a lone surrogate too
                     log.warning("%s: skipping a malformed line", self.path)
 
     @staticmethod

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import logging
+import pathlib
 
 import pytest
 from click.testing import CliRunner
@@ -385,6 +387,27 @@ class TestEvalCommand:
         assert isinstance(result.exception, SystemExit)
         assert f"eval error: {gold_path} line 2: " in result.output
 
+    @pytest.mark.parametrize("answers", [[5], "abc", [], ["A", None], None, ["None"]])
+    def test_gold_answers_that_are_not_a_list_of_strings_exit_2(self, tmp_path, answers):
+        bad = json.loads(gold_line("e1", "A"))
+        bad["gold_answers"] = answers
+        result, _, gold_path = self.run_eval(
+            tmp_path, [{"example_id": "e1", "answer": "a"}], [bad])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"eval error: {gold_path} line 1: " in result.output
+
+    @pytest.mark.parametrize("field,value", [("image", {"id": "i", "height": -1}),
+                                             ("image", None), ("ocr_boxes", [[1]]),
+                                             ("question", None)])
+    def test_reads_only_the_id_and_answers_of_a_gold_line(self, tmp_path, field, value):
+        gold = json.loads(gold_line("e1", "A"))
+        gold[field] = value
+        del gold["structured_table"]
+        result, _, _ = self.run_eval(tmp_path, [{"example_id": "e1", "answer": "A"}], [gold])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["per_example"] == [1.0]
+
     def test_a_prediction_for_an_unknown_example_is_skipped(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING):
             result, _, _ = self.run_eval(
@@ -393,3 +416,27 @@ class TestEvalCommand:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["per_example"] == [1.0]
         assert "prediction for unknown example zz" in caplog.text
+
+
+def load_perfbench(name):
+    """A module of the benchmark, loaded by path: it imports nothing of rdistill."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scoring_passes_the_benchmark_reference(tmp_path):
+    # the benchmark's `score` pass, checked by its reference scorer; a change
+    # to vote or eval that the benchmark would count as failed fails here first
+    corpus, reference = load_perfbench("corpus"), load_perfbench("reference")
+    written = corpus.write_score_inputs(str(tmp_path), seed=7)
+    beams, gold = written["paths"]["beams"], written["paths"]["gold"]
+    kept = {name: str(tmp_path / name) for name in ("preds.jsonl", "anls.json", "ra.json")}
+    for args in (["vote", beams, "--calculator", "-o", kept["preds.jsonl"]],
+                 ["eval", kept["preds.jsonl"], gold, "--metric", "anls", "-o", kept["anls.json"]],
+                 ["eval", kept["preds.jsonl"], gold, "--metric", "ra", "-o", kept["ra.json"]]):
+        cli.main.main(args, prog_name="rdistill", standalone_mode=False)
+    verdicts = reference.check_score(beams, gold, kept, written["faults"])
+    assert verdicts == {"failed": {}, "unexpected": []}

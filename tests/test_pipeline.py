@@ -1198,8 +1198,25 @@ class TestStageIsolation:
         scores = pipeline.stage_file(config, config.datasets[0], "scores")
         lines = list(read_lines(scores))
         write_lines(scores, [lines[0], "", lines[1][:-1]] + lines[2:])
-        with pytest.raises(StageFailure, match="line 3: ") as exc:
+        with pytest.raises(StageFailure, match=re.escape(f"{scores}: line 3: ")) as exc:
             run(config, ["filter"])
+        assert isinstance(exc.value.cause, MalformedRecord)
+
+    @pytest.mark.parametrize("bad", ["lone-surrogate", "not-json"])
+    def test_a_bad_rationale_line_is_named_by_its_file_and_line(self, tmp_path, bad):
+        config = default_mock_config(str(tmp_path / "rationales"), seed=0)
+        run(config, ["crop", "generate-rationales", "filter"])
+        path = pipeline.stage_file(config, config.datasets[0], "rationales")
+        lines = list(read_lines(path))
+        if bad == "lone-surrogate":
+            obj = json.loads(lines[1])
+            obj["rationale"]["evidence"] += "\ud800"
+            lines[1] = json.dumps(obj)
+        else:
+            lines[1] = "{" + lines[1][2:]
+        write_lines(path, lines)
+        with pytest.raises(StageFailure, match=re.escape(f"{path}: line 2: ")) as exc:
+            run(config, ["build-tasks"])
         assert isinstance(exc.value.cause, MalformedRecord)
 
 
@@ -1311,7 +1328,8 @@ class TestEndpointsPerFlow:
                           "flow": "text-evidence"}]}))
         result = CliRunner().invoke(cli.main, ["validate", "--config", str(cfg_path)])
         assert result.exit_code == 2, result.output
-        assert result.output == "no endpoint configured for tool 'verifier' (and mock mode off)\n"
+        assert result.output == ("config error: no endpoint configured for tool 'verifier' "
+                                 "(and mock mode off)\n")
 
 
 class TestMaxRetries:
@@ -1479,42 +1497,37 @@ FILTER_COMMANDS = ("run", "validate", "filter")
 BAD_FILTERS = {"boost-below-one": "filter: {boost_factor: 0.5}\n",
                "unknown-space": "filter: {space: odds}\n"}
 # config file text, with DATA standing for a dataset file that exists; what the
-# error names; the commands that refuse it; whether the gate (`validate`)
-# reports it, rather than the loading of the file
+# error names; the commands that refuse it
 BAD_CONFIGS = {
-    "malformed-yaml": ("datasets: [\n", "while parsing", CONFIG_COMMANDS, False),
+    "malformed-yaml": ("datasets: [\n", "while parsing", CONFIG_COMMANDS),
     "unknown-flow": ("datasets: [{name: d, path: DATA, flow: ocr}]\n", "unknown flow 'ocr'",
-                     CONFIG_COMMANDS, True),
-    "no-name": ("datasets: [{path: DATA, flow: text-evidence}]\n", "'name'", CONFIG_COMMANDS,
-                False),
-    "no-path": ("datasets: [{name: d, flow: text-evidence}]\n", "'path'", CONFIG_COMMANDS,
-                False),
-    "no-flow": ("datasets: [{name: d, path: DATA}]\n", "'flow'", CONFIG_COMMANDS, False),
+                     CONFIG_COMMANDS),
+    "no-name": ("datasets: [{path: DATA, flow: text-evidence}]\n", "'name'", CONFIG_COMMANDS),
+    "no-path": ("datasets: [{name: d, flow: text-evidence}]\n", "'path'", CONFIG_COMMANDS),
+    "no-flow": ("datasets: [{name: d, path: DATA}]\n", "'flow'", CONFIG_COMMANDS),
     "boost-below-one": (BAD_FILTERS["boost-below-one"] + GOOD_DATASET,
-                        "boost_factor must be > 1", FILTER_COMMANDS, True),
+                        "boost_factor must be > 1", FILTER_COMMANDS),
     "unknown-space": (BAD_FILTERS["unknown-space"] + GOOD_DATASET, "unknown score space 'odds'",
-                      FILTER_COMMANDS, True),
+                      FILTER_COMMANDS),
 }
 BAD_INPUTS = [
-    *(pytest.param(command, text + "tools: {mock: true}\n", [], named,
-                   "" if gated and command == "validate" else "config error: ",
-                   id=f"{name}-{command}")
-      for name, (text, named, commands, gated) in BAD_CONFIGS.items() for command in commands),
+    *(pytest.param(command, text + "tools: {mock: true}\n", [], named, id=f"{name}-{command}")
+      for name, (text, named, commands) in BAD_CONFIGS.items() for command in commands),
     pytest.param("filter", None, ["--lambda", "0.5"], "boost_factor must be > 1",
-                 "config error: ", id="filter-lambda"),
+                 id="filter-lambda"),
     pytest.param("build-tasks", None, ["--tasks", "qra,bogus"], "unknown task 'bogus'",
-                 "config error: ", id="build-tasks-unknown-task"),
+                 id="build-tasks-unknown-task"),
 ]
 
 
 class TestConfigErrors:
     """A config that cannot be built, or would fail later, exits 2 before any stage."""
 
-    @pytest.mark.parametrize("command,config_text,options,named,framed", BAD_INPUTS)
+    @pytest.mark.parametrize("command,config_text,options,named", BAD_INPUTS)
     def test_exits_2_with_a_diagnostic(self, tmp_path, mock_data_dir, command, config_text,
-                                       options, named, framed):
-        # `rdistill validate` prints the gate's diagnostics bare; any other
-        # config problem is a `config error:` line
+                                       options, named):
+        # every config problem is a `config error:` line, whichever layer
+        # finds it: the loader, or the gate that `validate` and `run` share
         out_dir = tmp_path / "out"
         if config_text is None:
             args = ["--mock", "--out-dir", str(out_dir)]
@@ -1525,7 +1538,7 @@ class TestConfigErrors:
         result = CliRunner().invoke(cli.main, [command, *args, *options])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert any(line.startswith(framed) and named in line
+        assert any(line.startswith("config error: ") and named in line
                    for line in result.output.splitlines()), result.output
         assert "Traceback" not in result.output
         assert not os.path.exists(out_dir / "tasks")
@@ -1740,7 +1753,7 @@ class TestCli:
         result = CliRunner().invoke(cli.main, ["validate", "--config", str(cfg_path)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert result.output.startswith("dataset 'd': unreadable (")
+        assert result.output.startswith("config error: dataset 'd': unreadable (")
 
     def test_run_refuses_a_template_path_that_is_a_directory(self, tmp_path, mock_data_dir):
         cfg_path = tmp_path / "cfg.yaml"
@@ -1776,7 +1789,7 @@ class TestCli:
             "datasets": [{"name": "docs", "path": str(data), "flow": "text-evidence"}]}))
         result = CliRunner().invoke(cli.main, ["validate", "--config", str(cfg_path)])
         assert result.exit_code == 2, result.output
-        assert result.output.startswith(f"endpoint 'summarizer': {url!r}")
+        assert result.output.startswith(f"config error: endpoint 'summarizer': {url!r}")
         assert result.output.count("\n") == 1
         endpoints["summarizer"] = "https://tools.example/s"
         cfg_path.write_text(cfg_path.read_text().replace(json.dumps(url), json.dumps(

@@ -4,14 +4,16 @@ import sys
 import unittest.mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import rdistill.records
 from rdistill.pipeline import _parse_rationale_line, _serialize_rationale_line
 from rdistill.records import (CATEGORIES, TASK_NAMES, CategorizedExample, Crop, ImageRef,
                               MalformedRecord, OcrBox, QAExample, Rationale,
                               ScoredHypothesis, TaskRecord, Verdict, VerifierScores, _dumps,
-                              _make_dumps, is_none_answer, parse_categorized, parse_example,
-                              parse_hypothesis, parse_prediction, parse_record,
+                              _loads, _make_dumps, is_none_answer, parse_categorized,
+                              parse_example, parse_gold, parse_hypothesis, parse_prediction,
+                              parse_record,
                               parse_scores, serialize_categorized, serialize_example,
                               serialize_record, serialize_scores, write_lines)
 
@@ -336,6 +338,16 @@ def test_malformed_scores_line(line):
         parse_scores(line, 3)
 
 
+@pytest.mark.parametrize("field,value", [("ocr_boxes", [["t", 0, 0, 1]]), ("ocr_boxes", [5]),
+                                         ("image", []), ("structured_table", 5)])
+def test_malformed_example_line(field, value):
+    obj = example_dict(QAExample(example_id="e", image=make_image(), question="q",
+                                 gold_answers=("a",)))
+    obj[field] = value
+    with pytest.raises(MalformedRecord, match="^line 6: "):
+        parse_example(json.dumps(obj), 6)
+
+
 @pytest.mark.parametrize("record", [
     Crop("height", 0, 1), make_image(), OcrBox("t", 0, 0, 1, 1), Rationale.text("t"),
     VerifierScores(-1.0, -2.0, "a"), Verdict("e", "useful", "a", VerifierScores(0.0, 0.0, "a")),
@@ -392,3 +404,141 @@ class TestLoneSurrogates:
         assert parse_example(line) == ex
         assert parse_hypothesis(json.dumps({"example_id": "e", "decoded": "\U0001F600",
                                             "prob": 1}))[1].decoded == "\U0001F600"
+
+
+# JSON values with what a line can spell in more than one way: lone and
+# paired surrogates, non-finite floats, -0.0 and ints past 64 bits
+json_values = st.recursive(
+    st.none() | st.booleans() | scores | st.integers(-2 ** 200, 2 ** 200)
+    | any_text | st.sampled_from(["\ud800", "a\udfffb", "\ud83d\ude00", "\ud83d", "\ufeff"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(any_text | st.sampled_from(["\udc00", "k"]), inner, max_size=3),
+    max_leaves=10)
+blanks = st.text(alphabet=" \t\r\n", max_size=3)
+
+
+@st.composite
+def json_lines(draw):
+    """A line as a file may hold it: JSON text in UTF-8, with \\u escapes or
+    without, or that text padded, after a BOM, followed by more, cut short,
+    or any text at all."""
+    value = draw(json_values)
+    line = json.dumps(value, ensure_ascii=draw(st.booleans()))
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:      # a raw lone surrogate: no file line holds one
+        line = json.dumps(value)
+    form = draw(st.sampled_from(["whole", "padded", "bom", "extra", "cut", "any"]))
+    if form == "padded":
+        line = draw(blanks) + line + draw(blanks)
+    elif form == "bom":
+        line = "\ufeff" + line
+    elif form == "extra":
+        line += draw(blanks) + draw(st.sampled_from(["x", "1", "{}", ",", "]", '"a"', "NaN"]))
+    elif form == "cut":
+        line = line[:draw(st.integers(0, max(len(line) - 1, 0)))]
+    elif form == "any":
+        line = draw(any_text)
+    return line
+
+
+def outcome(loads, line):
+    """What `loads(line)` gives: its value's repr, or its exception's type and message."""
+    try:
+        return "value", repr(loads(line))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def utf8_text(obj) -> bool:
+    try:
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        return True
+    except UnicodeEncodeError:
+        return False
+
+
+class TestLoads:
+    """`_loads` is json.loads, with the C scanner or where it is missing,
+    except that it refuses a value holding a lone surrogate."""
+
+    @pytest.mark.parametrize("scanner", ["c", "python"])
+    @given(line=json_lines())
+    @example(line="NaN")
+    @example(line="-Infinity")
+    @example(line="1" * 4301)               # past the int digit limit
+    @example(line='"\\ud800"')
+    @example(line='"\\ud83d\\ude00"')        # a surrogate pair, escaped
+    @example(line='"\\u12"')
+    @example(line="\ufeff{}")
+    @example(line=" {} ")
+    @example(line="{} x")
+    @example(line="")
+    def test_equals_json_loads(self, scanner, line):
+        want = outcome(json.loads, line)
+        scan = rdistill.records._scan if scanner == "c" else None
+        with unittest.mock.patch.object(rdistill.records, "_scan", scan):
+            got = outcome(_loads, line)
+        if want[0] == "value" and not utf8_text(json.loads(line)):
+            assert got[0] is ValueError and got[1].startswith("lone surrogate"), got
+        else:
+            assert got == want
+
+    def test_the_c_scanner_is_used(self):
+        assert rdistill.records._scan is not None or json.scanner.c_make_scanner is None
+
+
+# what `parse_example` and `parse_gold` must refuse in an example_id or gold_answers
+bad_ids = st.integers() | st.none() | st.lists(any_text, max_size=1)
+bad_answers = (st.none() | st.integers() | any_text | st.just([]) | st.just(["None", "a"])
+               | st.lists(st.integers() | st.none() | st.lists(any_text, max_size=1),
+                          min_size=1, max_size=2).map(lambda a: ["a"] + a))
+
+
+class TestParseGold:
+    """`parse_gold` is the example_id and gold answers of `parse_example`."""
+
+    @given(examples(), st.data())
+    def test_is_parse_example_on_the_fields_it_reads(self, ex, data):
+        obj = example_dict(ex)
+        field = data.draw(st.sampled_from(["none", "example_id", "gold_answers"]))
+        if field != "none":
+            obj[field] = data.draw(bad_ids | any_text if field == "example_id"
+                                   else bad_answers | st.lists(any_text, min_size=1))
+            if data.draw(st.booleans()):
+                del obj[field]
+        line = json.dumps(obj)
+        try:
+            want = parse_example(line, 9)
+        except MalformedRecord as e:
+            assert str(e).startswith("line 9: ")
+            with pytest.raises(MalformedRecord, match="^line 9: "):
+                parse_gold(line, 9)
+        else:
+            same(parse_gold(line, 9), (want.example_id, want.gold_answers))
+
+    @given(examples(), st.sampled_from([("image", None), ("image", {"id": "i"}),
+                                        ("image", {"id": "i", "height": 0, "width": 1}),
+                                        ("question", 5), ("ocr_boxes", [[1]]),
+                                        ("ocr_boxes", [["t", 0, 0, 10 ** 6, 1]]),
+                                        ("structured_table", 5)]))
+    def test_does_not_read_the_other_fields(self, ex, bad):
+        obj = example_dict(ex)
+        obj[bad[0]] = bad[1]
+        line = json.dumps(obj)
+        same(parse_gold(line), (ex.example_id, ex.gold_answers))
+
+    @pytest.mark.parametrize("answers", [[5], "abc", [], ["a", None], None, {"a": 1}])
+    def test_gold_answers_are_a_non_empty_list_of_strings(self, answers):
+        obj = example_dict(QAExample(example_id="e", image=make_image(), question="q",
+                                     gold_answers=("a",)))
+        obj["gold_answers"] = answers
+        for parse in (parse_example, parse_gold):
+            with pytest.raises(MalformedRecord, match="^line 3: "):
+                parse(json.dumps(obj), 3)
+
+    @pytest.mark.parametrize("line", ["[]", "5", "null", '"e"'])
+    def test_a_line_that_is_not_an_object(self, line):
+        for parse in (parse_example, parse_gold):
+            with pytest.raises(MalformedRecord, match="^line 2: "):
+                parse(line, 2)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import http.server
 import json
+import logging
 import os
 import sys
 import threading
@@ -352,6 +353,24 @@ class TestResponseCache:
         assert cache.fetch("b", lambda: {"v": 2}) == {"v": 2}
         with open(path, encoding="utf-8") as f:
             assert [json.loads(line)["key"] for line in f] == ["a", "b"]
+
+    @pytest.mark.parametrize("bad", ['{"key":"b","response":{"text":"\\ud800"}}',
+                                     '{"key":"b","response":{"text":"\\ud800\\ude00"}} x',
+                                     '\ufeff{"key":"b","response":{}}', '["b"]', "\udcff"])
+    def test_a_malformed_line_is_skipped(self, tmp_path, caplog, bad):
+        # a reply escaping a lone surrogate is never written, so a line holding
+        # one is malformed, as is a line that is not UTF-8 text or not one
+        # {"key", "response"} object
+        path = tmp_path / "r.jsonl"
+        good = '{"key":"a","response":{"v":1}}\n'
+        path.write_bytes(good.encode() + bad.encode("utf-8", "surrogateescape") + b"\n"
+                         + good.encode())
+        with caplog.at_level(logging.WARNING):
+            cache = ResponseCache(str(path))
+        assert caplog.text.count("skipping a malformed line") == 1
+        assert [cache.fetch("a", lambda: {"v": 0}) for _ in range(3)] == \
+            [{"v": 1}, {"v": 1}, {"v": 0}]
+        assert cache.fetch("b", lambda: {"v": 2}) == {"v": 2}
 
     def test_rerun_after_failure_issues_only_missing_calls(self, scripted_server, tmp_path):
         url, handler = scripted_server([200, 200, 200, 404, 200])
