@@ -2,14 +2,13 @@
 
 Stages (crop -> generate-rationales -> filter -> build-tasks) hand off
 through line-delimited record files under the output directory. One
-table, `_STAGE_TABLE`, declares each stage's function, the files it reads
-and writes and the settings it reads; execution, manifests and the in-run
-hand-off all derive from it. Each stage writes a manifest of its input and
-output file hashes and a fingerprint of those settings; a rerun skips the
-stage while that manifest still matches. Build-tasks' manifest also holds
-one such entry per task file, over the files and settings that task reads
-(`_TASKS`), and a rerun rebuilds only the task files whose entry no longer
-matches. Within one `run` each file is hashed at most once. HTTP tool
+table, `_STAGE_TABLE`, lists each stage's rows: groups of output files
+that share the files and settings they read. A row has one manifest entry
+per dataset, or, for a task file, which merges every dataset, one entry;
+execution, manifests and the in-run hand-off all derive from the table.
+An entry records its input and output hashes, the fingerprint of its
+settings and its counts, and a rerun runs only the entries that no longer
+match. Within one `run` each file is hashed at most once. HTTP tool
 responses are cached under out_dir/cache, so a rerun re-issues only calls
 it has no response for. Failed stages leave their partial output behind
 with a ".partial" suffix.
@@ -22,10 +21,12 @@ are written all the same.
 
 Generate-rationales is the only stage that calls tools. In the same task
 that makes a crop's rationale, it asks the verifier for the rationale's
-scores and stores them in the scores file. With mock tools it calls them
-inline. HTTP tools run on `concurrency` threads, so at most `concurrency`
-requests are in flight; the transport is the standard library's
-`http.client`, with kept-alive connections closed when the stage ends.
+scores and stores them in the scores file; with filter_whole_image, it
+scores each example's rationale in a pass of its own. With mock tools it
+calls them inline. HTTP tools run on `concurrency` threads, so at most
+`concurrency` requests are in flight; the transport is the standard
+library's `http.client`, with kept-alive connections closed when the stage
+ends.
 
 Filter is a pure function of the stored scores: it zips the crops (for
 their gold answers) with the scores, both sorted by example_id, and
@@ -45,7 +46,7 @@ import logging
 import os
 import re
 import reprlib
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field
 
 from . import cropping, filtering, fixtures, tasks, tools
 from .codec import CharBlockCounter, WordCounter
@@ -247,13 +248,14 @@ def validate(config: PipelineConfig, stages: list[str] | None = None,
              read_datasets: bool = True) -> list[str]:
     """Diagnostics of a run of `stages` (all stages if None); `run` raises
     them as a ConfigError. The stage names and the datasets are always
-    checked, any other setting only when the row (`_row`) of a selected
-    stage lists it. Checks that read the dataset files are left
-    out unless `read_datasets`. A null or empty endpoint URL counts as none."""
+    checked, and `tasks` when build-tasks is selected; any other setting
+    only when a row of a selected stage lists it. Checks that read the
+    dataset files are left out unless `read_datasets`. A null or empty
+    endpoint URL counts as none."""
     diags = [f"unknown stage {s!r}; known stages: {', '.join(STAGES)}"
              for s in stages or () if s not in STAGES]
     reads = {setting for stage in STAGES if stages is None or stage in stages
-             for setting in _row(config, stage).settings}
+             for row in _STAGE_TABLE[stage].values() for setting in row.settings}
     if not config.datasets:
         diags.append("no datasets configured")
     for ds in config.datasets:
@@ -295,7 +297,7 @@ def validate(config: PipelineConfig, stages: list[str] | None = None,
     if "max_retries" in reads and not (type(retries) is int and retries > 0):
         diags.append(f"tools.max_retries {retries!r}: not an integer >= 1, the programmer's "
                      "attempts per rationale and the retries of an HTTP request")
-    for key in config.tasks if "tasks" in reads else ():
+    for key in config.tasks if stages is None or "build-tasks" in stages else ():
         if key not in TASK_NAMES:
             diags.append(f"unknown task {key!r}; known tasks: {', '.join(TASK_NAMES)}")
         elif key == "apr" and not config.mock:
@@ -378,97 +380,68 @@ def _manifest_key(out_dir: str, path: str) -> str:
     return path if rel.split(os.sep)[0] == os.pardir else rel
 
 
-def _digest(memo: dict, key: str, path: str) -> str:
-    """The sha256 of `path`, read only when `memo` holds none under `key`."""
-    if key not in memo:
-        memo[key] = _file_hash(path)
-    return memo[key]
-
-
-def _hashes(out_dir: str, paths: list[str], memo: dict | None = None) -> dict[str, str]:
+def _hashes(out_dir: str, paths: list[str], memo: dict) -> dict[str, str]:
     """The sha256 of each of `paths`, by manifest key. `memo` holds the digests
     already taken, by the same key, and gains the new ones."""
-    memo = {} if memo is None else memo
-    keys = [_manifest_key(out_dir, path) for path in paths]
-    return {key: _digest(memo, key, path) for key, path in zip(keys, paths)}
-
-
-def _input_hashes(out_dir: str, inputs: list[str], memo: dict) -> dict[str, str]:
-    """`_hashes` of the `inputs` that exist: a file no selected task reads may not."""
-    return _hashes(out_dir, [p for p in inputs if os.path.exists(p)], memo)
-
-
-def _forget(out_dir: str, memo: dict, paths: list[str]) -> None:
-    """Drop from `memo` the digests of `paths`, which are about to be rewritten."""
-    for path in paths:
-        memo.pop(_manifest_key(out_dir, path), None)
+    keys = {_manifest_key(out_dir, path): path for path in paths}
+    for key, path in keys.items():
+        if key not in memo:
+            memo[key] = _file_hash(path)
+    return {key: memo[key] for key in keys}
 
 
 def _read_manifest(out_dir: str, stage: str) -> dict:
-    """`stage`'s manifest, or {} when there is none or it cannot be read."""
+    """The entries of `stage`'s manifest, by key; {} when there is none, it
+    cannot be read or it is not of the shape `_write_manifest` gives, as one
+    written before manifests held entries is not."""
     try:
         with open(_manifest_path(out_dir, stage), "r", encoding="utf-8") as f:
             manifest = json.load(f)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError, RecursionError):   # ValueError: not UTF-8, or not JSON
         return {}
-    return manifest if isinstance(manifest, dict) else {}
+    entries = manifest.get("entries") if isinstance(manifest, dict) \
+        and manifest.get("stage") == stage else None
+    return entries if isinstance(entries, dict) else {}
 
 
-def _entry_fresh(out_dir: str, entry, inputs: list[str], fingerprint: str, memo: dict) -> bool:
-    """Whether a manifest entry (a stage's manifest, or a task's entry in
-    build-tasks') still matches: the same fingerprint, the same hashes of the
-    inputs that exist, and every output it lists still there with its hash."""
-    if not isinstance(entry, dict) or entry.get("fingerprint") != fingerprint:
-        return False
-    if entry.get("inputs") != _input_hashes(out_dir, inputs, memo):
-        return False
-    for key, digest in entry.get("outputs", {}).items():
-        out_path = os.path.join(out_dir, key)
-        if not os.path.exists(out_path) or \
-                _digest(memo, _manifest_key(out_dir, out_path), out_path) != digest:
-            return False
-    return True
+def _entry_fresh(out_dir: str, record, entry: "_Entry", memo: dict) -> bool:
+    """Whether a manifest's `record` of `entry` still matches: of the shape
+    `_write_manifest` gives, with the same fingerprint, and each input and
+    output still there with its hash."""
+    return (isinstance(record, dict) and record.get("fingerprint") == entry.fingerprint
+            and isinstance(record.get("counts"), dict)
+            and all(os.path.exists(path) for path in entry.inputs + entry.outputs)
+            and record.get("inputs") == _hashes(out_dir, entry.inputs, memo)
+            and record.get("outputs") == _hashes(out_dir, entry.outputs, memo))
 
 
-def _stale_tasks(out_dir: str, manifest: dict, tasks: dict, memo: dict) -> list[str]:
-    """The keys of `tasks` ({key: (inputs, fingerprint, outputs)}) whose entry
-    in build-tasks' `manifest`, or whose count, is missing or out of date."""
-    entries, counts = manifest.get("tasks") or {}, manifest.get("counts") or {}
-    return [key for key, (inputs, fingerprint, _) in tasks.items()
-            if key not in counts
-            or not _entry_fresh(out_dir, entries.get(key), inputs, fingerprint, memo)]
+def _stage_fresh(out_dir: str, stage: str, entries: list["_Entry"],
+                 memo: dict) -> tuple[bool, dict]:
+    """(Whether `stage` is fresh, the records of its manifest that still match
+    one of `entries`, by key). An entry that reads a file an earlier stale
+    entry of the stage rewrites is stale too. The stage is fresh when its
+    manifest lists exactly `entries` and each one matches."""
+    records = _read_manifest(out_dir, stage)
+    fresh, rewritten = {}, set()
+    for entry in entries:
+        if rewritten.isdisjoint(entry.inputs) and \
+                _entry_fresh(out_dir, records.get(entry.key), entry, memo):
+            fresh[entry.key] = records[entry.key]
+        else:
+            rewritten.update(entry.outputs)
+    return len(fresh) == len(records) == len(entries), fresh
 
 
-def _stage_fresh(out_dir: str, stage: str, inputs: list[str], fingerprint: str,
-                 memo: dict | None = None, tasks: dict | None = None) -> bool:
-    """Whether `stage`'s manifest still matches; with `tasks` (build-tasks'
-    task entries, as `_stale_tasks` takes them), each task's entry must too."""
-    memo = {} if memo is None else memo
-    manifest = _read_manifest(out_dir, stage)
-    return (_entry_fresh(out_dir, manifest, inputs, fingerprint, memo)
-            and not (tasks and _stale_tasks(out_dir, manifest, tasks, memo)))
-
-
-def _write_manifest(out_dir: str, stage: str, inputs: list[str], fingerprint: str,
-                    outputs: list[str], counts: dict, memo: dict | None = None,
-                    tasks: dict | None = None) -> None:
-    """Record `stage`'s manifest; with `tasks`, an entry per task as well."""
-    memo = {} if memo is None else memo
+def _write_manifest(out_dir: str, stage: str, entries: list["_Entry"], counts: dict,
+                    memo: dict) -> None:
+    """Record `stage`'s manifest: each of `entries` with its hashes and its
+    counts (`counts`, by key)."""
     os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
-    manifest = {
-        "stage": stage,
-        "fingerprint": fingerprint,
-        "inputs": _input_hashes(out_dir, inputs, memo),
-        "outputs": _hashes(out_dir, outputs, memo),
-        "counts": counts,
-    }
-    if tasks is not None:
-        manifest["tasks"] = {key: {"fingerprint": task_fingerprint,
-                                   "inputs": _input_hashes(out_dir, task_inputs, memo),
-                                   "outputs": _hashes(out_dir, task_outputs, memo)}
-                             for key, (task_inputs, task_fingerprint, task_outputs)
-                             in tasks.items()}
-    _write_json_atomic(_manifest_path(out_dir, stage), manifest)
+    _write_json_atomic(_manifest_path(out_dir, stage), {"stage": stage, "entries": {
+        entry.key: {"fingerprint": entry.fingerprint,
+                    "inputs": _hashes(out_dir, entry.inputs, memo),
+                    "outputs": _hashes(out_dir, entry.outputs, memo),
+                    "counts": counts[entry.key]} for entry in entries}})
 
 
 def _write_atomic(path: str, lines) -> None:
@@ -527,7 +500,17 @@ def _read_rationales(path: str) -> dict[str, Rationale]:
 
 
 def _read_examples(path: str) -> list[QAExample]:
-    return _read(path, parse_example)
+    """The examples of `path`; a MalformedRecord at the second line of an example_id."""
+    first_line = {}
+
+    def parse(line: str, line_no: int) -> QAExample:
+        ex = parse_example(line, line_no)
+        if first_line.setdefault(ex.example_id, line_no) != line_no:
+            raise MalformedRecord(f"duplicate example_id {ex.example_id!r}, first at line "
+                                  f"{first_line[ex.example_id]}", line_no)
+        return ex
+
+    return _read(path, parse)
 
 
 def _read_verdicts(path: str) -> list[Verdict]:
@@ -543,16 +526,16 @@ class _Handoff:
 
     Keyed by file path. A producer puts the records it just wrote; a reader
     takes them instead of parsing the file, and parses it only when no
-    earlier stage of the run wrote or read it. An entry is kept only while
-    a later stage of the run lists its file among its inputs. The run's
+    earlier stage of the run wrote or read it. Records are kept only while
+    a later stage of the run lists their file among its inputs. The run's
     file digests travel with it, so each file is hashed at most once.
     """
 
-    def __init__(self, config: PipelineConfig, stages: list[str]):
-        self._last_reader = {path: i for i, stage in enumerate(stages)
-                             for path in _stage_paths(config, stage)[0]}
+    def __init__(self, plan: dict[str, list["_Entry"]]):  # the entries of each stage, in order
+        self._last_reader = {path: i for i, entries in enumerate(plan.values())
+                             for entry in entries for path in entry.inputs}
         self._records = {}
-        self.position = 0  # index in `stages` of the stage now running
+        self.position = 0  # index in `plan` of the stage now running
         # file digests taken during the run, by manifest key (see `_hashes`);
         # a writer drops a file's digest before it rewrites the file
         self.hashes = {}
@@ -571,9 +554,10 @@ class _Handoff:
 # stages
 
 
-def stage_crop(config: PipelineConfig, handoff: _Handoff) -> dict:
+def stage_crop(config: PipelineConfig, handoff: _Handoff, entries: list[_Entry]) -> dict:
     counts = {}
-    for ds in config.datasets:
+    for entry in entries:
+        ds = entry.datasets[0]
         children = []
         for ex in handoff.take(ds.path, _read_examples):
             plan = cropping.plan_crops(ex.image.height, ex.image.width, config.crop_mode)
@@ -582,7 +566,7 @@ def stage_crop(config: PipelineConfig, handoff: _Handoff) -> dict:
         crops = stage_file(config, ds, "crops")
         _write_atomic(crops, (serialize_example(e) for e in children))
         handoff.put(crops, children)
-        counts[ds.name] = len(children)
+        counts[entry.key] = {ds.name: len(children)}
     return counts
 
 
@@ -602,39 +586,61 @@ def _parallel_map(fn, items, config: PipelineConfig):
         return list(pool.map(fn, items))
 
 
-def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff) -> dict:
+def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff,
+                              entries: list[_Entry]) -> dict:
     """Rationales for the examples and the crops, and the verifier's scores of
-    each crop rationale (and, with filter_whole_image, of each example's),
-    both made in one task per record."""
+    each crop rationale, made in the same task as the rationale; with
+    filter_whole_image, the scores of each example's rationale, in a pass of
+    their own."""
     templates = make_templates(config)
     counter = _COUNTERS[config.counter]()
+    taken = {}  # records this stage took, and its rationales, by path, for its later entries
+
+    def take(path: str, read):
+        if path not in taken:
+            taken[path] = handoff.take(path, read)
+        return taken[path]
+
     counts = {}
     with contextlib.closing(make_clients(config)) as clients:
-        whole_scores = "whole_scores" if config.filter_whole_image else None
-        for ds in config.datasets:
-            for src, kind, scores_kind in ((ds.path, "rationales", whole_scores),
-                                           (stage_file(config, ds, "crops"),
-                                            "crop_rationales", "scores")):
-                def generate(ex: QAExample):
+        for entry in entries:
+            ds = entry.datasets[0]
+            rationales = stage_file(config, ds, "rationales")
+            # whole_scores scores the rationales already made; the others make theirs
+            made = take(rationales, _read_rationales) if entry.name == "whole_scores" else None
+
+            def task(ex: QAExample):
+                if made is None:
                     try:
                         r = tools.generate_rationale(ex, ds.flow, clients, templates,
                                                      max_retries=config.max_retries,
                                                      counter=counter)
                     except tools.InvalidProgram as e:
                         r = Rationale.program(e.table, "", flagged=True)
-                    scores = scores_kind and filtering.score(ex, r, clients.verifier, counter)
-                    return ex.example_id, r, scores
+                elif ex.example_id in made:
+                    r = made[ex.example_id]
+                else:
+                    raise MalformedRecord(f"{rationales}: no rationale for {ex.example_id!r}")
+                if entry.name == "rationales":
+                    return ex.example_id, r, None
+                return ex.example_id, r, filtering.score(ex, r, clients.verifier, counter)
 
-                results = _parallel_map(generate, handoff.take(src, _read_examples), config)
-                results.sort(key=lambda result: result[0])
+            src = "crops" if entry.name == "crop_rationales" else "dataset"
+            results = _parallel_map(task, take(stage_file(config, ds, src), _read_examples),
+                                    config)
+            results.sort(key=lambda result: result[0])
+            counts[entry.key] = {}
+            for kind in entry.row.writes:
                 dest = stage_file(config, ds, kind)
-                _write_atomic(dest, (_serialize_rationale_line(i, r) for i, r, _ in results))
-                handoff.put(dest, {i: r for i, r, _ in results})
-                counts[_manifest_key(config.out_dir, dest)] = len(results)
-                if scores_kind:
-                    scores_path = stage_file(config, ds, scores_kind)
-                    _write_atomic(scores_path, (serialize_scores(i, s) for i, _, s in results))
-                    handoff.put(scores_path, [(i, s) for i, _, s in results])
+                if kind.endswith("scores"):
+                    records = [(i, s) for i, _, s in results]
+                    _write_atomic(dest, (serialize_scores(i, s) for i, s in records))
+                else:   # a later whole_scores entry of the stage takes the rationales
+                    records = taken[dest] = {i: r for i, r, _ in results}
+                    _write_atomic(dest, (_serialize_rationale_line(i, r)
+                                         for i, r in records.items()))
+                    counts[entry.key] = {_manifest_key(config.out_dir, dest): len(results)}
+                handoff.put(dest, records)
     return counts
 
 
@@ -655,26 +661,25 @@ def _verdicts(config: PipelineConfig, handoff: _Handoff, examples: list[QAExampl
     return verdicts
 
 
-def stage_filter(config: PipelineConfig, handoff: _Handoff) -> dict:
-    """Categorize each crop from its stored scores and balance; calls no tool."""
+def stage_filter(config: PipelineConfig, handoff: _Handoff, entries: list[_Entry]) -> dict:
+    """Categorize each crop from its stored scores and balance, and with
+    filter_whole_image each example; calls no tool."""
     counts = {}
-    for ds in config.datasets:
-        crops = handoff.take(stage_file(config, ds, "crops"), _read_examples)
-        categorized = _verdicts(config, handoff, crops, stage_file(config, ds, "scores"))
-        kept, report = filtering.balance(categorized, seed=config.seed)
-        kept_path = stage_file(config, ds, "categorized")
-        _write_atomic(kept_path, (serialize_categorized(v) for v in kept))
-        _write_json_atomic(stage_file(config, ds, "balance"), report.to_json())
-        handoff.put(kept_path, kept)
-        counts[ds.name] = {"categorized": len(categorized), "kept": len(kept)}
-
-        # whole-image rationales skip the verifier filter unless explicitly enabled
-        if config.filter_whole_image:
+    for entry in entries:
+        ds = entry.datasets[0]
+        if entry.name == "categorized":
+            crops = handoff.take(stage_file(config, ds, "crops"), _read_examples)
+            categorized = _verdicts(config, handoff, crops, stage_file(config, ds, "scores"))
+            kept, report = filtering.balance(categorized, seed=config.seed)
+            _write_json_atomic(stage_file(config, ds, "balance"), report.to_json())
+            counts[entry.key] = {ds.name: {"categorized": len(categorized), "kept": len(kept)}}
+        else:   # whole-image verdicts, which are not balanced
             examples = sorted(handoff.take(ds.path, _read_examples), key=lambda e: e.example_id)
-            whole = _verdicts(config, handoff, examples, stage_file(config, ds, "whole_scores"))
-            whole_path = stage_file(config, ds, "whole_categorized")
-            _write_atomic(whole_path, (serialize_categorized(v) for v in whole))
-            handoff.put(whole_path, whole)
+            kept = _verdicts(config, handoff, examples, stage_file(config, ds, "whole_scores"))
+            counts[entry.key] = {}
+        path = stage_file(config, ds, entry.name)
+        _write_atomic(path, (serialize_categorized(v) for v in kept))
+        handoff.put(path, kept)
     return counts
 
 
@@ -698,17 +703,15 @@ def _join(path: str, verdicts: list[Verdict], crops: list[QAExample],
     return joined
 
 
-def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
-    """Rebuild the stale task files, one at a time: a task's records are
-    built, sorted, written and released before the next task starts. A task
-    file is stale when its entry in the manifest no longer matches; only the
-    files the stale tasks read are taken. A fresh task keeps its file and
-    its count."""
+def stage_build_tasks(config: PipelineConfig, handoff: _Handoff,
+                      entries: list[_Entry]) -> dict:
+    """Build the task file of each of `entries`, one at a time: a task's
+    records are built, sorted, written and released before the next task
+    starts. Only the files those tasks read are taken."""
     counter = _COUNTERS[config.counter]()
     os.makedirs(os.path.join(config.out_dir, "tasks"), exist_ok=True)
-    manifest = _read_manifest(config.out_dir, "build-tasks")
-    stale = _stale_tasks(config.out_dir, manifest, _task_entries(config), handoff.hashes)
-    reads = {kind for key in stale for kind in _TASKS[key].reads}
+    stale = [entry.name for entry in entries]
+    reads = {kind for entry in entries for kind in entry.row.reads}
 
     # Each file is taken from the hand-off once: the last reader's take pops it.
     inputs = []
@@ -734,8 +737,7 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
                 handoff.take(stage_file(config, ds, "crop_rationales"), _read_rationales))
         inputs.append(d)
 
-    fold_plan = None
-    students = None
+    fold_plan = students = None
     if "apr" in stale:
         examples_by_subset = {}
         for ds, d in zip(config.datasets, inputs):
@@ -756,73 +758,59 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff) -> dict:
     def write_task(key: str) -> int:
         records = [r for d in inputs for r in builders[key](d)]
         records.sort(key=lambda r: (r.example_id, r.decoder_input, r.decoder_output))
-        path = task_path(config, key)
-        _forget(config.out_dir, handoff.hashes, [path])
-        _write_atomic(path, (serialize_record(r) for r in records))
+        _write_atomic(task_path(config, key), (serialize_record(r) for r in records))
         return len(records)
 
-    return {key: write_task(key) if key in stale else manifest["counts"][key]
-            for key in dict.fromkeys(config.tasks)}
+    return {key: {key: write_task(key)} for key in stale}
 
 
-# What each task reads: the file kinds of `stage_file` and the settings its
-# entry's fingerprint covers. Build-tasks reads and fingerprints their union
-# over the tasks of the config (`_row`).
+# One row per group of output files that share the files and settings they
+# read; file kinds are those of `stage_file`. A row has one manifest entry
+# per dataset (`<dataset>.<row>`), which fingerprints only that dataset; a
+# task row has one, for its task file, which merges every dataset.
 @dataclass(frozen=True)
-class _Task:
+class _Row:
     reads: tuple[str, ...]
-    settings: tuple[str, ...]
-    whole_image: tuple[str, ...] = ()  # reads counted only with filter_whole_image
+    settings: tuple[str, ...]   # what its fingerprint covers, besides its datasets
+    writes: tuple[str, ...] = ()    # a task row writes its task file
+    whole_image: tuple[str, ...] = ()  # kinds read or written only with filter_whole_image
 
 
-_CROP_TASK = _Task(("categorized", "crops", "crop_rationales"), ("counter",))
-_EXAMPLE_TASK = _Task(("dataset",), ("counter",))
-_TASKS = {
-    "qra": _Task(("dataset", "rationales", "whole_categorized"),
-                 ("counter", "filter_whole_image"), whole_image=("whole_categorized",)),
-    "apr": _Task(("dataset",), ("seed", "counter")),
-    "qraci": _CROP_TASK,
-    "apraci": _CROP_TASK,
-    "qid": _EXAMPLE_TASK,
-    "ans-only": _EXAMPLE_TASK,
-}
+_CROP_TASK = _Row(("categorized", "crops", "crop_rationales"), ("counter",))
+_EXAMPLE_TASK = _Row(("dataset",), ("counter",))
+# what a tool's reply depends on, besides its endpoint and its request
+_TOOL_SETTINGS = ("counter", "mock", "mock_seed", "max_retries")
 
-
-def _union(keys, attr: str) -> tuple[str, ...]:
-    """The items of field `attr` over the `_TASKS` rows of `keys`, in order, each once."""
-    return tuple(dict.fromkeys(item for key in keys if key in _TASKS
-                               for item in getattr(_TASKS[key], attr)))
-
-
-# One row per stage. File kinds are those of `stage_file`.
-@dataclass(frozen=True)
-class _Stage:
-    fn: object
-    settings: tuple[str, ...]  # what its fingerprint covers, besides the datasets
-    reads: tuple[str, ...]
-    writes: tuple[str, ...]
-    whole_image: tuple[str, ...] = ()  # reads and writes counted only with filter_whole_image
-
-
+# Each stage's rows, in the order it makes them; a row that reads a file
+# another row of its stage writes comes after that row.
 _STAGE_TABLE = {
-    "crop": _Stage(stage_crop, ("crop_mode",), reads=("dataset",), writes=("crops",)),
-    "generate-rationales": _Stage(
-        stage_generate_rationales,
-        ("counter", "mock", "mock_seed", "max_retries", "endpoints", "templates", "verifier",
-         "filter_whole_image"),
-        reads=("dataset", "crops"),
-        writes=("rationales", "crop_rationales", "scores", "whole_scores"),
-        whole_image=("whole_scores",)),
-    "filter": _Stage(
-        stage_filter, ("seed", "filter", "filter_whole_image"),
-        reads=("crops", "scores", "dataset", "whole_scores"),
-        writes=("categorized", "balance", "whole_categorized"),
-        whole_image=("dataset", "whole_scores", "whole_categorized")),
-    # the task files are the outputs of the task entries (`_task_entries`);
-    # what it reads and fingerprints is that of the config's tasks (`_row`)
-    "build-tasks": _Stage(stage_build_tasks, ("tasks",), reads=(), writes=()),
+    "crop": {"crops": _Row(("dataset",), ("crop_mode",), writes=("crops",))},
+    "generate-rationales": {
+        "rationales": _Row(("dataset",), _TOOL_SETTINGS + ("endpoints", "templates"),
+                           writes=("rationales",)),
+        "crop_rationales": _Row(("crops",),
+                                _TOOL_SETTINGS + ("endpoints", "templates", "verifier"),
+                                writes=("crop_rationales", "scores")),
+        "whole_scores": _Row(("dataset", "rationales"), _TOOL_SETTINGS + ("verifier",),
+                             writes=("whole_scores",), whole_image=("whole_scores",)),
+    },
+    "filter": {
+        "categorized": _Row(("crops", "scores"), ("seed", "filter"),
+                            writes=("categorized", "balance")),
+        "whole_categorized": _Row(("dataset", "whole_scores"), ("filter",),
+                                  writes=("whole_categorized",),
+                                  whole_image=("whole_categorized",)),
+    },
+    "build-tasks": {
+        "qra": _Row(("dataset", "rationales", "whole_categorized"),
+                    ("counter", "filter_whole_image"), whole_image=("whole_categorized",)),
+        "apr": _Row(("dataset",), ("seed", "counter")),
+        "qraci": _CROP_TASK, "apraci": _CROP_TASK, "qid": _EXAMPLE_TASK,
+        "ans-only": _EXAMPLE_TASK,
+    },
 }
-_STAGE_FNS = {name: stage.fn for name, stage in _STAGE_TABLE.items()}
+_STAGE_FNS = {"crop": stage_crop, "generate-rationales": stage_generate_rationales,
+              "filter": stage_filter, "build-tasks": stage_build_tasks}
 STAGES = tuple(_STAGE_TABLE)
 
 # Fingerprinted settings that are not the config field of the same name.
@@ -836,56 +824,58 @@ _SETTINGS = {
 }
 
 
-def _row(config: PipelineConfig, stage: str) -> _Stage:
-    """`stage`'s row under `config`: build-tasks' adds the reads and settings
-    of the tasks `config` selects, and of no other task."""
-    row = _STAGE_TABLE[stage]
-    if stage != "build-tasks":
-        return row
-    return replace(row, settings=row.settings + _union(config.tasks, "settings"),
-                   reads=_union(config.tasks, "reads"),
-                   whole_image=_union(config.tasks, "whole_image"))
-
-
-def _fingerprint(config: PipelineConfig, stage: str, task: str | None = None) -> str:
-    """Hash of the settings `stage` reads (with `task`, the settings that
-    build-tasks task reads), and of nothing else. Dataset paths are left
-    out: the manifest lists them with their hashes."""
-    row = _TASKS[task] if task else _row(config, stage)
+def _fingerprint(config: PipelineConfig, row: _Row, datasets) -> str:
+    """Hash of the settings `row` reads and of the names, flows and subsets
+    of `datasets`, and of nothing else. Dataset paths are left out: the
+    manifest lists them with their hashes."""
     settings = {name: _SETTINGS[name](config) if name in _SETTINGS else getattr(config, name)
                 for name in row.settings}
     settings["datasets"] = [{"name": d.name, "flow": d.flow, "subset": d.subset}
-                            for d in config.datasets]
+                            for d in datasets]
     return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
 
 
-def _paths(config: PipelineConfig, row: _Stage | _Task, kinds) -> list[str]:
-    """Paths of the files of `kinds` that the stage or task `row` reads or writes under `config`."""
-    return [stage_file(config, ds, kind) for kind in kinds
-            if config.filter_whole_image or kind not in row.whole_image
-            for ds in config.datasets]
+@dataclass(frozen=True)
+class _Entry:
+    """A row of `_STAGE_TABLE` under a config: one manifest entry."""
+    key: str
+    name: str   # of its row
+    row: _Row
+    datasets: tuple
+    inputs: list[str]
+    outputs: list[str]
+    fingerprint: str
 
 
-def _stage_paths(config: PipelineConfig, stage: str) -> tuple[list[str], list[str]]:
-    """(input paths, output paths) of `stage`, for its manifest."""
-    row = _row(config, stage)
-    return _paths(config, row, row.reads), _paths(config, row, row.writes)
-
-
-def _task_entries(config: PipelineConfig) -> dict:
-    """Build-tasks' entry for each task of `config`: (input paths, fingerprint, output paths)."""
-    return {key: (_paths(config, _TASKS[key], _TASKS[key].reads),
-                  _fingerprint(config, "build-tasks", key), [task_path(config, key)])
-            for key in dict.fromkeys(config.tasks)}
+def _entries(config: PipelineConfig, stage: str) -> list[_Entry]:
+    """`stage`'s entries under `config`: each dataset's, one per row that
+    writes a file under `config`, then one per selected task."""
+    rows = _STAGE_TABLE[stage]
+    scopes = [(f"{ds.name}.{name}", name, (ds,)) for ds in config.datasets
+              for name, row in rows.items() if row.writes]
+    scopes += [(key, key, tuple(config.datasets)) for key in dict.fromkeys(config.tasks)
+               if key in rows]
+    entries = []
+    for key, name, datasets in scopes:
+        row = rows[name]
+        inputs, outputs = ([stage_file(config, ds, kind) for kind in kinds
+                            if config.filter_whole_image or kind not in row.whole_image
+                            for ds in datasets] for kinds in (row.reads, row.writes))
+        if outputs or not row.writes:
+            entries.append(_Entry(key, name, row, datasets, inputs,
+                                  outputs or [task_path(config, name)],
+                                  _fingerprint(config, row, datasets)))
+    return entries
 
 
 def run(config: PipelineConfig, stages: list[str] | None = None,
         progress=None) -> dict:
     """Run the requested stages in dependency order; returns per-stage counts.
 
-    A stage is skipped while its manifest still matches its input files,
-    its outputs and the fingerprint of the settings it reads. Records pass
-    from stage to stage in memory for the length of this call only.
+    A stage runs only its stale entries, and is skipped while its manifest
+    lists exactly the config's entries and each one still matches its input
+    files, its outputs and the fingerprint of the settings it reads. Records
+    pass from stage to stage in memory for the length of this call only.
     ConfigError, before out_dir is created, if `validate` finds anything
     wrong with a run of `stages`.
     """
@@ -893,34 +883,33 @@ def run(config: PipelineConfig, stages: list[str] | None = None,
     if diags:
         raise ConfigError(*diags)
     os.makedirs(config.out_dir, exist_ok=True)
-    selected = [s for s in STAGES if stages is None or s in stages]
-    handoff = _Handoff(config, selected)
-    summary = {}
-    for position, stage in enumerate(selected):
-        inputs, outputs = _stage_paths(config, stage)
+    plan = {}
+    for stage in STAGES:
         try:
-            fingerprint = _fingerprint(config, stage)
-        except OSError as e:
+            if stages is None or stage in stages:
+                plan[stage] = _entries(config, stage)
+        except OSError as e:    # a template that can no longer be read
             raise StageFailure(stage, e) from e
-        tasks = _task_entries(config) if stage == "build-tasks" else None
-        if _stage_fresh(config.out_dir, stage, inputs, fingerprint, handoff.hashes, tasks):
+    handoff = _Handoff(plan)
+    summary = {}
+    for position, (stage, entries) in enumerate(plan.items()):
+        fresh, records = _stage_fresh(config.out_dir, stage, entries, handoff.hashes)
+        if fresh:
             log.info("stage %s: up to date, skipping", stage)
             summary[stage] = "skipped"
-            if progress:
-                progress(stage, "skipped")
-            continue
-        log.info("stage %s: running", stage)
-        handoff.position = position
-        _forget(config.out_dir, handoff.hashes, outputs)
-        try:
-            counts = _STAGE_FNS[stage](config, handoff)
-        except StageFailure:
-            raise
-        except Exception as e:
-            raise StageFailure(stage, e) from e
-        _write_manifest(config.out_dir, stage, inputs, fingerprint, outputs, counts,
-                        handoff.hashes, tasks)
-        summary[stage] = counts
+        else:
+            stale = [entry for entry in entries if entry.key not in records]
+            log.info("stage %s: running %d of %d entries", stage, len(stale), len(entries))
+            handoff.position = position
+            for path in (path for entry in stale for path in entry.outputs):
+                handoff.hashes.pop(_manifest_key(config.out_dir, path), None)  # rewritten
+            try:
+                counts = _STAGE_FNS[stage](config, handoff, stale) if stale else {}
+            except Exception as e:
+                raise StageFailure(stage, e) from e
+            counts.update((key, record["counts"]) for key, record in records.items())
+            _write_manifest(config.out_dir, stage, entries, counts, handoff.hashes)
+            summary[stage] = {k: v for entry in entries for k, v in counts[entry.key].items()}
         if progress:
-            progress(stage, counts)
+            progress(stage, summary[stage])
     return summary

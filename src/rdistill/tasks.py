@@ -36,6 +36,10 @@ class SubsetTooSmall(ValueError):
     pass
 
 
+class DuplicateExample(ValueError):
+    """One example_id in two subsets, or twice in one: it would have two folds."""
+
+
 @dataclass(frozen=True)
 class FoldPlan:
     fold_count: int
@@ -47,8 +51,10 @@ class FoldPlan:
 def plan_folds(examples_by_subset: Mapping[str, Iterable[QAExample]],
                folds_per_subset: int = 3, seed: int = 0) -> FoldPlan:
     """Seeded k-fold partition, independent per subset; fold sizes differ
-    by at most one. Fold indices are global across subsets."""
+    by at most one. Fold indices are global across subsets. DuplicateExample
+    if an example_id appears twice."""
     assignment: dict[str, int] = {}
+    subset_of: dict[str, str] = {}
     subset_folds: dict[str, tuple[int, ...]] = {}
     next_fold = 0
     for subset in sorted(examples_by_subset):
@@ -60,6 +66,10 @@ def plan_folds(examples_by_subset: Mapping[str, Iterable[QAExample]],
         rng.shuffle(ids)
         fold_ids = tuple(range(next_fold, next_fold + folds_per_subset))
         for i, ex_id in enumerate(ids):
+            if ex_id in subset_of:
+                raise DuplicateExample(f"example_id {ex_id!r} appears in subset "
+                                       f"{subset_of[ex_id]!r} and again in {subset!r}")
+            subset_of[ex_id] = subset
             assignment[ex_id] = fold_ids[i % folds_per_subset]
         subset_folds[subset] = fold_ids
         next_fold += folds_per_subset

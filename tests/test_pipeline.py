@@ -562,6 +562,11 @@ def run_stage_command(config, stage):
     assert f"[{stage}] skipped" not in result.output
 
 
+def handoff_of(config, stages):
+    """The hand-off of a run of `stages` under `config`."""
+    return pipeline._Handoff({stage: pipeline._entries(config, stage) for stage in stages})
+
+
 class TestInRunHandoff:
     """Stages of one run pass records in memory; the files they write stay the same."""
 
@@ -599,7 +604,7 @@ class TestInRunHandoff:
 
     def test_records_are_released_after_their_last_reader(self, tmp_path):
         config = default_mock_config(str(tmp_path / "release"), seed=0)
-        handoff = pipeline._Handoff(config, list(pipeline.STAGES))
+        handoff = handoff_of(config, pipeline.STAGES)
         crops = pipeline.stage_file(config, config.datasets[0], "crops")
         reads = []
 
@@ -623,7 +628,7 @@ class TestInRunHandoff:
         # build-tasks always joins the verdicts with the crops and crop
         # rationales; only filter reads the scores
         config = default_mock_config(str(tmp_path / "join"), seed=0)
-        handoff = pipeline._Handoff(config, stages)
+        handoff = handoff_of(config, stages)
         last = {path: stages[i] for path, i in handoff._last_reader.items()}
         last_readers = {"crops": "build-tasks", "crop_rationales": "build-tasks",
                         **last_readers}
@@ -639,7 +644,7 @@ class TestInRunHandoff:
                                                                  crops_reader):
         config = default_mock_config(str(tmp_path / "subset"), seed=0)
         config.tasks = ("qid", "qra")
-        handoff = pipeline._Handoff(config, stages)
+        handoff = handoff_of(config, stages)
         last = {path: stages[i] for path, i in handoff._last_reader.items()}
         for ds in config.datasets:
             assert {kind: last.get(pipeline.stage_file(config, ds, kind))
@@ -681,8 +686,102 @@ def task_stamps(config):
 
 
 def rewritten(before, after):
-    """The task keys whose file was written between two `task_stamps`."""
+    """The keys whose file was written between two `task_stamps` or `file_stamps`."""
     return {key for key, stamp in after.items() if before.get(key) != stamp}
+
+
+def file_stamps(out_dir):
+    """(inode, mtime) of every file under out_dir, by its path relative to out_dir."""
+    stamps = {}
+    for root, _dirs, files in os.walk(out_dir):
+        for name in files:
+            st = os.stat(os.path.join(root, name))
+            stamps[os.path.relpath(os.path.join(root, name), out_dir)] = (st.st_ino,
+                                                                          st.st_mtime_ns)
+    return stamps
+
+
+def mock_dataset(out_dir, name):
+    """A bundled dataset, or "extra": three docs examples under ids of their own."""
+    path = os.path.join(out_dir, "data", f"{name}.jsonl")
+    if name == "extra" and not os.path.exists(path):
+        write_lines(path, (
+            serialize_example(dataclasses.replace(e, example_id=f"x-{e.example_id}"))
+            for e in fixtures.make_doc_examples()[:3]))
+    return DatasetConfig(name, path, pipeline._MOCK_DATASETS.get(name, ("text-evidence",))[0])
+
+
+STAGE_MANIFESTS = {f"manifests/{stage}.json" for stage in pipeline.STAGES}
+TASK_FILES = {f"tasks/{name}.jsonl" for name in pipeline.TASK_NAMES.values()}
+
+
+class TestPerDatasetFreshness:
+    """A dataset's stage files have entries of their own, over that dataset
+    and the settings that make them: a change elsewhere leaves them untouched."""
+
+    def test_adding_a_dataset_leaves_the_files_of_the_others_untouched(self, tmp_path):
+        config = default_mock_config(str(tmp_path / "add"), seed=0)
+        charts = config.datasets.pop()
+        run(config)
+        before = file_stamps(config.out_dir)
+        config.datasets.append(charts)
+        assert stages_run(run(config)) == ALL_STAGES
+        charts_files = {name for name in file_stamps(config.out_dir)
+                        if name.startswith("charts.")}
+        assert len(charts_files) == 6
+        # every task file merges every dataset
+        assert rewritten(before, file_stamps(config.out_dir)) \
+            == charts_files | TASK_FILES | STAGE_MANIFESTS
+        assert stages_run(run(config)) == set()
+
+    def test_turning_on_whole_image_filtering_writes_only_its_files(self, tmp_path):
+        config = default_mock_config(str(tmp_path / "whole"), seed=0)
+        run(config)
+        before = file_stamps(config.out_dir)
+        config.filter_whole_image = True
+        assert stages_run(run(config)) == {"generate-rationales", "filter", "build-tasks"}
+        assert rewritten(before, file_stamps(config.out_dir)) == {
+            f"{ds.name}.{kind}.jsonl" for ds in config.datasets
+            for kind in ("whole_scores", "whole_categorized")} | {"tasks/QRA.jsonl"} \
+            | STAGE_MANIFESTS - {"manifests/crop.json"}
+
+    def test_dropping_a_dataset_rewrites_only_manifests_and_task_files(self, tmp_path):
+        config = default_mock_config(str(tmp_path / "drop"), seed=0)
+        run(config)
+        before = file_stamps(config.out_dir)
+        config.datasets.pop()
+        # each stage runs none of its entries, and records only the config's
+        assert stages_run(run(config)) == ALL_STAGES
+        assert rewritten(before, file_stamps(config.out_dir)) == TASK_FILES | STAGE_MANIFESTS
+        assert stages_run(run(config)) == set()
+
+
+# How to make a manifest that `_write_manifest` did not write, from one it did.
+CORRUPT_MANIFESTS = {
+    "not-utf8": lambda m: b'{"stage": "filter\xff"}',
+    "not-json": lambda m: b'{"stage": ',
+    "a-list": lambda m: b"[]",
+    "of-another-stage": lambda m: {**m, "stage": "crop"},
+    "entries-a-list": lambda m: {**m, "entries": list(m["entries"])},
+    "entry-a-string": lambda m: {**m, "entries": dict.fromkeys(m["entries"], "x")},
+    **{f"{field}-a-list": lambda m, field=field: {**m, "entries": {
+        key: {**entry, field: list(entry[field])} for key, entry in m["entries"].items()}}
+       for field in ("inputs", "outputs", "counts")},
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPT_MANIFESTS.values(), ids=list(CORRUPT_MANIFESTS))
+def test_a_manifest_not_of_the_written_shape_is_stale(tmp_path, corrupt):
+    config = default_mock_config(str(tmp_path / "corrupt"), seed=0)
+    run(config)
+    files = tree_files(config.out_dir)
+    path = pipeline._manifest_path(config.out_dir, "filter")
+    with open(path, "rb") as f:
+        manifest = corrupt(json.load(f))
+    with open(path, "wb") as f:
+        f.write(manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode())
+    assert stages_run(run(config)) == {"filter"}
+    assert tree_files(config.out_dir) == files
 
 
 ALL_TASKS = set(pipeline.TASK_NAMES)
@@ -810,13 +909,7 @@ class TestPerTaskFreshness:
         config.filter_whole_image = whole_image
         run(config)
         files = tree_files(config.out_dir)
-        inputs, _ = pipeline._stage_paths(config, "build-tasks")
-        with open(pipeline._manifest_path(config.out_dir, "build-tasks")) as f:
-            counts = json.load(f)["counts"]
-        pipeline._write_manifest(config.out_dir, "build-tasks", inputs,
-                                 pipeline._fingerprint(config, "build-tasks"),
-                                 [pipeline.task_path(config, key) for key in config.tasks],
-                                 counts)
+        write_earlier_manifest(config, "build-tasks", task_entries=False)
         before = task_stamps(config)
         assert stages_run(run(config)) == {"build-tasks"}
         assert rewritten(before, task_stamps(config)) == ALL_TASKS
@@ -831,16 +924,22 @@ class TestPerTaskFreshness:
         st.tuples(st.just("tasks"), st.lists(st.sampled_from(sorted(ALL_TASKS)), min_size=1,
                                              unique=True).map(tuple)),
         st.tuples(st.just("filter_whole_image"), st.booleans()),
-        st.tuples(st.just("seed"), st.integers(0, 2))), min_size=1, max_size=4))
+        st.tuples(st.just("seed"), st.integers(0, 2)),
+        st.tuples(st.just("crop_mode"), st.sampled_from(["verbatim", "full-coverage"])),
+        st.tuples(st.just("datasets"), st.lists(st.sampled_from(["docs", "charts", "extra"]),
+                                                min_size=1, unique=True))),
+        min_size=1, max_size=4))
     def test_incremental_runs_match_a_cold_build(self, tmp_path_factory, changes):
         # every file of a cold build at the final settings, manifests
         # included, is in the incremental tree with the same bytes; files of
-        # a dropped task or of filter_whole_image stay behind
+        # a dropped task or dataset, or of filter_whole_image, stay behind
         root = tmp_path_factory.mktemp("incremental")
 
         def change(config, setting, value):
             if setting in ("boost_factor", "space"):
                 config.filter = dataclasses.replace(config.filter, **{setting: value})
+            elif setting == "datasets":
+                config.datasets = [mock_dataset(config.out_dir, name) for name in value]
             else:
                 setattr(config, setting, value)
 
@@ -858,55 +957,117 @@ class TestPerTaskFreshness:
         assert stages_run(run(incremental)) == set()
 
 
-# Fingerprints that trees already written carry in their manifests: changing
-# one makes every such tree rerun that stage.
+# Fingerprints that trees already written carry in their manifests, by stage
+# and entry: changing one makes every such tree rerun that entry. Task
+# entries fingerprint every dataset; the others only their own.
 PINNED_FINGERPRINTS = {
     "mock": {
-        "crop": "15d0d673eb6ff54dd2e13645794f1fbec349119f568ef24b0d8b7dcdabe2db20",
-        "generate-rationales": "bb0979e8f1a4ad6dcef93938c5dd8d1cb4e5b2e9cf0b2e55709cc7d556777295",
-        "filter": "f90d9453315ee341c34b81e64109838b9c7e14312d5022a014857b9ea48c7c40",
-        "build-tasks": "6f7b23ee7d85e9c5e1bd044d3622275d73e24cbe77240af4caeafb458afcd307",
+        "crop/docs.crops":
+            "e6dbe6e6399bb5025f9d6bec68b691dc19f5877e7607e25e7ddeddfe4092001f",
+        "crop/charts.crops":
+            "17bcf484728ba53afc366cd26d071f18d5d796b16f737a4cbc54307b44e60b78",
+        "generate-rationales/docs.rationales":
+            "20d59990f6f8864d2da9957090ac9a6cb9e10ee9e2325340d0e63f3f168e78e1",
+        "generate-rationales/docs.crop_rationales":
+            "c350546685dc378d4c44e3f2497f1269895b848e3331901333552deb79a1b806",
+        "generate-rationales/charts.rationales":
+            "acaf3a3c12db788547b76f585efb1ec5b5be1db8250224358372531c60814572",
+        "generate-rationales/charts.crop_rationales":
+            "1ec915ae643b7a5e9d3f0c6607d0054e4ae62d4e7ce7f65027829a2797903da7",
+        "filter/docs.categorized":
+            "f0a05b73eeaf6f4e602f4d950f0f3dbc943491b78877b7c1eee914176da80032",
+        "filter/charts.categorized":
+            "d5f61061d1a7e33b0a42280e084095639205b140a954d8e20cf9ccd72997197a",
+        "build-tasks/qra":
+            "9981d5d74680f6a2fa313259947da44e91952833702dce465a40578c442fdd07",
+        "build-tasks/apr":
+            "742f5c868b1a095ca78aba4d45b81601c5db29b2409711a44e01eb62159b87ff",
+        "build-tasks/qraci":
+            "f062818e551edf4a8045d24b7e43a3718ca678766cdf65c7d0c35d01de1c5104",
+        "build-tasks/apraci":
+            "f062818e551edf4a8045d24b7e43a3718ca678766cdf65c7d0c35d01de1c5104",
+        "build-tasks/qid":
+            "f062818e551edf4a8045d24b7e43a3718ca678766cdf65c7d0c35d01de1c5104",
+        "build-tasks/ans-only":
+            "f062818e551edf4a8045d24b7e43a3718ca678766cdf65c7d0c35d01de1c5104",
     },
     "mock-whole-image": {
-        "crop": "15d0d673eb6ff54dd2e13645794f1fbec349119f568ef24b0d8b7dcdabe2db20",
-        "generate-rationales": "84c0bb1d9096746469733c468e2e58126fd4cc11f8978031a8b268144d39af57",
-        "filter": "478b6e1940249f560b3fb8c541ddd363fef8fd5c0d07deb9c0afe058b5e10669",
-        "build-tasks": "9ba6a273a04c87fd62290a6c059dde3e3540f22352f40d55354da46908497a97",
+        "crop/docs.crops":
+            "e6dbe6e6399bb5025f9d6bec68b691dc19f5877e7607e25e7ddeddfe4092001f",
+        "crop/charts.crops":
+            "17bcf484728ba53afc366cd26d071f18d5d796b16f737a4cbc54307b44e60b78",
+        "generate-rationales/docs.rationales":
+            "20d59990f6f8864d2da9957090ac9a6cb9e10ee9e2325340d0e63f3f168e78e1",
+        "generate-rationales/docs.crop_rationales":
+            "c350546685dc378d4c44e3f2497f1269895b848e3331901333552deb79a1b806",
+        "generate-rationales/docs.whole_scores":
+            "8328907bc13788da647fb414db8bc4364bd455e98a55402c7783fb19e5ed8001",
+        "generate-rationales/charts.rationales":
+            "acaf3a3c12db788547b76f585efb1ec5b5be1db8250224358372531c60814572",
+        "generate-rationales/charts.crop_rationales":
+            "1ec915ae643b7a5e9d3f0c6607d0054e4ae62d4e7ce7f65027829a2797903da7",
+        "generate-rationales/charts.whole_scores":
+            "52c2ad9b47945e289c907e9a244e8380cc5621227ad50428654160336ecdf68d",
+        "filter/docs.categorized":
+            "f0a05b73eeaf6f4e602f4d950f0f3dbc943491b78877b7c1eee914176da80032",
+        "filter/docs.whole_categorized":
+            "61ef7e3566bbb54a560a26935f16772298e7b1ac84c0cc5525e0774f4a93ab16",
+        "filter/charts.categorized":
+            "d5f61061d1a7e33b0a42280e084095639205b140a954d8e20cf9ccd72997197a",
+        "filter/charts.whole_categorized":
+            "c9bc4811948c8dc4aa7a5a66c5bb38f28f187eeeee730dc576185cd55d4a79d5",
+        "build-tasks/qra":
+            "920fbd48524d34a5936eb128442a453927873fd4db4798be64c518dc1e3d31ab",
+        "build-tasks/apr":
+            "742f5c868b1a095ca78aba4d45b81601c5db29b2409711a44e01eb62159b87ff",
+        "build-tasks/qraci":
+            "f062818e551edf4a8045d24b7e43a3718ca678766cdf65c7d0c35d01de1c5104",
+        "build-tasks/apraci":
+            "f062818e551edf4a8045d24b7e43a3718ca678766cdf65c7d0c35d01de1c5104",
+        "build-tasks/qid":
+            "f062818e551edf4a8045d24b7e43a3718ca678766cdf65c7d0c35d01de1c5104",
+        "build-tasks/ans-only":
+            "f062818e551edf4a8045d24b7e43a3718ca678766cdf65c7d0c35d01de1c5104",
     },
     "http": {
-        "crop": "15d0d673eb6ff54dd2e13645794f1fbec349119f568ef24b0d8b7dcdabe2db20",
-        "generate-rationales": "da8e4101599218da2b1c6939df487a87faf61620d3288a5b2ef2122b2f96428b",
-        # filter reads only seed, filter.* and filter_whole_image: no endpoint, no counter
-        "filter": "478b6e1940249f560b3fb8c541ddd363fef8fd5c0d07deb9c0afe058b5e10669",
-        "build-tasks": "18585ed8d079434d1bc1f3e6624b249dd945e7c5f1cc9df23ccfc375ec62bd20",
+        "crop/docs.crops":
+            "e6dbe6e6399bb5025f9d6bec68b691dc19f5877e7607e25e7ddeddfe4092001f",
+        "crop/charts.crops":
+            "17bcf484728ba53afc366cd26d071f18d5d796b16f737a4cbc54307b44e60b78",
+        "generate-rationales/docs.rationales":
+            "86400ade8937c1fadb6cb49943a8cf988802a43094447f8cc7d4be5278371de8",
+        "generate-rationales/docs.crop_rationales":
+            "73bac86a01fbd353958390bd8c61ea5e6103024b15705f60d2a2b4c78d94b661",
+        "generate-rationales/docs.whole_scores":
+            "7b3a10e76a751ed7f695089c6125337c37c2130e9e085fb16b757e430819958c",
+        "generate-rationales/charts.rationales":
+            "2c8ace66aaf8b3915cb548e4282982fff99b962947d1953bf3cda060be94fe24",
+        "generate-rationales/charts.crop_rationales":
+            "c375a311eeb98e071a89cc44d3929c59ced0cdf5825e4856bee87cfe77fe148a",
+        "generate-rationales/charts.whole_scores":
+            "fc2885d5197632a28256f08441b3cb8aa4541eda81808921c752bf0167896c36",
+        "filter/docs.categorized":
+            "f0a05b73eeaf6f4e602f4d950f0f3dbc943491b78877b7c1eee914176da80032",
+        "filter/docs.whole_categorized":
+            "61ef7e3566bbb54a560a26935f16772298e7b1ac84c0cc5525e0774f4a93ab16",
+        "filter/charts.categorized":
+            "d5f61061d1a7e33b0a42280e084095639205b140a954d8e20cf9ccd72997197a",
+        "filter/charts.whole_categorized":
+            "c9bc4811948c8dc4aa7a5a66c5bb38f28f187eeeee730dc576185cd55d4a79d5",
+        "build-tasks/qra":
+            "bbedfbe31381343b8b746d32eb591c8f598f33dface948da0d02a3d1d9db36eb",
+        "build-tasks/apr":
+            "7a5f60ff6e91c371fe71319a4a32696c3ba012bb6773ca97003713b986435e5b",
+        "build-tasks/qraci":
+            "49a8498f45b6c627c261d152b0669d9511d25d27d71cdca6d31fc46abf369ad6",
+        "build-tasks/apraci":
+            "49a8498f45b6c627c261d152b0669d9511d25d27d71cdca6d31fc46abf369ad6",
+        "build-tasks/qid":
+            "49a8498f45b6c627c261d152b0669d9511d25d27d71cdca6d31fc46abf369ad6",
+        "build-tasks/ans-only":
+            "49a8498f45b6c627c261d152b0669d9511d25d27d71cdca6d31fc46abf369ad6",
     },
 }
-
-# Trees written before generate-rationales scored the crops carry these
-# generate-rationales and filter fingerprints, over these settings.
-EARLIER_SETTINGS = {
-    "generate-rationales": ("counter", "mock", "mock_seed", "max_retries", "endpoints",
-                            "templates"),
-    "filter": ("seed", "counter", "filter", "verifier", "mock", "mock_seed",
-               "filter_whole_image"),
-}
-EARLIER_FINGERPRINTS = {
-    "mock": ("d6418b12668ac9cfd47d94beadda509a0ed8421c371861e0cbb6255b652f3f74",
-             "8ec11af9ce9207d5a78f47c9768ba4c2d6eb0c14b2c7a50e39fdd86b11aa7a27"),
-    "mock-whole-image": ("d6418b12668ac9cfd47d94beadda509a0ed8421c371861e0cbb6255b652f3f74",
-                         "77d7d388b2d9f21ad9dc8612550bf15a49a9d15184a977ae70ad0ff00bdb1917"),
-    "http": ("f10e613fdea12fbbb30b260147d1685ea698d908e74c50e01d35cc9bea47d503",
-             "49a35fc1fc88abd444f28268f31a48f4a992f82bcb6eccea35934b78dc591765"),
-}
-
-
-def earlier_fingerprint(config, stage):
-    """The fingerprint of `stage` in a tree written before generate-rationales
-    scored the crops."""
-    row = pipeline._STAGE_TABLE[stage]
-    earlier = dataclasses.replace(row, settings=EARLIER_SETTINGS.get(stage, row.settings))
-    with unittest.mock.patch.dict(pipeline._STAGE_TABLE, {stage: earlier}):
-        return pipeline._fingerprint(config, stage)
 
 
 def pinned_config(tmp_path, name):
@@ -923,31 +1084,50 @@ def pinned_config(tmp_path, name):
     return config
 
 
-# The per-dataset file kinds each stage read and wrote, then those it added
-# with filter_whole_image, before generate-rationales wrote scores files (and
-# before one table declared them); build-tasks also wrote the task files.
-EARLIER_STAGE_FILES = {
-    "crop": (("dataset",), ("crops",), (), ()),
-    "generate-rationales": (("dataset", "crops"), ("rationales", "crop_rationales"), (), ()),
-    "filter": (("crops", "crop_rationales"), ("categorized", "balance"),
-               ("dataset", "rationales"), ("whole_categorized",)),
-    "build-tasks": (("dataset", "rationales", "categorized", "crops", "crop_rationales"), (),
-                    ("whole_categorized",), ()),
+# The settings each stage's one fingerprint covered in trees written before
+# manifests held an entry per group of output files; build-tasks' also
+# covered those of each task it selected.
+EARLIER_STAGE_SETTINGS = {
+    "crop": ("crop_mode",),
+    "generate-rationales": ("counter", "mock", "mock_seed", "max_retries", "endpoints",
+                            "templates", "verifier", "filter_whole_image"),
+    "filter": ("seed", "filter", "filter_whole_image"),
+    "build-tasks": ("tasks",),
 }
 
 
-def write_earlier_manifest(config, stage):
-    reads, writes, whole_reads, whole_writes = EARLIER_STAGE_FILES[stage]
-    if config.filter_whole_image:
-        reads, writes = reads + whole_reads, writes + whole_writes
-    inputs = [pipeline.stage_file(config, ds, kind) for ds in config.datasets for kind in reads]
-    outputs = [pipeline.stage_file(config, ds, kind) for ds in config.datasets for kind in writes]
+def write_earlier_manifest(config, stage, task_entries=True):
+    """Rewrite `stage`'s manifest in the layout of a tree written before
+    manifests held entries: one fingerprint over every dataset, the stage's
+    inputs, outputs and counts, and for build-tasks an entry per task file,
+    whose file was not among the stage's outputs. Without `task_entries`,
+    the layout of a tree written before build-tasks kept an entry per task:
+    the task files are among the stage's outputs. Files no longer in the
+    tree are left out, as a tree written before they were is."""
+    records = pipeline._read_manifest(config.out_dir, stage)
+
+    def merged(field):
+        return {k: v for record in records.values() for k, v in record[field].items()
+                if os.path.exists(os.path.join(config.out_dir, k))}
+
+    settings = EARLIER_STAGE_SETTINGS[stage]
     if stage == "build-tasks":
-        outputs += [pipeline.task_path(config, key) for key in config.tasks]
-    with open(pipeline._manifest_path(config.out_dir, stage)) as f:
-        counts = json.load(f)["counts"]
-    pipeline._write_manifest(config.out_dir, stage, inputs, earlier_fingerprint(config, stage),
-                             outputs, counts)
+        rows = pipeline._STAGE_TABLE[stage]
+        settings += tuple(s for key in config.tasks for s in rows[key].settings)
+    manifest = {
+        "stage": stage,
+        "fingerprint": pipeline._fingerprint(
+            config, pipeline._Row((), tuple(dict.fromkeys(settings))), config.datasets),
+        "inputs": {k: v for k, v in merged("inputs").items() if k not in merged("outputs")},
+        "outputs": {} if stage == "build-tasks" and task_entries else merged("outputs"),
+        "counts": {k: v for record in records.values() for k, v in record["counts"].items()},
+    }
+    if stage == "build-tasks" and task_entries:
+        manifest["tasks"] = {key: {field: record[field] for field in
+                                   ("fingerprint", "inputs", "outputs")}
+                             for key, record in records.items()}
+    with open(pipeline._manifest_path(config.out_dir, stage), "w", encoding="utf-8") as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
 
 
 TRACED_RUN = """
@@ -970,20 +1150,38 @@ class TestStageTable:
     @pytest.mark.parametrize("name", list(PINNED_FINGERPRINTS))
     def test_fingerprints_are_pinned(self, tmp_path, name):
         config = pinned_config(tmp_path, name)
-        assert {stage: pipeline._fingerprint(config, stage) for stage in pipeline.STAGES} \
-            == PINNED_FINGERPRINTS[name]
-        # and the earlier trees that test_tree_written_before_scores_files_reruns_once
-        # rebuilds carry the digests such trees hold
-        assert tuple(earlier_fingerprint(config, stage) for stage in EARLIER_SETTINGS) \
-            == EARLIER_FINGERPRINTS[name]
+        assert {f"{stage}/{entry.key}": entry.fingerprint for stage in pipeline.STAGES
+                for entry in pipeline._entries(config, stage)} == PINNED_FINGERPRINTS[name]
+
+    @pytest.mark.parametrize("whole_image", [False, True], ids=["crops", "whole-image"])
+    def test_an_earlier_format_tree_reruns_each_stage_once(
+            self, tmp_path, counting_server, whole_image):
+        # every stage reruns once, generate-rationales replaying its cached
+        # responses, and rewrites its files with the same bytes
+        url, handler = counting_server
+        config = http_run_config(str(tmp_path / "earlier"), url, concurrency=2)
+        config.filter_whole_image = whole_image
+        run(config)
+        for stage in pipeline.STAGES:
+            write_earlier_manifest(config, stage)
+
+        def stage_and_task_files():
+            return {name: digest for name, digest in tree_files(config.out_dir).items()
+                    if not name.startswith(("manifests", "cache"))}
+
+        files, calls = stage_and_task_files(), handler.calls
+        assert stages_run(run(config)) == ALL_STAGES
+        assert handler.calls == calls
+        assert stage_and_task_files() == files
+        assert stages_run(run(config)) == set()
 
     @pytest.mark.parametrize("whole_image", [False, True], ids=["crops", "whole-image"])
     def test_tree_written_before_scores_files_reruns_once(self, tmp_path, counting_server,
                                                           whole_image):
-        # no scores files and the earlier fingerprints: generate-rationales
-        # replays its cached responses to score the crops, filter rewrites
-        # the same verdicts, and build-tasks, whose manifest holds no task
-        # entries yet, rewrites the same task files once
+        # no scores files, and manifests of one stage-level fingerprint, the
+        # build-tasks one without task entries: every stage reruns once,
+        # generate-rationales replaying its cached responses to score the
+        # crops, and the tree ends as it was
         url, handler = counting_server
         config = http_run_config(str(tmp_path / "earlier"), url, concurrency=2)
         config.filter_whole_image = whole_image
@@ -994,9 +1192,9 @@ class TestStageTable:
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(pipeline.stage_file(config, ds, kind))
         for stage in pipeline.STAGES:
-            write_earlier_manifest(config, stage)
+            write_earlier_manifest(config, stage, task_entries=False)
         calls = handler.calls
-        assert stages_run(run(config)) == {"generate-rationales", "filter", "build-tasks"}
+        assert stages_run(run(config)) == ALL_STAGES
         assert handler.calls == calls
         assert tree_files(config.out_dir) == files
         assert stages_run(run(config)) == set()
@@ -1024,11 +1222,10 @@ def categorized_files(config):
 def rerecord_filter_manifest(config):
     """Record filter's manifest over its outputs as they are now, so a rerun
     takes the rewritten files for filter's own."""
-    inputs, outputs = pipeline._stage_paths(config, "filter")
-    with open(pipeline._manifest_path(config.out_dir, "filter")) as f:
-        counts = json.load(f)["counts"]
-    pipeline._write_manifest(config.out_dir, "filter", inputs,
-                             pipeline._fingerprint(config, "filter"), outputs, counts)
+    entries = pipeline._entries(config, "filter")
+    records = pipeline._read_manifest(config.out_dir, "filter")
+    pipeline._write_manifest(config.out_dir, "filter", entries,
+                             {e.key: records[e.key]["counts"] for e in entries}, {})
 
 
 def write_full_format(config):
@@ -1225,6 +1422,35 @@ def with_lone_surrogate(line: str) -> str:
     obj = json.loads(line)
     obj["question"] += "\ud800"
     return json.dumps(obj)
+
+
+class TestDuplicateExampleIds:
+    """An example_id names one example: a second is refused, not merged."""
+
+    def test_a_second_line_of_an_id_fails_crop_before_any_tool_call(self, tmp_path,
+                                                                  monkeypatch):
+        config = default_mock_config(str(tmp_path / "dup"), seed=0)
+        path = config.datasets[0].path
+        lines = list(read_lines(path))
+        copy = {**json.loads(lines[1]), "example_id": json.loads(lines[0])["example_id"]}
+        write_lines(path, lines + [json.dumps(copy)])
+        made = construction_spy(monkeypatch)
+        with pytest.raises(StageFailure, match=re.escape(
+                f"{path}: line {len(lines) + 1}: duplicate example_id 'doc00', "
+                "first at line 1")) as exc:
+            run(config)
+        assert exc.value.stage == "crop" and isinstance(exc.value.cause, MalformedRecord)
+        assert made == []
+
+    def test_an_id_in_two_datasets_fails_build_tasks(self, tmp_path):
+        # APR would give it the fold of the subset planned last
+        config = default_mock_config(str(tmp_path / "across"), seed=0)
+        docs, charts = config.datasets
+        write_lines(charts.path, list(read_lines(charts.path)) + [next(read_lines(docs.path))])
+        with pytest.raises(StageFailure, match="'doc00' appears in subset 'charts' and "
+                                               "again in 'docs'") as exc:
+            run(config)
+        assert exc.value.stage == "build-tasks"
 
 
 class TestLoneSurrogates:
@@ -1450,7 +1676,7 @@ class _Reached(Exception):
     """Raised in place of a stage: `run` got past its config check."""
 
 
-def reached(config, handoff):
+def reached(config, handoff, entries):
     raise _Reached
 
 

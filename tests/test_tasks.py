@@ -8,7 +8,7 @@ from rdistill.filtering import balance
 from rdistill.fixtures import make_mock_students
 from rdistill.records import (NONE_SENTINEL, CategorizedExample, ImageRef,
                               QAExample, Rationale, VerifierScores)
-from rdistill.tasks import (FoldLeak, MissingRationale, SubsetTooSmall,
+from rdistill.tasks import (DuplicateExample, FoldLeak, MissingRationale, SubsetTooSmall,
                             build_ans_only, build_apr, build_apraci, build_qid,
                             build_qra, build_qraci, plan_folds)
 from rdistill.tools import MockStudentClient
@@ -88,6 +88,17 @@ class TestPlanFolds:
         examples = [make_example(i) for i in range(9)]
         assert plan_folds({"s": examples}, seed=3).assignment == \
             plan_folds({"s": examples}, seed=3).assignment
+
+    @pytest.mark.parametrize("other", ["t", "s"], ids=["two-subsets", "one-subset"])
+    def test_an_example_id_twice_is_refused(self, other):
+        # an id would otherwise take the fold of the subset planned last
+        shared = make_example(0, "s")
+        data = collections.defaultdict(list)
+        data["s"] += [make_example(i, "s") for i in range(3)]
+        data[other] += [make_example(i, "t") for i in range(1, 4)] + [shared]
+        with pytest.raises(DuplicateExample, match=f"'s-e0' appears in subset 's' and again "
+                                                   f"in '{other}'"):
+            plan_folds(data)
 
 
 def make_students(fold_count):
