@@ -1,6 +1,8 @@
 """Command-line entry points for the dataset pipeline and inference tools.
 
-Exit codes: 0 success, 1 stage failure, 2 validation failure.
+`run` is the one command that runs pipeline stages, `--stages` choosing
+which; `validate` takes the same options and runs nothing. Exit codes: 0
+success, 1 stage failure, 2 validation failure.
 """
 
 from __future__ import annotations
@@ -60,22 +62,6 @@ def _load_config(config_path, mock, seed, out_dir, boost_factor=None, space=None
     return cfg
 
 
-def _run_stages(stage_names, **options):
-    """Load the config and run `stage_names`, all stages if None: exit 2 on
-    a config problem, which `pipeline.run` reports before its first stage,
-    and 1 on a stage failure."""
-    cfg = _load_config(stages=stage_names, **options)
-    try:
-        summary = pipeline.run(cfg, stage_names,
-                               progress=lambda s, c: click.echo(f"[{s}] {c}"))
-    except pipeline.ConfigError as e:
-        _exit_config_errors(e.diagnostics)
-    except pipeline.StageFailure as e:
-        click.echo(str(e), err=True)
-        sys.exit(EXIT_STAGE_FAILURE)
-    return cfg, summary
-
-
 @click.group()
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose):
@@ -83,12 +69,30 @@ def main(verbose):
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _comma_list(ctx, param, value):
+    return tuple(value.split(",")) if value else None
+
+
+# every option of `run` is also one of `validate`, so `validate` reports
+# exactly what `run` with the same options refuses
 _config_opts = [
     click.option("--config", "config_path", type=click.Path(), default=None,
                  help="Pipeline config file (YAML)."),
     click.option("--mock", is_flag=True, help="Use mock tools / bundled fixture data."),
     click.option("--seed", type=int, default=None),
     click.option("--out-dir", default=None),
+    click.option("--stages", callback=_comma_list, default=None,
+                 help="Comma-separated subset of: " + ",".join(pipeline.STAGES)
+                 + " (default all)."),
+    click.option("--mode", "crop_mode",
+                 type=click.Choice([cropping.VERBATIM, cropping.FULL_COVERAGE]), default=None,
+                 help="Crop mode (crop_mode)."),
+    click.option("--lambda", "boost_factor", type=float, default=None,
+                 help="The verifier filter's λ (filter.boost_factor)."),
+    click.option("--space", type=click.Choice(["probability", "log"]), default=None,
+                 help="The space λ applies in (filter.space)."),
+    click.option("--tasks", callback=_comma_list, default=None,
+                 help="Comma-separated subset of: " + ",".join(TASK_NAMES)),
 ]
 
 
@@ -100,58 +104,32 @@ def with_config_opts(fn):
 
 @main.command(name="run")
 @with_config_opts
-@click.option("--stages", default=None,
-              help="Comma-separated subset of: " + ",".join(pipeline.STAGES))
 def run_cmd(stages, **options):
-    """Run the dataset pipeline end to end."""
-    cfg, summary = _run_stages(stages.split(",") if stages else None, **options)
+    """Run pipeline stages (all, or `--stages`).
+
+    The stages run in pipeline order, each skipping itself while its
+    outputs are fresh. Exits 1 when a stage fails."""
+    cfg = _load_config(stages=stages, **options)
+    try:
+        summary = pipeline.run(cfg, stages, progress=lambda s, c: click.echo(f"[{s}] {c}"))
+    except pipeline.ConfigError as e:
+        _exit_config_errors(e.diagnostics)
+    except pipeline.StageFailure as e:
+        click.echo(str(e), err=True)
+        sys.exit(EXIT_STAGE_FAILURE)
     click.echo(json.dumps({"out_dir": cfg.out_dir, "stages": list(summary)}))
 
 
 @main.command(name="validate")
 @with_config_opts
-def validate_cmd(**options):
-    """Report the diagnostics of a run of every stage without running anything:
-    a `config error:` line each, and exit 2 if there are any."""
-    diags = pipeline.validate(_load_config(**options))
+def validate_cmd(stages, **options):
+    """Report what `run` would refuse; run nothing.
+
+    Prints the diagnostics of `run` with the same options, a `config error:`
+    line each, and exits 2 if there are any."""
+    diags = pipeline.validate(_load_config(stages=stages, **options), stages)
     if diags:
         _exit_config_errors(diags)
-
-
-@main.command(name="crop")
-@with_config_opts
-@click.option("--mode", "crop_mode",
-              type=click.Choice([cropping.VERBATIM, cropping.FULL_COVERAGE]), default=None)
-def crop_cmd(**options):
-    """Produce sliding-window child examples for every dataset."""
-    _run_stages(["crop"], **options)
-
-
-@main.command(name="generate-rationales")
-@with_config_opts
-def generate_cmd(**options):
-    """Run the tool flows to produce rationales for whole images and crops,
-    and score each crop rationale with the verifier."""
-    _run_stages(["generate-rationales"], **options)
-
-
-@main.command(name="filter")
-@with_config_opts
-@click.option("--lambda", "boost_factor", type=float, default=None)
-@click.option("--space", type=click.Choice(["probability", "log"]), default=None)
-def filter_cmd(**options):
-    """Categorize crop rationales from their stored verifier scores and
-    balance the output. Calls no tool: no endpoint has to be reachable."""
-    _run_stages(["filter"], **options)
-
-
-@main.command(name="build-tasks")
-@with_config_opts
-@click.option("--tasks", default=None,
-              help="Comma-separated subset of: " + ",".join(TASK_NAMES))
-def build_tasks_cmd(tasks, **options):
-    """Emit the training task files."""
-    _run_stages(["build-tasks"], tasks=tuple(tasks.split(",")) if tasks else None, **options)
 
 
 @main.command(name="vote")
@@ -267,13 +245,15 @@ def dsl_exec_cmd(source):
         sys.exit(EXIT_STAGE_FAILURE)
     try:
         result = dsl.execute(program)
+        text = (f"passthrough: {program.args[0]}" if result.kind == "passthrough"
+                else result.render())
     except ZeroDivisionError:
         click.echo("error: division by zero", err=True)
         sys.exit(EXIT_STAGE_FAILURE)
-    if result.kind == "passthrough":
-        click.echo(f"passthrough: {program.args[0]}")
-    else:
-        click.echo(result.render())
+    except dsl.NonFinite as e:
+        click.echo(f"error: the result is not finite ({e})", err=True)
+        sys.exit(EXIT_STAGE_FAILURE)
+    click.echo(text)
 
 
 @main.command(name="make-fixture")

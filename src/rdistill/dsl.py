@@ -150,6 +150,8 @@ def _parse_numeric_args(op: str, body: str) -> Program:
 
 
 def _split_args(body: str, merge_thousands: bool) -> list[str]:
+    if not body.strip():
+        return []   # no argument at all: an arity error, not an empty one
     parts = []
     current = []
     i = 0

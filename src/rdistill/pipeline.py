@@ -484,7 +484,7 @@ def _parse_rationale_line(line: str, line_no: int = 0) -> tuple[str, Rationale]:
         obj = _loads(line)
         return obj["example_id"], Rationale.from_json(obj["rationale"])
     except (ValueError, KeyError, TypeError) as e:
-        raise _line_error(e, line_no) from e
+        raise _line_error(e, line, line_no) from e
 
 
 def _read(path: str, parse) -> list:

@@ -430,6 +430,20 @@ def _loads(line: str):
     return obj
 
 
+def _line_error(e: Exception, line: str, line_no: int) -> MalformedRecord:
+    """The MalformedRecord of a parser that raised `e` on `line`, worded
+    alike by every parser: a line that is not JSON, one that is JSON but not
+    an object (indexing it by a field name is a TypeError) and an object
+    without a field (a KeyError); any other error gives its own text."""
+    if isinstance(e, json.JSONDecodeError):
+        return MalformedRecord(f"not JSON ({e})", line_no)
+    if isinstance(e, TypeError) and not line.lstrip().startswith("{"):
+        return MalformedRecord("not a JSON object", line_no)
+    if isinstance(e, KeyError):
+        return MalformedRecord(f"missing field {e}", line_no)
+    return MalformedRecord(str(e), line_no)
+
+
 def serialize_record(record: TaskRecord) -> str:
     """One deterministic line per task record, fixed field order: the line
     `_dumps` writes for {"task", "example_id", "image", "decoder_input",
@@ -444,16 +458,6 @@ def parse_record(line: str, line_no: int = 0) -> TaskRecord:
     """Inverse of serialize_record; raises MalformedRecord on schema violations."""
     try:
         obj = _loads(line)
-    except json.JSONDecodeError as e:
-        raise MalformedRecord(f"invalid JSON: {e}", line_no) from e
-    except ValueError as e:
-        raise MalformedRecord(str(e), line_no) from e
-    if not isinstance(obj, dict):
-        raise MalformedRecord("record is not an object", line_no)
-    for key in ("task", "example_id", "image", "decoder_input", "decoder_output"):
-        if key not in obj:
-            raise MalformedRecord(f"missing field {key!r}", line_no)
-    try:
         return TaskRecord(
             task=obj["task"],
             example_id=obj["example_id"],
@@ -462,7 +466,7 @@ def parse_record(line: str, line_no: int = 0) -> TaskRecord:
             decoder_output=obj["decoder_output"],
         )
     except (ValueError, KeyError, TypeError) as e:
-        raise MalformedRecord(str(e), line_no) from e
+        raise _line_error(e, line, line_no) from e
 
 
 def serialize_example(example: QAExample) -> str:
@@ -473,7 +477,7 @@ def parse_example(line: str, line_no: int = 0) -> QAExample:
     try:
         return QAExample.from_json(_loads(line))
     except (ValueError, KeyError, TypeError, IndexError) as e:  # IndexError: a short OCR box
-        raise MalformedRecord(str(e), line_no) from e
+        raise _line_error(e, line, line_no) from e
 
 
 def parse_gold(line: str, line_no: int = 0) -> tuple[str, tuple[str, ...]]:
@@ -486,7 +490,7 @@ def parse_gold(line: str, line_no: int = 0) -> tuple[str, tuple[str, ...]]:
         _check_gold(example_id, answers)
         return example_id, answers
     except (ValueError, KeyError, TypeError) as e:
-        raise MalformedRecord(str(e), line_no) from e
+        raise _line_error(e, line, line_no) from e
 
 
 def serialize_categorized(cat: CategorizedExample | Verdict) -> str:
@@ -508,7 +512,7 @@ def parse_categorized(line: str, line_no: int = 0) -> Verdict:
                        effective_answer=obj["effective_answer"],
                        scores=VerifierScores.from_json(obj["scores"]))
     except (ValueError, KeyError, TypeError) as e:
-        raise MalformedRecord(str(e), line_no) from e
+        raise _line_error(e, line, line_no) from e
 
 
 def serialize_scores(example_id: str, scores: VerifierScores) -> str:
@@ -522,15 +526,7 @@ def parse_scores(line: str, line_no: int = 0) -> tuple[str, VerifierScores]:
         obj = _loads(line)
         return obj["example_id"], VerifierScores.from_json(obj["scores"])
     except (ValueError, KeyError, TypeError) as e:
-        raise MalformedRecord(str(e), line_no) from e
-
-
-def _line_error(e: Exception, line_no: int) -> MalformedRecord:
-    if isinstance(e, KeyError):
-        return MalformedRecord(f"missing field {e}", line_no)
-    if isinstance(e, json.JSONDecodeError):
-        return MalformedRecord(f"not JSON ({e})", line_no)
-    return MalformedRecord(str(e), line_no)
+        raise _line_error(e, line, line_no) from e
 
 
 def parse_hypothesis(line: str, line_no: int = 0) -> tuple[str, ScoredHypothesis]:
@@ -542,7 +538,7 @@ def parse_hypothesis(line: str, line_no: int = 0) -> tuple[str, ScoredHypothesis
             raise TypeError("example_id and decoded must be strings")
         return example_id, ScoredHypothesis(decoded, obj["prob"], line_no)
     except (ValueError, KeyError, TypeError) as e:
-        raise _line_error(e, line_no) from e
+        raise _line_error(e, line, line_no) from e
 
 
 def parse_prediction(line: str, line_no: int = 0) -> tuple[str, str]:
@@ -554,7 +550,7 @@ def parse_prediction(line: str, line_no: int = 0) -> tuple[str, str]:
             raise TypeError("example_id and answer must be strings")
         return example_id, answer
     except (ValueError, KeyError, TypeError) as e:
-        raise _line_error(e, line_no) from e
+        raise _line_error(e, line, line_no) from e
 
 
 _WRITE_BATCH = 256   # lines joined into one write

@@ -23,6 +23,9 @@ class TestParse:
             parse("Greater(5)")
         with pytest.raises(ArityError):
             parse("Diff(1, 2, 3)")
+        for source in ("Sum()", "Avg( )"):
+            with pytest.raises(ArityError, match="takes at least 1 arg, got 0"):
+                parse(source)
 
     def test_find_raw_text(self):
         assert parse("Find(the 2019 result)") == Program("Find", ("the 2019 result",))

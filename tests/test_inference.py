@@ -108,6 +108,11 @@ class TestApplyCalculator:
         decoded = "q <s> t <program> Foo(1) <answer> 4"
         assert apply_calculator(decoded, "4") == "4"
 
+    @pytest.mark.parametrize("program", ["Sum()", "Avg( )"])
+    def test_an_empty_argument_list_falls_back(self, program):
+        # an arity error, which is a ValueError like every parse error
+        assert apply_calculator(f"q <s> t <program> {program} <answer> 4", "4") == "4"
+
     def test_find_falls_back(self):
         decoded = "q <s> t <program> Find(France) <answer> France"
         assert apply_calculator(decoded, "France") == "France"

@@ -21,7 +21,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
-from rdistill import cli, fixtures, pipeline, tools
+from rdistill import cli, cropping, fixtures, pipeline, tools
 from rdistill.codec import CharBlockCounter, WordCounter
 from rdistill.filtering import FilterConfig
 from rdistill.pipeline import (DatasetConfig, PipelineConfig, StageFailure,
@@ -489,9 +489,10 @@ def test_retune_needs_no_endpoint(tmp_path, monkeypatch, offline_trees):
     assert at_lambda_2 != at_lambda_3
     made = construction_spy(monkeypatch)
     cfg_path = str(write_config_file(tmp_path / "offline.yaml", offline, boost_factor=2.0))
-    assert ran(["filter", "--config", cfg_path, "--lambda", "3.0"]) == ["filter"]
+    assert ran(["run", "--stages", "filter", "--config", cfg_path, "--lambda", "3.0"]) \
+        == ["filter"]
     assert outputs(offline.out_dir, ()) == outputs(connected.out_dir, ())
-    assert ran(["build-tasks", "--config", cfg_path]) == ["build-tasks"]
+    assert ran(["run", "--stages", "build-tasks", "--config", cfg_path]) == ["build-tasks"]
     assert outputs(offline.out_dir) == at_lambda_3
     assert ran(["run", "--config", cfg_path]) == ["filter", "build-tasks"]
     assert outputs(offline.out_dir) == at_lambda_2
@@ -499,15 +500,20 @@ def test_retune_needs_no_endpoint(tmp_path, monkeypatch, offline_trees):
 
 
 def test_stages_that_call_no_tool_need_no_endpoint(tmp_path, offline_trees):
-    # a config naming no endpoint runs crop, filter and build-tasks on a
-    # finished tree and gives a connected run's files; a run of every stage,
-    # and `rdistill validate`, which checks one, still ask for the endpoints
+    # a config naming no endpoint validates and runs crop, filter and
+    # build-tasks on a finished tree, and gives a connected run's files; a
+    # run, and a validate, of every stage still ask for the endpoints
     connected, offline = offline_trees
     cfg_path = str(write_config_file(tmp_path / "no-endpoints.yaml",
                                      dataclasses.replace(offline, endpoints={}), 2.0))
-    assert ran(["crop", "--config", cfg_path]) == []
-    assert ran(["filter", "--config", cfg_path, "--lambda", "3.0"]) == ["filter"]
-    assert ran(["build-tasks", "--config", cfg_path]) == ["build-tasks"]
+    for stage in ("crop", "filter", "build-tasks"):
+        result = CliRunner().invoke(cli.main, ["validate", "--stages", stage,
+                                               "--config", cfg_path])
+        assert (result.exit_code, result.output) == (0, "")
+    assert ran(["run", "--stages", "crop", "--config", cfg_path]) == []
+    assert ran(["run", "--stages", "filter", "--config", cfg_path, "--lambda", "3.0"]) \
+        == ["filter"]
+    assert ran(["run", "--stages", "build-tasks", "--config", cfg_path]) == ["build-tasks"]
 
     def files(out_dir):
         return {name: digest for name, digest in tree_files(out_dir).items()
@@ -557,7 +563,8 @@ def run_stage(config, stage):
 
 
 def run_stage_command(config, stage):
-    result = CliRunner().invoke(cli.main, [stage, "--mock", "--out-dir", config.out_dir])
+    result = CliRunner().invoke(cli.main, ["run", "--stages", stage, "--mock",
+                                           "--out-dir", config.out_dir])
     assert result.exit_code == 0, result.output
     assert f"[{stage}] skipped" not in result.output
 
@@ -1718,8 +1725,11 @@ class TestOneConfigGate:
 
 
 GOOD_DATASET = "datasets: [{name: docs, path: DATA, flow: text-evidence}]\n"
-CONFIG_COMMANDS = ("run", "validate", "crop", "generate-rationales", "filter", "build-tasks")
-FILTER_COMMANDS = ("run", "validate", "filter")
+# the arguments of each command that loads a config, by the stage it runs
+STAGE_COMMANDS = {stage: ("run", "--stages", stage) for stage in pipeline.STAGES}
+CONFIG_COMMANDS = {"run": ("run",), "validate": ("validate",), **STAGE_COMMANDS}
+FILTER_COMMANDS = {"run": ("run",), "validate": ("validate",),
+                   "filter": STAGE_COMMANDS["filter"]}
 BAD_FILTERS = {"boost-below-one": "filter: {boost_factor: 0.5}\n",
                "unknown-space": "filter: {space: odds}\n"}
 # config file text, with DATA standing for a dataset file that exists; what the
@@ -1737,12 +1747,13 @@ BAD_CONFIGS = {
                       FILTER_COMMANDS),
 }
 BAD_INPUTS = [
-    *(pytest.param(command, text + "tools: {mock: true}\n", [], named, id=f"{name}-{command}")
-      for name, (text, named, commands) in BAD_CONFIGS.items() for command in commands),
-    pytest.param("filter", None, ["--lambda", "0.5"], "boost_factor must be > 1",
+    *(pytest.param(command, text + "tools: {mock: true}\n", [], named, id=f"{name}-{key}")
+      for name, (text, named, commands) in BAD_CONFIGS.items()
+      for key, command in commands.items()),
+    pytest.param(STAGE_COMMANDS["filter"], None, ["--lambda", "0.5"], "boost_factor must be > 1",
                  id="filter-lambda"),
-    pytest.param("build-tasks", None, ["--tasks", "qra,bogus"], "unknown task 'bogus'",
-                 id="build-tasks-unknown-task"),
+    pytest.param(STAGE_COMMANDS["build-tasks"], None, ["--tasks", "qra,bogus"],
+                 "unknown task 'bogus'", id="build-tasks-unknown-task"),
 ]
 
 
@@ -1761,7 +1772,7 @@ class TestConfigErrors:
             cfg_path = tmp_path / "cfg.yaml"
             cfg_path.write_text(config_text.replace("DATA", f"{mock_data_dir}/data/docs.jsonl"))
             args = ["--config", str(cfg_path), "--out-dir", str(out_dir)]
-        result = CliRunner().invoke(cli.main, [command, *args, *options])
+        result = CliRunner().invoke(cli.main, [*command, *args, *options])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert any(line.startswith("config error: ") and named in line
@@ -1782,8 +1793,12 @@ class TestConfigErrors:
         bad.write_text(BAD_FILTERS[name] + text)
         stages = pipeline.STAGES[:pipeline.STAGES.index(command) + 1]
         for stage in stages:
-            result = CliRunner().invoke(cli.main, [
-                stage, "--config", str(good if stage == "filter" else bad)])
+            cfg_path = str(good if stage == "filter" else bad)
+            result = CliRunner().invoke(cli.main, ["validate", "--stages", stage,
+                                                   "--config", cfg_path])
+            assert (result.exit_code, result.output) == (0, "")
+            result = CliRunner().invoke(cli.main, ["run", "--stages", stage,
+                                                   "--config", cfg_path])
             assert result.exit_code == 0, result.output
             assert f"[{stage}] {{" in result.output     # ran, not skipped
 
@@ -1940,7 +1955,58 @@ class TestConfigSchema:
             f"{tmp_path}/infovqa.jsonl", f"{tmp_path}/chartqa.jsonl"]
 
 
+# the options of `run` and `validate` that set a config field: the field's
+# values as options, as fields, and the stages run with them
+STAGE_OPTIONS = [
+    pytest.param(["--mode", cropping.FULL_COVERAGE], {"crop_mode": cropping.FULL_COVERAGE},
+                 ("crop", "generate-rationales"), id="mode"),
+    pytest.param(["--lambda", "3.0"], {"filter": FilterConfig(boost_factor=3.0)},
+                 ("filter", "build-tasks"), id="lambda"),
+    pytest.param(["--lambda", "0.5"], {"filter": FilterConfig(boost_factor=0.5)},
+                 ("filter",), id="lambda-refused"),
+    pytest.param(["--lambda", "0.5"], {"filter": FilterConfig(boost_factor=0.5)},
+                 ("crop", "build-tasks"), id="lambda-unread"),
+    pytest.param(["--space", "log"], {"filter": FilterConfig(space="log")},
+                 ("filter",), id="space"),
+    pytest.param(["--space", "log", "--lambda", "0.5"],
+                 {"filter": FilterConfig(boost_factor=0.5, space="log")},
+                 ("filter", "build-tasks"), id="space-and-lambda"),
+    pytest.param(["--tasks", "qra,qid"], {"tasks": ("qra", "qid")},
+                 ("build-tasks",), id="tasks"),
+    pytest.param(["--tasks", "qra,bogus"], {"tasks": ("qra", "bogus")},
+                 ("build-tasks",), id="tasks-refused"),
+]
+
+
 class TestCli:
+    @pytest.mark.parametrize("options,fields,stages", STAGE_OPTIONS)
+    def test_an_option_acts_as_its_field(self, tmp_path, options, fields, stages):
+        # on a finished tree, `run` gives the tree `pipeline.run` gives with
+        # the field set, manifests included, and `validate` prints exactly
+        # the diagnostics `pipeline.validate` gives
+        config, clied = (default_mock_config(str(tmp_path / name), seed=0)
+                         for name in ("api", "cli"))
+        run(config)
+        run(clied)
+        config = dataclasses.replace(config, **fields)
+        diags = validate(config, stages)
+        args = ["--mock", "--out-dir", clied.out_dir, "--stages", ",".join(stages), *options]
+        result = CliRunner().invoke(cli.main, ["validate", *args])
+        assert (result.exit_code, result.output) == (
+            2 if diags else 0, "".join(f"config error: {d}\n" for d in diags))
+        result = CliRunner().invoke(cli.main, ["run", *args])
+        assert result.exit_code == (2 if diags else 0), result.output
+        if not diags:
+            run(config, stages)
+        assert tree_files(config.out_dir) == tree_files(clied.out_dir)
+
+    def test_the_per_stage_commands_are_gone(self):
+        assert sorted(cli.main.commands) == ["dsl", "eval", "make-fixture", "run", "validate",
+                                             "vote"]
+        result = CliRunner().invoke(cli.main, ["filter", "--mock", "--lambda", "3"])
+        assert result.exit_code == 2
+        assert "No such command 'filter'" in result.output
+
     def test_run_rejects_unknown_stages(self, tmp_path):
         out_dir = tmp_path / "stages"
         result = CliRunner().invoke(cli.main, ["run", "--mock", "--out-dir", str(out_dir),
@@ -1996,8 +2062,8 @@ class TestCli:
 
     def test_mock_config_error_leaves_no_files(self, tmp_path):
         out_dir = tmp_path / "x"
-        result = CliRunner().invoke(cli.main, ["build-tasks", "--mock", "--out-dir",
-                                               str(out_dir), "--tasks", "qra,bogus"])
+        result = CliRunner().invoke(cli.main, ["run", "--stages", "build-tasks", "--mock",
+                                               "--out-dir", str(out_dir), "--tasks", "qra,bogus"])
         assert result.exit_code == 2, result.output
         assert "config error: unknown task 'bogus'" in result.output
         assert not os.path.exists(out_dir)
@@ -2033,6 +2099,14 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(cli.main, ["dsl", "exec", "Div(1, 0)"])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("source", ["Mul(" + "9" * 308 + ", 10)", "Sum(" + "9" * 400 + ")",
+                                        "Diff(" + "9" * 400 + ", " + "9" * 400 + ")"])
+    def test_dsl_exec_of_a_non_finite_result(self, source):
+        result = CliRunner().invoke(cli.main, ["dsl", "exec", source])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
 
     def test_vote_and_eval(self, tmp_path):
         hyp_path = tmp_path / "hyps.jsonl"

@@ -348,6 +348,46 @@ def test_malformed_example_line(field, value):
         parse_example(json.dumps(obj), 6)
 
 
+def valid_lines():
+    """(parser, a line it parses, as an object, and a field it needs) of every line parser."""
+    example = example_dict(QAExample(example_id="e", image=make_image(), question="q",
+                                     gold_answers=("a",)))
+    scores = {"example_id": "e", "scores": {"logp_with": 0, "logp_without": 0, "greedy": "a"}}
+    return [
+        (parse_example, example, "question"),
+        (parse_gold, example, "gold_answers"),
+        (parse_categorized, {**scores, "category": "useful", "effective_answer": "a"},
+         "category"),
+        (parse_scores, scores, "scores"),
+        (parse_record, json.loads(serialize_record(make_record())), "decoder_output"),
+        (parse_hypothesis, {"example_id": "e", "decoded": "q <answer> a", "prob": 0.5},
+         "decoded"),
+        (parse_prediction, {"example_id": "e", "answer": "a"}, "answer"),
+        (_parse_rationale_line, json.loads(_serialize_rationale_line("e", Rationale.text("t"))),
+         "rationale"),
+    ]
+
+
+@pytest.mark.parametrize("parse,obj,field", valid_lines(),
+                         ids=lambda p: getattr(p, "__name__", ""))
+@pytest.mark.parametrize("bad", ["missing-field", "not-json", "list", "number", "null", "string"])
+def test_every_parser_words_a_malformed_line_alike(parse, obj, field, bad):
+    parse(json.dumps(obj), 3)
+    line, reason = {
+        "missing-field": (json.dumps({k: v for k, v in obj.items() if k != field}),
+                          f"missing field {field!r}"),
+        "not-json": (json.dumps(obj)[:-1], "not JSON ("),
+        "list": (json.dumps(list(obj.values())), "not a JSON object"),
+        "number": ("5", "not a JSON object"),
+        "null": ("null", "not a JSON object"),
+        "string": (json.dumps(field), "not a JSON object"),
+    }[bad]
+    with pytest.raises(MalformedRecord) as exc:
+        parse(line, 3)
+    assert str(exc.value).startswith(f"line 3: {reason}")
+    assert exc.value.reason.startswith(reason) and exc.value.line_no == 3
+
+
 @pytest.mark.parametrize("record", [
     Crop("height", 0, 1), make_image(), OcrBox("t", 0, 0, 1, 1), Rationale.text("t"),
     VerifierScores(-1.0, -2.0, "a"), Verdict("e", "useful", "a", VerifierScores(0.0, 0.0, "a")),
