@@ -93,6 +93,8 @@ def escape_field(text: str, keep_program: bool = False) -> str:
     `keep_program` leaves <program> markers alone, for rationale slots
     that carry an already-encoded program rationale.
     """
+    if "<" not in text:  # every separator starts with it
+        return text
     for sep, esc in _ESCAPES:
         if keep_program and sep == SEP_PROGRAM:
             continue

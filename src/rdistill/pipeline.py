@@ -8,10 +8,10 @@ per dataset, or, for a task file, which merges every dataset, one entry;
 execution, manifests and the in-run hand-off all derive from the table.
 An entry records its input and output hashes, the fingerprint of its
 settings and its counts, and a rerun runs only the entries that no longer
-match. Within one `run` each file is hashed at most once. HTTP tool
-responses are cached under out_dir/cache, so a rerun re-issues only calls
-it has no response for. Failed stages leave their partial output behind
-with a ".partial" suffix.
+match; a manifest is one line of JSON. Within one `run` each file is
+hashed at most once. HTTP tool responses are cached under out_dir/cache,
+so a rerun re-issues only calls it has no response for. Failed stages
+leave their partial output behind with a ".partial" suffix.
 
 Within one `run`, the records a stage writes (and the dataset examples
 crop reads) also pass in memory to the later stages that read them, so
@@ -33,7 +33,8 @@ their gold answers) with the scores, both sorted by example_id, and
 writes verdict lines (example_id, category, effective answer, scores). A
 λ retune thus needs no reachable tool endpoint. Build-tasks joins each
 verdict with its crop and crop rationale, and writes one task file at a
-time.
+time. Neither reads OCR text, boxes or tables, so both parse examples and
+crops without them (`records.parse_header`).
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ from . import cropping, filtering, fixtures, tasks, tools
 from .codec import CharBlockCounter, WordCounter
 from .records import (TASK_NAMES, CategorizedExample, MalformedRecord, QAExample,
                       Rationale, Verdict, VerifierScores, _dumps, _line_error, _loads,
-                      numbered_lines, parse_categorized, parse_example, parse_scores,
-                      serialize_categorized, serialize_example, serialize_record,
-                      serialize_scores, write_lines)
+                      numbered_lines, parse_categorized, parse_example, parse_header,
+                      parse_scores, serialize_categorized, serialize_example,
+                      serialize_record, serialize_scores, write_lines)
 
 log = logging.getLogger(__name__)
 
@@ -380,14 +381,33 @@ def _manifest_key(out_dir: str, path: str) -> str:
     return path if rel.split(os.sep)[0] == os.pardir else rel
 
 
-def _hashes(out_dir: str, paths: list[str], memo: dict) -> dict[str, str]:
-    """The sha256 of each of `paths`, by manifest key. `memo` holds the digests
-    already taken, by the same key, and gains the new ones."""
-    keys = {_manifest_key(out_dir, path): path for path in paths}
-    for key, path in keys.items():
-        if key not in memo:
-            memo[key] = _file_hash(path)
-    return {key: memo[key] for key in keys}
+class _Digests:
+    """The manifest key of each path one `run` looks up, and the sha256 of
+    each file it hashes, by key. Kept per run, not per module: a relative
+    path's key depends on the working directory."""
+
+    def __init__(self, out_dir: str):
+        self._out_dir, self._keys, self._digests = out_dir, {}, {}
+
+    def key(self, path: str) -> str:
+        if path not in self._keys:
+            self._keys[path] = _manifest_key(self._out_dir, path)
+        return self._keys[path]
+
+    def of(self, paths: list[str]) -> dict[str, str]:
+        """The sha256 of each of `paths`, by manifest key; a file is hashed
+        once until it is forgotten."""
+        digests = {}
+        for path in paths:
+            key = self.key(path)
+            if key not in self._digests:
+                self._digests[key] = _file_hash(path)
+            digests[key] = self._digests[key]
+        return digests
+
+    def forget(self, path: str) -> None:
+        """Drop the digest of `path`, which a stage is about to rewrite."""
+        self._digests.pop(self.key(path), None)
 
 
 def _read_manifest(out_dir: str, stage: str) -> dict:
@@ -404,19 +424,19 @@ def _read_manifest(out_dir: str, stage: str) -> dict:
     return entries if isinstance(entries, dict) else {}
 
 
-def _entry_fresh(out_dir: str, record, entry: "_Entry", memo: dict) -> bool:
+def _entry_fresh(record, entry: "_Entry", digests: _Digests) -> bool:
     """Whether a manifest's `record` of `entry` still matches: of the shape
     `_write_manifest` gives, with the same fingerprint, and each input and
     output still there with its hash."""
     return (isinstance(record, dict) and record.get("fingerprint") == entry.fingerprint
             and isinstance(record.get("counts"), dict)
             and all(os.path.exists(path) for path in entry.inputs + entry.outputs)
-            and record.get("inputs") == _hashes(out_dir, entry.inputs, memo)
-            and record.get("outputs") == _hashes(out_dir, entry.outputs, memo))
+            and record.get("inputs") == digests.of(entry.inputs)
+            and record.get("outputs") == digests.of(entry.outputs))
 
 
 def _stage_fresh(out_dir: str, stage: str, entries: list["_Entry"],
-                 memo: dict) -> tuple[bool, dict]:
+                 digests: _Digests) -> tuple[bool, dict]:
     """(Whether `stage` is fresh, the records of its manifest that still match
     one of `entries`, by key). An entry that reads a file an earlier stale
     entry of the stage rewrites is stale too. The stage is fresh when its
@@ -425,7 +445,7 @@ def _stage_fresh(out_dir: str, stage: str, entries: list["_Entry"],
     fresh, rewritten = {}, set()
     for entry in entries:
         if rewritten.isdisjoint(entry.inputs) and \
-                _entry_fresh(out_dir, records.get(entry.key), entry, memo):
+                _entry_fresh(records.get(entry.key), entry, digests):
             fresh[entry.key] = records[entry.key]
         else:
             rewritten.update(entry.outputs)
@@ -433,15 +453,14 @@ def _stage_fresh(out_dir: str, stage: str, entries: list["_Entry"],
 
 
 def _write_manifest(out_dir: str, stage: str, entries: list["_Entry"], counts: dict,
-                    memo: dict) -> None:
-    """Record `stage`'s manifest: each of `entries` with its hashes and its
-    counts (`counts`, by key)."""
+                    digests: _Digests) -> None:
+    """Record `stage`'s manifest, one line of JSON: each of `entries` with
+    its hashes and its counts (`counts`, by key)."""
     os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
-    _write_json_atomic(_manifest_path(out_dir, stage), {"stage": stage, "entries": {
-        entry.key: {"fingerprint": entry.fingerprint,
-                    "inputs": _hashes(out_dir, entry.inputs, memo),
-                    "outputs": _hashes(out_dir, entry.outputs, memo),
-                    "counts": counts[entry.key]} for entry in entries}})
+    _write_atomic(_manifest_path(out_dir, stage), [json.dumps({"stage": stage, "entries": {
+        entry.key: {"fingerprint": entry.fingerprint, "inputs": digests.of(entry.inputs),
+                    "outputs": digests.of(entry.outputs), "counts": counts[entry.key]}
+        for entry in entries}}, sort_keys=True)])
 
 
 def _write_atomic(path: str, lines) -> None:
@@ -499,18 +518,30 @@ def _read_rationales(path: str) -> dict[str, Rationale]:
     return dict(_read(path, _parse_rationale_line))
 
 
-def _read_examples(path: str) -> list[QAExample]:
-    """The examples of `path`; a MalformedRecord at the second line of an example_id."""
+def _read_unique(path: str, parse_one) -> list[QAExample]:
+    """`parse_one` of each line of `path`; a MalformedRecord at the second
+    line of an example_id."""
     first_line = {}
 
     def parse(line: str, line_no: int) -> QAExample:
-        ex = parse_example(line, line_no)
+        ex = parse_one(line, line_no)
         if first_line.setdefault(ex.example_id, line_no) != line_no:
             raise MalformedRecord(f"duplicate example_id {ex.example_id!r}, first at line "
                                   f"{first_line[ex.example_id]}", line_no)
         return ex
 
     return _read(path, parse)
+
+
+def _read_examples(path: str) -> list[QAExample]:
+    """The examples of `path`, whole."""
+    return _read_unique(path, parse_example)
+
+
+def _read_headers(path: str) -> list[QAExample]:
+    """The examples of `path` with no OCR text, boxes or table (`parse_header`),
+    for the stages that read none: filter and build-tasks."""
+    return _read_unique(path, parse_header)
 
 
 def _read_verdicts(path: str) -> list[Verdict]:
@@ -527,26 +558,34 @@ class _Handoff:
     Keyed by file path. A producer puts the records it just wrote; a reader
     takes them instead of parsing the file, and parses it only when no
     earlier stage of the run wrote or read it. Records are kept only while
-    a later stage of the run lists their file among its inputs. The run's
-    file digests travel with it, so each file is hashed at most once.
+    a later stage of the run lists their file among its inputs.
+
+    Examples read by `_read_headers` hold no OCR text, so they go only to a
+    reader that reads headers too: a stage that makes rationales from them
+    would call the OCR tool for each. The stage order keeps them apart (crop
+    and generate-rationales read whole examples before filter and
+    build-tasks read headers), and `take` refuses a run that would not.
     """
 
     def __init__(self, plan: dict[str, list["_Entry"]]):  # the entries of each stage, in order
         self._last_reader = {path: i for i, entries in enumerate(plan.values())
                              for entry in entries for path in entry.inputs}
-        self._records = {}
+        self._records = {}   # path -> (records, whether `_read_headers` read them)
         self.position = 0  # index in `plan` of the stage now running
-        # file digests taken during the run, by manifest key (see `_hashes`);
-        # a writer drops a file's digest before it rewrites the file
-        self.hashes = {}
 
-    def put(self, path: str, records) -> None:
+    def put(self, path: str, records, headers: bool = False) -> None:
         if self._last_reader.get(path, -1) > self.position:
-            self._records[path] = records
+            self._records[path] = records, headers
 
     def take(self, path: str, read):
-        records = self._records.pop(path) if path in self._records else read(path)
-        self.put(path, records)
+        if path in self._records:
+            records, headers = self._records.pop(path)
+            if headers and read is not _read_headers:
+                raise RuntimeError(f"{path}: examples read without OCR fields taken by "
+                                   f"{read.__name__}")
+        else:
+            records, headers = read(path), read is _read_headers
+        self.put(path, records, headers)
         return records
 
 
@@ -668,13 +707,13 @@ def stage_filter(config: PipelineConfig, handoff: _Handoff, entries: list[_Entry
     for entry in entries:
         ds = entry.datasets[0]
         if entry.name == "categorized":
-            crops = handoff.take(stage_file(config, ds, "crops"), _read_examples)
+            crops = handoff.take(stage_file(config, ds, "crops"), _read_headers)
             categorized = _verdicts(config, handoff, crops, stage_file(config, ds, "scores"))
             kept, report = filtering.balance(categorized, seed=config.seed)
             _write_json_atomic(stage_file(config, ds, "balance"), report.to_json())
             counts[entry.key] = {ds.name: {"categorized": len(categorized), "kept": len(kept)}}
         else:   # whole-image verdicts, which are not balanced
-            examples = sorted(handoff.take(ds.path, _read_examples), key=lambda e: e.example_id)
+            examples = sorted(handoff.take(ds.path, _read_headers), key=lambda e: e.example_id)
             kept = _verdicts(config, handoff, examples, stage_file(config, ds, "whole_scores"))
             counts[entry.key] = {}
         path = stage_file(config, ds, entry.name)
@@ -718,7 +757,7 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff,
     for ds in config.datasets:
         d = {}
         if "dataset" in reads:
-            d["examples"] = handoff.take(ds.path, _read_examples)
+            d["examples"] = handoff.take(ds.path, _read_headers)
         if "qra" in stale:
             d["rationales"] = handoff.take(stage_file(config, ds, "rationales"),
                                            _read_rationales)
@@ -733,7 +772,7 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff,
             path = stage_file(config, ds, "categorized")
             d["categorized"] = _join(
                 path, handoff.take(path, _read_verdicts),
-                handoff.take(stage_file(config, ds, "crops"), _read_examples),
+                handoff.take(stage_file(config, ds, "crops"), _read_headers),
                 handoff.take(stage_file(config, ds, "crop_rationales"), _read_rationales))
         inputs.append(d)
 
@@ -890,10 +929,10 @@ def run(config: PipelineConfig, stages: list[str] | None = None,
                 plan[stage] = _entries(config, stage)
         except OSError as e:    # a template that can no longer be read
             raise StageFailure(stage, e) from e
-    handoff = _Handoff(plan)
+    handoff, digests = _Handoff(plan), _Digests(config.out_dir)
     summary = {}
     for position, (stage, entries) in enumerate(plan.items()):
-        fresh, records = _stage_fresh(config.out_dir, stage, entries, handoff.hashes)
+        fresh, records = _stage_fresh(config.out_dir, stage, entries, digests)
         if fresh:
             log.info("stage %s: up to date, skipping", stage)
             summary[stage] = "skipped"
@@ -902,13 +941,13 @@ def run(config: PipelineConfig, stages: list[str] | None = None,
             log.info("stage %s: running %d of %d entries", stage, len(stale), len(entries))
             handoff.position = position
             for path in (path for entry in stale for path in entry.outputs):
-                handoff.hashes.pop(_manifest_key(config.out_dir, path), None)  # rewritten
+                digests.forget(path)
             try:
                 counts = _STAGE_FNS[stage](config, handoff, stale) if stale else {}
             except Exception as e:
                 raise StageFailure(stage, e) from e
             counts.update((key, record["counts"]) for key, record in records.items())
-            _write_manifest(config.out_dir, stage, entries, counts, handoff.hashes)
+            _write_manifest(config.out_dir, stage, entries, counts, digests)
             summary[stage] = {k: v for entry in entries for k, v in counts[entry.key].items()}
         if progress:
             progress(stage, summary[stage])

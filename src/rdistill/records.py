@@ -192,15 +192,19 @@ class QAExample:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "QAExample":
+    def from_json(cls, obj: dict, header_only: bool = False) -> "QAExample":
+        """The example `obj` holds. With `header_only`, its header: the id,
+        image, question and gold answers, checked alike; its OCR text, boxes
+        and table are neither built nor checked, and left at their defaults."""
         example_id = obj["example_id"]  # first: a value that is not an object raises TypeError
+        header = (example_id, ImageRef.from_json(obj["image"]), obj["question"],
+                  _gold_tuple(obj["gold_answers"]))
+        if header_only:
+            return cls(*header)
         boxes = obj.get("ocr_boxes")
         table = obj.get("structured_table")
         return cls(
-            example_id=example_id,
-            image=ImageRef.from_json(obj["image"]),
-            question=obj["question"],
-            gold_answers=_gold_tuple(obj["gold_answers"]),
+            *header,
             ocr_text=obj.get("ocr_text", ""),
             ocr_boxes=tuple(OcrBox.from_json(b) for b in boxes) if boxes is not None else None,
             structured_table=tuple(tuple(r) for r in table) if table is not None else None,
@@ -477,6 +481,18 @@ def parse_example(line: str, line_no: int = 0) -> QAExample:
     try:
         return QAExample.from_json(_loads(line))
     except (ValueError, KeyError, TypeError, IndexError) as e:  # IndexError: a short OCR box
+        raise _line_error(e, line, line_no) from e
+
+
+def parse_header(line: str, line_no: int = 0) -> QAExample:
+    """An example line's header: the example `parse_example` gives, with no
+    OCR text, boxes or table. Its id, image, question and gold answers are
+    checked as `parse_example` checks them, and fail with the same error;
+    the other fields are neither built nor checked. For readers that use
+    nothing else: a reader that makes rationales needs the OCR text."""
+    try:
+        return QAExample.from_json(_loads(line), header_only=True)
+    except (ValueError, KeyError, TypeError) as e:
         raise _line_error(e, line, line_no) from e
 
 

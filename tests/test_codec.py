@@ -124,6 +124,16 @@ def test_parse_answer_is_parse_targets_answer(decoded):
         assert parse_answer(decoded) == expected
 
 
+@given(decoded_pieces, st.booleans())
+@example("<answer", False)
+@example("a<s><program>b", True)
+def test_escape_field_is_the_replace_chain(text, keep_program):
+    want = text.replace("<s>", "⟨s⟩").replace("<answer>", "⟨answer⟩")
+    if not keep_program:
+        want = want.replace("<program>", "⟨program⟩")
+    assert escape_field(text, keep_program) == want
+
+
 clean_text = st.text(
     alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd"),
                            whitelist_characters=" "),

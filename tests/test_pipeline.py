@@ -549,7 +549,7 @@ def parses(monkeypatch):
             return parse(*args, **kwargs)
         return wrapper
 
-    for name in ("parse_example", "parse_categorized", "_parse_rationale_line"):
+    for name in ("parse_example", "parse_header", "parse_categorized", "_parse_rationale_line"):
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
     return counts
 
@@ -668,9 +668,32 @@ class TestInRunHandoff:
         shutil.rmtree(os.path.join(config.out_dir, "tasks"))
         parses.clear()
         run_stage(config, "build-tasks")
-        assert parses == {"parse_example": FIRST_RECORDS + MOCK_EXAMPLES + MOCK_CROPS,
+        # build-tasks reads no OCR field of an example or a crop
+        assert parses == {"parse_example": FIRST_RECORDS,
+                          "parse_header": MOCK_EXAMPLES + MOCK_CROPS,
                           "_parse_rationale_line": MOCK_EXAMPLES + MOCK_CROPS,
                           "parse_categorized": kept + MOCK_EXAMPLES}
+
+    def test_examples_read_without_ocr_fields_reach_no_whole_reader(self, tmp_path):
+        # a stage that makes rationales would find no OCR text in them and
+        # call the OCR tool for each: the hand-off refuses to give them one
+        config = default_mock_config(str(tmp_path / "headers"), seed=0)
+        run(config, ["crop"])
+        crops = pipeline.stage_file(config, config.datasets[0], "crops")
+        handoff = handoff_of(config, pipeline.STAGES)
+        handoff.position = 2    # filter
+        assert {c.ocr_boxes for c in handoff.take(crops, pipeline._read_headers)} == {None}
+        handoff.position = 3    # build-tasks
+        with pytest.raises(RuntimeError, match="without OCR fields"):
+            handoff.take(crops, pipeline._read_examples)
+        # whole examples go to either reader
+        handoff = handoff_of(config, pipeline.STAGES)
+        handoff.position = 1    # generate-rationales
+        assert handoff.take(crops, pipeline._read_examples)[0].ocr_text
+        handoff.position = 2
+        handoff.take(crops, pipeline._read_headers)
+        handoff.position = 3
+        assert handoff.take(crops, pipeline._read_examples)[0].ocr_text
 
     def test_mock_run_starts_no_thread_pool(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -791,6 +814,22 @@ def test_a_manifest_not_of_the_written_shape_is_stale(tmp_path, corrupt):
     assert tree_files(config.out_dir) == files
 
 
+def test_a_manifest_is_one_compact_line_and_an_indented_one_stays_fresh(tmp_path):
+    config = default_mock_config(str(tmp_path / "indented"), seed=0)
+    run(config)
+    for stage in pipeline.STAGES:
+        path = pipeline._manifest_path(config.out_dir, stage)
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        with open(path, "w", encoding="utf-8") as f:   # as manifests used to be written
+            json.dump(json.loads(text), f, indent=2, sort_keys=True)
+    files, stamps = tree_files(config.out_dir), file_stamps(config.out_dir)
+    assert stages_run(run(config)) == set()
+    assert tree_files(config.out_dir) == files
+    assert rewritten(stamps, file_stamps(config.out_dir)) == set()
+
+
 ALL_TASKS = set(pipeline.TASK_NAMES)
 
 
@@ -814,11 +853,11 @@ class TestPerTaskFreshness:
         assert stages_run(run(config)) == {"filter", "build-tasks"}
         reached = {"qraci", "apraci"} | ({"qra"} if whole_image else set())
         assert rewritten(before, task_stamps(config)) == reached
-        # filter parses the crops, for their gold answers (and the dataset,
-        # with filter_whole_image); build-tasks takes them from it and parses
-        # only the crop rationales (and the whole-image ones, for QRA)
+        # filter parses the crops' headers, for their gold answers (and the
+        # dataset's, with filter_whole_image); build-tasks takes them from it
+        # and parses only the crop rationales (and the whole-image ones, for QRA)
         whole = MOCK_EXAMPLES if whole_image else 0
-        assert parses == {"parse_example": FIRST_RECORDS + MOCK_CROPS + whole,
+        assert parses == {"parse_example": FIRST_RECORDS, "parse_header": MOCK_CROPS + whole,
                           "_parse_rationale_line": MOCK_CROPS + whole}
         cold = default_mock_config(str(tmp_path / "cold"), seed=0)
         cold.filter_whole_image, cold.filter = whole_image, config.filter
@@ -860,7 +899,7 @@ class TestPerTaskFreshness:
         config.tasks += ("qid",)
         assert stages_run(run(config)) == {"build-tasks"}
         assert rewritten(before, task_stamps(config)) == {"qid"}
-        assert parses == {"parse_example": FIRST_RECORDS + MOCK_EXAMPLES}
+        assert parses == {"parse_example": FIRST_RECORDS, "parse_header": MOCK_EXAMPLES}
         assert stages_run(run(config)) == set()
 
     @pytest.mark.parametrize("switch", [False, True], ids=["cold", "lambda-switch"])
@@ -1232,7 +1271,8 @@ def rerecord_filter_manifest(config):
     entries = pipeline._entries(config, "filter")
     records = pipeline._read_manifest(config.out_dir, "filter")
     pipeline._write_manifest(config.out_dir, "filter", entries,
-                             {e.key: records[e.key]["counts"] for e in entries}, {})
+                             {e.key: records[e.key]["counts"] for e in entries},
+                             pipeline._Digests(config.out_dir))
 
 
 def write_full_format(config):

@@ -12,8 +12,8 @@ from rdistill.records import (CATEGORIES, TASK_NAMES, CategorizedExample, Crop, 
                               MalformedRecord, OcrBox, QAExample, Rationale,
                               ScoredHypothesis, TaskRecord, Verdict, VerifierScores, _dumps,
                               _loads, _make_dumps, is_none_answer, parse_categorized,
-                              parse_example, parse_gold, parse_hypothesis, parse_prediction,
-                              parse_record,
+                              parse_example, parse_gold, parse_header, parse_hypothesis,
+                              parse_prediction, parse_record,
                               parse_scores, serialize_categorized, serialize_example,
                               serialize_record, serialize_scores, write_lines)
 
@@ -356,6 +356,7 @@ def valid_lines():
     return [
         (parse_example, example, "question"),
         (parse_gold, example, "gold_answers"),
+        (parse_header, example, "image"),
         (parse_categorized, {**scores, "category": "useful", "effective_answer": "a"},
          "category"),
         (parse_scores, scores, "scores"),
@@ -419,8 +420,9 @@ class TestLoneSurrogates:
             obj = example_dict(ex)
             obj[key] = {"question": text, "example_id": text, "gold_answers": [text],
                         "ocr_boxes": [[text, 0, 0, 1, 1]]}[key]
-            with pytest.raises(MalformedRecord, match="line 7: .*surrogate"):
-                parse_example(json.dumps(obj), 7)
+            for parse in (parse_example, parse_header):   # also in a field the header skips
+                with pytest.raises(MalformedRecord, match="line 7: .*surrogate"):
+                    parse(json.dumps(obj), 7)
 
     @pytest.mark.parametrize("parse,obj", [
         (parse_hypothesis, {"example_id": "e1", "decoded": "q <answer> \ud800", "prob": 0.5}),
@@ -582,3 +584,67 @@ class TestParseGold:
         for parse in (parse_example, parse_gold):
             with pytest.raises(MalformedRecord, match="^line 2: "):
                 parse(line, 2)
+
+
+def header(ex):
+    """What `parse_header` gives for `ex`: its id, image, question and gold answers."""
+    return QAExample(ex.example_id, ex.image, ex.question, ex.gold_answers)
+
+
+# an image value: valid, of the wrong type or shape, or with a bad geometry or crop
+any_images = (images().map(image_dict) | st.none() | st.integers() | any_text | st.just([])
+              | st.just({"id": "i"}) | st.just({"id": "i", "height": "9", "width": 9})
+              | st.fixed_dictionaries({"id": any_text, "height": st.integers(-2, 9),
+                                       "width": st.integers(-2, 9)})
+              | st.fixed_dictionaries({
+                  "id": st.just("i"), "height": st.just(9), "width": st.just(5),
+                  "crop": st.fixed_dictionaries({"axis": st.sampled_from(["height", "depth"]),
+                                                 "start": st.integers(-1, 9),
+                                                 "end": st.integers(-1, 10)})
+                  | st.just([]) | st.just(["height", 0, 1])}))
+any_json = st.none() | st.integers() | any_text | st.lists(any_text, max_size=2)
+
+
+class TestParseHeader:
+    """`parse_header` is `parse_example` without the OCR text, boxes and table."""
+
+    @given(examples(), st.data())
+    def test_is_parse_example_on_the_fields_it_reads(self, ex, data):
+        obj = example_dict(ex)
+        field = data.draw(st.sampled_from(["none", "example_id", "image", "question",
+                                           "gold_answers"]))
+        if field != "none":
+            obj[field] = data.draw({"example_id": bad_ids | any_text, "image": any_images,
+                                    "question": any_json,
+                                    "gold_answers": bad_answers | st.lists(any_text, min_size=1),
+                                    }[field])
+            if field == "image":
+                obj["ocr_boxes"] = None     # boxes within the old image may lie outside it
+            if data.draw(st.booleans()):
+                del obj[field]
+        line = json.dumps(obj)
+        try:
+            want = parse_example(line, 9)
+        except MalformedRecord as e:
+            assert str(e).startswith("line 9: ")
+            with pytest.raises(MalformedRecord) as exc:
+                parse_header(line, 9)
+            assert str(exc.value) == str(e)
+        else:
+            same(parse_header(line, 9), header(want))
+
+    @given(examples(), st.sampled_from([("ocr_boxes", 5), ("ocr_boxes", [[1]]),
+                                        ("ocr_boxes", [["t", 0, 0, 10 ** 6, 1]]),
+                                        ("ocr_boxes", [["t", -1, 0, 1, 1]]),
+                                        ("ocr_text", 5), ("ocr_text", None),
+                                        ("structured_table", 5), ("structured_table", [1])]))
+    def test_does_not_read_the_ocr_fields(self, ex, bad):
+        obj = example_dict(ex)
+        obj[bad[0]] = bad[1]
+        same(parse_header(json.dumps(obj)), header(ex))
+
+    @given(examples())
+    def test_leaves_the_ocr_fields_empty(self, ex):
+        parsed = parse_header(serialize_example(ex))
+        assert (parsed.ocr_text, parsed.ocr_boxes, parsed.structured_table) == ("", None, None)
+        same(parsed, header(ex))
