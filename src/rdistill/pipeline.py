@@ -33,8 +33,10 @@ their gold answers) with the scores, both sorted by example_id, and
 writes verdict lines (example_id, category, effective answer, scores). A
 λ retune thus needs no reachable tool endpoint. Build-tasks joins each
 verdict with its crop and crop rationale, and writes one task file at a
-time. Neither reads OCR text, boxes or tables, so both parse examples and
-crops without them (`records.parse_header`).
+time; with filter_whole_image, QRA leaves out the examples whose
+whole-image scores make them irrelevant, which no λ changes. Neither
+stage reads OCR text, boxes or tables, so both parse examples and crops
+without them (`records.parse_header`).
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ class PipelineConfig:
     max_retries: int = 3
     endpoints: dict = field(default_factory=dict)
     templates: dict = field(default_factory=dict)  # name -> TemplateConfig
-    filter_whole_image: bool = False  # whole-image rationales skip the verifier filter
+    filter_whole_image: bool = False  # QRA drops examples with an irrelevant whole-image rationale
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -266,6 +268,8 @@ def validate(config: PipelineConfig, stages: list[str] | None = None,
     for name in sorted({n for n in names if names.count(n) > 1}):
         diags.append(f"dataset {name!r}: duplicate name; stage files are named "
                      "after the dataset, so they would overwrite each other")
+    # only crop and generate-rationales read whole examples
+    whole = stages is None or not {"crop", "generate-rationales"}.isdisjoint(stages)
     for ds in config.datasets if read_datasets else ():
         if not os.path.exists(ds.path):
             diags.append(f"dataset {ds.name!r}: path {ds.path} does not exist")
@@ -278,7 +282,7 @@ def validate(config: PipelineConfig, stages: list[str] | None = None,
         if first is None:
             continue
         try:
-            ex = parse_example(first, line_no)
+            ex = (parse_example if whole else parse_header)(first, line_no)
         except MalformedRecord as e:
             diags.append(f"dataset {ds.name!r}: malformed first record ({ds.path}: {e})")
             continue
@@ -483,7 +487,7 @@ def _write_json_atomic(path: str, obj) -> None:
 def stage_file(config, ds, kind: str) -> str:
     """Path of dataset `ds`'s file of `kind`: "dataset" (the dataset file
     itself), "crops", "rationales", "crop_rationales", "scores",
-    "whole_scores", "categorized", "whole_categorized" or "balance"."""
+    "whole_scores", "categorized" or "balance"."""
     if kind == "dataset":
         return ds.path
     ext = "json" if kind == "balance" else "jsonl"
@@ -683,11 +687,11 @@ def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff,
     return counts
 
 
-def _verdicts(config: PipelineConfig, handoff: _Handoff, examples: list[QAExample],
+def _verdicts(cfg: filtering.FilterConfig, handoff: _Handoff, examples: list[QAExample],
               scores_path: str) -> list[Verdict]:
-    """The verdict on each of `examples`, from the line of `scores_path` at
-    the same position, which must hold the same example_id: both are sorted
-    by example_id."""
+    """The verdict under `cfg` on each of `examples`, from the line of
+    `scores_path` at the same position, which must hold the same example_id:
+    both are sorted by example_id."""
     scores = handoff.take(scores_path, _read_scores)
     if len(scores) != len(examples):
         raise MalformedRecord(f"{scores_path}: {len(scores)} scores for {len(examples)} examples")
@@ -696,29 +700,23 @@ def _verdicts(config: PipelineConfig, handoff: _Handoff, examples: list[QAExampl
         if example_id != ex.example_id:
             raise MalformedRecord(f"{scores_path}: scores of {example_id!r} where those of "
                                   f"{ex.example_id!r} belong")
-        verdicts.append(filtering.categorize(example_id, ex.canonical_answer, s, config.filter))
+        verdicts.append(filtering.categorize(example_id, ex.canonical_answer, s, cfg))
     return verdicts
 
 
 def stage_filter(config: PipelineConfig, handoff: _Handoff, entries: list[_Entry]) -> dict:
-    """Categorize each crop from its stored scores and balance, and with
-    filter_whole_image each example; calls no tool."""
+    """Categorize each crop from its stored scores, and balance; calls no tool."""
     counts = {}
     for entry in entries:
         ds = entry.datasets[0]
-        if entry.name == "categorized":
-            crops = handoff.take(stage_file(config, ds, "crops"), _read_headers)
-            categorized = _verdicts(config, handoff, crops, stage_file(config, ds, "scores"))
-            kept, report = filtering.balance(categorized, seed=config.seed)
-            _write_json_atomic(stage_file(config, ds, "balance"), report.to_json())
-            counts[entry.key] = {ds.name: {"categorized": len(categorized), "kept": len(kept)}}
-        else:   # whole-image verdicts, which are not balanced
-            examples = sorted(handoff.take(ds.path, _read_headers), key=lambda e: e.example_id)
-            kept = _verdicts(config, handoff, examples, stage_file(config, ds, "whole_scores"))
-            counts[entry.key] = {}
-        path = stage_file(config, ds, entry.name)
+        crops = handoff.take(stage_file(config, ds, "crops"), _read_headers)
+        categorized = _verdicts(config.filter, handoff, crops, stage_file(config, ds, "scores"))
+        kept, report = filtering.balance(categorized, seed=config.seed)
+        _write_json_atomic(stage_file(config, ds, "balance"), report.to_json())
+        path = stage_file(config, ds, "categorized")
         _write_atomic(path, (serialize_categorized(v) for v in kept))
         handoff.put(path, kept)
+        counts[entry.key] = {ds.name: {"categorized": len(categorized), "kept": len(kept)}}
     return counts
 
 
@@ -763,10 +761,11 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff,
                                            _read_rationales)
             d["qra_examples"] = d["examples"]
             if config.filter_whole_image:
-                irrelevant = {v.example_id for v in
-                              handoff.take(stage_file(config, ds, "whole_categorized"),
-                                           _read_verdicts)
-                              if v.category == "irrelevant"}
+                # irrelevance compares the verifier's answer with the gold one: no λ reaches it
+                verdicts = _verdicts(filtering.FilterConfig(), handoff,
+                                     sorted(d["examples"], key=lambda e: e.example_id),
+                                     stage_file(config, ds, "whole_scores"))
+                irrelevant = {v.example_id for v in verdicts if v.category == "irrelevant"}
                 d["qra_examples"] = [e for e in d["examples"] if e.example_id not in irrelevant]
         if "categorized" in reads:
             path = stage_file(config, ds, "categorized")
@@ -836,13 +835,10 @@ _STAGE_TABLE = {
     "filter": {
         "categorized": _Row(("crops", "scores"), ("seed", "filter"),
                             writes=("categorized", "balance")),
-        "whole_categorized": _Row(("dataset", "whole_scores"), ("filter",),
-                                  writes=("whole_categorized",),
-                                  whole_image=("whole_categorized",)),
     },
     "build-tasks": {
-        "qra": _Row(("dataset", "rationales", "whole_categorized"),
-                    ("counter", "filter_whole_image"), whole_image=("whole_categorized",)),
+        "qra": _Row(("dataset", "rationales", "whole_scores"),
+                    ("counter", "filter_whole_image"), whole_image=("whole_scores",)),
         "apr": _Row(("dataset",), ("seed", "counter")),
         "qraci": _CROP_TASK, "apraci": _CROP_TASK, "qid": _EXAMPLE_TASK,
         "ans-only": _EXAMPLE_TASK,

@@ -228,7 +228,6 @@ class Rationale:
     evidence: str = ""
     table: tuple[tuple[str, ...], ...] = ()
     program_source: str = ""
-    origin: str = "tool"  # "tool" or "student"
     flagged: bool = False
 
     def __post_init__(self):
@@ -240,18 +239,15 @@ class Rationale:
                 raise ValueError("table-program rationale carries evidence field")
         else:
             raise ValueError(f"bad rationale kind {self.kind!r}")
-        if self.origin not in ("tool", "student"):
-            raise ValueError(f"bad rationale origin {self.origin!r}")
 
     @classmethod
-    def text(cls, evidence: str, origin: str = "tool") -> "Rationale":
-        return cls(kind=TEXT_EVIDENCE, evidence=evidence, origin=origin)
+    def text(cls, evidence: str) -> "Rationale":
+        return cls(kind=TEXT_EVIDENCE, evidence=evidence)
 
     @classmethod
-    def program(cls, table, program_source: str, origin: str = "tool",
-                flagged: bool = False) -> "Rationale":
+    def program(cls, table, program_source: str, flagged: bool = False) -> "Rationale":
         return cls(kind=TABLE_PROGRAM, table=tuple(tuple(r) for r in table),
-                   program_source=program_source, origin=origin, flagged=flagged)
+                   program_source=program_source, flagged=flagged)
 
     def to_json(self) -> dict:
         return {
@@ -259,7 +255,6 @@ class Rationale:
             "evidence": self.evidence,
             "table": self.table,
             "program_source": self.program_source,
-            "origin": self.origin,
             "flagged": self.flagged,
         }
 
@@ -270,7 +265,6 @@ class Rationale:
             evidence=obj.get("evidence", ""),
             table=tuple(tuple(r) for r in obj.get("table", [])),
             program_source=obj.get("program_source", ""),
-            origin=obj.get("origin", "tool"),
             flagged=obj.get("flagged", False),
         )
 

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import shutil
 import subprocess
@@ -19,7 +20,7 @@ import unittest.mock
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rdistill import cli, cropping, fixtures, pipeline, tools
 from rdistill.codec import CharBlockCounter, WordCounter
@@ -29,6 +30,14 @@ from rdistill.pipeline import (DatasetConfig, PipelineConfig, StageFailure,
 from rdistill.records import (ImageRef, MalformedRecord, QAExample, _dumps, read_lines,
                               serialize_example, write_lines)
 from rdistill.tools import rationale_text
+
+
+def pinned_digests():
+    """The digests of tests/mock_outputs.sha256, by path: under mock/, those
+    of `rdistill run --mock`; under whole/, those of a mock run with
+    filter_whole_image."""
+    with open(os.path.join(os.path.dirname(__file__), "mock_outputs.sha256")) as f:
+        return {path: digest for digest, path in (line.rstrip("\n").split("  ", 1) for line in f)}
 
 
 def tree_hashes(out_dir):
@@ -60,22 +69,17 @@ class TestEndToEnd:
         assert tree_hashes(config.out_dir) == tree_hashes(other.out_dir)
 
     def test_stage_and_task_files_match_the_pinned_digests(self, mock_run, tmp_path):
-        # tests/mock_outputs.sha256 (`sha256sum -c` format, paths under
-        # mock/ and whole/) holds the digest of every stage and task file of
-        # `rdistill run --mock` and of a mock run with filter_whole_image;
-        # CI checks the same two runs against it
+        # tests/mock_outputs.sha256 (`sha256sum -c` format) holds the digest
+        # of every stage and task file of both runs; CI checks them against it
         config, _ = mock_run
         whole = default_mock_config(str(tmp_path / "whole"), seed=0)
         whole.filter_whole_image = True
         run(whole)
-        with open(os.path.join(os.path.dirname(__file__), "mock_outputs.sha256")) as f:
-            pinned = {path: digest for digest, path in
-                      (line.rstrip("\n").split("  ", 1) for line in f)}
         written = {f"{name}/{path}": digest
                    for name, out_dir in (("mock", config.out_dir), ("whole", whole.out_dir))
                    for path, digest in tree_files(out_dir).items()
                    if not path.startswith("manifests")}
-        assert written == pinned
+        assert written == pinned_digests()
 
     def test_rerun_skips_all_stages(self, mock_run):
         config, _ = mock_run
@@ -105,6 +109,24 @@ class TestEndToEnd:
         config, _ = mock_run
         lines = list(read_lines(os.path.join(config.out_dir, "tasks", "APR.jsonl")))
         assert len(lines) == 3 * 20
+
+    @settings(max_examples=4, deadline=None)
+    @given(whole_image=st.booleans(), rng=st.randoms(use_true_random=False))
+    @example(whole_image=False, rng=random.Random(7))
+    @example(whole_image=True, rng=random.Random(7))
+    def test_shuffled_dataset_lines_give_the_same_task_files(self, tmp_path_factory,
+                                                             whole_image, rng):
+        config = default_mock_config(str(tmp_path_factory.mktemp("shuffled")), seed=0)
+        config.filter_whole_image = whole_image
+        for ds in config.datasets:
+            lines = list(read_lines(ds.path))
+            rng.shuffle(lines)
+            write_lines(ds.path, lines)
+        run(config)
+        tree = "whole/tasks/" if whole_image else "mock/tasks/"
+        assert tree_hashes(config.out_dir) == {path.removeprefix(tree): digest for path, digest
+                                               in pinned_digests().items()
+                                               if path.startswith(tree)}
 
     def test_balance_reports_written(self, mock_run):
         config, _ = mock_run
@@ -668,11 +690,11 @@ class TestInRunHandoff:
         shutil.rmtree(os.path.join(config.out_dir, "tasks"))
         parses.clear()
         run_stage(config, "build-tasks")
-        # build-tasks reads no OCR field of an example or a crop
-        assert parses == {"parse_example": FIRST_RECORDS,
-                          "parse_header": MOCK_EXAMPLES + MOCK_CROPS,
+        # build-tasks reads no OCR field of an example or a crop, nor does
+        # the config check of a run without crop and generate-rationales
+        assert parses == {"parse_header": FIRST_RECORDS + MOCK_EXAMPLES + MOCK_CROPS,
                           "_parse_rationale_line": MOCK_EXAMPLES + MOCK_CROPS,
-                          "parse_categorized": kept + MOCK_EXAMPLES}
+                          "parse_categorized": kept}
 
     def test_examples_read_without_ocr_fields_reach_no_whole_reader(self, tmp_path):
         # a stage that makes rationales would find no OCR text in them and
@@ -769,11 +791,10 @@ class TestPerDatasetFreshness:
         run(config)
         before = file_stamps(config.out_dir)
         config.filter_whole_image = True
-        assert stages_run(run(config)) == {"generate-rationales", "filter", "build-tasks"}
+        assert stages_run(run(config)) == {"generate-rationales", "build-tasks"}
         assert rewritten(before, file_stamps(config.out_dir)) == {
-            f"{ds.name}.{kind}.jsonl" for ds in config.datasets
-            for kind in ("whole_scores", "whole_categorized")} | {"tasks/QRA.jsonl"} \
-            | STAGE_MANIFESTS - {"manifests/crop.json"}
+            f"{ds.name}.whole_scores.jsonl" for ds in config.datasets} | {"tasks/QRA.jsonl"} \
+            | {"manifests/generate-rationales.json", "manifests/build-tasks.json"}
 
     def test_dropping_a_dataset_rewrites_only_manifests_and_task_files(self, tmp_path):
         config = default_mock_config(str(tmp_path / "drop"), seed=0)
@@ -849,20 +870,45 @@ class TestPerTaskFreshness:
             assert stages_run(run(config)) == set()
         before = task_stamps(config)
         parses.clear()
-        config.filter = FilterConfig(boost_factor=10.0)  # changes whole-image verdicts too
+        config.filter = FilterConfig(boost_factor=10.0)
         assert stages_run(run(config)) == {"filter", "build-tasks"}
-        reached = {"qraci", "apraci"} | ({"qra"} if whole_image else set())
-        assert rewritten(before, task_stamps(config)) == reached
-        # filter parses the crops' headers, for their gold answers (and the
-        # dataset's, with filter_whole_image); build-tasks takes them from it
-        # and parses only the crop rationales (and the whole-image ones, for QRA)
-        whole = MOCK_EXAMPLES if whole_image else 0
-        assert parses == {"parse_example": FIRST_RECORDS, "parse_header": MOCK_CROPS + whole,
-                          "_parse_rationale_line": MOCK_CROPS + whole}
+        # QRA reads no λ, with filter_whole_image too
+        assert rewritten(before, task_stamps(config)) == {"qraci", "apraci"}
+        # filter parses the crops' headers, for their gold answers; build-tasks
+        # takes them from it and parses only the crop rationales
+        assert parses == {"parse_example": FIRST_RECORDS, "parse_header": MOCK_CROPS,
+                          "_parse_rationale_line": MOCK_CROPS}
         cold = default_mock_config(str(tmp_path / "cold"), seed=0)
         cold.filter_whole_image, cold.filter = whole_image, config.filter
         run(cold)
         assert tree_hashes(config.out_dir) == tree_hashes(cold.out_dir)
+
+    def test_a_lambda_switch_with_whole_image_filtering_leaves_qra_untouched(self, tmp_path):
+        # QRA leaves out the examples whose whole-image answer misses the
+        # gold one, which no λ changes
+        config = default_mock_config(str(tmp_path / "whole"), seed=0)
+        config.filter_whole_image = True
+        run(config)
+        before = file_stamps(config.out_dir)
+        config.filter = FilterConfig(boost_factor=5.0)
+        assert stages_run(run(config)) == {"filter", "build-tasks"}
+        assert rewritten(before, file_stamps(config.out_dir)) == {
+            f"{ds.name}.{kind}" for ds in config.datasets
+            for kind in ("categorized.jsonl", "balance.json")} \
+            | {"tasks/QRACI.jsonl", "tasks/APRCI.jsonl", "manifests/filter.json",
+               "manifests/build-tasks.json"}
+
+    def test_qra_reads_no_lambda_with_whole_image_filtering(self, tmp_path):
+        # build-tasks alone is not refused a λ that filter would refuse, so
+        # QRA's whole-image verdicts must not read it
+        config = default_mock_config(str(tmp_path / "whole"), seed=0)
+        config.filter_whole_image = True
+        run(config)
+        files = tree_files(config.out_dir)
+        os.remove(pipeline.task_path(config, "qra"))
+        config.filter = FilterConfig(boost_factor=0.0)
+        assert stages_run(run(config, ["build-tasks"])) == {"build-tasks"}
+        assert tree_files(config.out_dir) == files
 
     @pytest.mark.parametrize("setting,value", [("filter", FilterConfig(boost_factor=3.0)),
                                                ("seed", 1)], ids=["lambda", "seed"])
@@ -1056,12 +1102,8 @@ PINNED_FINGERPRINTS = {
             "52c2ad9b47945e289c907e9a244e8380cc5621227ad50428654160336ecdf68d",
         "filter/docs.categorized":
             "f0a05b73eeaf6f4e602f4d950f0f3dbc943491b78877b7c1eee914176da80032",
-        "filter/docs.whole_categorized":
-            "61ef7e3566bbb54a560a26935f16772298e7b1ac84c0cc5525e0774f4a93ab16",
         "filter/charts.categorized":
             "d5f61061d1a7e33b0a42280e084095639205b140a954d8e20cf9ccd72997197a",
-        "filter/charts.whole_categorized":
-            "c9bc4811948c8dc4aa7a5a66c5bb38f28f187eeeee730dc576185cd55d4a79d5",
         "build-tasks/qra":
             "920fbd48524d34a5936eb128442a453927873fd4db4798be64c518dc1e3d31ab",
         "build-tasks/apr":
@@ -1094,12 +1136,8 @@ PINNED_FINGERPRINTS = {
             "fc2885d5197632a28256f08441b3cb8aa4541eda81808921c752bf0167896c36",
         "filter/docs.categorized":
             "f0a05b73eeaf6f4e602f4d950f0f3dbc943491b78877b7c1eee914176da80032",
-        "filter/docs.whole_categorized":
-            "61ef7e3566bbb54a560a26935f16772298e7b1ac84c0cc5525e0774f4a93ab16",
         "filter/charts.categorized":
             "d5f61061d1a7e33b0a42280e084095639205b140a954d8e20cf9ccd72997197a",
-        "filter/charts.whole_categorized":
-            "c9bc4811948c8dc4aa7a5a66c5bb38f28f187eeeee730dc576185cd55d4a79d5",
         "build-tasks/qra":
             "bbedfbe31381343b8b746d32eb591c8f598f33dface948da0d02a3d1d9db36eb",
         "build-tasks/apr":
@@ -1261,6 +1299,7 @@ class TestStageTable:
 
 
 def categorized_files(config):
+    """The verdict files, and the whole-image ones that earlier versions wrote."""
     return [pipeline.stage_file(config, ds, kind) for ds in config.datasets
             for kind in ("categorized", "whole_categorized")]
 
@@ -1280,27 +1319,21 @@ def write_full_format(config):
     each crop's question, image and rationale, as a tree written before
     verdict-only lines holds them."""
     for ds in config.datasets:
-        for kind, examples_kind, rationales_kind in (
-                ("categorized", "crops", "crop_rationales"),
-                ("whole_categorized", "dataset", "rationales")):
-            path = pipeline.stage_file(config, ds, kind)
-            if not os.path.exists(path):
-                continue
-            examples = {e.example_id: e for e in
-                        pipeline._read_examples(pipeline.stage_file(config, ds, examples_kind))}
-            rationales = pipeline._read_rationales(
-                pipeline.stage_file(config, ds, rationales_kind))
-            lines = []
-            for line in read_lines(path):
-                obj = json.loads(line)
-                ex = examples[obj["example_id"]]
-                lines.append(_dumps({
-                    "example_id": obj["example_id"], "question": ex.question,
-                    "image": ex.image.to_json(),
-                    "rationale": rationales[obj["example_id"]].to_json(),
-                    "category": obj["category"], "effective_answer": obj["effective_answer"],
-                    "scores": obj["scores"]}))
-            write_lines(path, lines)
+        path = pipeline.stage_file(config, ds, "categorized")
+        crops = {e.example_id: e for e in
+                 pipeline._read_examples(pipeline.stage_file(config, ds, "crops"))}
+        rationales = pipeline._read_rationales(pipeline.stage_file(config, ds, "crop_rationales"))
+        lines = []
+        for line in read_lines(path):
+            obj = json.loads(line)
+            crop = crops[obj["example_id"]]
+            lines.append(_dumps({
+                "example_id": obj["example_id"], "question": crop.question,
+                "image": crop.image.to_json(),
+                "rationale": rationales[obj["example_id"]].to_json(),
+                "category": obj["category"], "effective_answer": obj["effective_answer"],
+                "scores": obj["scores"]}))
+        write_lines(path, lines)
     rerecord_filter_manifest(config)
 
 
@@ -1313,7 +1346,7 @@ class TestVerdictOnlyFilterFiles:
         config.filter_whole_image = whole_image
         run(config)
         files = [p for p in categorized_files(config) if os.path.exists(p)]
-        assert len(files) == (4 if whole_image else 2)
+        assert len(files) == 2
         for path in files:
             lines = list(read_lines(path))
             assert lines
@@ -1542,6 +1575,17 @@ class TestValidate:
         config.mock = False
         diags = validate(config)
         assert any("verifier" in d for d in diags)
+
+    def test_a_first_record_is_parsed_whole_only_for_the_stages_that_read_it(self, tmp_path):
+        # only crop and generate-rationales read OCR boxes
+        config = default_mock_config(str(tmp_path / "v5"))
+        path = config.datasets[0].path
+        lines = list(read_lines(path))
+        write_lines(path, [_dumps({**json.loads(lines[0]), "ocr_boxes": [[1]]})] + lines[1:])
+        assert validate(config, ["filter", "build-tasks"]) == []
+        for stages in (None, ["crop"], ["generate-rationales", "build-tasks"]):
+            diags = validate(config, stages)
+            assert len(diags) == 1 and "malformed first record" in diags[0], (stages, diags)
 
 
 def http_config(data_dir, flows, tools):

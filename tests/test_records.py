@@ -153,7 +153,7 @@ def example_dict(ex):
 
 def rationale_dict(r):
     return {"kind": r.kind, "evidence": r.evidence, "table": [list(row) for row in r.table],
-            "program_source": r.program_source, "origin": r.origin, "flagged": r.flagged}
+            "program_source": r.program_source, "flagged": r.flagged}
 
 
 def scores_dict(s):
@@ -210,10 +210,8 @@ def examples(draw):
     )
 
 
-origins = st.sampled_from(["tool", "student"])
-rationales = (st.builds(Rationale.text, any_text, origin=origins)
-              | st.builds(Rationale.program, tables, any_text, origin=origins,
-                          flagged=st.booleans()))
+rationales = (st.builds(Rationale.text, any_text)
+              | st.builds(Rationale.program, tables, any_text, flagged=st.booleans()))
 # any float or int, the extremes drawn often
 scores = (st.sampled_from([sys.float_info.max, -sys.float_info.max, math.inf, -math.inf,
                            math.nan, 5e-324, -5e-324, -0.0, 0])
@@ -260,6 +258,13 @@ class TestParseInvertsSerialize:
     def test_rationale_line(self, example_id, rationale):
         line = _serialize_rationale_line(example_id, rationale)
         assert line == dumps({"example_id": example_id, "rationale": rationale_dict(rationale)})
+        same(_parse_rationale_line(line), (example_id, rationale))
+
+    @given(any_text, rationales, st.sampled_from(["tool", "student"]))
+    def test_rationale_line_with_an_origin_parses(self, example_id, rationale, origin):
+        # earlier versions wrote each rationale's "origin"; a parser ignores it
+        line = dumps({"example_id": example_id,
+                      "rationale": {**rationale_dict(rationale), "origin": origin}})
         same(_parse_rationale_line(line), (example_id, rationale))
 
     @given(categorized())
