@@ -6,26 +6,31 @@ table, `_STAGE_TABLE`, lists each stage's rows: groups of output files
 that share the files and settings they read. A row has one manifest entry
 per dataset, or, for a task file, which merges every dataset, one entry;
 execution, manifests and the in-run hand-off all derive from the table.
-An entry records its input and output hashes, the fingerprint of its
+A stage function makes one entry; `run` calls it for each stale entry in
+turn. An entry records its input and output hashes, the fingerprint of its
 settings and its counts, and a rerun runs only the entries that no longer
 match; a manifest is one line of JSON. Within one `run` each file is
-hashed at most once. HTTP tool responses are cached under out_dir/cache,
-so a rerun re-issues only calls it has no response for. Failed stages
-leave their partial output behind with a ".partial" suffix.
+hashed at most once. A stage that fails, or is interrupted, still records
+the entries that finished, so its rerun runs only the rest. HTTP tool
+responses are cached under out_dir/cache, so a rerun re-issues only calls
+it has no response for. A failed entry leaves its partial output behind
+with a ".partial" suffix.
 
-Within one `run`, the records a stage writes (and the dataset examples
-crop reads) also pass in memory to the later stages that read them, so
-each file is parsed at most once per run: a stage parses a file only when
-its producer was skipped as fresh or was not part of the run. The files
-are written all the same.
+Within one `run`, the records an entry writes (and the dataset examples
+crop reads) also pass in memory to the later entries that read them, and
+are kept only until the last of those has read them, so each file is
+parsed at most once per run: an entry parses a file only when its
+producer was skipped as fresh or was not part of the run. The files are
+written all the same.
 
 Generate-rationales is the only stage that calls tools. In the same task
 that makes a crop's rationale, it asks the verifier for the rationale's
 scores and stores them in the scores file; with filter_whole_image, it
-scores each example's rationale in a pass of its own. With mock tools it
-calls them inline. HTTP tools run on `concurrency` threads, so at most
+scores each example's rationale in a pass of its own. A run makes one set
+of tool clients, at its first generate-rationales entry. With mock tools
+it calls them inline. HTTP tools run on `concurrency` threads, so at most
 `concurrency` requests are in flight; the transport is the standard
-library's `http.client`, with kept-alive connections closed when the stage
+library's `http.client`, with kept-alive connections closed when the run
 ends.
 
 Filter is a pure function of the stored scores: it zips the crops (for
@@ -63,8 +68,9 @@ log = logging.getLogger(__name__)
 
 
 class StageFailure(RuntimeError):
-    def __init__(self, stage: str, cause: Exception | str):
-        super().__init__(f"stage {stage!r} failed: {cause}")
+    def __init__(self, stage: str, cause: Exception | str, entry: str = ""):
+        where = f" in entry {entry!r}" if entry else ""
+        super().__init__(f"stage {stage!r} failed{where}: {cause}")
         self.stage = stage
         self.cause = cause
 
@@ -557,25 +563,39 @@ def _read_scores(path: str) -> list[tuple[str, VerifierScores]]:
 
 
 class _Handoff:
-    """Records of stage files, kept in memory between the stages of one `run`.
+    """What the entries of one `run` share: records of stage files, kept in
+    memory between entries, and the run's one set of tool clients.
 
-    Keyed by file path. A producer puts the records it just wrote; a reader
-    takes them instead of parsing the file, and parses it only when no
-    earlier stage of the run wrote or read it. Records are kept only while
-    a later stage of the run lists their file among its inputs.
+    Records are keyed by file path. A producer puts the records it just
+    wrote; a reader takes them instead of parsing the file, and parses it
+    only when no earlier entry of the run wrote or read it. Records are kept
+    only while a later entry of the run lists their file among its inputs.
 
     Examples read by `_read_headers` hold no OCR text, so they go only to a
-    reader that reads headers too: a stage that makes rationales from them
+    reader that reads headers too: an entry that makes rationales from them
     would call the OCR tool for each. The stage order keeps them apart (crop
     and generate-rationales read whole examples before filter and
     build-tasks read headers), and `take` refuses a run that would not.
+
+    The tool clients are made when an entry first asks for them, and
+    `close` closes them.
     """
 
-    def __init__(self, plan: dict[str, list["_Entry"]]):  # the entries of each stage, in order
-        self._last_reader = {path: i for i, entries in enumerate(plan.values())
-                             for entry in entries for path in entry.inputs}
+    def __init__(self, entries: list["_Entry"]):   # the run's entries, in order
+        self._last_reader = {path: i for i, entry in enumerate(entries)
+                             for path in entry.inputs}
         self._records = {}   # path -> (records, whether `_read_headers` read them)
-        self.position = 0  # index in `plan` of the stage now running
+        self._clients = None
+        self.position = 0  # index in `entries` of the entry now running
+
+    def clients(self, config: PipelineConfig) -> tools.ToolClients:
+        if self._clients is None:
+            self._clients = make_clients(config)
+        return self._clients
+
+    def close(self) -> None:
+        if self._clients is not None:
+            self._clients.close()
 
     def put(self, path: str, records, headers: bool = False) -> None:
         if self._last_reader.get(path, -1) > self.position:
@@ -597,20 +617,17 @@ class _Handoff:
 # stages
 
 
-def stage_crop(config: PipelineConfig, handoff: _Handoff, entries: list[_Entry]) -> dict:
-    counts = {}
-    for entry in entries:
-        ds = entry.datasets[0]
-        children = []
-        for ex in handoff.take(ds.path, _read_examples):
-            plan = cropping.plan_crops(ex.image.height, ex.image.width, config.crop_mode)
-            children.extend(cropping.apply_plan(ex, plan))
-        children.sort(key=lambda e: e.example_id)
-        crops = stage_file(config, ds, "crops")
-        _write_atomic(crops, (serialize_example(e) for e in children))
-        handoff.put(crops, children)
-        counts[entry.key] = {ds.name: len(children)}
-    return counts
+def stage_crop(config: PipelineConfig, handoff: _Handoff, entry: _Entry) -> dict:
+    ds = entry.datasets[0]
+    children = []
+    for ex in handoff.take(ds.path, _read_examples):
+        plan = cropping.plan_crops(ex.image.height, ex.image.width, config.crop_mode)
+        children.extend(cropping.apply_plan(ex, plan))
+    children.sort(key=lambda e: e.example_id)
+    crops = stage_file(config, ds, "crops")
+    _write_atomic(crops, (serialize_example(e) for e in children))
+    handoff.put(crops, children)
+    return {ds.name: len(children)}
 
 
 def _parallel_map(fn, items, config: PipelineConfig):
@@ -629,61 +646,48 @@ def _parallel_map(fn, items, config: PipelineConfig):
         return list(pool.map(fn, items))
 
 
-def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff,
-                              entries: list[_Entry]) -> dict:
-    """Rationales for the examples and the crops, and the verifier's scores of
-    each crop rationale, made in the same task as the rationale; with
-    filter_whole_image, the scores of each example's rationale, in a pass of
-    their own."""
-    templates = make_templates(config)
+def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff, entry: _Entry) -> dict:
+    """Rationales for the examples or the crops of `entry`'s dataset, and the
+    verifier's scores of each crop rationale, made in the same task as the
+    rationale; with filter_whole_image, the scores of each example's
+    rationale, in an entry of their own."""
+    ds = entry.datasets[0]
+    clients, templates = handoff.clients(config), make_templates(config)
     counter = _COUNTERS[config.counter]()
-    taken = {}  # records this stage took, and its rationales, by path, for its later entries
+    rationales = stage_file(config, ds, "rationales")
+    # whole_scores scores the rationales already made; the others make theirs
+    made = handoff.take(rationales, _read_rationales) if entry.name == "whole_scores" else None
 
-    def take(path: str, read):
-        if path not in taken:
-            taken[path] = handoff.take(path, read)
-        return taken[path]
+    def task(ex: QAExample):
+        if made is None:
+            try:
+                r = tools.generate_rationale(ex, ds.flow, clients, templates,
+                                             max_retries=config.max_retries, counter=counter)
+            except tools.InvalidProgram as e:
+                r = Rationale.program(e.table, "", flagged=True)
+        elif ex.example_id in made:
+            r = made[ex.example_id]
+        else:
+            raise MalformedRecord(f"{rationales}: no rationale for {ex.example_id!r}")
+        if entry.name == "rationales":
+            return ex.example_id, r, None
+        return ex.example_id, r, filtering.score(ex, r, clients.verifier, counter)
 
+    src = "crops" if entry.name == "crop_rationales" else "dataset"
+    results = _parallel_map(task, handoff.take(stage_file(config, ds, src), _read_examples),
+                            config)
+    results.sort(key=lambda result: result[0])
     counts = {}
-    with contextlib.closing(make_clients(config)) as clients:
-        for entry in entries:
-            ds = entry.datasets[0]
-            rationales = stage_file(config, ds, "rationales")
-            # whole_scores scores the rationales already made; the others make theirs
-            made = take(rationales, _read_rationales) if entry.name == "whole_scores" else None
-
-            def task(ex: QAExample):
-                if made is None:
-                    try:
-                        r = tools.generate_rationale(ex, ds.flow, clients, templates,
-                                                     max_retries=config.max_retries,
-                                                     counter=counter)
-                    except tools.InvalidProgram as e:
-                        r = Rationale.program(e.table, "", flagged=True)
-                elif ex.example_id in made:
-                    r = made[ex.example_id]
-                else:
-                    raise MalformedRecord(f"{rationales}: no rationale for {ex.example_id!r}")
-                if entry.name == "rationales":
-                    return ex.example_id, r, None
-                return ex.example_id, r, filtering.score(ex, r, clients.verifier, counter)
-
-            src = "crops" if entry.name == "crop_rationales" else "dataset"
-            results = _parallel_map(task, take(stage_file(config, ds, src), _read_examples),
-                                    config)
-            results.sort(key=lambda result: result[0])
-            counts[entry.key] = {}
-            for kind in entry.row.writes:
-                dest = stage_file(config, ds, kind)
-                if kind.endswith("scores"):
-                    records = [(i, s) for i, _, s in results]
-                    _write_atomic(dest, (serialize_scores(i, s) for i, s in records))
-                else:   # a later whole_scores entry of the stage takes the rationales
-                    records = taken[dest] = {i: r for i, r, _ in results}
-                    _write_atomic(dest, (_serialize_rationale_line(i, r)
-                                         for i, r in records.items()))
-                    counts[entry.key] = {_manifest_key(config.out_dir, dest): len(results)}
-                handoff.put(dest, records)
+    for kind in entry.row.writes:
+        dest = stage_file(config, ds, kind)
+        if kind.endswith("scores"):
+            records = [(i, s) for i, _, s in results]
+            _write_atomic(dest, (serialize_scores(i, s) for i, s in records))
+        else:
+            records = {i: r for i, r, _ in results}
+            _write_atomic(dest, (_serialize_rationale_line(i, r) for i, r in records.items()))
+            counts = {_manifest_key(config.out_dir, dest): len(results)}
+        handoff.put(dest, records)
     return counts
 
 
@@ -704,31 +708,29 @@ def _verdicts(cfg: filtering.FilterConfig, handoff: _Handoff, examples: list[QAE
     return verdicts
 
 
-def stage_filter(config: PipelineConfig, handoff: _Handoff, entries: list[_Entry]) -> dict:
+def stage_filter(config: PipelineConfig, handoff: _Handoff, entry: _Entry) -> dict:
     """Categorize each crop from its stored scores, and balance; calls no tool."""
-    counts = {}
-    for entry in entries:
-        ds = entry.datasets[0]
-        crops = handoff.take(stage_file(config, ds, "crops"), _read_headers)
-        categorized = _verdicts(config.filter, handoff, crops, stage_file(config, ds, "scores"))
-        kept, report = filtering.balance(categorized, seed=config.seed)
-        _write_json_atomic(stage_file(config, ds, "balance"), report.to_json())
-        path = stage_file(config, ds, "categorized")
-        _write_atomic(path, (serialize_categorized(v) for v in kept))
-        handoff.put(path, kept)
-        counts[entry.key] = {ds.name: {"categorized": len(categorized), "kept": len(kept)}}
-    return counts
+    ds = entry.datasets[0]
+    crops = handoff.take(stage_file(config, ds, "crops"), _read_headers)
+    categorized = _verdicts(config.filter, handoff, crops, stage_file(config, ds, "scores"))
+    kept, report = filtering.balance(categorized, seed=config.seed)
+    _write_json_atomic(stage_file(config, ds, "balance"), report.to_json())
+    path = stage_file(config, ds, "categorized")
+    _write_atomic(path, (serialize_categorized(v) for v in kept))
+    handoff.put(path, kept)
+    return {ds.name: {"categorized": len(categorized), "kept": len(kept)}}
 
 
-def _join(path: str, verdicts: list[Verdict], crops: list[QAExample],
-          rationales: dict[str, Rationale]) -> list[CategorizedExample]:
-    """The categorized crop each verdict of `path` stands for, joined with its
-    crop and crop rationale. Verdicts and crops are both sorted by
-    example_id, so one pass over the crops finds every verdict's."""
-    joined = []
-    remaining = iter(crops)
-    for verdict in verdicts:
-        for crop in remaining:
+def _joined_crops(config: PipelineConfig, handoff: _Handoff, ds):
+    """The categorized crop each kept verdict of `ds` stands for, joined with
+    its crop and crop rationale, one at a time: a task keeps only its own
+    records. Verdicts and crops are both sorted by example_id, so one pass
+    over the crops finds every verdict's."""
+    path = stage_file(config, ds, "categorized")
+    crops = iter(handoff.take(stage_file(config, ds, "crops"), _read_headers))
+    rationales = handoff.take(stage_file(config, ds, "crop_rationales"), _read_rationales)
+    for verdict in handoff.take(path, _read_verdicts):
+        for crop in crops:
             if crop.example_id == verdict.example_id:
                 break
         else:
@@ -736,70 +738,53 @@ def _join(path: str, verdicts: list[Verdict], crops: list[QAExample],
         if crop is None or verdict.example_id not in rationales:
             raise MalformedRecord(f"{path}: no crop or crop rationale for verdict "
                                   f"{verdict.example_id!r}")
-        joined.append(CategorizedExample.join(verdict, crop, rationales[verdict.example_id]))
-    return joined
+        yield CategorizedExample.join(verdict, crop, rationales[verdict.example_id])
 
 
-def stage_build_tasks(config: PipelineConfig, handoff: _Handoff,
-                      entries: list[_Entry]) -> dict:
-    """Build the task file of each of `entries`, one at a time: a task's
-    records are built, sorted, written and released before the next task
-    starts. Only the files those tasks read are taken."""
-    counter = _COUNTERS[config.counter]()
+def _qra_examples(config: PipelineConfig, handoff: _Handoff, ds,
+                  examples: list[QAExample]) -> list[QAExample]:
+    """`examples`, or, with filter_whole_image, those whose whole-image
+    rationale is not irrelevant. Irrelevance compares the verifier's answer
+    with the gold one: no λ reaches it."""
+    if not config.filter_whole_image:
+        return examples
+    verdicts = _verdicts(filtering.FilterConfig(), handoff,
+                         sorted(examples, key=lambda e: e.example_id),
+                         stage_file(config, ds, "whole_scores"))
+    irrelevant = {v.example_id for v in verdicts if v.category == "irrelevant"}
+    return [e for e in examples if e.example_id not in irrelevant]
+
+
+def stage_build_tasks(config: PipelineConfig, handoff: _Handoff, entry: _Entry) -> dict:
+    """Build `entry`'s task file from the files of every dataset: its records
+    are built, sorted and written at once."""
+    counter, task, datasets = _COUNTERS[config.counter](), entry.name, config.datasets
+    if task in ("qraci", "apraci"):
+        build = tasks.build_qraci if task == "qraci" else tasks.build_apraci
+        records = [r for ds in datasets
+                   for r in build(_joined_crops(config, handoff, ds), counter)]
+    else:
+        examples = [handoff.take(ds.path, _read_headers) for ds in datasets]
+        if task == "qra":
+            records = [r for ds, exs in zip(datasets, examples) for r in tasks.build_qra(
+                _qra_examples(config, handoff, ds, exs),
+                handoff.take(stage_file(config, ds, "rationales"), _read_rationales), counter)]
+        elif task == "apr":
+            by_subset = {}
+            for ds, exs in zip(datasets, examples):
+                by_subset.setdefault(ds.subset, []).extend(exs)
+            fold_plan = tasks.plan_folds(by_subset, seed=config.seed)
+            # the only students are mocks: outside mock mode, `validate` refuses 'apr'
+            students = fixtures.make_mock_students(fold_plan.fold_count)
+            records = [r for exs in examples
+                       for r in tasks.build_apr(exs, students, fold_plan, counter)]
+        else:
+            build = tasks.build_qid if task == "qid" else tasks.build_ans_only
+            records = [r for exs in examples for r in build(exs, counter)]
+    records.sort(key=lambda r: (r.example_id, r.decoder_input, r.decoder_output))
     os.makedirs(os.path.join(config.out_dir, "tasks"), exist_ok=True)
-    stale = [entry.name for entry in entries]
-    reads = {kind for entry in entries for kind in entry.row.reads}
-
-    # Each file is taken from the hand-off once: the last reader's take pops it.
-    inputs = []
-    for ds in config.datasets:
-        d = {}
-        if "dataset" in reads:
-            d["examples"] = handoff.take(ds.path, _read_headers)
-        if "qra" in stale:
-            d["rationales"] = handoff.take(stage_file(config, ds, "rationales"),
-                                           _read_rationales)
-            d["qra_examples"] = d["examples"]
-            if config.filter_whole_image:
-                # irrelevance compares the verifier's answer with the gold one: no λ reaches it
-                verdicts = _verdicts(filtering.FilterConfig(), handoff,
-                                     sorted(d["examples"], key=lambda e: e.example_id),
-                                     stage_file(config, ds, "whole_scores"))
-                irrelevant = {v.example_id for v in verdicts if v.category == "irrelevant"}
-                d["qra_examples"] = [e for e in d["examples"] if e.example_id not in irrelevant]
-        if "categorized" in reads:
-            path = stage_file(config, ds, "categorized")
-            d["categorized"] = _join(
-                path, handoff.take(path, _read_verdicts),
-                handoff.take(stage_file(config, ds, "crops"), _read_headers),
-                handoff.take(stage_file(config, ds, "crop_rationales"), _read_rationales))
-        inputs.append(d)
-
-    fold_plan = students = None
-    if "apr" in stale:
-        examples_by_subset = {}
-        for ds, d in zip(config.datasets, inputs):
-            examples_by_subset.setdefault(ds.subset, []).extend(d["examples"])
-        fold_plan = tasks.plan_folds(examples_by_subset, seed=config.seed)
-        # the only students are mocks: outside mock mode, `validate` refuses 'apr'
-        students = fixtures.make_mock_students(fold_plan.fold_count)
-
-    builders = {
-        "qra": lambda d: tasks.build_qra(d["qra_examples"], d["rationales"], counter),
-        "apr": lambda d: tasks.build_apr(d["examples"], students, fold_plan, counter),
-        "qraci": lambda d: tasks.build_qraci(d["categorized"], counter),
-        "apraci": lambda d: tasks.build_apraci(d["categorized"], counter),
-        "qid": lambda d: tasks.build_qid(d["examples"], counter),
-        "ans-only": lambda d: tasks.build_ans_only(d["examples"], counter),
-    }
-
-    def write_task(key: str) -> int:
-        records = [r for d in inputs for r in builders[key](d)]
-        records.sort(key=lambda r: (r.example_id, r.decoder_input, r.decoder_output))
-        _write_atomic(task_path(config, key), (serialize_record(r) for r in records))
-        return len(records)
-
-    return {key: {key: write_task(key)} for key in stale}
+    _write_atomic(task_path(config, task), (serialize_record(r) for r in records))
+    return {task: len(records)}
 
 
 # One row per group of output files that share the files and settings they
@@ -836,12 +821,14 @@ _STAGE_TABLE = {
         "categorized": _Row(("crops", "scores"), ("seed", "filter"),
                             writes=("categorized", "balance")),
     },
+    # the crop tasks first, so the crops and crop rationales are released
+    # before the tasks of whole examples run
     "build-tasks": {
+        "qraci": _CROP_TASK, "apraci": _CROP_TASK,
         "qra": _Row(("dataset", "rationales", "whole_scores"),
                     ("counter", "filter_whole_image"), whole_image=("whole_scores",)),
         "apr": _Row(("dataset",), ("seed", "counter")),
-        "qraci": _CROP_TASK, "apraci": _CROP_TASK, "qid": _EXAMPLE_TASK,
-        "ans-only": _EXAMPLE_TASK,
+        "qid": _EXAMPLE_TASK, "ans-only": _EXAMPLE_TASK,
     },
 }
 _STAGE_FNS = {"crop": stage_crop, "generate-rationales": stage_generate_rationales,
@@ -883,13 +870,13 @@ class _Entry:
 
 
 def _entries(config: PipelineConfig, stage: str) -> list[_Entry]:
-    """`stage`'s entries under `config`: each dataset's, one per row that
-    writes a file under `config`, then one per selected task."""
+    """`stage`'s entries under `config`, in the order they run: each
+    dataset's, one per row that writes a file under `config`, then one per
+    selected task, in the table's order."""
     rows = _STAGE_TABLE[stage]
     scopes = [(f"{ds.name}.{name}", name, (ds,)) for ds in config.datasets
               for name, row in rows.items() if row.writes]
-    scopes += [(key, key, tuple(config.datasets)) for key in dict.fromkeys(config.tasks)
-               if key in rows]
+    scopes += [(key, key, tuple(config.datasets)) for key in rows if key in config.tasks]
     entries = []
     for key, name, datasets in scopes:
         row = rows[name]
@@ -907,10 +894,13 @@ def run(config: PipelineConfig, stages: list[str] | None = None,
         progress=None) -> dict:
     """Run the requested stages in dependency order; returns per-stage counts.
 
-    A stage runs only its stale entries, and is skipped while its manifest
-    lists exactly the config's entries and each one still matches its input
-    files, its outputs and the fingerprint of the settings it reads. Records
-    pass from stage to stage in memory for the length of this call only.
+    A stage runs only its stale entries, one at a time, and is skipped while
+    its manifest lists exactly the config's entries and each one still
+    matches its input files, its outputs and the fingerprint of the settings
+    it reads. A stage that runs writes its manifest once, listing its fresh
+    entries and those that finished, also when a later entry fails or the
+    run is interrupted. Records pass from entry to entry in memory, and the
+    tool clients serve every entry, for the length of this call only.
     ConfigError, before out_dir is created, if `validate` finds anything
     wrong with a run of `stages`.
     """
@@ -925,26 +915,34 @@ def run(config: PipelineConfig, stages: list[str] | None = None,
                 plan[stage] = _entries(config, stage)
         except OSError as e:    # a template that can no longer be read
             raise StageFailure(stage, e) from e
-    handoff, digests = _Handoff(plan), _Digests(config.out_dir)
-    summary = {}
-    for position, (stage, entries) in enumerate(plan.items()):
-        fresh, records = _stage_fresh(config.out_dir, stage, entries, digests)
-        if fresh:
-            log.info("stage %s: up to date, skipping", stage)
-            summary[stage] = "skipped"
-        else:
-            stale = [entry for entry in entries if entry.key not in records]
-            log.info("stage %s: running %d of %d entries", stage, len(stale), len(entries))
-            handoff.position = position
-            for path in (path for entry in stale for path in entry.outputs):
-                digests.forget(path)
-            try:
-                counts = _STAGE_FNS[stage](config, handoff, stale) if stale else {}
-            except Exception as e:
-                raise StageFailure(stage, e) from e
-            counts.update((key, record["counts"]) for key, record in records.items())
-            _write_manifest(config.out_dir, stage, entries, counts, digests)
-            summary[stage] = {k: v for entry in entries for k, v in counts[entry.key].items()}
-        if progress:
-            progress(stage, summary[stage])
+    handoff = _Handoff([entry for entries in plan.values() for entry in entries])
+    digests, summary, start = _Digests(config.out_dir), {}, 0
+    with contextlib.closing(handoff):
+        for stage, entries in plan.items():
+            fresh, records = _stage_fresh(config.out_dir, stage, entries, digests)
+            # the position of each stale entry among the run's entries
+            stale = [(position, entry) for position, entry in enumerate(entries, start)
+                     if entry.key not in records]
+            start += len(entries)
+            if fresh:
+                log.info("stage %s: up to date, skipping", stage)
+                summary[stage] = "skipped"
+            else:
+                log.info("stage %s: running %d of %d entries", stage, len(stale), len(entries))
+                for path in (path for _, entry in stale for path in entry.outputs):
+                    digests.forget(path)
+                counts = {key: record["counts"] for key, record in records.items()}
+                try:
+                    for position, entry in stale:
+                        handoff.position = position
+                        counts[entry.key] = _STAGE_FNS[stage](config, handoff, entry)
+                except Exception as e:
+                    raise StageFailure(stage, e, entry.key) from e
+                finally:
+                    _write_manifest(config.out_dir, stage,
+                                    [entry for entry in entries if entry.key in counts],
+                                    counts, digests)
+                summary[stage] = {k: v for entry in entries for k, v in counts[entry.key].items()}
+            if progress:
+                progress(stage, summary[stage])
     return summary

@@ -591,9 +591,25 @@ def run_stage_command(config, stage):
     assert f"[{stage}] skipped" not in result.output
 
 
+def run_entries(config, stages):
+    """(stage, entry) of each entry of a run of `stages` under `config`, in
+    the order the run takes them: the hand-off's positions."""
+    return [(stage, entry) for stage in stages for entry in pipeline._entries(config, stage)]
+
+
 def handoff_of(config, stages):
-    """The hand-off of a run of `stages` under `config`."""
-    return pipeline._Handoff({stage: pipeline._entries(config, stage) for stage in stages})
+    """The hand-off of a run of `stages` under `config`, and the keys of the
+    run's entries, by position."""
+    entries = [entry for _, entry in run_entries(config, stages)]
+    return pipeline._Handoff(entries), [entry.key for entry in entries]
+
+
+def last_readers(config, stages):
+    """"<stage>/<row>" of the last entry of a run of `stages` that reads each file."""
+    entries = run_entries(config, stages)
+    handoff = pipeline._Handoff([entry for _, entry in entries])
+    return {path: f"{entries[i][0]}/{entries[i][1].name}"
+            for path, i in handoff._last_reader.items()}
 
 
 class TestInRunHandoff:
@@ -633,7 +649,7 @@ class TestInRunHandoff:
 
     def test_records_are_released_after_their_last_reader(self, tmp_path):
         config = default_mock_config(str(tmp_path / "release"), seed=0)
-        handoff = handoff_of(config, pipeline.STAGES)
+        handoff, keys = handoff_of(config, pipeline.STAGES)
         crops = pipeline.stage_file(config, config.datasets[0], "crops")
         reads = []
 
@@ -641,45 +657,45 @@ class TestInRunHandoff:
             reads.append(path)
             return ["from file"]
 
-        handoff.put(crops, ["from crop"])  # crop is stage 0
-        for position in (1, 2, 3):         # generate-rationales, filter, build-tasks
-            handoff.position = position
+        assert keys[0] == "docs.crops"
+        handoff.put(crops, ["from crop"])  # the docs.crops entry is at position 0
+        for key in ("docs.crop_rationales", "docs.categorized", "qraci", "apraci"):
+            handoff.position = keys.index(key)
             assert handoff.take(crops, read) == ["from crop"]
         assert handoff.take(crops, read) == ["from file"]
         assert reads == [crops]
 
-    @pytest.mark.parametrize("stages,last_readers", [
-        (list(pipeline.STAGES), {"scores": "filter"}),
+    @pytest.mark.parametrize("stages,last", [
+        (list(pipeline.STAGES), {"scores": "filter/categorized"}),
         (["crop", "generate-rationales", "build-tasks"], {"scores": None}),
     ], ids=["with-filter", "without-filter"])
-    def test_build_tasks_keeps_crops_only_to_join_verdicts(self, tmp_path, stages,
-                                                           last_readers):
+    def test_build_tasks_keeps_crops_only_to_join_verdicts(self, tmp_path, stages, last):
         # build-tasks always joins the verdicts with the crops and crop
-        # rationales; only filter reads the scores
+        # rationales; only filter reads the scores. The crop tasks come first,
+        # so the crops are released before QRA and APR run.
         config = default_mock_config(str(tmp_path / "join"), seed=0)
-        handoff = handoff_of(config, stages)
-        last = {path: stages[i] for path, i in handoff._last_reader.items()}
-        last_readers = {"crops": "build-tasks", "crop_rationales": "build-tasks",
-                        **last_readers}
+        readers = last_readers(config, stages)
+        last = {"crops": "build-tasks/apraci", "crop_rationales": "build-tasks/apraci", **last}
         for ds in config.datasets:
-            assert {kind: last.get(pipeline.stage_file(config, ds, kind))
-                    for kind in last_readers} == last_readers
+            assert {kind: readers.get(pipeline.stage_file(config, ds, kind))
+                    for kind in last} == last
+        _, keys = handoff_of(config, stages)
+        assert keys.index("apraci") < min(keys.index("qra"), keys.index("apr"))
 
     @pytest.mark.parametrize("stages,crops_reader", [
-        (list(pipeline.STAGES), "filter"),
-        (["crop", "generate-rationales", "build-tasks"], "generate-rationales"),
+        (list(pipeline.STAGES), "filter/categorized"),
+        (["crop", "generate-rationales", "build-tasks"], "generate-rationales/crop_rationales"),
     ], ids=["with-filter", "without-filter"])
     def test_build_tasks_keeps_no_crops_for_tasks_that_read_none(self, tmp_path, stages,
                                                                  crops_reader):
         config = default_mock_config(str(tmp_path / "subset"), seed=0)
         config.tasks = ("qid", "qra")
-        handoff = handoff_of(config, stages)
-        last = {path: stages[i] for path, i in handoff._last_reader.items()}
+        readers = last_readers(config, stages)
         for ds in config.datasets:
-            assert {kind: last.get(pipeline.stage_file(config, ds, kind))
+            assert {kind: readers.get(pipeline.stage_file(config, ds, kind))
                     for kind in ("crops", "crop_rationales", "categorized", "rationales")} \
                 == {"crops": crops_reader, "crop_rationales": None, "categorized": None,
-                    "rationales": "build-tasks"}
+                    "rationales": "build-tasks/qra"}
 
     def test_build_tasks_alone_parses_each_file_once(self, tmp_path, parses):
         config = default_mock_config(str(tmp_path / "once"), seed=0)
@@ -702,19 +718,19 @@ class TestInRunHandoff:
         config = default_mock_config(str(tmp_path / "headers"), seed=0)
         run(config, ["crop"])
         crops = pipeline.stage_file(config, config.datasets[0], "crops")
-        handoff = handoff_of(config, pipeline.STAGES)
-        handoff.position = 2    # filter
+        handoff, keys = handoff_of(config, pipeline.STAGES)
+        handoff.position = keys.index("docs.categorized")   # filter
         assert {c.ocr_boxes for c in handoff.take(crops, pipeline._read_headers)} == {None}
-        handoff.position = 3    # build-tasks
+        handoff.position = keys.index("qraci")      # build-tasks
         with pytest.raises(RuntimeError, match="without OCR fields"):
             handoff.take(crops, pipeline._read_examples)
         # whole examples go to either reader
-        handoff = handoff_of(config, pipeline.STAGES)
-        handoff.position = 1    # generate-rationales
+        handoff, _ = handoff_of(config, pipeline.STAGES)
+        handoff.position = keys.index("docs.crop_rationales")   # generate-rationales
         assert handoff.take(crops, pipeline._read_examples)[0].ocr_text
-        handoff.position = 2
+        handoff.position = keys.index("docs.categorized")
         handoff.take(crops, pipeline._read_headers)
-        handoff.position = 3
+        handoff.position = keys.index("qraci")
         assert handoff.take(crops, pipeline._read_examples)[0].ocr_text
 
     def test_mock_run_starts_no_thread_pool(self, tmp_path, monkeypatch):
@@ -1429,6 +1445,77 @@ def test_mock_run_with_a_table_less_chart(tmp_path):
     rationales = pipeline._read_rationales(pipeline.stage_file(config, charts, "rationales"))
     assert rationales["chart00"].table == (("label", "value"), ("chart00", "1"))
     assert rationales["chart01"].table == examples[1].structured_table
+
+
+def spy_stage(monkeypatch, stage, error=None):
+    """Patch `_STAGE_FNS[stage]` to note the key of each entry it is called
+    for and, with `error`, to raise it at the second; returns the keys."""
+    keys, make = [], pipeline._STAGE_FNS[stage]
+
+    def spy(config, handoff, entry):
+        keys.append(entry.key)
+        if error is not None and len(keys) == 2:
+            raise error
+        return make(config, handoff, entry)
+
+    monkeypatch.setitem(pipeline._STAGE_FNS, stage, spy)
+    return keys
+
+
+def manifest_writes(monkeypatch):
+    """The stage of each manifest written from now on, in order."""
+    stages, write = [], pipeline._write_manifest
+
+    def spy(out_dir, stage, *args):
+        stages.append(stage)
+        return write(out_dir, stage, *args)
+
+    monkeypatch.setattr(pipeline, "_write_manifest", spy)
+    return stages
+
+
+class TestFailedStageKeepsFinishedEntries:
+    """A stage that fails, or is interrupted, at an entry records the entries
+    that finished; its rerun makes only the others."""
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()],
+                             ids=["failure", "interrupt"])
+    def test_rerun_makes_only_the_unfinished_entries(self, tmp_path, monkeypatch, error):
+        config = default_mock_config(str(tmp_path / "resumed"), seed=0)
+        writes, keys = manifest_writes(monkeypatch), spy_stage(monkeypatch, "crop", error)
+        interrupt = isinstance(error, KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt if interrupt else StageFailure) as exc:
+            run(config)
+        if interrupt:
+            assert exc.value is error   # not wrapped
+        else:
+            # the failing entry is named: an HTTP failure names only its URL
+            assert str(exc.value) == "stage 'crop' failed in entry 'charts.crops': disk full"
+            assert (exc.value.stage, exc.value.cause) == ("crop", error)
+        assert keys == ["docs.crops", "charts.crops"]
+        assert writes == ["crop"]
+        assert set(pipeline._read_manifest(config.out_dir, "crop")) == {"docs.crops"}
+
+        monkeypatch.undo()
+        keys = spy_stage(monkeypatch, "crop")
+        assert stages_run(run(config)) == ALL_STAGES
+        assert keys == ["charts.crops"]
+        cold = default_mock_config(str(tmp_path / "cold"), seed=0)
+        run(cold)
+        assert tree_files(config.out_dir) == tree_files(cold.out_dir)
+        corpus = {ds.name: ds.path for ds in config.datasets}
+        assert load_benchmark_checks().check_build(
+            corpus, config.out_dir, config.filter.boost_factor, list(config.tasks)) == []
+
+    def test_a_stage_that_runs_writes_its_manifest_once(self, tmp_path, monkeypatch):
+        writes = manifest_writes(monkeypatch)
+        config = default_mock_config(str(tmp_path / "once"), seed=0)
+        run(config)
+        assert writes == list(pipeline.STAGES)
+        writes.clear()
+        config.filter = FilterConfig(boost_factor=3.0)
+        run(config)
+        assert writes == ["filter", "build-tasks"]
 
 
 class TestStageIsolation:

@@ -12,6 +12,7 @@ import pytest
 
 from rdistill import pipeline, tools
 from rdistill.codec import WordCounter
+from rdistill.filtering import FilterConfig
 from rdistill.records import Crop, ImageRef, QAExample
 from rdistill.tools import (EVIDENCE_TOKEN_LIMIT, HttpEndpoint, HttpOcrClient,
                             HttpVerifierClient, InvalidProgram, MissingBinding,
@@ -303,6 +304,32 @@ def test_run_with_apr_and_http_tools_calls_no_tool(scripted_server, tmp_path):
                                      "exist only as mocks: enable tools.mock or drop 'apr'"]
     assert tool.calls == 0
     assert not os.path.exists(config.out_dir)
+
+
+def test_a_run_makes_one_response_cache(scripted_server, tmp_path, monkeypatch):
+    # every generate-rationales entry of a run asks one set of clients, so a
+    # request that an earlier entry made is not replayed from that entry's
+    # responses; a λ switch calls no tool and makes none
+    url, _ = scripted_server([200], reply={"text": "Find(1)", "answer": "no",
+                                           "logprob": -1.0})
+    config = pipeline.default_mock_config(str(tmp_path / "corpus"))
+    config.out_dir = str(tmp_path / "out")
+    config.mock = False
+    config.tasks = ("qra", "qraci", "apraci", "qid", "ans-only")
+    config.endpoints = {t: url for t in ("summarizer", "programmer", "verifier")}
+    made, init = [], ResponseCache.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResponseCache, "__init__", counting)
+    assert "skipped" not in pipeline.run(config).values()
+    assert len(made) == 1
+    made.clear()
+    config.filter = FilterConfig(boost_factor=3.0)
+    assert pipeline.run(config)["generate-rationales"] == "skipped"
+    assert made == []
 
 
 class TestResponseCache:
