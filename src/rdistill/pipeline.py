@@ -301,9 +301,11 @@ def validate(config: PipelineConfig, stages: list[str] | None = None,
         if not ex.ocr_text and not config.endpoints.get("ocr"):
             diags.append(f"dataset {ds.name!r}: first record has no ocr_text and "
                          "no endpoint is configured for tool 'ocr'")
-    for name, tmpl in config.templates.items() if "templates" in reads else ():
-        if tmpl.path and not os.path.isfile(tmpl.path):
-            diags.append(f"template {name!r}: path {tmpl.path} is not a file")
+    for name in config.templates if "templates" in reads else ():
+        try:
+            _load_template(config, name)
+        except (OSError, ValueError) as e:
+            diags.append(f"template {name!r}: {e}")
     retries = config.max_retries
     if "max_retries" in reads and not (type(retries) is int and retries > 0):
         diags.append(f"tools.max_retries {retries!r}: not an integer >= 1, the programmer's "
@@ -338,10 +340,17 @@ def validate(config: PipelineConfig, stages: list[str] | None = None,
     return diags
 
 
-def _load_template(config: PipelineConfig, name: str, default) -> tools.PromptTemplate:
-    tmpl = config.templates.get(name)
+_TEMPLATES = {"summarizer": fixtures.SUMMARIZER_TEMPLATE,    # name -> default
+              "programmer": fixtures.PROGRAMMER_TEMPLATE}
+
+
+def _load_template(config: PipelineConfig, name: str) -> tools.PromptTemplate:
+    """Template `name` of `config`, or its default; OSError or ValueError if it is no template."""
+    tmpl, default = config.templates.get(name), _TEMPLATES[name]
     if tmpl is None or not tmpl.path:
         return default
+    if not os.path.isfile(tmpl.path):
+        raise OSError(f"path {tmpl.path} is not a file")
     with open(tmpl.path, "r", encoding="utf-8") as f:
         body = f.read()
     return tools.PromptTemplate(name=name, shot_count=default.shot_count, body=body)
@@ -363,10 +372,7 @@ def make_clients(config: PipelineConfig) -> tools.ToolClients:
 
 
 def make_templates(config: PipelineConfig) -> tools.Templates:
-    return tools.Templates(
-        summarizer=_load_template(config, "summarizer", fixtures.SUMMARIZER_TEMPLATE),
-        programmer=_load_template(config, "programmer", fixtures.PROGRAMMER_TEMPLATE),
-    )
+    return tools.Templates(**{name: _load_template(config, name) for name in _TEMPLATES})
 
 
 # ---------------------------------------------------------------------------
@@ -525,20 +531,21 @@ def _read(path: str, parse) -> list:
 
 
 def _read_rationales(path: str) -> dict[str, Rationale]:
-    return dict(_read(path, _parse_rationale_line))
+    return dict(_read_unique(path, _parse_rationale_line, lambda pair: pair[0]))
 
 
-def _read_unique(path: str, parse_one) -> list[QAExample]:
+def _read_unique(path: str, parse_one, example_id=lambda ex: ex.example_id) -> list:
     """`parse_one` of each line of `path`; a MalformedRecord at the second
-    line of an example_id."""
+    line of an example_id, which `example_id` reads from a parsed line."""
     first_line = {}
 
-    def parse(line: str, line_no: int) -> QAExample:
-        ex = parse_one(line, line_no)
-        if first_line.setdefault(ex.example_id, line_no) != line_no:
-            raise MalformedRecord(f"duplicate example_id {ex.example_id!r}, first at line "
-                                  f"{first_line[ex.example_id]}", line_no)
-        return ex
+    def parse(line: str, line_no: int):
+        record = parse_one(line, line_no)
+        key = example_id(record)
+        if first_line.setdefault(key, line_no) != line_no:
+            raise MalformedRecord(f"duplicate example_id {key!r}, first at line "
+                                  f"{first_line[key]}", line_no)
+        return record
 
     return _read(path, parse)
 
@@ -660,11 +667,8 @@ def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff, entry: 
 
     def task(ex: QAExample):
         if made is None:
-            try:
-                r = tools.generate_rationale(ex, ds.flow, clients, templates,
-                                             max_retries=config.max_retries, counter=counter)
-            except tools.InvalidProgram as e:
-                r = Rationale.program(e.table, "", flagged=True)
+            r = tools.generate_rationale(ex, ds.flow, clients, templates,
+                                         max_retries=config.max_retries, counter=counter)
         elif ex.example_id in made:
             r = made[ex.example_id]
         else:
@@ -721,24 +725,27 @@ def stage_filter(config: PipelineConfig, handoff: _Handoff, entry: _Entry) -> di
     return {ds.name: {"categorized": len(categorized), "kept": len(kept)}}
 
 
-def _joined_crops(config: PipelineConfig, handoff: _Handoff, ds):
-    """The categorized crop each kept verdict of `ds` stands for, joined with
-    its crop and crop rationale, one at a time: a task keeps only its own
-    records. Verdicts and crops are both sorted by example_id, so one pass
-    over the crops finds every verdict's."""
+def _joined_crops(config: PipelineConfig, handoff: _Handoff, ds, task: str):
+    """The categorized crop each kept verdict of `ds` for crop task `task`
+    (`tasks.crop_task`) stands for, joined with its crop and crop rationale,
+    one at a time. Verdicts and crops are both sorted by example_id, so one
+    pass over the crops finds every verdict's."""
     path = stage_file(config, ds, "categorized")
     crops = iter(handoff.take(stage_file(config, ds, "crops"), _read_headers))
     rationales = handoff.take(stage_file(config, ds, "crop_rationales"), _read_rationales)
     for verdict in handoff.take(path, _read_verdicts):
+        rationale = rationales.get(verdict.example_id)
+        if rationale is not None and tasks.crop_task(verdict.category, rationale.flagged) != task:
+            continue
         for crop in crops:
             if crop.example_id == verdict.example_id:
                 break
         else:
             crop = None
-        if crop is None or verdict.example_id not in rationales:
+        if crop is None or rationale is None:
             raise MalformedRecord(f"{path}: no crop or crop rationale for verdict "
                                   f"{verdict.example_id!r}")
-        yield CategorizedExample.join(verdict, crop, rationales[verdict.example_id])
+        yield CategorizedExample.join(verdict, crop, rationale)
 
 
 def _qra_examples(config: PipelineConfig, handoff: _Handoff, ds,
@@ -762,7 +769,7 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff, entry: _Entry) 
     if task in ("qraci", "apraci"):
         build = tasks.build_qraci if task == "qraci" else tasks.build_apraci
         records = [r for ds in datasets
-                   for r in build(_joined_crops(config, handoff, ds), counter)]
+                   for r in build(_joined_crops(config, handoff, ds, task), counter)]
     else:
         examples = [handoff.take(ds.path, _read_headers) for ds in datasets]
         if task == "qra":
@@ -913,7 +920,7 @@ def run(config: PipelineConfig, stages: list[str] | None = None,
         try:
             if stages is None or stage in stages:
                 plan[stage] = _entries(config, stage)
-        except OSError as e:    # a template that can no longer be read
+        except (OSError, ValueError) as e:    # a template changed since `validate`
             raise StageFailure(stage, e) from e
     handoff = _Handoff([entry for entries in plan.values() for entry in entries])
     digests, summary, start = _Digests(config.out_dir), {}, 0

@@ -219,9 +219,9 @@ TABLE_PROGRAM = "table_program"
 class Rationale:
     """Tagged union: OCR-derived text evidence, or table + program source.
 
-    `flagged` marks table-program rationales whose program failed DSL
-    validation; those are kept for answer-only training but excluded from
-    rationale-prediction targets.
+    `flagged` marks a table-program rationale with no program `dsl.parse`
+    accepts (its source is empty): it is excluded from rationale-prediction
+    targets (QRA, QRACI) but kept for answer-only training (APRCI).
     """
 
     kind: str

@@ -1,10 +1,12 @@
 """Builders for the multi-task training datasets and baselines.
 
-Routing for categorized crops is total and exclusive: useful crops go to
-QRACI with the gold answer, irrelevant crops to QRACI with the None
-sentinel, and relevant-not-useful crops to APRCI (answer-only given the
-noisy rationale in the decoder input). APR pairs each example with three
-student-sampled rationales from a model trained on the other folds.
+Routing is total and exclusive over categorized crops whose rationale is
+not flagged (`crop_task`): useful crops go to QRACI with the gold answer,
+irrelevant crops to QRACI with the None sentinel, and relevant-not-useful
+crops to APRCI (answer-only given the noisy rationale in the decoder
+input), flagged or not; a flagged useful or irrelevant crop goes to no
+task. APR pairs each example with three student-sampled rationales from a
+model trained on the other folds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable, Mapping
 
 from .codec import (ANSWER_BUDGET, DEFAULT_COUNTER, SEP_RATIONALE, TokenCounter,
                     encode_target, escape_field)
-from .records import NONE_SENTINEL, CategorizedExample, QAExample, Rationale, TaskRecord
+from .records import CategorizedExample, QAExample, Rationale, TaskRecord
 from .tools import STUDENT_SAMPLES, StudentRationaleClient, rationale_text
 
 log = logging.getLogger(__name__)
@@ -148,26 +150,29 @@ def _trim_input(question: str, rationale: str, counter: TokenCounter) -> str:
     return target[:target.rfind(" <answer>")]
 
 
+def crop_task(category: str, flagged: bool) -> str | None:
+    """The key of the crop task a categorized crop goes to, if any (see above)."""
+    if category == "relevant-not-useful":
+        return "apraci"
+    return None if flagged else "qraci"
+
+
 def build_qraci(categorized: Iterable[CategorizedExample],
                 counter: TokenCounter = DEFAULT_COUNTER) -> list[TaskRecord]:
-    """Cropped-image rationale-prediction records.
-
-    useful -> gold answer; irrelevant -> None sentinel (the rationale is
-    kept as a prediction target either way); relevant-not-useful crops
-    are excluded here and routed to APRCI.
-    """
+    """Cropped-image rationale-prediction records for the crops `crop_task`
+    routes here: useful -> gold answer; irrelevant -> None sentinel (the
+    rationale is a prediction target either way)."""
     records = []
     for cat in categorized:
-        if cat.category == "relevant-not-useful":
+        if crop_task(cat.category, cat.rationale.flagged) != "qraci":
             continue
-        answer = cat.effective_answer if cat.category == "useful" else NONE_SENTINEL
         records.append(TaskRecord(
             task="QRACI",
             example_id=cat.example_id,
             image=cat.image,
             decoder_input="",
-            decoder_output=encode_target(
-                cat.question, rationale_text(cat.rationale, counter), answer, counter),
+            decoder_output=encode_target(cat.question, rationale_text(cat.rationale, counter),
+                                         cat.effective_answer, counter),
         ))
     return records
 
@@ -175,10 +180,10 @@ def build_qraci(categorized: Iterable[CategorizedExample],
 def build_apraci(categorized: Iterable[CategorizedExample],
                  counter: TokenCounter = DEFAULT_COUNTER) -> list[TaskRecord]:
     """Answer-only records for crops whose rationale is relevant but not
-    useful: the noisy rationale rides in the decoder input."""
+    useful, flagged or not: the noisy rationale rides in the decoder input."""
     records = []
     for cat in categorized:
-        if cat.category != "relevant-not-useful":
+        if crop_task(cat.category, cat.rationale.flagged) != "apraci":
             continue
         records.append(TaskRecord(
             task="APRCI",

@@ -43,44 +43,31 @@ class ToolFailure(RuntimeError):
         self.attempts = attempts
 
 
-class InvalidProgram(ValueError):
-    """Programmer output failed DSL validation after all retries."""
-
-    def __init__(self, source: str, table, attempts: int):
-        super().__init__(f"invalid program after {attempts} attempts: {source!r}")
-        self.source = source
-        self.table = tuple(tuple(r) for r in table)
-        self.attempts = attempts
-
-
-class MissingBinding(KeyError):
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.name = name
+_PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
+_PLACEHOLDERS = ("question", "answer", "ocr", "table")
 
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A few-shot prompt body with {question} {answer} {ocr} {table} slots."""
+    """A few-shot prompt body with {question} {answer} {ocr} {table} slots;
+    ValueError, when it is built, for any other {placeholder}."""
 
     name: str
     shot_count: int
     body: str
 
-
-_PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
+    def __post_init__(self):
+        for name in _PLACEHOLDER_RE.findall(self.body):
+            if name not in _PLACEHOLDERS:
+                raise ValueError(f"unknown placeholder {{{name}}}; "
+                                 f"known placeholders: {', '.join(_PLACEHOLDERS)}")
 
 
 def render_prompt(template: PromptTemplate, bindings: dict) -> str:
-    """Substitute every placeholder; exact substitution, nothing else."""
-
-    def sub(m):
-        name = m.group(1)
-        if name not in bindings:
-            raise MissingBinding(name)
-        return str(bindings[name])
-
-    return _PLACEHOLDER_RE.sub(sub, template.body)
+    """Substitute every placeholder; exact substitution, nothing else. A
+    template holds only placeholders every HTTP client binds, so this needs
+    no check of its own."""
+    return _PLACEHOLDER_RE.sub(lambda m: str(bindings[m.group(1)]), template.body)
 
 
 def verifier_prompt(question: str, rationale: str | None = None) -> str:
@@ -160,7 +147,8 @@ def generate_rationale(example: QAExample, flow: str, clients: ToolClients,
     text-evidence: full OCR -> few-shot summarizer -> evidence span,
     truncated to 100 tokens. table-program: structured table (dataset or
     plot-to-table) + OCR -> few-shot programmer -> validated program
-    source; InvalidProgram after `max_retries` failed attempts.
+    source. After `max_retries` programs that `dsl.parse` refuses, the
+    rationale is flagged: it keeps the table and has no program source.
     """
     ocr_text = example.ocr_text
     if not ocr_text and clients.ocr is not None:
@@ -179,7 +167,6 @@ def generate_rationale(example: QAExample, flow: str, clients: ToolClients,
             if clients.plot_to_table is None:
                 raise ToolFailure("plot-to-table", "no structured table and no client")
             table = clients.plot_to_table.extract_table(example.image)
-        source = ""
         for attempt in range(max_retries):
             source = clients.programmer.write_program(
                 example.question, example.canonical_answer, ocr_text, table,
@@ -190,7 +177,7 @@ def generate_rationale(example: QAExample, flow: str, clients: ToolClients,
             except ValueError:
                 log.warning("example %s: invalid program %r (attempt %d)",
                             example.example_id, source, attempt + 1)
-        raise InvalidProgram(source, table, max_retries)
+        return Rationale.program(table, "", flagged=True)
 
     raise ValueError(f"unknown flow {flow!r}")
 

@@ -27,8 +27,8 @@ from rdistill.codec import CharBlockCounter, WordCounter
 from rdistill.filtering import FilterConfig
 from rdistill.pipeline import (DatasetConfig, PipelineConfig, StageFailure,
                                TemplateConfig, default_mock_config, run, validate)
-from rdistill.records import (ImageRef, MalformedRecord, QAExample, _dumps, read_lines,
-                              serialize_example, write_lines)
+from rdistill.records import (CategorizedExample, ImageRef, MalformedRecord, QAExample, _dumps,
+                              read_lines, serialize_example, write_lines)
 from rdistill.tools import rationale_text
 
 
@@ -1447,6 +1447,56 @@ def test_mock_run_with_a_table_less_chart(tmp_path):
     assert rationales["chart01"].table == examples[1].structured_table
 
 
+def records_by_dataset(out_dir):
+    """The records of each task file, by task file and the dataset they come from."""
+    by = collections.defaultdict(list)
+    for name in os.listdir(os.path.join(out_dir, "tasks")):
+        for line in read_lines(os.path.join(out_dir, "tasks", name)):
+            dataset = "charts" if json.loads(line)["example_id"].startswith("chart") else "docs"
+            by[name, dataset].append(line)
+    return by
+
+
+class _NoValidProgram:
+    def write_program(self, *args):
+        return "Foo(1)"
+
+
+def test_a_flagged_crop_rationale_is_no_qraci_target(tmp_path, monkeypatch, mock_run):
+    # a programmer whose every program `dsl.parse` refuses flags every chart
+    # rationale; only a relevant-not-useful crop of them trains a task, APRCI
+    def clients(config):
+        c = fixtures.make_mock_clients(seed=config.mock_seed)
+        c.programmer = _NoValidProgram()
+        return c
+
+    monkeypatch.setattr(pipeline, "make_clients", clients)
+    config = default_mock_config(str(tmp_path / "flagged"), seed=0)
+    run(config)
+    charts = config.datasets[1]
+    for kind in ("rationales", "crop_rationales"):
+        rationales = pipeline._read_rationales(pipeline.stage_file(config, charts, kind))
+        assert rationales and all(r.flagged and r.table and r.program_source == ""
+                                  for r in rationales.values())
+    verdicts = pipeline._read_verdicts(pipeline.stage_file(config, charts, "categorized"))
+    records, plain = records_by_dataset(config.out_dir), records_by_dataset(mock_run[0].out_dir)
+    assert len(records["QRACI.jsonl", "charts"]) == len(records["QRA.jsonl", "charts"]) == 0
+    assert len(records["APRCI.jsonl", "charts"]) == 12 == \
+        sum(v.category == "relevant-not-useful" for v in verdicts)
+    assert {key: lines for key, lines in records.items() if key[1] == "docs"} == \
+        {key: lines for key, lines in plain.items() if key[1] == "docs"}
+
+
+def test_a_cold_run_joins_each_kept_crop_once(tmp_path, monkeypatch):
+    joins, join = [], CategorizedExample.join
+    monkeypatch.setattr(CategorizedExample, "join", classmethod(
+        lambda cls, verdict, crop, rationale: joins.append(verdict.example_id)
+        or join(verdict, crop, rationale)))
+    summary = run(default_mock_config(str(tmp_path / "joins"), seed=0))
+    assert len(joins) == len(set(joins)) == 62 == \
+        sum(counts["kept"] for counts in summary["filter"].values())
+
+
 def spy_stage(monkeypatch, stage, error=None):
     """Patch `_STAGE_FNS[stage]` to note the key of each entry it is called
     for and, with `error`, to raise it at the second; returns the keys."""
@@ -1609,6 +1659,21 @@ class TestDuplicateExampleIds:
         assert exc.value.stage == "crop" and isinstance(exc.value.cause, MalformedRecord)
         assert made == []
 
+    @pytest.mark.parametrize("kind", ["rationales", "crop_rationales"])
+    def test_a_second_rationale_line_of_an_id_fails_build_tasks(self, tmp_path, kind):
+        config = default_mock_config(str(tmp_path / kind), seed=0)
+        run(config)
+        path = pipeline.stage_file(config, config.datasets[0], kind)
+        lines = list(read_lines(path))
+        copy = json.loads(lines[0])
+        copy["rationale"]["evidence"] = "SECOND COPY"
+        write_lines(path, lines + [json.dumps(copy)])
+        with pytest.raises(StageFailure, match=re.escape(
+                f"{path}: line {len(lines) + 1}: duplicate example_id "
+                f"{copy['example_id']!r}, first at line 1")) as exc:
+            run(config, ["build-tasks"])
+        assert exc.value.stage == "build-tasks" and isinstance(exc.value.cause, MalformedRecord)
+
     def test_an_id_in_two_datasets_fails_build_tasks(self, tmp_path):
         # APR would give it the fold of the subset planned last
         config = default_mock_config(str(tmp_path / "across"), seed=0)
@@ -1673,6 +1738,43 @@ class TestValidate:
         for stages in (None, ["crop"], ["generate-rationales", "build-tasks"]):
             diags = validate(config, stages)
             assert len(diags) == 1 and "malformed first record" in diags[0], (stages, diags)
+
+
+class TestTemplateGate:
+    """A template is checked where it is loaded: `validate` reports one whose
+    body is not UTF-8 or holds a placeholder no client binds, with mock tools
+    or without, and `run` refuses it before out_dir exists."""
+
+    @pytest.mark.parametrize("body,named", [
+        (b"Q: {question} {hint}", "unknown placeholder {hint}; "),
+        (b"\xffQ: {question}", "'utf-8' codec can't decode byte 0xff")], ids=["hint", "latin"])
+    @pytest.mark.parametrize("mock", [True, False], ids=["mock", "http"])
+    def test_validate_and_run_refuse_it(self, tmp_path, mock_data_dir, body, named, mock):
+        template = tmp_path / "summarizer.txt"
+        template.write_bytes(body)
+        config = default_mock_config(mock_data_dir)
+        config.out_dir, config.mock = str(tmp_path / "out"), mock
+        config.tasks = tuple(key for key in config.tasks if key != "apr")
+        config.endpoints = {t: f"http://127.0.0.1:9/{t}"
+                            for t in ("summarizer", "programmer", "verifier")}
+        config.templates = {"summarizer": TemplateConfig(path=str(template))}
+        diags = validate(config)
+        assert len(diags) == 1 and diags[0].startswith(f"template 'summarizer': {named}"), diags
+        assert validate(config, ["crop", "filter", "build-tasks"]) == []
+        with pytest.raises(pipeline.ConfigError) as exc:
+            run(config)
+        assert exc.value.diagnostics == diags
+        assert not os.path.exists(config.out_dir)
+
+    def test_a_template_spoilt_after_the_gate_fails_its_stage(self, tmp_path, monkeypatch):
+        template = tmp_path / "summarizer.txt"
+        template.write_text("Q: {question} {hint}")
+        config = default_mock_config(str(tmp_path / "late"), seed=0)
+        config.templates = {"summarizer": TemplateConfig(path=str(template))}
+        monkeypatch.setattr(pipeline, "validate", lambda *args: [])
+        with pytest.raises(StageFailure, match="unknown placeholder") as exc:
+            run(config)
+        assert exc.value.stage == "generate-rationales"
 
 
 def http_config(data_dir, flows, tools):

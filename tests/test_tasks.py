@@ -10,7 +10,7 @@ from rdistill.records import (NONE_SENTINEL, CategorizedExample, ImageRef,
                               QAExample, Rationale, VerifierScores)
 from rdistill.tasks import (DuplicateExample, FoldLeak, MissingRationale, SubsetTooSmall,
                             build_ans_only, build_apr, build_apraci, build_qid,
-                            build_qra, build_qraci, plan_folds)
+                            build_qra, build_qraci, crop_task, plan_folds)
 from rdistill.tools import MockStudentClient
 
 
@@ -203,6 +203,16 @@ class TestRouting:
     def test_every_output_parses_with_non_empty_answer(self):
         for rec in build_qraci(fixture_30_crops()):
             assert parse_target(rec.decoder_output).answer
+
+    @pytest.mark.parametrize("category,task", [("useful", None), ("irrelevant", None),
+                                               ("relevant-not-useful", "APRCI")])
+    def test_a_flagged_crop_trains_only_an_answer(self, category, task):
+        # a flagged rationale holds no program: it is no prediction target
+        flagged = Rationale.program((("year", "2019"),), "", flagged=True)
+        crop = make_categorized(0, category, flagged)
+        routed = [r.task for r in build_qraci([crop]) + build_apraci([crop])]
+        assert routed == ([task] if task else [])
+        assert crop_task(category, True) == (task and task.replace("APRCI", "apraci"))
 
 
 CATEGORIES = ("useful", "irrelevant", "relevant-not-useful")

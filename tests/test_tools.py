@@ -15,7 +15,7 @@ from rdistill.codec import WordCounter
 from rdistill.filtering import FilterConfig
 from rdistill.records import Crop, ImageRef, QAExample
 from rdistill.tools import (EVIDENCE_TOKEN_LIMIT, HttpEndpoint, HttpOcrClient,
-                            HttpVerifierClient, InvalidProgram, MissingBinding,
+                            HttpVerifierClient,
                             MockOcrClient, MockProgrammerClient,
                             MockSummarizerClient, MockVerifierClient,
                             PromptTemplate, ResponseCache, RetryPolicy, Templates,
@@ -32,8 +32,12 @@ class TestRenderPrompt:
 
     def test_missing_binding(self):
         t = PromptTemplate("t", 8, "table: {table}")
-        with pytest.raises(MissingBinding):
+        with pytest.raises(KeyError):
             render_prompt(t, {"question": "x"})
+
+    def test_unknown_placeholder_refused_when_built(self):
+        with pytest.raises(ValueError, match=r"unknown placeholder \{hint\}"):
+            PromptTemplate("t", 5, "{hint}")
 
     def test_repeated_placeholder(self):
         t = PromptTemplate("t", 5, "{question} and {question}")
@@ -104,13 +108,20 @@ class TestGenerateRationale:
         assert r.program_source == "Div(25, 5)"
 
     def test_invalid_program_after_retries(self):
-        clients = make_clients(programmer=MockProgrammerClient(
-            fixtures={("q", "a"): "Foo(1)"}))
+        calls = []
+
+        class Programmer:
+            def write_program(self, *args):
+                calls.append(args)
+                return "Foo(1)"
+
         ex = make_example(question="q", gold_answers=("a",),
                           structured_table=(("x",),))
-        with pytest.raises(InvalidProgram) as exc:
-            generate_rationale(ex, "table-program", clients, TEMPLATES, max_retries=3)
-        assert exc.value.attempts == 3
+        r = generate_rationale(ex, "table-program", make_clients(programmer=Programmer()),
+                               TEMPLATES, max_retries=3)
+        assert (r.kind, r.flagged, r.table, r.program_source) == \
+            ("table_program", True, (("x",),), "")
+        assert len(calls) == 3
 
     def test_ocr_fetched_when_absent(self):
         ocr = MockOcrClient(fixtures={"i1": ("fetched words", [])})
