@@ -137,17 +137,24 @@ def encode_target(question: str, rationale: str | None, answer: str,
     if counter.count(a) > ANSWER_BUDGET:
         a = counter.truncate(a, ANSWER_BUDGET)
 
-    def prefix(q_part: str, r_part: str | None) -> str:
-        if r_part is None:
-            return q_part
-        return f"{q_part} {SEP_RATIONALE} {r_part}"
+    # the prefix and its overshoot, each made and counted once per trim step
+    p = _prefix(q, r)
+    over = counter.count(p) - PREFIX_BUDGET
+    while over > 0 and r:
+        r = _shrink(r, counter, over)
+        p = _prefix(q, r)
+        over = counter.count(p) - PREFIX_BUDGET
+    while over > 0 and q:
+        q = _shrink(q, counter, over)
+        p = _prefix(q, r)
+        over = counter.count(p) - PREFIX_BUDGET
 
-    while counter.count(prefix(q, r)) > PREFIX_BUDGET and r:
-        r = _shrink(r, counter, counter.count(prefix(q, r)) - PREFIX_BUDGET)
-    while counter.count(prefix(q, r)) > PREFIX_BUDGET and q:
-        q = _shrink(q, counter, counter.count(prefix(q, r)) - PREFIX_BUDGET)
+    return f"{p} {SEP_ANSWER} {a}"
 
-    return f"{prefix(q, r)} {SEP_ANSWER} {a}"
+
+def _prefix(question: str, rationale: str | None) -> str:
+    """The part of a target before <answer>."""
+    return question if rationale is None else f"{question} {SEP_RATIONALE} {rationale}"
 
 
 _CELL_SEP = " | "

@@ -42,12 +42,18 @@ time; with filter_whole_image, QRA leaves out the examples whose
 whole-image scores make them irrelevant, which no λ changes. Neither
 stage reads OCR text, boxes or tables, so both parse examples and crops
 without them (`records.parse_header`).
+
+`run` pauses the cyclic garbage collector for its whole length and
+restores the caller's setting when it returns or raises: the records it
+holds are acyclic, and a run leaves a constant handful of cyclic objects
+whatever its size.
 """
 
 from __future__ import annotations
 
 import contextlib
 import difflib
+import gc
 import hashlib
 import json
 import logging
@@ -910,7 +916,31 @@ def run(config: PipelineConfig, stages: list[str] | None = None,
     tool clients serve every entry, for the length of this call only.
     ConfigError, before out_dir is created, if `validate` finds anything
     wrong with a run of `stages`.
+
+    The cyclic garbage collector is off for the length of the call, and
+    turned back on when it returns or raises if it was on before. The
+    records a stage holds are acyclic, yet each collection walks them all,
+    so at tens of thousands of examples collections cost a cold build about
+    a quarter of its time; and a run leaves the same few cyclic objects
+    whatever the corpus size (the closures of the json encoder behind
+    `_write_json_atomic`), so pausing the collector keeps no garbage that
+    grows with the run. Only the on/off switch is touched: the thresholds
+    and frozen objects stay as the caller set them, since undoing a
+    `gc.freeze()` with `gc.unfreeze()` would also release what the caller
+    froze. Other threads of the process run without the collector
+    meanwhile; reference counting still frees everything acyclic.
     """
+    enabled = gc.isenabled()
+    try:
+        gc.disable()
+        return _run(config, stages, progress)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(config: PipelineConfig, stages: list[str] | None, progress) -> dict:
+    """The work of `run`, done while the collector is paused."""
     diags = validate(config, stages)
     if diags:
         raise ConfigError(*diags)

@@ -57,6 +57,9 @@ class Crop:
     def __post_init__(self):
         if self.axis not in ("height", "width"):
             raise ValueError(f"bad crop axis {self.axis!r}")
+        if type(self.start) is not int or type(self.end) is not int:
+            raise ValueError(f"crop start and end must be ints, not {self.start!r} "
+                             f"and {self.end!r}")
         if not 0 <= self.start < self.end:
             raise ValueError(f"bad crop window [{self.start}, {self.end})")
 
@@ -64,6 +67,10 @@ class Crop:
 @dataclass(frozen=True, slots=True)
 class ImageRef:
     """Reference to an image: geometry plus an opaque id, no pixel data.
+
+    Its id and source_uri are strings, and its geometry and crop window are
+    ints, not bools or floats (`true`, `100.0`): pixel geometry is integral,
+    and a task line writes an image as exactly those types (`_image_json`).
 
     When `crop` is set, it marks a window on the *parent* geometry; height
     and width stay those of the parent so downstream consumers apply the
@@ -77,6 +84,11 @@ class ImageRef:
     source_uri: str = ""
 
     def __post_init__(self):
+        if not (isinstance(self.id, str) and isinstance(self.source_uri, str)):
+            raise ValueError(f"image {self.id!r}: id and source_uri must be strings")
+        if type(self.height) is not int or type(self.width) is not int:
+            raise ValueError(f"image {self.id!r}: height and width must be ints, not "
+                             f"{self.height!r} and {self.width!r}")
         if self.height <= 0 or self.width <= 0:
             raise ValueError(f"image {self.id!r}: non-positive geometry")
         if self.crop is not None:
@@ -442,12 +454,22 @@ def _line_error(e: Exception, line: str, line_no: int) -> MalformedRecord:
     return MalformedRecord(str(e), line_no)
 
 
+def _image_json(image: ImageRef) -> str:
+    """`_dumps(image.to_json())`, put together without building the dict:
+    the same bytes, since an image's strings are str and its geometry int."""
+    crop = image.crop
+    crop_json = "null" if crop is None else \
+        f'{{"axis":{_string(crop.axis)},"start":{crop.start},"end":{crop.end}}}'
+    return (f'{{"id":{_string(image.id)},"height":{image.height},"width":{image.width},'
+            f'"crop":{crop_json},"source_uri":{_string(image.source_uri)}}}')
+
+
 def serialize_record(record: TaskRecord) -> str:
     """One deterministic line per task record, fixed field order: the line
     `_dumps` writes for {"task", "example_id", "image", "decoder_input",
     "decoder_output"}, put together without building that dict."""
     return (f'{{"task":{_string(record.task)},"example_id":{_string(record.example_id)},'
-            f'"image":{_dumps(record.image.to_json())},'
+            f'"image":{_image_json(record.image)},'
             f'"decoder_input":{_string(record.decoder_input)},'
             f'"decoder_output":{_string(record.decoder_output)}}}')
 

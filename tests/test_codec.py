@@ -3,7 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rdistill.codec import (ANSWER_BUDGET, CharBlockCounter, EmptyAnswer,
                             NoAnswerMarker, PREFIX_BUDGET, PROGRAM_BUDGET,
-                            SEP_ANSWER, TABLE_BUDGET, WordCounter,
+                            SEP_ANSWER, TABLE_BUDGET, WordCounter, _shrink,
                             encode_program_rationale, encode_target, escape_field,
                             linearize_table, parse_answer, parse_target)
 
@@ -226,3 +226,44 @@ any_cell = st.one_of(
 def test_program_trim_matches_the_relinearizing_reference(counter, table, program):
     assert encode_program_rationale(table, program, counter) \
         == naive_encode_program_rationale(table, program, counter)
+
+
+def naive_encode_target(question, rationale, answer, counter):
+    """The prefix trim as first written: rebuild and recount the prefix at
+    each test of each loop."""
+    q = escape_field(question)
+    r = escape_field(rationale, keep_program=True) if rationale is not None else None
+    a = escape_field(answer)
+    if counter.count(a) > ANSWER_BUDGET:
+        a = counter.truncate(a, ANSWER_BUDGET)
+
+    def prefix(q_part, r_part):
+        return q_part if r_part is None else f"{q_part} <s> {r_part}"
+
+    while counter.count(prefix(q, r)) > PREFIX_BUDGET and r:
+        r = _shrink(r, counter, counter.count(prefix(q, r)) - PREFIX_BUDGET)
+    while counter.count(prefix(q, r)) > PREFIX_BUDGET and q:
+        q = _shrink(q, counter, counter.count(prefix(q, r)) - PREFIX_BUDGET)
+    return f"{prefix(q, r)} <answer> {a}"
+
+
+target_word = st.sampled_from(["w", "<s>", "<program>", "<answer>", "⟨s⟩", "", " ", "\n",
+                               "x y", "wordy" * 5]) | st.text(max_size=8)
+# short fields, and fields of up to 400 words: longer than the 108-token
+# prefix under either counter, so the rationale and then the question are trimmed
+target_field = (st.lists(target_word, max_size=30).map(" ".join)
+                | st.builds(lambda word, n: " ".join([word] * n), target_word,
+                            st.integers(0, 400)))
+
+
+@pytest.mark.parametrize("counter", [WORD, CHAR4], ids=["word", "char4"])
+@settings(max_examples=300)
+@given(question=target_field, rationale=st.none() | st.just("") | target_field,
+       answer=target_field.filter(str.strip))
+@example(question=" ".join(["q"] * 200), rationale=" ".join(["r"] * 200), answer="a")
+@example(question=" ".join(["q <s>"] * 80), rationale=None, answer="a <answer> b")
+@example(question="q", rationale="", answer=" ".join(["a"] * 30))
+@example(question="<program> q " * 60, rationale="Div(1, 2) <program> " * 60, answer="x")
+def test_target_trim_matches_the_recounting_reference(counter, question, rationale, answer):
+    assert encode_target(question, rationale, answer, counter) \
+        == naive_encode_target(question, rationale, answer, counter)

@@ -2,6 +2,7 @@ import collections
 import concurrent.futures
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import http.server
 import importlib.util
@@ -1566,6 +1567,90 @@ class TestFailedStageKeepsFinishedEntries:
         config.filter = FilterConfig(boost_factor=3.0)
         run(config)
         assert writes == ["filter", "build-tasks"]
+
+
+@pytest.fixture
+def caller_collector():
+    """Set the collector as a caller might, with thresholds of its own and
+    objects it froze, and restore the test process's settings afterwards."""
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    gc.set_threshold(555, 7, 9)
+    gc.freeze()
+    yield
+    gc.unfreeze()
+    gc.set_threshold(*threshold)
+    (gc.enable if enabled else gc.disable)()
+
+
+def collector_seen(monkeypatch):
+    """Whether the collector was on, noted when `validate` and each stage
+    function are called from now on."""
+    seen = []
+
+    def noting(fn):
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(pipeline, "validate", noting(pipeline.validate))
+    for stage, fn in pipeline._STAGE_FNS.items():
+        monkeypatch.setitem(pipeline._STAGE_FNS, stage, noting(fn))
+    return seen
+
+
+class TestCollectorPause:
+    """`run` pauses the cyclic collector and leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("outcome", ["success", "stage-failure", "interrupt",
+                                         "config-error"])
+    def test_run_restores_the_callers_collector(self, tmp_path, monkeypatch,
+                                                caller_collector, enabled, outcome):
+        config = default_mock_config(str(tmp_path / "out"), seed=0)
+        if outcome == "stage-failure":     # a broken dataset line
+            path = config.datasets[1].path
+            lines = list(read_lines(path))
+            write_lines(path, [lines[0], '{"example_id": "broken"'] + lines[1:])
+        elif outcome == "interrupt":
+            spy_stage(monkeypatch, "filter", KeyboardInterrupt())
+        elif outcome == "config-error":
+            config.tasks = ("qra", "bogus")
+        seen = collector_seen(monkeypatch)
+        (gc.enable if enabled else gc.disable)()
+        before = gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+        raised = {"success": contextlib.nullcontext(), "stage-failure": pytest.raises(StageFailure),
+                  "interrupt": pytest.raises(KeyboardInterrupt),
+                  "config-error": pytest.raises(pipeline.ConfigError)}[outcome]
+        with raised:
+            run(config)
+        assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == before
+        # validate, then every stage function called, saw the collector off
+        assert len(seen) >= (1 if outcome == "config-error" else 2)
+        assert not any(seen)
+
+    def test_a_run_leaves_no_more_cyclic_garbage_on_a_larger_corpus(self, tmp_path):
+        """The pause's premise: a run's cyclic garbage does not grow with the
+        corpus, so a paused collector keeps nothing that does."""
+        def garbage(copies):
+            config = default_mock_config(str(tmp_path / f"x{copies}"), seed=0)
+            for ds in config.datasets:
+                objs = [json.loads(line) for line in read_lines(ds.path)]
+                write_lines(ds.path, [json.dumps(dict(
+                    obj, example_id=f"{obj['example_id']}-{k}",
+                    image=dict(obj["image"], id=f"{obj['image']['id']}-{k}")))
+                    for k in range(copies) for obj in objs])
+            enabled = gc.isenabled()
+            gc.collect()
+            gc.disable()
+            try:
+                run(config)
+                return gc.collect()
+            finally:
+                if enabled:
+                    gc.enable()
+
+        assert garbage(4) <= garbage(1)
 
 
 class TestStageIsolation:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import unittest.mock
 
@@ -392,6 +393,33 @@ def test_every_parser_words_a_malformed_line_alike(parse, obj, field, bad):
         parse(line, 3)
     assert str(exc.value).startswith(f"line 3: {reason}")
     assert exc.value.reason.startswith(reason) and exc.value.line_no == 3
+
+
+@given(images())
+def test_image_json_is_the_dumped_image_dict(image):
+    assert rdistill.records._image_json(image) == _dumps(image.to_json())
+
+
+@pytest.mark.parametrize("image,bad", [
+    ({"height": True}, "height and width must be ints, not True and 9"),
+    ({"width": 100.0}, "height and width must be ints, not 9 and 100.0"),
+    ({"crop": {"axis": "height", "start": 0, "end": 5.0}},
+     "crop start and end must be ints, not 0 and 5.0"),
+    ({"id": 5}, "image 5: id and source_uri must be strings"),
+    ({"source_uri": None}, "image 'i': id and source_uri must be strings"),
+], ids=["bool-height", "float-width", "float-crop-end", "int-id", "null-source-uri"])
+@pytest.mark.parametrize("parse", [parse_example, parse_header, parse_record],
+                         ids=lambda p: p.__name__)
+def test_an_image_of_other_types_is_refused(parse, image, bad):
+    """Geometry is whole pixels and names are strings: what `_image_json`
+    writes as `_dumps` would."""
+    obj = {"task": "QID", "example_id": "e", "question": "q", "gold_answers": ["a"],
+           "decoder_input": "", "decoder_output": "q <answer> a",
+           "image": {"id": "i", "height": 9, "width": 9, "crop": None, "source_uri": ""}}
+    parse(json.dumps(obj), 4)
+    obj["image"].update(image)
+    with pytest.raises(MalformedRecord, match=f"^line 4: .*{re.escape(bad)}"):
+        parse(json.dumps(obj), 4)
 
 
 @pytest.mark.parametrize("record", [
