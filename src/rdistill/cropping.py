@@ -29,10 +29,6 @@ class CropPlan:
     axis: str  # "height" or "width"
     windows: tuple[tuple[int, int], ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.windows)
-
 
 def plan_crops(height: int, width: int, mode: str = VERBATIM) -> CropPlan:
     """Plan sliding square windows along the longer edge.

@@ -36,9 +36,10 @@ ends.
 Filter is a pure function of the stored scores: it zips the crops (for
 their gold answers) with the scores, both sorted by example_id, and
 writes verdict lines (example_id, category, effective answer, scores). A
-λ retune thus needs no reachable tool endpoint. Build-tasks joins each
-verdict with its crop and crop rationale, and writes one task file at a
-time; with filter_whole_image, QRA leaves out the examples whose
+λ retune thus needs no reachable tool endpoint. Build-tasks pairs each
+verdict with its crop and crop rationale for the crop tasks, whose
+builders route them, and writes one task file at a time; with
+filter_whole_image, QRA leaves out the examples whose
 whole-image scores make them irrelevant, which no λ changes. Neither
 stage reads OCR text, boxes or tables, so both parse examples and crops
 without them (`records.parse_header`).
@@ -64,11 +65,10 @@ from dataclasses import asdict, astuple, dataclass, field
 
 from . import cropping, filtering, fixtures, tasks, tools
 from .codec import CharBlockCounter, WordCounter
-from .records import (TASK_NAMES, CategorizedExample, MalformedRecord, QAExample,
-                      Rationale, Verdict, VerifierScores, _dumps, _line_error, _loads,
-                      numbered_lines, parse_categorized, parse_example, parse_header,
-                      parse_scores, serialize_categorized, serialize_example,
-                      serialize_record, serialize_scores, write_lines)
+from .records import (TASK_NAMES, MalformedRecord, QAExample, Rationale, Verdict,
+                      VerifierScores, _dumps, _parse_line, numbered_lines, parse_categorized,
+                      parse_example, parse_header, parse_scores, serialize_categorized,
+                      serialize_example, serialize_record, serialize_scores, write_lines)
 
 log = logging.getLogger(__name__)
 
@@ -521,11 +521,8 @@ def _serialize_rationale_line(example_id: str, rationale: Rationale) -> str:
 
 
 def _parse_rationale_line(line: str, line_no: int = 0) -> tuple[str, Rationale]:
-    try:
-        obj = _loads(line)
-        return obj["example_id"], Rationale.from_json(obj["rationale"])
-    except (ValueError, KeyError, TypeError) as e:
-        raise _line_error(e, line, line_no) from e
+    return _parse_line(line, line_no,
+                       lambda obj: (obj["example_id"], Rationale.from_json(obj["rationale"])))
 
 
 def _read(path: str, parse) -> list:
@@ -687,7 +684,6 @@ def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff, entry: 
     results = _parallel_map(task, handoff.take(stage_file(config, ds, src), _read_examples),
                             config)
     results.sort(key=lambda result: result[0])
-    counts = {}
     for kind in entry.row.writes:
         dest = stage_file(config, ds, kind)
         if kind.endswith("scores"):
@@ -696,9 +692,9 @@ def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff, entry: 
         else:
             records = {i: r for i, r, _ in results}
             _write_atomic(dest, (_serialize_rationale_line(i, r) for i, r in records.items()))
-            counts = {_manifest_key(config.out_dir, dest): len(results)}
         handoff.put(dest, records)
-    return counts
+    first = stage_file(config, ds, entry.row.writes[0])
+    return {_manifest_key(config.out_dir, first): len(results)}
 
 
 def _verdicts(cfg: filtering.FilterConfig, handoff: _Handoff, examples: list[QAExample],
@@ -731,18 +727,15 @@ def stage_filter(config: PipelineConfig, handoff: _Handoff, entry: _Entry) -> di
     return {ds.name: {"categorized": len(categorized), "kept": len(kept)}}
 
 
-def _joined_crops(config: PipelineConfig, handoff: _Handoff, ds, task: str):
-    """The categorized crop each kept verdict of `ds` for crop task `task`
-    (`tasks.crop_task`) stands for, joined with its crop and crop rationale,
-    one at a time. Verdicts and crops are both sorted by example_id, so one
-    pass over the crops finds every verdict's."""
+def _kept_crops(config: PipelineConfig, handoff: _Handoff, ds):
+    """(verdict, crop, crop rationale) of each kept verdict of `ds`, one at a
+    time. Verdicts and crops are both sorted by example_id, so one pass over
+    the crops finds every verdict's."""
     path = stage_file(config, ds, "categorized")
     crops = iter(handoff.take(stage_file(config, ds, "crops"), _read_headers))
     rationales = handoff.take(stage_file(config, ds, "crop_rationales"), _read_rationales)
     for verdict in handoff.take(path, _read_verdicts):
         rationale = rationales.get(verdict.example_id)
-        if rationale is not None and tasks.crop_task(verdict.category, rationale.flagged) != task:
-            continue
         for crop in crops:
             if crop.example_id == verdict.example_id:
                 break
@@ -751,7 +744,7 @@ def _joined_crops(config: PipelineConfig, handoff: _Handoff, ds, task: str):
         if crop is None or rationale is None:
             raise MalformedRecord(f"{path}: no crop or crop rationale for verdict "
                                   f"{verdict.example_id!r}")
-        yield CategorizedExample.join(verdict, crop, rationale)
+        yield verdict, crop, rationale
 
 
 def _qra_examples(config: PipelineConfig, handoff: _Handoff, ds,
@@ -775,7 +768,7 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff, entry: _Entry) 
     if task in ("qraci", "apraci"):
         build = tasks.build_qraci if task == "qraci" else tasks.build_apraci
         records = [r for ds in datasets
-                   for r in build(_joined_crops(config, handoff, ds, task), counter)]
+                   for r in build(_kept_crops(config, handoff, ds), counter)]
     else:
         examples = [handoff.take(ds.path, _read_headers) for ds in datasets]
         if task == "qra":

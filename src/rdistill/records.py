@@ -298,13 +298,6 @@ class VerifierScores:
         return cls(obj["logp_with"], obj["logp_without"], obj["greedy"])
 
 
-def _check_verdict(category: str, effective_answer: str) -> None:
-    if category not in CATEGORIES:
-        raise ValueError(f"bad category {category!r}")
-    if (category == "irrelevant") != is_none_answer(effective_answer):
-        raise ValueError("irrelevant category must pair with the None sentinel answer")
-
-
 @dataclass(frozen=True, slots=True)
 class Verdict:
     """The filter's decision about one crop and the scores behind it.
@@ -319,35 +312,10 @@ class Verdict:
     scores: VerifierScores
 
     def __post_init__(self):
-        _check_verdict(self.category, self.effective_answer)
-
-
-@dataclass(frozen=True, slots=True)
-class CategorizedExample:
-    """A (cropped image, rationale) pair with its filter category."""
-
-    example_id: str
-    question: str
-    image: ImageRef
-    rationale: Rationale
-    category: str
-    effective_answer: str
-    scores: VerifierScores
-
-    def __post_init__(self):
-        _check_verdict(self.category, self.effective_answer)
-
-    @classmethod
-    def join(cls, verdict: Verdict, crop: QAExample,
-             rationale: Rationale) -> "CategorizedExample":
-        """The categorized crop a verdict line stands for, rebuilt from the
-        crop and its rationale."""
-        if crop.example_id != verdict.example_id:
-            raise ValueError(f"verdict {verdict.example_id!r} joined with crop "
-                             f"{crop.example_id!r}")
-        return cls(example_id=verdict.example_id, question=crop.question, image=crop.image,
-                   rationale=rationale, category=verdict.category,
-                   effective_answer=verdict.effective_answer, scores=verdict.scores)
+        if self.category not in CATEGORIES:
+            raise ValueError(f"bad category {self.category!r}")
+        if (self.category == "irrelevant") != is_none_answer(self.effective_answer):
+            raise ValueError("irrelevant category must pair with the None sentinel answer")
 
 
 @dataclass(frozen=True, slots=True)
@@ -440,18 +408,25 @@ def _loads(line: str):
     return obj
 
 
-def _line_error(e: Exception, line: str, line_no: int) -> MalformedRecord:
-    """The MalformedRecord of a parser that raised `e` on `line`, worded
-    alike by every parser: a line that is not JSON, one that is JSON but not
-    an object (indexing it by a field name is a TypeError) and an object
-    without a field (a KeyError); any other error gives its own text."""
-    if isinstance(e, json.JSONDecodeError):
-        return MalformedRecord(f"not JSON ({e})", line_no)
-    if isinstance(e, TypeError) and not line.lstrip().startswith("{"):
-        return MalformedRecord("not a JSON object", line_no)
-    if isinstance(e, KeyError):
-        return MalformedRecord(f"missing field {e}", line_no)
-    return MalformedRecord(str(e), line_no)
+def _parse_line(line: str, line_no: int, build):
+    """`build(_loads(line))`: the one place where a parser's error becomes a
+    MalformedRecord, worded alike for every parser. A line that is not JSON,
+    one that is JSON but not an object (indexing it by a field name is a
+    TypeError) and an object without a field (a KeyError) each have their
+    wording; any other error, such as an IndexError for a short OCR box,
+    gives its own text."""
+    try:
+        return build(_loads(line))
+    except (ValueError, KeyError, TypeError, IndexError) as e:
+        if isinstance(e, json.JSONDecodeError):
+            reason = f"not JSON ({e})"
+        elif isinstance(e, TypeError) and not line.lstrip().startswith("{"):
+            reason = "not a JSON object"
+        elif isinstance(e, KeyError):
+            reason = f"missing field {e}"
+        else:
+            reason = str(e)
+        raise MalformedRecord(reason, line_no) from e
 
 
 def _image_json(image: ImageRef) -> str:
@@ -476,17 +451,13 @@ def serialize_record(record: TaskRecord) -> str:
 
 def parse_record(line: str, line_no: int = 0) -> TaskRecord:
     """Inverse of serialize_record; raises MalformedRecord on schema violations."""
-    try:
-        obj = _loads(line)
-        return TaskRecord(
-            task=obj["task"],
-            example_id=obj["example_id"],
-            image=ImageRef.from_json(obj["image"]),
-            decoder_input=obj["decoder_input"],
-            decoder_output=obj["decoder_output"],
-        )
-    except (ValueError, KeyError, TypeError) as e:
-        raise _line_error(e, line, line_no) from e
+    return _parse_line(line, line_no, lambda obj: TaskRecord(
+        task=obj["task"],
+        example_id=obj["example_id"],
+        image=ImageRef.from_json(obj["image"]),
+        decoder_input=obj["decoder_input"],
+        decoder_output=obj["decoder_output"],
+    ))
 
 
 def serialize_example(example: QAExample) -> str:
@@ -494,10 +465,7 @@ def serialize_example(example: QAExample) -> str:
 
 
 def parse_example(line: str, line_no: int = 0) -> QAExample:
-    try:
-        return QAExample.from_json(_loads(line))
-    except (ValueError, KeyError, TypeError, IndexError) as e:  # IndexError: a short OCR box
-        raise _line_error(e, line, line_no) from e
+    return _parse_line(line, line_no, QAExample.from_json)
 
 
 def parse_header(line: str, line_no: int = 0) -> QAExample:
@@ -506,45 +474,39 @@ def parse_header(line: str, line_no: int = 0) -> QAExample:
     checked as `parse_example` checks them, and fail with the same error;
     the other fields are neither built nor checked. For readers that use
     nothing else: a reader that makes rationales needs the OCR text."""
-    try:
-        return QAExample.from_json(_loads(line), header_only=True)
-    except (ValueError, KeyError, TypeError) as e:
-        raise _line_error(e, line, line_no) from e
+    return _parse_line(line, line_no, lambda obj: QAExample.from_json(obj, header_only=True))
+
+
+def _gold(obj: dict) -> tuple[str, tuple[str, ...]]:
+    example_id, answers = obj["example_id"], _gold_tuple(obj["gold_answers"])
+    _check_gold(example_id, answers)
+    return example_id, answers
 
 
 def parse_gold(line: str, line_no: int = 0) -> tuple[str, tuple[str, ...]]:
     """An example line's example_id and gold answers, checked as
     `parse_example` checks them; its other fields are neither built nor
     checked."""
-    try:
-        obj = _loads(line)
-        example_id, answers = obj["example_id"], _gold_tuple(obj["gold_answers"])
-        _check_gold(example_id, answers)
-        return example_id, answers
-    except (ValueError, KeyError, TypeError) as e:
-        raise _line_error(e, line, line_no) from e
+    return _parse_line(line, line_no, _gold)
 
 
-def serialize_categorized(cat: CategorizedExample | Verdict) -> str:
+def serialize_categorized(verdict: Verdict) -> str:
     """A verdict line: example_id, category, effective_answer and scores."""
     return _dumps({
-        "example_id": cat.example_id,
-        "category": cat.category,
-        "effective_answer": cat.effective_answer,
-        "scores": cat.scores.to_json(),
+        "example_id": verdict.example_id,
+        "category": verdict.category,
+        "effective_answer": verdict.effective_answer,
+        "scores": verdict.scores.to_json(),
     })
 
 
 def parse_categorized(line: str, line_no: int = 0) -> Verdict:
     """Inverse of serialize_categorized. Lines in the older full format, which
     also repeat the crop's question, image and rationale, parse to the same."""
-    try:
-        obj = _loads(line)
-        return Verdict(example_id=obj["example_id"], category=obj["category"],
-                       effective_answer=obj["effective_answer"],
-                       scores=VerifierScores.from_json(obj["scores"]))
-    except (ValueError, KeyError, TypeError) as e:
-        raise _line_error(e, line, line_no) from e
+    return _parse_line(line, line_no, lambda obj: Verdict(
+        example_id=obj["example_id"], category=obj["category"],
+        effective_answer=obj["effective_answer"],
+        scores=VerifierScores.from_json(obj["scores"])))
 
 
 def serialize_scores(example_id: str, scores: VerifierScores) -> str:
@@ -554,35 +516,30 @@ def serialize_scores(example_id: str, scores: VerifierScores) -> str:
 
 def parse_scores(line: str, line_no: int = 0) -> tuple[str, VerifierScores]:
     """Inverse of serialize_scores."""
-    try:
-        obj = _loads(line)
-        return obj["example_id"], VerifierScores.from_json(obj["scores"])
-    except (ValueError, KeyError, TypeError) as e:
-        raise _line_error(e, line, line_no) from e
+    return _parse_line(line, line_no,
+                       lambda obj: (obj["example_id"], VerifierScores.from_json(obj["scores"])))
+
+
+def _strings(obj: dict, first: str, second: str) -> tuple[str, str]:
+    """The fields `first` and `second` of `obj`; a TypeError unless both are strings."""
+    a, b = obj[first], obj[second]
+    if not (isinstance(a, str) and isinstance(b, str)):
+        raise TypeError(f"{first} and {second} must be strings")
+    return a, b
 
 
 def parse_hypothesis(line: str, line_no: int = 0) -> tuple[str, ScoredHypothesis]:
     """A beam line, {"example_id", "decoded", "prob"}: its example_id and hypothesis."""
-    try:
-        obj = _loads(line)
-        example_id, decoded = obj["example_id"], obj["decoded"]
-        if not (isinstance(example_id, str) and isinstance(decoded, str)):
-            raise TypeError("example_id and decoded must be strings")
+    def build(obj: dict) -> tuple[str, ScoredHypothesis]:
+        example_id, decoded = _strings(obj, "example_id", "decoded")
         return example_id, ScoredHypothesis(decoded, obj["prob"], line_no)
-    except (ValueError, KeyError, TypeError) as e:
-        raise _line_error(e, line, line_no) from e
+
+    return _parse_line(line, line_no, build)
 
 
 def parse_prediction(line: str, line_no: int = 0) -> tuple[str, str]:
     """A prediction line, {"example_id", "answer", ...}: its example_id and answer."""
-    try:
-        obj = _loads(line)
-        example_id, answer = obj["example_id"], obj["answer"]
-        if not (isinstance(example_id, str) and isinstance(answer, str)):
-            raise TypeError("example_id and answer must be strings")
-        return example_id, answer
-    except (ValueError, KeyError, TypeError) as e:
-        raise _line_error(e, line, line_no) from e
+    return _parse_line(line, line_no, lambda obj: _strings(obj, "example_id", "answer"))
 
 
 _WRITE_BATCH = 256   # lines joined into one write

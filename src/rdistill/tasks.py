@@ -1,12 +1,14 @@
 """Builders for the multi-task training datasets and baselines.
 
-Routing is total and exclusive over categorized crops whose rationale is
-not flagged (`crop_task`): useful crops go to QRACI with the gold answer,
-irrelevant crops to QRACI with the None sentinel, and relevant-not-useful
-crops to APRCI (answer-only given the noisy rationale in the decoder
-input), flagged or not; a flagged useful or irrelevant crop goes to no
-task. APR pairs each example with three student-sampled rationales from a
-model trained on the other folds.
+The crop tasks take each kept crop as the categorized, crop and
+crop-rationale files hold it, a (verdict, crop, rationale) triple, and
+keep the triples `crop_task` routes to them. Routing is total and
+exclusive over crops whose rationale is not flagged: useful crops go to
+QRACI with the gold answer, irrelevant crops to QRACI with the None
+sentinel, and relevant-not-useful crops to APRCI (answer-only given the
+noisy rationale in the decoder input), flagged or not; a flagged useful or
+irrelevant crop goes to no task. APR pairs each example with three
+student-sampled rationales from a model trained on the other folds.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .codec import (ANSWER_BUDGET, DEFAULT_COUNTER, SEP_RATIONALE, TokenCounter,
                     encode_target, escape_field)
-from .records import CategorizedExample, QAExample, Rationale, TaskRecord
+from .records import QAExample, Rationale, TaskRecord, Verdict
 from .tools import STUDENT_SAMPLES, StudentRationaleClient, rationale_text
 
 log = logging.getLogger(__name__)
@@ -47,7 +49,6 @@ class FoldPlan:
     fold_count: int
     assignment: Mapping[str, int]  # example_id -> global fold index
     subset_folds: Mapping[str, tuple[int, ...]]  # subset -> its fold indices
-    seed: int
 
 
 def plan_folds(examples_by_subset: Mapping[str, Iterable[QAExample]],
@@ -76,7 +77,7 @@ def plan_folds(examples_by_subset: Mapping[str, Iterable[QAExample]],
         subset_folds[subset] = fold_ids
         next_fold += folds_per_subset
     return FoldPlan(fold_count=next_fold, assignment=dict(assignment),
-                    subset_folds=subset_folds, seed=seed)
+                    subset_folds=subset_folds)
 
 
 def _answer_only(answer: str, counter: TokenCounter) -> str:
@@ -157,41 +158,42 @@ def crop_task(category: str, flagged: bool) -> str | None:
     return None if flagged else "qraci"
 
 
-def build_qraci(categorized: Iterable[CategorizedExample],
+def build_qraci(kept: Iterable[tuple[Verdict, QAExample, Rationale]],
                 counter: TokenCounter = DEFAULT_COUNTER) -> list[TaskRecord]:
-    """Cropped-image rationale-prediction records for the crops `crop_task`
-    routes here: useful -> gold answer; irrelevant -> None sentinel (the
-    rationale is a prediction target either way)."""
+    """Cropped-image rationale-prediction records for the (verdict, crop,
+    rationale) triples `crop_task` routes here: useful -> gold answer;
+    irrelevant -> None sentinel (the rationale is a prediction target either
+    way)."""
     records = []
-    for cat in categorized:
-        if crop_task(cat.category, cat.rationale.flagged) != "qraci":
+    for verdict, crop, rationale in kept:
+        if crop_task(verdict.category, rationale.flagged) != "qraci":
             continue
         records.append(TaskRecord(
             task="QRACI",
-            example_id=cat.example_id,
-            image=cat.image,
+            example_id=verdict.example_id,
+            image=crop.image,
             decoder_input="",
-            decoder_output=encode_target(cat.question, rationale_text(cat.rationale, counter),
-                                         cat.effective_answer, counter),
+            decoder_output=encode_target(crop.question, rationale_text(rationale, counter),
+                                         verdict.effective_answer, counter),
         ))
     return records
 
 
-def build_apraci(categorized: Iterable[CategorizedExample],
+def build_apraci(kept: Iterable[tuple[Verdict, QAExample, Rationale]],
                  counter: TokenCounter = DEFAULT_COUNTER) -> list[TaskRecord]:
-    """Answer-only records for crops whose rationale is relevant but not
-    useful, flagged or not: the noisy rationale rides in the decoder input."""
+    """Answer-only records for the (verdict, crop, rationale) triples whose
+    rationale is relevant but not useful, flagged or not: the noisy
+    rationale rides in the decoder input."""
     records = []
-    for cat in categorized:
-        if crop_task(cat.category, cat.rationale.flagged) != "apraci":
+    for verdict, crop, rationale in kept:
+        if crop_task(verdict.category, rationale.flagged) != "apraci":
             continue
         records.append(TaskRecord(
             task="APRCI",
-            example_id=cat.example_id,
-            image=cat.image,
-            decoder_input=_trim_input(
-                cat.question, rationale_text(cat.rationale, counter), counter),
-            decoder_output=_answer_only(cat.effective_answer, counter),
+            example_id=verdict.example_id,
+            image=crop.image,
+            decoder_input=_trim_input(crop.question, rationale_text(rationale, counter), counter),
+            decoder_output=_answer_only(verdict.effective_answer, counter),
         ))
     return records
 

@@ -22,9 +22,9 @@ from rdistill.cropping import plan_crops
 from rdistill.dsl import DivisionByZero, Program, execute, parse, print_program
 from rdistill.filtering import FilterConfig, balance, categorize, score
 from rdistill.inference import anls, apply_calculator, relaxed_accuracy, vote
-from rdistill.records import (NONE_SENTINEL, CategorizedExample, ImageRef,
-                              QAExample, Rationale, ScoredHypothesis,
-                              VerifierScores, serialize_categorized)
+from rdistill.records import (NONE_SENTINEL, ImageRef, QAExample, Rationale,
+                              ScoredHypothesis, Verdict, VerifierScores,
+                              serialize_categorized)
 from rdistill.tasks import (FoldLeak, build_apr, build_apraci, build_qraci,
                             plan_folds)
 from rdistill.tools import MockStudentClient
@@ -81,7 +81,7 @@ def test_criterion_2_mean_crop_count():
         ratio = rng.uniform(2.0, 3.0)
         w = 800
         h = math.ceil(ratio * w)
-        ks.append(plan_crops(h, w).k)
+        ks.append(len(plan_crops(h, w).windows))
     mean_k = sum(ks) / len(ks)
     assert 3.0 <= mean_k <= 5.0, mean_k
     report(2, f"mean crop count {mean_k:.3f} within [3, 5]")
@@ -139,13 +139,17 @@ def test_criterion_3_filter_equivalence():
 # 4. Balancing formula
 
 
-def _categorized(example_id, category):
+def _verdict(example_id, category):
     answer = NONE_SENTINEL if category == "irrelevant" else "a"
-    return CategorizedExample(
-        example_id=example_id, question="q",
-        image=ImageRef(id=example_id, height=10, width=10),
-        rationale=Rationale.text("e"), category=category,
-        effective_answer=answer, scores=VerifierScores(-1.0, -2.0, "a"))
+    return Verdict(example_id=example_id, category=category, effective_answer=answer,
+                   scores=VerifierScores(-1.0, -2.0, "a"))
+
+
+def _kept(example_id, category):
+    """A kept crop as the crop tasks take it: (verdict, crop, rationale)."""
+    crop = QAExample(example_id=example_id, image=ImageRef(id=example_id, height=10, width=10),
+                     question="q", gold_answers=("a",))
+    return _verdict(example_id, category), crop, Rationale.text("e")
 
 
 def test_criterion_4_balancing():
@@ -154,9 +158,9 @@ def test_criterion_4_balancing():
         n_none = rng.randint(0, 200)
         n_bad = rng.randint(0, 200)
         n_good = rng.randint(0, 200)
-        pool = [_categorized(f"n{i:04d}", "irrelevant") for i in range(n_none)]
-        pool += [_categorized(f"b{i:04d}", "relevant-not-useful") for i in range(n_bad)]
-        pool += [_categorized(f"g{i:04d}", "useful") for i in range(n_good)]
+        pool = [_verdict(f"n{i:04d}", "irrelevant") for i in range(n_none)]
+        pool += [_verdict(f"b{i:04d}", "relevant-not-useful") for i in range(n_bad)]
+        pool += [_verdict(f"g{i:04d}", "useful") for i in range(n_good)]
         seed = rng.randint(0, 10_000)
         kept, rep = balance(pool, seed=seed)
         assert rep.n_none_kept == min(n_none, max(n_bad - n_good, 0))
@@ -242,9 +246,9 @@ def test_criterion_6_token_budgets():
 
 
 def test_criterion_7_routing():
-    crops = [_categorized(f"u{i}", "useful") for i in range(10)]
-    crops += [_categorized(f"i{i}", "irrelevant") for i in range(10)]
-    crops += [_categorized(f"r{i}", "relevant-not-useful") for i in range(10)]
+    crops = [_kept(f"u{i}", "useful") for i in range(10)]
+    crops += [_kept(f"i{i}", "irrelevant") for i in range(10)]
+    crops += [_kept(f"r{i}", "relevant-not-useful") for i in range(10)]
     qraci = build_qraci(crops)
     assert len(qraci) == 20
     nones = sum(1 for r in qraci if r.decoder_output.endswith(f"{SEP_ANSWER} None"))

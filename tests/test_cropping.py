@@ -32,18 +32,18 @@ class TestPlanCrops:
         plan = plan_crops(400, 400)
         assert plan.axis == "height"
         assert plan.windows == ((0, 400),)
-        assert plan.k == 1
+        assert len(plan.windows) == 1
 
     def test_tall_image(self):
         plan = plan_crops(1000, 400)
         assert plan.windows == ((0, 400), (200, 600), (400, 800))
-        assert plan.k == 3
+        assert len(plan.windows) == 3
 
     def test_wide_image(self):
         plan = plan_crops(300, 900)
         assert plan.axis == "width"
         assert plan.windows == ((0, 300), (150, 450), (300, 600))
-        assert plan.k == 3
+        assert len(plan.windows) == 3
 
     def test_full_coverage_appends_tail_window(self):
         plan = plan_crops(1000, 400, mode=FULL_COVERAGE)

@@ -11,9 +11,8 @@ from rdistill import pipeline
 from rdistill.codec import CharBlockCounter, WordCounter
 from rdistill.filtering import (LOG_SPACE, PROBABILITY_SPACE, BalanceReport,
                                 FilterConfig, balance, categorize, is_useful, score)
-from rdistill.records import (NONE_SENTINEL, CategorizedExample, ImageRef,
-                              QAExample, Rationale, VerifierScores,
-                              parse_categorized, serialize_categorized)
+from rdistill.records import (NONE_SENTINEL, ImageRef, QAExample, Rationale, Verdict,
+                              VerifierScores, parse_categorized, serialize_categorized)
 from rdistill.tools import rationale_text
 
 
@@ -285,19 +284,16 @@ class TestExtremeScores:
             == [math.isnan(x) for x in (logp_with, logp_without)]
 
 
-def make_categorized(example_id, category):
+def make_verdict(example_id, category):
     answer = NONE_SENTINEL if category == "irrelevant" else "a"
-    return CategorizedExample(
-        example_id=example_id, question="q",
-        image=ImageRef(id=example_id, height=10, width=10),
-        rationale=RATIONALE, category=category, effective_answer=answer,
-        scores=VerifierScores(-1.0, -2.0, "a"))
+    return Verdict(example_id=example_id, category=category, effective_answer=answer,
+                   scores=VerifierScores(-1.0, -2.0, "a"))
 
 
 def make_pool(n_none, n_bad, n_good):
-    pool = [make_categorized(f"n{i:04d}", "irrelevant") for i in range(n_none)]
-    pool += [make_categorized(f"b{i:04d}", "relevant-not-useful") for i in range(n_bad)]
-    pool += [make_categorized(f"g{i:04d}", "useful") for i in range(n_good)]
+    pool = [make_verdict(f"n{i:04d}", "irrelevant") for i in range(n_none)]
+    pool += [make_verdict(f"b{i:04d}", "relevant-not-useful") for i in range(n_bad)]
+    pool += [make_verdict(f"g{i:04d}", "useful") for i in range(n_good)]
     return pool
 
 

@@ -23,12 +23,12 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rdistill import cli, cropping, fixtures, pipeline, tools
+from rdistill import cli, cropping, fixtures, pipeline, tasks, tools
 from rdistill.codec import CharBlockCounter, WordCounter
 from rdistill.filtering import FilterConfig
 from rdistill.pipeline import (DatasetConfig, PipelineConfig, StageFailure,
                                TemplateConfig, default_mock_config, run, validate)
-from rdistill.records import (CategorizedExample, ImageRef, MalformedRecord, QAExample, _dumps,
+from rdistill.records import (ImageRef, MalformedRecord, QAExample, _dumps,
                               read_lines, serialize_example, write_lines)
 from rdistill.tools import rationale_text
 
@@ -36,7 +36,7 @@ from rdistill.tools import rationale_text
 def pinned_digests():
     """The digests of tests/mock_outputs.sha256, by path: under mock/, those
     of `rdistill run --mock`; under whole/, those of a mock run with
-    filter_whole_image."""
+    filter_whole_image; under fc/, those of `fc_config`'s run."""
     with open(os.path.join(os.path.dirname(__file__), "mock_outputs.sha256")) as f:
         return {path: digest for digest, path in (line.rstrip("\n").split("  ", 1) for line in f)}
 
@@ -56,6 +56,28 @@ def mock_run(tmp_path_factory):
     return config, summary
 
 
+@pytest.fixture(scope="module")
+def whole_run(tmp_path_factory):
+    config = default_mock_config(str(tmp_path_factory.mktemp("whole")), seed=0)
+    config.filter_whole_image = True
+    return config, run(config)
+
+
+def fc_config(out_dir):
+    """The bundled corpus at seed 3, with full-coverage crops and char4 trims:
+    95 crops where a default mock run makes 64."""
+    config = default_mock_config(out_dir, seed=3)
+    config.crop_mode = cropping.FULL_COVERAGE
+    config.counter = "char4"
+    return config
+
+
+@pytest.fixture(scope="module")
+def fc_run(tmp_path_factory):
+    config = fc_config(str(tmp_path_factory.mktemp("fc")))
+    return config, run(config)
+
+
 class TestEndToEnd:
     def test_all_task_files_produced(self, mock_run):
         config, _ = mock_run
@@ -69,18 +91,23 @@ class TestEndToEnd:
         run(other)
         assert tree_hashes(config.out_dir) == tree_hashes(other.out_dir)
 
-    def test_stage_and_task_files_match_the_pinned_digests(self, mock_run, tmp_path):
+    def test_stage_and_task_files_match_the_pinned_digests(self, mock_run, whole_run, fc_run):
         # tests/mock_outputs.sha256 (`sha256sum -c` format) holds the digest
-        # of every stage and task file of both runs; CI checks them against it
-        config, _ = mock_run
-        whole = default_mock_config(str(tmp_path / "whole"), seed=0)
-        whole.filter_whole_image = True
-        run(whole)
+        # of every stage and task file of the three runs; CI checks them against it
         written = {f"{name}/{path}": digest
-                   for name, out_dir in (("mock", config.out_dir), ("whole", whole.out_dir))
-                   for path, digest in tree_files(out_dir).items()
+                   for name, (config, _) in (("mock", mock_run), ("whole", whole_run),
+                                             ("fc", fc_run))
+                   for path, digest in tree_files(config.out_dir).items()
                    if not path.startswith("manifests")}
         assert written == pinned_digests()
+
+    def test_generate_rationales_counts_every_entry(self, whole_run):
+        # an entry counts the records of the first file it writes
+        _, summary = whole_run
+        assert summary["generate-rationales"] == {
+            "docs.rationales.jsonl": 12, "docs.crop_rationales.jsonl": 40,
+            "docs.whole_scores.jsonl": 12, "charts.rationales.jsonl": 8,
+            "charts.crop_rationales.jsonl": 24, "charts.whole_scores.jsonl": 8}
 
     def test_rerun_skips_all_stages(self, mock_run):
         config, _ = mock_run
@@ -1488,14 +1515,25 @@ def test_a_flagged_crop_rationale_is_no_qraci_target(tmp_path, monkeypatch, mock
         {key: lines for key, lines in plain.items() if key[1] == "docs"}
 
 
-def test_a_cold_run_joins_each_kept_crop_once(tmp_path, monkeypatch):
-    joins, join = [], CategorizedExample.join
-    monkeypatch.setattr(CategorizedExample, "join", classmethod(
-        lambda cls, verdict, crop, rationale: joins.append(verdict.example_id)
-        or join(verdict, crop, rationale)))
-    summary = run(default_mock_config(str(tmp_path / "joins"), seed=0))
-    assert len(joins) == len(set(joins)) == 62 == \
-        sum(counts["kept"] for counts in summary["filter"].values())
+@pytest.mark.parametrize("name", ["mock", "fc"])
+def test_crop_tasks_hold_each_routed_kept_crop_once(name, mock_run, fc_run):
+    config, summary = {"mock": mock_run, "fc": fc_run}[name]
+    routed = {"QRACI": [], "APRCI": []}
+    for ds in config.datasets:
+        rationales = pipeline._read_rationales(
+            pipeline.stage_file(config, ds, "crop_rationales"))
+        for verdict in pipeline._read_verdicts(pipeline.stage_file(config, ds, "categorized")):
+            task = tasks.crop_task(verdict.category, rationales[verdict.example_id].flagged)
+            if task is not None:
+                routed[pipeline.TASK_NAMES[task]].append(verdict.example_id)
+    for task, ids in routed.items():
+        written = [json.loads(line)["example_id"]
+                   for line in read_lines(os.path.join(config.out_dir, "tasks", f"{task}.jsonl"))]
+        assert sorted(written) == sorted(ids) and len(set(written)) == len(written)
+    kept = sum(counts["kept"] for counts in summary["filter"].values())
+    assert len(routed["QRACI"]) + len(routed["APRCI"]) == kept
+    if name == "mock":
+        assert (len(routed["QRACI"]), len(routed["APRCI"])) == (27, 35)
 
 
 def spy_stage(monkeypatch, stage, error=None):

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 import rdistill.records
 from rdistill.pipeline import _parse_rationale_line, _serialize_rationale_line
-from rdistill.records import (CATEGORIES, TASK_NAMES, CategorizedExample, Crop, ImageRef,
+from rdistill.records import (CATEGORIES, TASK_NAMES, Crop, ImageRef,
                               MalformedRecord, OcrBox, QAExample, Rationale,
                               ScoredHypothesis, TaskRecord, Verdict, VerifierScores, _dumps,
                               _loads, _make_dumps, is_none_answer, parse_categorized,
@@ -220,14 +220,12 @@ scores = (st.sampled_from([sys.float_info.max, -sys.float_info.max, math.inf, -m
 
 
 @st.composite
-def categorized(draw):
+def verdicts(draw):
     category = draw(st.sampled_from(CATEGORIES))
     answer = "None" if category == "irrelevant" else \
         draw(any_text.filter(lambda a: not is_none_answer(a)))
-    return CategorizedExample(
-        example_id=draw(any_text), question=draw(any_text), image=draw(images()),
-        rationale=draw(rationales), category=category, effective_answer=answer,
-        scores=VerifierScores(draw(scores), draw(scores), draw(any_text)))
+    return Verdict(example_id=draw(any_text), category=category, effective_answer=answer,
+                   scores=VerifierScores(draw(scores), draw(scores), draw(any_text)))
 
 
 @st.composite
@@ -268,27 +266,20 @@ class TestParseInvertsSerialize:
                       "rationale": {**rationale_dict(rationale), "origin": origin}})
         same(_parse_rationale_line(line), (example_id, rationale))
 
-    @given(categorized())
-    def test_verdict_line(self, cat):
-        line = serialize_categorized(cat)
-        assert line == dumps({"example_id": cat.example_id, "category": cat.category,
-                              "effective_answer": cat.effective_answer,
-                              "scores": scores_dict(cat.scores)})
-        same(parse_categorized(line), Verdict(cat.example_id, cat.category,
-                                              cat.effective_answer, cat.scores))
+    @given(verdicts())
+    def test_verdict_line(self, verdict):
+        line = serialize_categorized(verdict)
+        assert line == dumps({"example_id": verdict.example_id, "category": verdict.category,
+                              "effective_answer": verdict.effective_answer,
+                              "scores": scores_dict(verdict.scores)})
+        same(parse_categorized(line), verdict)
 
-    @given(categorized())
-    def test_scores_line(self, cat):
-        line = serialize_scores(cat.example_id, cat.scores)
-        assert line == dumps({"example_id": cat.example_id, "scores": scores_dict(cat.scores)})
-        same(parse_scores(line), (cat.example_id, cat.scores))
-
-    @given(categorized())
-    def test_verdict_joins_back_into_the_categorized_crop(self, cat):
-        crop = QAExample(example_id=cat.example_id, image=cat.image, question=cat.question,
-                         gold_answers=("gold",))
-        verdict = parse_categorized(serialize_categorized(cat))
-        same(CategorizedExample.join(verdict, crop, cat.rationale), cat)
+    @given(verdicts())
+    def test_scores_line(self, verdict):
+        line = serialize_scores(verdict.example_id, verdict.scores)
+        assert line == dumps({"example_id": verdict.example_id,
+                              "scores": scores_dict(verdict.scores)})
+        same(parse_scores(line), (verdict.example_id, verdict.scores))
 
     @given(st.recursive(st.none() | st.booleans() | scores | any_text,
                         lambda inner: st.lists(inner, max_size=3)
@@ -301,13 +292,6 @@ class TestParseInvertsSerialize:
 # the encoder built where the C one is missing
 with unittest.mock.patch.object(json.encoder, "c_make_encoder", None):
     PYTHON_DUMPS = _make_dumps()
-
-
-def test_join_rejects_another_crop():
-    verdict = Verdict("e1", "useful", "a", VerifierScores(-1.0, -2.0, "a"))
-    crop = QAExample(example_id="e2", image=make_image(), question="q", gold_answers=("a",))
-    with pytest.raises(ValueError):
-        CategorizedExample.join(verdict, crop, Rationale.text("t"))
 
 
 def test_categorized_line_in_the_older_full_format_parses():
@@ -375,11 +359,23 @@ def valid_lines():
     ]
 
 
-@pytest.mark.parametrize("parse,obj,field", valid_lines(),
-                         ids=lambda p: getattr(p, "__name__", ""))
-@pytest.mark.parametrize("bad", ["missing-field", "not-json", "list", "number", "null", "string"])
+def malformed_lines():
+    """A case for each way a line can be malformed and each line parser, as
+    (parser, a line it parses, as an object, a field it needs, the way), and
+    one for an example whose OCR box has two items, which `parse_example`
+    alone reads."""
+    ways = ["missing-field", "not-json", "list", "number", "null", "string", "lone-surrogate"]
+    cases = [(parse, obj, field, bad) for bad in ways for parse, obj, field in valid_lines()]
+    example = valid_lines()[0][1]
+    cases.append((parse_example, {**example, "ocr_boxes": [["t", 0]]}, "ocr_boxes",
+                  "short-ocr-box"))
+    return [pytest.param(*case, id=f"{case[3]}-{case[0].__name__}--") for case in cases]
+
+
+@pytest.mark.parametrize("parse,obj,field,bad", malformed_lines())
 def test_every_parser_words_a_malformed_line_alike(parse, obj, field, bad):
-    parse(json.dumps(obj), 3)
+    if bad != "short-ocr-box":
+        parse(json.dumps(obj), 3)
     line, reason = {
         "missing-field": (json.dumps({k: v for k, v in obj.items() if k != field}),
                           f"missing field {field!r}"),
@@ -388,6 +384,9 @@ def test_every_parser_words_a_malformed_line_alike(parse, obj, field, bad):
         "number": ("5", "not a JSON object"),
         "null": ("null", "not a JSON object"),
         "string": (json.dumps(field), "not a JSON object"),
+        # json.dumps escapes it as \ud800
+        "lone-surrogate": (json.dumps({**obj, field: "\ud800"}), "lone surrogate \\ud800"),
+        "short-ocr-box": (json.dumps(obj), "list index out of range"),
     }[bad]
     with pytest.raises(MalformedRecord) as exc:
         parse(line, 3)

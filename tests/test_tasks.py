@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from rdistill.codec import parse_target
 from rdistill.filtering import balance
 from rdistill.fixtures import make_mock_students
-from rdistill.records import (NONE_SENTINEL, CategorizedExample, ImageRef,
-                              QAExample, Rationale, VerifierScores)
+from rdistill.records import (NONE_SENTINEL, ImageRef, QAExample, Rationale, Verdict,
+                              VerifierScores)
 from rdistill.tasks import (DuplicateExample, FoldLeak, MissingRationale, SubsetTooSmall,
                             build_ans_only, build_apr, build_apraci, build_qid,
                             build_qra, build_qraci, crop_task, plan_folds)
@@ -20,14 +20,14 @@ def make_example(i, subset="s"):
                      question=f"question {i}?", gold_answers=(f"answer{i}",))
 
 
-def make_categorized(i, category, rationale=None):
+def make_kept(i, category, rationale=None):
+    """Kept crop "c{i}" as the crop tasks take it: (verdict, crop, rationale)."""
     answer = NONE_SENTINEL if category == "irrelevant" else f"answer{i}"
-    return CategorizedExample(
-        example_id=f"c{i}", question=f"question {i}?",
-        image=ImageRef(id=f"i{i}", height=100, width=100),
-        rationale=rationale or Rationale.text(f"evidence {i}"),
-        category=category, effective_answer=answer,
-        scores=VerifierScores(-1.0, -2.0, "x"))
+    verdict = Verdict(example_id=f"c{i}", category=category, effective_answer=answer,
+                      scores=VerifierScores(-1.0, -2.0, "x"))
+    crop = QAExample(example_id=f"c{i}", image=ImageRef(id=f"i{i}", height=100, width=100),
+                     question=f"question {i}?", gold_answers=(f"answer{i}",))
+    return verdict, crop, rationale or Rationale.text(f"evidence {i}")
 
 
 class TestBuildQra:
@@ -169,11 +169,11 @@ class TestBuildApr:
 def fixture_30_crops():
     crops = []
     for i in range(10):
-        crops.append(make_categorized(i, "useful"))
+        crops.append(make_kept(i, "useful"))
     for i in range(10, 20):
-        crops.append(make_categorized(i, "irrelevant"))
+        crops.append(make_kept(i, "irrelevant"))
     for i in range(20, 30):
-        crops.append(make_categorized(i, "relevant-not-useful"))
+        crops.append(make_kept(i, "relevant-not-useful"))
     return crops
 
 
@@ -198,7 +198,7 @@ class TestRouting:
         qraci_ids = {r.example_id for r in build_qraci(crops)}
         apraci_ids = {r.example_id for r in build_apraci(crops)}
         assert qraci_ids & apraci_ids == set()
-        assert qraci_ids | apraci_ids == {c.example_id for c in crops}
+        assert qraci_ids | apraci_ids == {verdict.example_id for verdict, _, _ in crops}
 
     def test_every_output_parses_with_non_empty_answer(self):
         for rec in build_qraci(fixture_30_crops()):
@@ -209,7 +209,7 @@ class TestRouting:
     def test_a_flagged_crop_trains_only_an_answer(self, category, task):
         # a flagged rationale holds no program: it is no prediction target
         flagged = Rationale.program((("year", "2019"),), "", flagged=True)
-        crop = make_categorized(0, category, flagged)
+        crop = make_kept(0, category, flagged)
         routed = [r.task for r in build_qraci([crop]) + build_apraci([crop])]
         assert routed == ([task] if task else [])
         assert crop_task(category, True) == (task and task.replace("APRCI", "apraci"))
@@ -218,14 +218,21 @@ class TestRouting:
 CATEGORIES = ("useful", "irrelevant", "relevant-not-useful")
 
 
+FLAGGED = Rationale.program((("year", "2019"),), "", flagged=True)
+
+
 class TestRoutingProperties:
-    @given(categories=st.lists(st.sampled_from(CATEGORIES), max_size=40),
+    @given(crops=st.lists(st.tuples(st.sampled_from(CATEGORIES), st.booleans()), max_size=40),
            balanced=st.booleans(), seed=st.integers(0, 2**32))
     def test_every_crop_lands_in_one_task_with_the_answer_its_category_needs(
-            self, categories, balanced, seed):
-        crops = [make_categorized(i, c) for i, c in enumerate(categories)]
+            self, crops, balanced, seed):
+        # a flagged useful or irrelevant crop goes nowhere, a relevant-not-useful
+        # crop always to APRCI, and every other crop to exactly one task
+        crops = [make_kept(i, c, FLAGGED if flagged else None)
+                 for i, (c, flagged) in enumerate(crops)]
         if balanced:
-            crops, _ = balance(crops, seed=seed)
+            kept, _ = balance([verdict for verdict, _, _ in crops], seed=seed)
+            crops = [crop for crop in crops if crop[0] in kept]
         routed = {}
         for rec in build_qraci(crops):
             routed.setdefault(rec.example_id, []).append(
@@ -233,12 +240,14 @@ class TestRoutingProperties:
         for rec in build_apraci(crops):
             routed.setdefault(rec.example_id, []).append((rec.task, rec.decoder_output))
         expected = {}
-        for crop in crops:
-            gold = f"answer{crop.example_id[1:]}"  # make_categorized's gold for "c{i}"
-            expected[crop.example_id] = [{"useful": ("QRACI", gold),
-                                          "irrelevant": ("QRACI", NONE_SENTINEL),
-                                          "relevant-not-useful": ("APRCI", gold),
-                                          }[crop.category]]
+        for verdict, crop, rationale in crops:
+            if rationale.flagged and verdict.category != "relevant-not-useful":
+                continue
+            gold = crop.canonical_answer
+            expected[verdict.example_id] = [{"useful": ("QRACI", gold),
+                                             "irrelevant": ("QRACI", NONE_SENTINEL),
+                                             "relevant-not-useful": ("APRCI", gold),
+                                             }[verdict.category]]
         assert routed == expected
 
 
