@@ -175,24 +175,21 @@ def encode_program_rationale(table, program_source: str,
                              counter: TokenCounter = DEFAULT_COUNTER) -> str:
     """Encode "[table] <program> [program]" within the 64/44 budgets.
 
-    The table segment is trimmed by dropping whole trailing rows, then
-    trailing cells of the last remaining row, then that row. Each candidate
-    linearizes to a prefix of the whole table's linearization, so it is
-    taken as a slice of it.
+    `table` is a sequence of rows. It is linearized and counted once; a
+    table that fits the budget is taken whole. One that does not is trimmed
+    by dropping whole trailing rows, then trailing cells of the last
+    remaining row, then that row (`_cut_table`). Escaping keeps the count
+    unless it changes the text, so the count is taken again only then.
     """
-    rows = [[str(c) for c in row] for row in table]
-    row_text = [_CELL_SEP.join(row) for row in rows]
-    full = _ROW_SEP.join(row_text)
-    # the candidates' lengths in drop order: fewer rows, then fewer cells of
-    # the first row, then none
-    cuts = (_part_ends(row_text, _ROW_SEP)[::-1]
-            + _part_ends(rows[0] if rows else [], _CELL_SEP)[-2::-1] + [0])
-    for cut in cuts:
-        lin = full[:cut]
-        if counter.count(lin) <= TABLE_BUDGET:
-            break
-    lin = escape_field(lin)
-    if counter.count(lin) > TABLE_BUDGET:  # pathological single cell
+    row_text = [_CELL_SEP.join(map(str, row)) for row in table]
+    lin = _ROW_SEP.join(row_text)
+    count = counter.count(lin)
+    if count > TABLE_BUDGET:
+        lin, count = _cut_table(table, row_text, lin, counter)
+    escaped = escape_field(lin)
+    if escaped != lin:
+        lin, count = escaped, counter.count(escaped)
+    if count > TABLE_BUDGET:  # pathological single cell
         lin = counter.truncate(lin, TABLE_BUDGET)
 
     prog = escape_field(program_source)
@@ -202,6 +199,24 @@ def encode_program_rationale(table, program_source: str,
     if lin:
         return f"{lin} {SEP_PROGRAM} {prog}"
     return f"{SEP_PROGRAM} {prog}"
+
+
+def _cut_table(table, row_text: list[str], full: str,
+               counter: TokenCounter) -> tuple[str, int]:
+    """The longest candidate cut of a table whose linearization `full`
+    (rows `row_text`) is over budget, and its count: fewer rows, then fewer
+    cells of the first row, then none. Each candidate linearizes to a prefix
+    of `full`, so it is taken as a slice of it; the last, empty, is taken
+    whatever its count."""
+    cuts = (_part_ends(row_text, _ROW_SEP)[-2::-1]
+            + _part_ends([str(c) for c in table[0]] if row_text else [], _CELL_SEP)[-2::-1]
+            + [0])
+    for cut in cuts:
+        lin = full[:cut]
+        count = counter.count(lin)
+        if count <= TABLE_BUDGET:
+            break
+    return lin, count
 
 
 def parse_answer(decoded: str) -> str:

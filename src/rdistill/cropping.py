@@ -73,16 +73,19 @@ def apply_plan(parent: QAExample, plan: CropPlan) -> list[QAExample]:
     """Produce one child example per window.
 
     Child OCR keeps only boxes lying fully inside the window, concatenated
-    in reading order (top-to-bottom, then left-to-right by box origin).
-    Box coordinates stay in the parent frame; the child ImageRef records
-    the window as crop metadata.
+    in reading order (top-to-bottom, then left-to-right by box origin; boxes
+    tied on both keep the parent's order). The parent's boxes are put in
+    that order once, and each window keeps those it holds, in turn. Box
+    coordinates stay in the parent frame; the child ImageRef records the
+    window as crop metadata.
     """
     if parent.ocr_text and parent.ocr_boxes is None:
         raise MissingBoxes(f"example {parent.example_id!r} has OCR text but no boxes")
 
+    ordered = sorted(parent.ocr_boxes or (), key=lambda b: (b.y0, b.x0))
     children = []
     for j, (start, end) in enumerate(plan.windows):
-        boxes = _boxes_in_window(parent.ocr_boxes or (), plan.axis, start, end)
+        boxes = _boxes_in_window(ordered, plan.axis, start, end)
         child_image = ImageRef(
             id=f"{parent.image.id}#c{j}",
             height=parent.image.height,
@@ -103,9 +106,7 @@ def apply_plan(parent: QAExample, plan: CropPlan) -> list[QAExample]:
 
 
 def _boxes_in_window(boxes, axis: str, start: int, end: int) -> tuple[OcrBox, ...]:
+    """The boxes lying fully inside the window, in their order in `boxes`."""
     if axis == "height":
-        inside = [b for b in boxes if start <= b.y0 and b.y1 <= end]
-    else:
-        inside = [b for b in boxes if start <= b.x0 and b.x1 <= end]
-    inside.sort(key=lambda b: (b.y0, b.x0))
-    return tuple(inside)
+        return tuple([b for b in boxes if start <= b.y0 and b.y1 <= end])
+    return tuple([b for b in boxes if start <= b.x0 and b.x1 <= end])

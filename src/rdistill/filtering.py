@@ -9,7 +9,9 @@ test asks whether the rationale boosts the gold answer's score by the
 configured factor; failures are *relevant-not-useful*, passes are *useful*.
 
 Balancing subsamples the None-labeled examples down to
-max(n_bad_r - n_good_r, 0), capped by supply, with a seeded generator.
+max(n_bad_r - n_good_r, 0), capped by supply, with a seeded generator. The
+pipeline balances only the verdicts of crops a task takes, so the counts
+describe what the crop tasks hold.
 """
 
 from __future__ import annotations
@@ -99,6 +101,9 @@ def balance(categorized: list[Verdict],
             seed: int) -> tuple[list[Verdict], BalanceReport]:
     """Subsample None-labeled examples; keep everything else.
 
+    The report counts the verdicts it is given: the filter stage gives it
+    only those of crops `tasks.crop_task` routes to a task, so a flagged
+    useful or irrelevant crop counts in neither the quota nor the report.
     Deterministic given the seed; kept examples preserve input order.
     """
     none_idx = [i for i, c in enumerate(categorized) if c.category == "irrelevant"]

@@ -35,7 +35,9 @@ ends.
 
 Filter is a pure function of the stored scores: it zips the crops (for
 their gold answers) with the scores, both sorted by example_id, and
-writes verdict lines (example_id, category, effective answer, scores). A
+writes verdict lines (example_id, category, effective answer, scores). It
+balances only the verdicts of crops a task takes, so it reads the crop
+rationales too, for their flags. A
 λ retune thus needs no reachable tool endpoint. Build-tasks pairs each
 verdict with its crop and crop rationale for the crop tasks, whose
 builders route them, and writes one task file at a time; with
@@ -715,11 +717,25 @@ def _verdicts(cfg: filtering.FilterConfig, handoff: _Handoff, examples: list[QAE
 
 
 def stage_filter(config: PipelineConfig, handoff: _Handoff, entry: _Entry) -> dict:
-    """Categorize each crop from its stored scores, and balance; calls no tool."""
+    """Categorize each crop from its stored scores, and balance the verdicts
+    of the crops a task takes; calls no tool. A crop whose rationale is
+    flagged and whose verdict is not relevant-not-useful goes to no task
+    (`tasks.crop_task`), so it is left out before balancing and counts in
+    neither the None quota nor the report."""
     ds = entry.datasets[0]
     crops = handoff.take(stage_file(config, ds, "crops"), _read_headers)
+    rationales_path = stage_file(config, ds, "crop_rationales")
+    rationales = handoff.take(rationales_path, _read_rationales)
     categorized = _verdicts(config.filter, handoff, crops, stage_file(config, ds, "scores"))
-    kept, report = filtering.balance(categorized, seed=config.seed)
+    routed = []
+    for verdict in categorized:
+        rationale = rationales.get(verdict.example_id)
+        if rationale is None:
+            raise MalformedRecord(f"{rationales_path}: no crop rationale for "
+                                  f"{verdict.example_id!r}")
+        if tasks.crop_task(verdict.category, rationale.flagged):
+            routed.append(verdict)
+    kept, report = filtering.balance(routed, seed=config.seed)
     _write_json_atomic(stage_file(config, ds, "balance"), report.to_json())
     path = stage_file(config, ds, "categorized")
     _write_atomic(path, (serialize_categorized(v) for v in kept))
@@ -824,7 +840,7 @@ _STAGE_TABLE = {
                              writes=("whole_scores",), whole_image=("whole_scores",)),
     },
     "filter": {
-        "categorized": _Row(("crops", "scores"), ("seed", "filter"),
+        "categorized": _Row(("crops", "scores", "crop_rationales"), ("seed", "filter"),
                             writes=("categorized", "balance")),
     },
     # the crop tasks first, so the crops and crop rationales are released

@@ -6,9 +6,18 @@ line endings, with a fixed field order so identical inputs always
 produce byte-identical output.
 
 Every JSONL line the package writes (stage, task, prediction and
-response-cache lines) goes through one encoder, `_dumps`, built once at
-import. A line keeps the bytes of `json.dumps(obj, ensure_ascii=False,
-separators=(",", ":"))`, NaN and infinities included. Every JSONL line the
+response-cache lines) has the bytes of one encoder, `_dumps`, built once at
+import: those of `json.dumps(obj, ensure_ascii=False, separators=(",",
+":"))`, NaN and infinities included. The stage and task lines a build
+writes per record (`serialize_example`, `serialize_scores`,
+`serialize_categorized`, `serialize_record`) are each one f-string of
+`_string`, `_image_json` and `_dumps` of the nested values: the bytes
+`_dumps` writes for the record's dict, with no dict built. The record
+types check that what such a line writes as a string is a str: an example
+id and gold answers (`_check_gold`), a question and OCR text
+(`QAExample`), an image's strings (`ImageRef`) and a verifier's greedy
+answer (`VerifierScores`).
+Rationale lines are `_dumps(Rationale.to_json())`. Every JSONL line the
 package reads (stage, task, beam, prediction and response-cache lines, and
 HTTP replies) goes through one decoder, `_loads`, built once at import: it
 returns what `json.loads` returns and raises what it raises. A line whose
@@ -179,6 +188,10 @@ class QAExample:
 
     def __post_init__(self):
         _check_gold(self.example_id, self.gold_answers)
+        if not (isinstance(self.question, str) and isinstance(self.ocr_text, str)):
+            name = "ocr_text" if isinstance(self.question, str) else "question"
+            raise ValueError(f"example {self.example_id!r}: {name} "
+                             f"{getattr(self, name)!r} is not a string")
         if self.ocr_boxes:
             for b in self.ocr_boxes:
                 if not (0 <= b.x0 <= b.x1 <= self.image.width
@@ -258,8 +271,13 @@ class Rationale:
 
     @classmethod
     def program(cls, table, program_source: str, flagged: bool = False) -> "Rationale":
-        return cls(kind=TABLE_PROGRAM, table=tuple(tuple(r) for r in table),
-                   program_source=program_source, flagged=flagged)
+        """A table-program rationale. A `table` that already is a tuple of
+        tuples is kept, not copied, so the rationales of a page's crops all
+        hold the page's one table; any other is copied into one."""
+        if not (type(table) is tuple and all(type(r) is tuple for r in table)):
+            table = tuple(tuple(r) for r in table)
+        return cls(kind=TABLE_PROGRAM, table=table, program_source=program_source,
+                   flagged=flagged)
 
     def to_json(self) -> dict:
         return {
@@ -288,6 +306,10 @@ class VerifierScores:
     logp_with: float
     logp_without: float
     greedy: str
+
+    def __post_init__(self):
+        if not isinstance(self.greedy, str):
+            raise ValueError(f"greedy {self.greedy!r} is not a string")
 
     def to_json(self) -> dict:
         return {"logp_with": self.logp_with, "logp_without": self.logp_without,
@@ -461,7 +483,18 @@ def parse_record(line: str, line_no: int = 0) -> TaskRecord:
 
 
 def serialize_example(example: QAExample) -> str:
-    return _dumps(example.to_json())
+    """An example line: the line `_dumps` writes for `example.to_json()`,
+    put together without building that dict. Its id, question, gold answers
+    and OCR text are strings and its image `_image_json`'s, since QAExample
+    and ImageRef refuse anything else; its OCR boxes and table go through
+    `_dumps`."""
+    boxes, table = example.ocr_boxes, example.structured_table
+    return (f'{{"example_id":{_string(example.example_id)},'
+            f'"image":{_image_json(example.image)},"question":{_string(example.question)},'
+            f'"gold_answers":[{",".join(map(_string, example.gold_answers))}],'
+            f'"ocr_text":{_string(example.ocr_text)},'
+            f'"ocr_boxes":{"null" if boxes is None else _dumps([b.to_json() for b in boxes])},'
+            f'"structured_table":{"null" if table is None else _dumps(table)}}}')
 
 
 def parse_example(line: str, line_no: int = 0) -> QAExample:
@@ -491,13 +524,14 @@ def parse_gold(line: str, line_no: int = 0) -> tuple[str, tuple[str, ...]]:
 
 
 def serialize_categorized(verdict: Verdict) -> str:
-    """A verdict line: example_id, category, effective_answer and scores."""
-    return _dumps({
-        "example_id": verdict.example_id,
-        "category": verdict.category,
-        "effective_answer": verdict.effective_answer,
-        "scores": verdict.scores.to_json(),
-    })
+    """A verdict line: the line `_dumps` writes for {"example_id",
+    "category", "effective_answer", "scores"}, put together without building
+    that dict (see `_scores_json`). Its example_id is its crop's, and its
+    effective answer the crop's gold answer or the None sentinel."""
+    return (f'{{"example_id":{_string(verdict.example_id)},'
+            f'"category":{_string(verdict.category)},'
+            f'"effective_answer":{_string(verdict.effective_answer)},'
+            f'"scores":{_scores_json(verdict.scores)}}}')
 
 
 def parse_categorized(line: str, line_no: int = 0) -> Verdict:
@@ -509,9 +543,30 @@ def parse_categorized(line: str, line_no: int = 0) -> Verdict:
         scores=VerifierScores.from_json(obj["scores"])))
 
 
+_INF = float("inf")
+
+
+def _float_json(value) -> str:
+    """What `_dumps` writes for a score: `float.__repr__` of a finite float,
+    and `_dumps`' own text for anything else (NaN, an infinity, an int)."""
+    if type(value) is float and -_INF < value < _INF:
+        return value.__repr__()
+    return _dumps(value)
+
+
+def _scores_json(scores: VerifierScores) -> str:
+    """`_dumps(scores.to_json())` without the dict: greedy is a str, since
+    VerifierScores refuses anything else."""
+    return (f'{{"logp_with":{_float_json(scores.logp_with)},'
+            f'"logp_without":{_float_json(scores.logp_without)},'
+            f'"greedy":{_string(scores.greedy)}}}')
+
+
 def serialize_scores(example_id: str, scores: VerifierScores) -> str:
-    """A scores line: example_id and the scores object a verdict line holds."""
-    return _dumps({"example_id": example_id, "scores": scores.to_json()})
+    """A scores line: example_id and the scores object a verdict line holds,
+    the line `_dumps` writes for {"example_id", "scores"}, put together
+    without building that dict."""
+    return f'{{"example_id":{_string(example_id)},"scores":{_scores_json(scores)}}}'
 
 
 def parse_scores(line: str, line_no: int = 0) -> tuple[str, VerifierScores]:

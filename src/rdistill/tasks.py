@@ -7,7 +7,8 @@ exclusive over crops whose rationale is not flagged: useful crops go to
 QRACI with the gold answer, irrelevant crops to QRACI with the None
 sentinel, and relevant-not-useful crops to APRCI (answer-only given the
 noisy rationale in the decoder input), flagged or not; a flagged useful or
-irrelevant crop goes to no task. APR pairs each example with three
+irrelevant crop goes to no task, and the filter stage leaves it out of its
+balance. APR pairs each example with three
 student-sampled rationales from a model trained on the other folds.
 """
 
@@ -133,14 +134,14 @@ def build_apr(examples: Iterable[QAExample],
     records = []
     for ex, fold in zip(examples, folds):
         samples = students[fold].sample_rationales(ex.image, ex.question, STUDENT_SAMPLES)
+        answer = _answer_only(ex.canonical_answer, counter)
         for r_hat in samples:
-            decoder_input = _trim_input(ex.question, r_hat, counter)
             records.append(TaskRecord(
                 task="APR",
                 example_id=ex.example_id,
                 image=ex.image,
-                decoder_input=decoder_input,
-                decoder_output=_answer_only(ex.canonical_answer, counter),
+                decoder_input=_trim_input(ex.question, r_hat, counter),
+                decoder_output=answer,
             ))
     return records
 

@@ -267,3 +267,107 @@ target_field = (st.lists(target_word, max_size=30).map(" ".join)
 def test_target_trim_matches_the_recounting_reference(counter, question, rationale, answer):
     assert encode_target(question, rationale, answer, counter) \
         == naive_encode_target(question, rationale, answer, counter)
+
+
+def cut_search_encode_program_rationale(table, program_source, counter):
+    """The table trim before a table that fits skipped the cut search: every
+    candidate cut, the whole table first, tried in turn; then escaped and
+    counted again."""
+    rows = [[str(c) for c in row] for row in table]
+    row_text = [" | ".join(row) for row in rows]
+    full = " \n ".join(row_text)
+
+    def ends(parts, sep):
+        out, end = [], -len(sep)
+        for part in parts:
+            end += len(sep) + len(part)
+            out.append(end)
+        return out
+
+    cuts = ends(row_text, " \n ")[::-1] + ends(rows[0] if rows else [], " | ")[-2::-1] + [0]
+    for cut in cuts:
+        lin = full[:cut]
+        if counter.count(lin) <= TABLE_BUDGET:
+            break
+    lin = escape_field(lin)
+    if counter.count(lin) > TABLE_BUDGET:
+        lin = counter.truncate(lin, TABLE_BUDGET)
+    prog = escape_field(program_source)
+    if counter.count(prog) > PROGRAM_BUDGET:
+        prog = counter.truncate(prog, PROGRAM_BUDGET)
+    return f"{lin} <program> {prog}" if lin else f"<program> {prog}"
+
+
+def as_tuples(table):
+    return tuple(tuple(row) for row in table)
+
+
+# tables that fit, that need rows or cells dropped, whose first cell alone is
+# over budget, that hold separators, and empty ones; as lists or as tuples
+cut_tables = st.one_of(
+    st.lists(st.lists(any_cell, max_size=6), max_size=8),
+    st.lists(st.lists(any_cell, max_size=10), max_size=60),
+    st.lists(st.lists(wide_cell, min_size=1, max_size=10), min_size=1, max_size=2),
+    st.builds(lambda n, rest: [[" ".join(["w"] * n)] + rest], st.integers(60, 200),
+              st.lists(any_cell, max_size=3)),
+    st.lists(st.lists(st.sampled_from(["<s>", "a<b", "<", "<program>", "x"]), max_size=4),
+             max_size=6),
+    st.just([]), st.just([[]]),
+).flatmap(lambda t: st.sampled_from([t, as_tuples(t)]))
+
+
+class EscapeHeavyCounter(WordCounter):
+    """Words, and 30 tokens more for each escaped separator: a counter under
+    which escaping a table can take it over budget."""
+
+    def count(self, text):
+        return super().count(text) + 30 * text.count("⟨")
+
+    def truncate(self, text, max_tokens):
+        kept = []
+        for word in text.split():
+            if self.count(" ".join(kept + [word])) > max_tokens:
+                break
+            kept.append(word)
+        return text if len(kept) == len(text.split()) else " ".join(kept)
+
+
+@pytest.mark.parametrize("counter", [WORD, CHAR4, EscapeHeavyCounter()],
+                         ids=["word", "char4", "escape-heavy"])
+@settings(max_examples=300)
+@given(table=cut_tables, program=st.text(max_size=40)
+       | st.text(alphabet="Add(1, 2) <program>", min_size=100, max_size=300))
+@example(table=[["a", "b"], ["c", "d"]], program="Div(1, 2)")
+@example(table=(("<s>", "b"),), program="")
+@example(table=[["w " * 100]], program="x")
+@example(table=[[" ".join(["w"] * 30), " ".join(["w"] * 40)]], program="Add(1, 2)")
+@example(table=[[]], program="Add(1, 2)")
+@example(table=[[" ".join(["w"] * 64)]], program="x")            # exactly the budget
+@example(table=[[" ".join(["w"] * 64)], ["x"]], program="x")     # one word over it
+@example(table=[["<s>", "<s>", "<s>"]], program="x")
+def test_program_encoding_matches_the_full_cut_search(counter, table, program):
+    assert encode_program_rationale(table, program, counter) \
+        == cut_search_encode_program_rationale(table, program, counter)
+
+
+class CountingCounter:
+    """A counter that notes each text it counts."""
+
+    def __init__(self, counter):
+        self.counter, self.counted = counter, []
+
+    def count(self, text):
+        self.counted.append(text)
+        return self.counter.count(text)
+
+    def truncate(self, text, max_tokens):
+        return self.counter.truncate(text, max_tokens)
+
+
+@pytest.mark.parametrize("counter", [WORD, CHAR4], ids=["word", "char4"])
+@pytest.mark.parametrize("table", [[["a", "b"], ["c", 1]], (("a",),), []],
+                         ids=["list", "tuple", "empty"])
+def test_a_table_that_fits_is_counted_once(counter, table):
+    counting = CountingCounter(counter)
+    encode_program_rationale(table, "Add(1, 2)", counting)
+    assert counting.counted == [linearize_table(table), "Add(1, 2)"]

@@ -143,3 +143,50 @@ class TestApplyPlan:
                            question="q", gold_answers=("a",), ocr_text="some text")
         with pytest.raises(MissingBoxes):
             apply_plan(parent, plan_crops(1000, 400))
+
+
+def per_window_sort(parent, plan):
+    """What each child's OCR was before the parent's boxes were sorted once:
+    the boxes inside the window, sorted per window into reading order."""
+    out = []
+    for start, end in plan.windows:
+        if plan.axis == "height":
+            inside = [b for b in parent.ocr_boxes if start <= b.y0 and b.y1 <= end]
+        else:
+            inside = [b for b in parent.ocr_boxes if start <= b.x0 and b.x1 <= end]
+        inside.sort(key=lambda b: (b.y0, b.x0))
+        out.append(tuple(inside))
+    return out
+
+
+@st.composite
+def parents_with_boxes(draw):
+    height, width = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    # few distinct coordinates, so many boxes tie on (y0, x0)
+    xs, ys = st.integers(0, min(width, 4)), st.integers(0, min(height, 4))
+    boxes = []
+    for text in draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=2), max_size=12)):
+        x0, y0 = draw(xs), draw(ys)
+        x1 = draw(st.integers(x0, width))
+        y1 = draw(st.integers(y0, height))
+        boxes.append(OcrBox(text, x0, y0, x1, y1))
+    return make_parent(h=height, w=width, boxes=boxes)
+
+
+@given(parents_with_boxes(), st.sampled_from(["verbatim", FULL_COVERAGE]))
+def test_apply_plan_equals_a_per_window_sort(parent, mode):
+    plan = plan_crops(parent.image.height, parent.image.width, mode)
+    children = apply_plan(parent, plan)
+    want = per_window_sort(parent, plan)
+    assert [child.ocr_boxes for child in children] == want
+    assert [child.ocr_text for child in children] == [" ".join(b.text for b in w) for w in want]
+    # equal boxes compare equal: the tie order shows in their identity
+    assert [[id(b) for b in child.ocr_boxes] for child in children] == \
+        [[id(b) for b in w] for w in want]
+
+
+def test_tied_boxes_keep_the_parents_order():
+    boxes = (OcrBox("second", 5, 5, 9, 9), OcrBox("b", 0, 0, 1, 1), OcrBox("third", 5, 5, 6, 6),
+             OcrBox("a", 0, 0, 2, 2))
+    parent = make_parent(h=400, w=400, boxes=boxes)
+    assert apply_plan(parent, plan_crops(400, 400))[0].ocr_text == "b a second third"

@@ -24,7 +24,7 @@ from click.testing import CliRunner
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rdistill import cli, cropping, fixtures, pipeline, tasks, tools
-from rdistill.codec import CharBlockCounter, WordCounter
+from rdistill.codec import CharBlockCounter, WordCounter, parse_answer
 from rdistill.filtering import FilterConfig
 from rdistill.pipeline import (DatasetConfig, PipelineConfig, StageFailure,
                                TemplateConfig, default_mock_config, run, validate)
@@ -710,20 +710,22 @@ class TestInRunHandoff:
         _, keys = handoff_of(config, stages)
         assert keys.index("apraci") < min(keys.index("qra"), keys.index("apr"))
 
-    @pytest.mark.parametrize("stages,crops_reader", [
-        (list(pipeline.STAGES), "filter/categorized"),
-        (["crop", "generate-rationales", "build-tasks"], "generate-rationales/crop_rationales"),
+    # filter reads the crop rationales too, to leave flagged ones out of its balance
+    @pytest.mark.parametrize("stages,crops_reader,rationales_reader", [
+        (list(pipeline.STAGES), "filter/categorized", "filter/categorized"),
+        (["crop", "generate-rationales", "build-tasks"], "generate-rationales/crop_rationales",
+         None),
     ], ids=["with-filter", "without-filter"])
     def test_build_tasks_keeps_no_crops_for_tasks_that_read_none(self, tmp_path, stages,
-                                                                 crops_reader):
+                                                                 crops_reader, rationales_reader):
         config = default_mock_config(str(tmp_path / "subset"), seed=0)
         config.tasks = ("qid", "qra")
         readers = last_readers(config, stages)
         for ds in config.datasets:
             assert {kind: readers.get(pipeline.stage_file(config, ds, kind))
                     for kind in ("crops", "crop_rationales", "categorized", "rationales")} \
-                == {"crops": crops_reader, "crop_rationales": None, "categorized": None,
-                    "rationales": "build-tasks/qra"}
+                == {"crops": crops_reader, "crop_rationales": rationales_reader,
+                    "categorized": None, "rationales": "build-tasks/qra"}
 
     def test_build_tasks_alone_parses_each_file_once(self, tmp_path, parses):
         config = default_mock_config(str(tmp_path / "once"), seed=0)
@@ -1536,6 +1538,35 @@ def test_crop_tasks_hold_each_routed_kept_crop_once(name, mock_run, fc_run):
         assert (len(routed["QRACI"]), len(routed["APRCI"])) == (27, 35)
 
 
+@pytest.mark.parametrize("name", ["mock", "fc", "no-valid-program"])
+def test_the_balance_counts_only_crops_a_task_takes(name, mock_run, fc_run, tmp_path,
+                                                     monkeypatch):
+    # filter leaves a flagged useful or irrelevant crop out before balancing,
+    # so each balance report counts exactly what the crop tasks hold
+    if name == "no-valid-program":
+        def clients(config):
+            c = fixtures.make_mock_clients(seed=config.mock_seed)
+            c.programmer = _NoValidProgram()
+            return c
+
+        monkeypatch.setattr(pipeline, "make_clients", clients)
+        config = default_mock_config(str(tmp_path / "flagged"), seed=0)
+        run(config)
+    else:
+        config, _ = {"mock": mock_run, "fc": fc_run}[name]
+    records = records_by_dataset(config.out_dir)
+    for ds in config.datasets:
+        with open(pipeline.stage_file(config, ds, "balance"), encoding="utf-8") as f:
+            report = json.load(f)
+        answers = [parse_answer(json.loads(line)["decoder_output"])
+                   for line in records["QRACI.jsonl", ds.name]]
+        assert (report["n_good_r"], report["n_none_kept"], report["n_bad_r"]) == \
+            (sum(a != "None" for a in answers), answers.count("None"),
+             len(records["APRCI.jsonl", ds.name]))
+    if name == "no-valid-program":   # every chart rationale is flagged
+        assert report["n_good_r"] == report["n_none"] == 0 < report["n_bad_r"]
+
+
 def spy_stage(monkeypatch, stage, error=None):
     """Patch `_STAGE_FNS[stage]` to note the key of each entry it is called
     for and, with `error`, to raise it at the second; returns the keys."""
@@ -1726,6 +1757,17 @@ class TestStageIsolation:
         scores = pipeline.stage_file(config, config.datasets[0], "scores")
         write_lines(scores, change(list(read_lines(scores))))
         with pytest.raises(StageFailure, match="scores") as exc:
+            run(config, ["filter"])
+        assert isinstance(exc.value.cause, MalformedRecord)
+
+    def test_filter_rejects_a_crop_without_a_rationale(self, tmp_path):
+        # filter reads each crop's rationale, for its flag, before balancing
+        config = default_mock_config(str(tmp_path / "unexplained"), seed=0)
+        run(config, ["crop", "generate-rationales"])
+        path = pipeline.stage_file(config, config.datasets[0], "crop_rationales")
+        write_lines(path, list(read_lines(path))[1:])
+        with pytest.raises(StageFailure, match=re.escape(f"{path}: no crop rationale for ")) \
+                as exc:
             run(config, ["filter"])
         assert isinstance(exc.value.cause, MalformedRecord)
 

@@ -680,3 +680,103 @@ class TestParseHeader:
         parsed = parse_header(serialize_example(ex))
         assert (parsed.ocr_text, parsed.ocr_boxes, parsed.structured_table) == ("", None, None)
         same(parsed, header(ex))
+
+
+# text with what JSON escapes or leaves as it is, and the codec's separators
+writer_text = any_text | st.sampled_from(["<s>", "a <s> b", "<answer>", "<program>", '"',
+                                          "\\", "\x00\x1f", "é€😀"])
+answers = writer_text.filter(lambda a: not is_none_answer(a))
+# a table as a record may hold it: tuples or lists, of strings or of other JSON values
+writer_tables = (st.none() | tables
+                 | st.lists(st.lists(any_text | st.integers() | scores | st.none(), max_size=3),
+                            max_size=3))
+
+
+@st.composite
+def writer_examples(draw):
+    image = draw(images())
+    gold = draw(st.lists(answers, min_size=1, max_size=3))
+    return QAExample(
+        example_id=draw(writer_text), image=image, question=draw(writer_text),
+        gold_answers=tuple(gold) if draw(st.booleans()) else gold,
+        ocr_text=draw(writer_text),
+        ocr_boxes=draw(st.none() | st.lists(boxes_within(image), max_size=4).map(tuple)),
+        structured_table=draw(writer_tables))
+
+
+def any_scores():
+    return st.builds(VerifierScores, scores | st.booleans(), scores | st.booleans(),
+                     writer_text)
+
+
+@st.composite
+def any_verdicts(draw):
+    category = draw(st.sampled_from(CATEGORIES))
+    answer = "None" if category == "irrelevant" else draw(answers)
+    return Verdict(draw(writer_text), category, answer, draw(any_scores()))
+
+
+class TestWritersAreTheDumpedRecords:
+    """Each stage-line writer puts its line together without building the
+    record's dict, and writes exactly what `_dumps` writes for that dict."""
+
+    @given(writer_examples())
+    @example(QAExample("e", make_image(), "q <s> \"x\"", ["a"], "\x00", None, None))
+    def test_example(self, ex):
+        assert serialize_example(ex) == _dumps(ex.to_json())
+
+    @given(any_verdicts())
+    @example(Verdict("e", "useful", "a", VerifierScores(math.nan, -math.inf, "a")))
+    @example(Verdict("e", "useful", "a", VerifierScores(-0.0, 1, "")))
+    def test_verdict(self, verdict):
+        assert serialize_categorized(verdict) == _dumps({
+            "example_id": verdict.example_id, "category": verdict.category,
+            "effective_answer": verdict.effective_answer, "scores": verdict.scores.to_json()})
+
+    @given(writer_text, any_scores())
+    @example("e", VerifierScores(math.inf, math.nan, "<s>"))
+    @example("e", VerifierScores(True, 2 ** 70, "\u2028"))
+    def test_scores(self, example_id, s):
+        assert serialize_scores(example_id, s) == \
+            _dumps({"example_id": example_id, "scores": s.to_json()})
+
+
+@pytest.mark.parametrize("greedy", [5, 2.5, None, True, ["a"], {"a": 1}],
+                         ids=["int", "float", "null", "bool", "list", "object"])
+def test_a_greedy_answer_that_is_not_a_string_is_refused(greedy):
+    with pytest.raises(ValueError, match=r"^greedy .* is not a string$"):
+        VerifierScores(-1.0, -2.0, greedy)
+    s = {"logp_with": -1.0, "logp_without": -2.0, "greedy": greedy}
+    for parse, obj in ((parse_scores, {"example_id": "e", "scores": s}),
+                       (parse_categorized, {"example_id": "e", "category": "irrelevant",
+                                            "effective_answer": "None", "scores": s})):
+        parse(json.dumps(dict(obj, scores=dict(s, greedy="a"))), 5)
+        with pytest.raises(MalformedRecord, match=r"^line 5: greedy .* is not a string$"):
+            parse(json.dumps(obj), 5)
+
+
+@pytest.mark.parametrize("value", [5, 2.5, None, True, ["q"], {"q": 1}],
+                         ids=["int", "float", "null", "bool", "list", "object"])
+@pytest.mark.parametrize("field", ["question", "ocr_text"])
+def test_a_question_or_ocr_text_that_is_not_a_string_is_refused(field, value):
+    obj = example_dict(QAExample(example_id="e", image=make_image(), question="q",
+                                 gold_answers=("a",)))
+    parse_example(json.dumps(obj), 5)
+    obj[field] = value
+    for parse in (parse_example, parse_header) if field == "question" else (parse_example,):
+        with pytest.raises(MalformedRecord,
+                           match=f"^line 5: example 'e': {field} .* is not a string$"):
+            parse(json.dumps(obj), 5)
+    if field == "ocr_text":   # a header leaves it unread
+        assert parse_header(json.dumps(obj), 5).ocr_text == ""
+
+
+@given(writer_tables.filter(lambda t: t is not None)
+       | st.lists(st.lists(any_text, max_size=3).map(tuple), max_size=3).map(tuple)
+       | st.lists(st.lists(any_text, max_size=3), max_size=3).map(tuple))
+def test_a_program_rationale_keeps_a_tuple_table(table):
+    r = Rationale.program(table, "Add(1, 2)")
+    assert r.table == tuple(tuple(row) for row in table)
+    assert type(r.table) is tuple and all(type(row) is tuple for row in r.table)
+    tuple_of_tuples = type(table) is tuple and all(type(row) is tuple for row in table)
+    assert (r.table is table) == tuple_of_tuples

@@ -10,7 +10,7 @@ import types
 
 import pytest
 
-from rdistill import pipeline, tools
+from rdistill import cropping, fixtures, pipeline, tools
 from rdistill.codec import WordCounter
 from rdistill.filtering import FilterConfig
 from rdistill.records import Crop, ImageRef, QAExample
@@ -567,3 +567,13 @@ def test_threads_never_share_a_connection(keep_alive_server):
     ep.close()
     assert echoed == list(range(400))   # a connection used by two threads at once mixes replies
     assert handler.connections <= 8
+
+
+def test_the_rationales_of_a_pages_crops_share_its_table():
+    page = fixtures.make_chart_examples()[0]
+    crops = cropping.apply_plan(page, cropping.plan_crops(page.image.height, page.image.width))
+    clients = fixtures.make_mock_clients(seed=0)
+    rationales = [generate_rationale(crop, "table-program", clients, TEMPLATES)
+                  for crop in crops]
+    assert len(rationales) > 1
+    assert all(r.table is page.structured_table for r in rationales)
