@@ -67,10 +67,11 @@ from dataclasses import asdict, astuple, dataclass, field
 
 from . import cropping, filtering, fixtures, tasks, tools
 from .codec import CharBlockCounter, WordCounter
-from .records import (TASK_NAMES, MalformedRecord, QAExample, Rationale, Verdict,
-                      VerifierScores, _dumps, _parse_line, numbered_lines, parse_categorized,
-                      parse_example, parse_header, parse_scores, serialize_categorized,
-                      serialize_example, serialize_record, serialize_scores, write_lines)
+from .records import (STRING, TASK_NAMES, MalformedRecord, QAExample, Rationale, Verdict,
+                      VerifierScores, _dumps, _parse_line, _typed, numbered_lines,
+                      parse_categorized, parse_example, parse_header, parse_scores,
+                      serialize_categorized, serialize_example, serialize_record,
+                      serialize_scores, write_lines)
 
 log = logging.getLogger(__name__)
 
@@ -523,8 +524,8 @@ def _serialize_rationale_line(example_id: str, rationale: Rationale) -> str:
 
 
 def _parse_rationale_line(line: str, line_no: int = 0) -> tuple[str, Rationale]:
-    return _parse_line(line, line_no,
-                       lambda obj: (obj["example_id"], Rationale.from_json(obj["rationale"])))
+    return _parse_line(line, line_no, lambda obj: (
+        _typed(STRING, "example_id", obj["example_id"]), Rationale.from_json(obj["rationale"])))
 
 
 def _read(path: str, parse) -> list:

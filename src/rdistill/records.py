@@ -12,11 +12,16 @@ import: those of `json.dumps(obj, ensure_ascii=False, separators=(",",
 writes per record (`serialize_example`, `serialize_scores`,
 `serialize_categorized`, `serialize_record`) are each one f-string of
 `_string`, `_image_json` and `_dumps` of the nested values: the bytes
-`_dumps` writes for the record's dict, with no dict built. The record
-types check that what such a line writes as a string is a str: an example
-id and gold answers (`_check_gold`), a question and OCR text
-(`QAExample`), an image's strings (`ImageRef`) and a verifier's greedy
-answer (`VerifierScores`).
+`_dumps` writes for the record's dict, with no dict built.
+
+Records are plain data: building one checks nothing. Outside data enters
+through a line parser here (the `parse_*` functions and the `from_json`
+methods behind them) or an HTTP tool client (`tools`), which check each
+field they read, its type through `_typed`, so a bad field reads alike from
+each. A record built from checked records (a crop from its page, a verdict
+from its scores) is not checked again. So a string a line writes is a str,
+and a number an int or float.
+
 Rationale lines are `_dumps(Rationale.to_json())`. Every JSONL line the
 package reads (stage, task, beam, prediction and response-cache lines, and
 HTTP replies) goes through one decoder, `_loads`, built once at import: it
@@ -55,6 +60,29 @@ class MalformedRecord(ValueError):
         self.line_no = line_no
 
 
+STRING, INT, NUMBER = (str,), (int,), (int, float)   # the types a field of each kind may have
+_KIND_NAMES = {STRING: ("a string", "strings"), INT: ("an int", "ints"),
+               NUMBER: ("a number", "numbers")}
+
+
+def _typed(kind: tuple, name: str, value, where: str = ""):
+    """`value`, when it is exactly of a type of `kind` (a bool is no int and
+    no number), or is a tuple of such values, such as an image's height and
+    width. Else a ValueError worded alike for every field:
+    "<where><name> <value> is not <kind>", or for a tuple "<where><name> must
+    be <kind>s, not <value>, ... and <value>"."""
+    if type(value) in kind:
+        return value
+    if type(value) is tuple:    # no JSON value is one
+        for v in value:
+            if type(v) not in kind:
+                shown = [repr(v) for v in value]
+                raise ValueError(f"{where}{name} must be {_KIND_NAMES[kind][1]}, not "
+                                 f"{', '.join(shown[:-1])} and {shown[-1]}")
+        return value
+    raise ValueError(f"{where}{name} {value!r} is not {_KIND_NAMES[kind][0]}")
+
+
 @dataclass(frozen=True, slots=True)
 class Crop:
     """A window along one axis of the parent image, in parent pixel coords."""
@@ -63,23 +91,10 @@ class Crop:
     start: int
     end: int
 
-    def __post_init__(self):
-        if self.axis not in ("height", "width"):
-            raise ValueError(f"bad crop axis {self.axis!r}")
-        if type(self.start) is not int or type(self.end) is not int:
-            raise ValueError(f"crop start and end must be ints, not {self.start!r} "
-                             f"and {self.end!r}")
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"bad crop window [{self.start}, {self.end})")
-
 
 @dataclass(frozen=True, slots=True)
 class ImageRef:
     """Reference to an image: geometry plus an opaque id, no pixel data.
-
-    Its id and source_uri are strings, and its geometry and crop window are
-    ints, not bools or floats (`true`, `100.0`): pixel geometry is integral,
-    and a task line writes an image as exactly those types (`_image_json`).
 
     When `crop` is set, it marks a window on the *parent* geometry; height
     and width stay those of the parent so downstream consumers apply the
@@ -92,47 +107,41 @@ class ImageRef:
     crop: Crop | None = None
     source_uri: str = ""
 
-    def __post_init__(self):
-        if not (isinstance(self.id, str) and isinstance(self.source_uri, str)):
-            raise ValueError(f"image {self.id!r}: id and source_uri must be strings")
-        if type(self.height) is not int or type(self.width) is not int:
-            raise ValueError(f"image {self.id!r}: height and width must be ints, not "
-                             f"{self.height!r} and {self.width!r}")
-        if self.height <= 0 or self.width <= 0:
-            raise ValueError(f"image {self.id!r}: non-positive geometry")
-        if self.crop is not None:
-            extent = self.height if self.crop.axis == "height" else self.width
-            if self.crop.end > extent:
-                raise ValueError(
-                    f"image {self.id!r}: crop end {self.crop.end} exceeds extent {extent}"
-                )
-            # full-size except for a clamped final window
-            if self.crop.end - self.crop.start > min(self.height, self.width):
-                raise ValueError(f"image {self.id!r}: crop larger than short edge")
-
     def to_json(self) -> dict:
-        crop = None
-        if self.crop is not None:
-            crop = {"axis": self.crop.axis, "start": self.crop.start, "end": self.crop.end}
-        return {
-            "id": self.id,
-            "height": self.height,
-            "width": self.width,
-            "crop": crop,
-            "source_uri": self.source_uri,
-        }
+        crop = self.crop and {"axis": self.crop.axis, "start": self.crop.start,
+                              "end": self.crop.end}
+        return {"id": self.id, "height": self.height, "width": self.width, "crop": crop,
+                "source_uri": self.source_uri}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ImageRef":
+        """The image `obj` holds: its id and source_uri strings, its geometry
+        positive ints (not `true` or `100.0`: `_image_json` writes ints), and
+        its crop window inside its axis, no longer than the short edge."""
         image_id = obj["id"]    # first: a value that is not an object raises TypeError
-        crop = obj.get("crop")
-        return cls(
-            id=image_id,
-            height=obj["height"],
-            width=obj["width"],
-            crop=Crop(crop["axis"], crop["start"], crop["end"]) if crop else None,
-            source_uri=obj.get("source_uri", ""),
-        )
+        crop = obj.get("crop") or None
+        height, width = obj["height"], obj["width"]
+        if crop is not None:
+            crop = Crop(crop["axis"], crop["start"], crop["end"])
+            if crop.axis not in ("height", "width"):
+                raise ValueError(f"bad crop axis {crop.axis!r}")
+            _typed(INT, "start and end", (crop.start, crop.end), "crop ")
+            if not 0 <= crop.start < crop.end:
+                raise ValueError(f"bad crop window [{crop.start}, {crop.end})")
+        source_uri = obj.get("source_uri", "")
+        where = f"image {image_id!r}: "
+        _typed(STRING, "id and source_uri", (image_id, source_uri), where)
+        _typed(INT, "height and width", (height, width), where)
+        if height <= 0 or width <= 0:
+            raise ValueError(f"{where}non-positive geometry")
+        if crop is not None:
+            extent = height if crop.axis == "height" else width
+            if crop.end > extent:
+                raise ValueError(f"{where}crop end {crop.end} exceeds extent {extent}")
+            # full-size except for a clamped final window
+            if crop.end - crop.start > min(height, width):
+                raise ValueError(f"{where}crop larger than short edge")
+        return cls(image_id, height, width, crop, source_uri)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,30 +157,32 @@ class OcrBox:
     def to_json(self) -> list:
         return [self.text, self.x0, self.y0, self.x1, self.y1]
 
-    @classmethod
-    def from_json(cls, obj) -> "OcrBox":
-        return cls(obj[0], obj[1], obj[2], obj[3], obj[4])
+
+def _box(obj, image: ImageRef, where: str) -> OcrBox:
+    """The OCR box [text, x0, y0, x1, y1] `obj` holds: a string and four ints, within `image`."""
+    box = OcrBox(obj[0], obj[1], obj[2], obj[3], obj[4])
+    _typed(STRING, "OCR box text", box.text, where)
+    _typed(INT, "OCR box coordinates", (box.x0, box.y0, box.x1, box.y1), where)
+    if not (0 <= box.x0 <= box.x1 <= image.width and 0 <= box.y0 <= box.y1 <= image.height):
+        raise ValueError(f"{where}OCR box {box.text!r} outside image bounds")
+    return box
 
 
-def _check_gold(example_id, gold_answers) -> None:
-    """Refuse an example whose id is not a string, or whose gold answers are
-    not a non-empty list or tuple of strings, none of them the None sentinel."""
-    if not isinstance(example_id, str):
-        raise ValueError(f"example_id {example_id!r} is not a string")
-    if not isinstance(gold_answers, (list, tuple)) or not gold_answers:
+def _gold(obj: dict) -> tuple[str, tuple[str, ...]]:
+    """An example's id and gold answers: a string, and a non-empty list of
+    strings, none of them the None sentinel."""
+    example_id = _typed(STRING, "example_id", obj["example_id"])
+    answers = obj["gold_answers"]
+    answers = tuple(answers) if type(answers) is list else answers
+    if type(answers) is not tuple or not answers:
         raise ValueError(f"example {example_id!r}: gold_answers must be a non-empty "
-                         f"list of strings, not {gold_answers!r}")
-    for a in gold_answers:
-        if not isinstance(a, str):
-            raise ValueError(f"example {example_id!r}: gold answer {a!r} is not a string")
+                         f"list of strings, not {answers!r}")
+    where = f"example {example_id!r}: "
+    for a in answers:
+        _typed(STRING, "gold answer", a, where)
         if is_none_answer(a):
             raise ValueError(f"example {example_id!r}: gold answer collides with None sentinel")
-
-
-def _gold_tuple(value):
-    """A JSON gold_answers value as a record holds it: a list as a tuple,
-    anything else as it is, for `_check_gold` to refuse."""
-    return tuple(value) if isinstance(value, list) else value
+    return example_id, answers
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,20 +196,6 @@ class QAExample:
     ocr_text: str = ""
     ocr_boxes: tuple[OcrBox, ...] | None = None
     structured_table: tuple[tuple[str, ...], ...] | None = None
-
-    def __post_init__(self):
-        _check_gold(self.example_id, self.gold_answers)
-        if not (isinstance(self.question, str) and isinstance(self.ocr_text, str)):
-            name = "ocr_text" if isinstance(self.question, str) else "question"
-            raise ValueError(f"example {self.example_id!r}: {name} "
-                             f"{getattr(self, name)!r} is not a string")
-        if self.ocr_boxes:
-            for b in self.ocr_boxes:
-                if not (0 <= b.x0 <= b.x1 <= self.image.width
-                        and 0 <= b.y0 <= b.y1 <= self.image.height):
-                    raise ValueError(
-                        f"example {self.example_id!r}: OCR box {b.text!r} outside image bounds"
-                    )
 
     @property
     def canonical_answer(self) -> str:
@@ -218,22 +215,22 @@ class QAExample:
 
     @classmethod
     def from_json(cls, obj: dict, header_only: bool = False) -> "QAExample":
-        """The example `obj` holds. With `header_only`, its header: the id,
-        image, question and gold answers, checked alike; its OCR text, boxes
-        and table are neither built nor checked, and left at their defaults."""
-        example_id = obj["example_id"]  # first: a value that is not an object raises TypeError
-        header = (example_id, ImageRef.from_json(obj["image"]), obj["question"],
-                  _gold_tuple(obj["gold_answers"]))
+        """The example `obj` holds, its question and OCR text strings. With
+        `header_only`, its header: the id, image, question and gold answers,
+        checked alike; its OCR text, boxes and table are neither built nor
+        checked, and left at their defaults."""
+        example_id, gold = _gold(obj)   # first: a value that is not an object raises TypeError
+        image = ImageRef.from_json(obj["image"])
+        where = f"example {example_id!r}: "
+        question = _typed(STRING, "question", obj["question"], where)
         if header_only:
-            return cls(*header)
-        boxes = obj.get("ocr_boxes")
-        table = obj.get("structured_table")
+            return cls(example_id, image, question, gold)
+        boxes, table = obj.get("ocr_boxes"), obj.get("structured_table")
         return cls(
-            *header,
-            ocr_text=obj.get("ocr_text", ""),
-            ocr_boxes=tuple(OcrBox.from_json(b) for b in boxes) if boxes is not None else None,
-            structured_table=tuple(tuple(r) for r in table) if table is not None else None,
-        )
+            example_id, image, question, gold,
+            _typed(STRING, "ocr_text", obj.get("ocr_text", ""), where),
+            tuple(_box(b, image, where) for b in boxes) if boxes is not None else None,
+            tuple(tuple(r) for r in table) if table is not None else None)
 
 
 TEXT_EVIDENCE = "text_evidence"
@@ -254,16 +251,6 @@ class Rationale:
     table: tuple[tuple[str, ...], ...] = ()
     program_source: str = ""
     flagged: bool = False
-
-    def __post_init__(self):
-        if self.kind == TEXT_EVIDENCE:
-            if self.table or self.program_source:
-                raise ValueError("text-evidence rationale carries table/program fields")
-        elif self.kind == TABLE_PROGRAM:
-            if self.evidence:
-                raise ValueError("table-program rationale carries evidence field")
-        else:
-            raise ValueError(f"bad rationale kind {self.kind!r}")
 
     @classmethod
     def text(cls, evidence: str) -> "Rationale":
@@ -290,13 +277,20 @@ class Rationale:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Rationale":
-        return cls(
-            kind=obj["kind"],
-            evidence=obj.get("evidence", ""),
-            table=tuple(tuple(r) for r in obj.get("table", [])),
-            program_source=obj.get("program_source", ""),
-            flagged=obj.get("flagged", False),
-        )
+        """The rationale `obj` holds: text evidence with no table or program,
+        or a table and program with no evidence."""
+        r = cls(obj["kind"], obj.get("evidence", ""),
+                tuple(tuple(row) for row in obj.get("table", [])),
+                obj.get("program_source", ""), obj.get("flagged", False))
+        if r.kind == TEXT_EVIDENCE:
+            if r.table or r.program_source:
+                raise ValueError("text-evidence rationale carries table/program fields")
+        elif r.kind == TABLE_PROGRAM:
+            if r.evidence:
+                raise ValueError("table-program rationale carries evidence field")
+        else:
+            raise ValueError(f"bad rationale kind {r.kind!r}")
+        return r
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,17 +301,17 @@ class VerifierScores:
     logp_without: float
     greedy: str
 
-    def __post_init__(self):
-        if not isinstance(self.greedy, str):
-            raise ValueError(f"greedy {self.greedy!r} is not a string")
-
     def to_json(self) -> dict:
         return {"logp_with": self.logp_with, "logp_without": self.logp_without,
                 "greedy": self.greedy}
 
     @classmethod
     def from_json(cls, obj: dict) -> "VerifierScores":
-        return cls(obj["logp_with"], obj["logp_without"], obj["greedy"])
+        """The scores `obj` holds: two JSON numbers (NaN and the infinities
+        too, as `_float_json` writes them) and a string."""
+        return cls(_typed(NUMBER, "logp_with", obj["logp_with"]),
+                   _typed(NUMBER, "logp_without", obj["logp_without"]),
+                   _typed(STRING, "greedy", obj["greedy"]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,12 +326,6 @@ class Verdict:
     category: str
     effective_answer: str
     scores: VerifierScores
-
-    def __post_init__(self):
-        if self.category not in CATEGORIES:
-            raise ValueError(f"bad category {self.category!r}")
-        if (self.category == "irrelevant") != is_none_answer(self.effective_answer):
-            raise ValueError("irrelevant category must pair with the None sentinel answer")
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,10 +357,6 @@ class ScoredHypothesis:
     decoded: str
     prob: float
     line_no: int = field(default=0, compare=False)  # its line in the beam file, 0 if none
-
-    def __post_init__(self):
-        if not self.prob > 0:
-            raise ValueError("hypothesis probability must be > 0")
 
 
 def _make_dumps():
@@ -475,7 +459,7 @@ def parse_record(line: str, line_no: int = 0) -> TaskRecord:
     """Inverse of serialize_record; raises MalformedRecord on schema violations."""
     return _parse_line(line, line_no, lambda obj: TaskRecord(
         task=obj["task"],
-        example_id=obj["example_id"],
+        example_id=_typed(STRING, "example_id", obj["example_id"]),
         image=ImageRef.from_json(obj["image"]),
         decoder_input=obj["decoder_input"],
         decoder_output=obj["decoder_output"],
@@ -485,8 +469,8 @@ def parse_record(line: str, line_no: int = 0) -> TaskRecord:
 def serialize_example(example: QAExample) -> str:
     """An example line: the line `_dumps` writes for `example.to_json()`,
     put together without building that dict. Its id, question, gold answers
-    and OCR text are strings and its image `_image_json`'s, since QAExample
-    and ImageRef refuse anything else; its OCR boxes and table go through
+    and OCR text are strings and its image `_image_json`'s, as they are in
+    any example built from a parsed one; its OCR boxes and table go through
     `_dumps`."""
     boxes, table = example.ocr_boxes, example.structured_table
     return (f'{{"example_id":{_string(example.example_id)},'
@@ -510,12 +494,6 @@ def parse_header(line: str, line_no: int = 0) -> QAExample:
     return _parse_line(line, line_no, lambda obj: QAExample.from_json(obj, header_only=True))
 
 
-def _gold(obj: dict) -> tuple[str, tuple[str, ...]]:
-    example_id, answers = obj["example_id"], _gold_tuple(obj["gold_answers"])
-    _check_gold(example_id, answers)
-    return example_id, answers
-
-
 def parse_gold(line: str, line_no: int = 0) -> tuple[str, tuple[str, ...]]:
     """An example line's example_id and gold answers, checked as
     `parse_example` checks them; its other fields are neither built nor
@@ -537,10 +515,20 @@ def serialize_categorized(verdict: Verdict) -> str:
 def parse_categorized(line: str, line_no: int = 0) -> Verdict:
     """Inverse of serialize_categorized. Lines in the older full format, which
     also repeat the crop's question, image and rationale, parse to the same."""
-    return _parse_line(line, line_no, lambda obj: Verdict(
-        example_id=obj["example_id"], category=obj["category"],
-        effective_answer=obj["effective_answer"],
-        scores=VerifierScores.from_json(obj["scores"])))
+    return _parse_line(line, line_no, _verdict)
+
+
+def _verdict(obj: dict) -> Verdict:
+    """The verdict `obj` holds: a known category, and the None sentinel as
+    its effective answer exactly when the category is irrelevant."""
+    example_id = _typed(STRING, "example_id", obj["example_id"])
+    category, answer = obj["category"], obj["effective_answer"]
+    scores = VerifierScores.from_json(obj["scores"])
+    if category not in CATEGORIES:
+        raise ValueError(f"bad category {category!r}")
+    if (category == "irrelevant") != is_none_answer(_typed(STRING, "effective_answer", answer)):
+        raise ValueError("irrelevant category must pair with the None sentinel answer")
+    return Verdict(example_id, category, answer, scores)
 
 
 _INF = float("inf")
@@ -555,8 +543,8 @@ def _float_json(value) -> str:
 
 
 def _scores_json(scores: VerifierScores) -> str:
-    """`_dumps(scores.to_json())` without the dict: greedy is a str, since
-    VerifierScores refuses anything else."""
+    """`_dumps(scores.to_json())` without the dict: greedy is a str, as
+    `VerifierScores.from_json` and the verifier clients check."""
     return (f'{{"logp_with":{_float_json(scores.logp_with)},'
             f'"logp_without":{_float_json(scores.logp_without)},'
             f'"greedy":{_string(scores.greedy)}}}')
@@ -571,30 +559,26 @@ def serialize_scores(example_id: str, scores: VerifierScores) -> str:
 
 def parse_scores(line: str, line_no: int = 0) -> tuple[str, VerifierScores]:
     """Inverse of serialize_scores."""
-    return _parse_line(line, line_no,
-                       lambda obj: (obj["example_id"], VerifierScores.from_json(obj["scores"])))
-
-
-def _strings(obj: dict, first: str, second: str) -> tuple[str, str]:
-    """The fields `first` and `second` of `obj`; a TypeError unless both are strings."""
-    a, b = obj[first], obj[second]
-    if not (isinstance(a, str) and isinstance(b, str)):
-        raise TypeError(f"{first} and {second} must be strings")
-    return a, b
+    return _parse_line(line, line_no, lambda obj: (
+        _typed(STRING, "example_id", obj["example_id"]), VerifierScores.from_json(obj["scores"])))
 
 
 def parse_hypothesis(line: str, line_no: int = 0) -> tuple[str, ScoredHypothesis]:
     """A beam line, {"example_id", "decoded", "prob"}: its example_id and hypothesis."""
     def build(obj: dict) -> tuple[str, ScoredHypothesis]:
-        example_id, decoded = _strings(obj, "example_id", "decoded")
-        return example_id, ScoredHypothesis(decoded, obj["prob"], line_no)
+        example_id = _typed(STRING, "example_id", obj["example_id"])
+        decoded, prob = _typed(STRING, "decoded", obj["decoded"]), obj["prob"]
+        if not prob > 0:
+            raise ValueError("hypothesis probability must be > 0")
+        return example_id, ScoredHypothesis(decoded, prob, line_no)
 
     return _parse_line(line, line_no, build)
 
 
 def parse_prediction(line: str, line_no: int = 0) -> tuple[str, str]:
     """A prediction line, {"example_id", "answer", ...}: its example_id and answer."""
-    return _parse_line(line, line_no, lambda obj: _strings(obj, "example_id", "answer"))
+    return _parse_line(line, line_no, lambda obj: (
+        _typed(STRING, "example_id", obj["example_id"]), _typed(STRING, "answer", obj["answer"])))
 
 
 _WRITE_BATCH = 256   # lines joined into one write

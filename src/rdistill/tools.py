@@ -24,7 +24,8 @@ from typing import Protocol
 
 from . import dsl
 from .codec import DEFAULT_COUNTER, TokenCounter, encode_program_rationale
-from .records import ImageRef, OcrBox, QAExample, Rationale, _dumps, _loads
+from .records import (NUMBER, STRING, ImageRef, OcrBox, QAExample, Rationale, _dumps, _loads,
+                      _typed)
 
 log = logging.getLogger(__name__)
 
@@ -310,19 +311,23 @@ class HttpEndpoint:
         self._idle = []     # kept-alive connections; a cached rerun opens none
         self._lock = threading.Lock()
 
-    def cached_call(self, payload: dict) -> dict:
-        """call() through the response cache, when there is one."""
+    def cached_call(self, payload: dict, tool: str = "", **kinds) -> dict:
+        """call() through the response cache, when there is one: a reply
+        that call() refuses is never cached."""
         if self.cache is None:
-            return self.call(payload)
+            return self.call(payload, tool, **kinds)
         return self.cache.fetch(ResponseCache.key(self.url, payload),
-                                lambda: self.call(payload))
+                                lambda: self.call(payload, tool, **kinds))
 
-    def call(self, payload: dict) -> dict:
+    def call(self, payload: dict, tool: str = "", **kinds) -> dict:
         """One upstream request, retried on connection errors, timeouts and
         5xx; ToolFailure, with no retry, on a 3xx (no redirect is followed),
         a 4xx, or a 2xx whose body is not a JSON object in UTF-8 text: one
         whose strings escape a lone surrogate is refused too, so the response
-        cache is never handed a reply it cannot write."""
+        cache is never handed a reply it cannot write. `kinds` maps each
+        field the caller reads to its kind (`records.STRING`, `NUMBER`): a
+        reply missing one, or holding one of another kind, is a ToolFailure
+        of `tool` naming the field, with no retry."""
         import http.client     # with ssl (~1.6 MB), loaded by the first upstream call
 
         body = json.dumps(payload).encode("utf-8")
@@ -346,6 +351,13 @@ class HttpEndpoint:
                                           attempt + 1) from None
                     if not isinstance(out, dict):
                         raise ToolFailure(self.url, "response is not a JSON object", attempt + 1)
+                    try:
+                        for name, kind in kinds.items():
+                            _typed(kind, name, out[name])
+                    except KeyError as e:
+                        raise ToolFailure(tool, f"missing field {e}", attempt + 1) from None
+                    except ValueError as e:
+                        raise ToolFailure(tool, str(e), attempt + 1) from None
                     return out
                 if status < 500:
                     raise ToolFailure(self.url, f"HTTP {status}", attempt + 1)
@@ -407,7 +419,8 @@ class HttpSummarizerClient:
     def summarize(self, question, gold_answer, full_ocr, template):
         prompt = render_prompt(template, {
             "question": question, "answer": gold_answer, "ocr": full_ocr, "table": ""})
-        return self.endpoint.cached_call({"prompt": prompt, "temperature": 0.1})["text"]
+        return self.endpoint.cached_call({"prompt": prompt, "temperature": 0.1},
+                                         "summarizer", text=STRING)["text"]
 
 
 class HttpProgrammerClient:
@@ -418,7 +431,8 @@ class HttpProgrammerClient:
         prompt = render_prompt(template, {
             "question": question, "answer": gold_answer, "ocr": full_ocr,
             "table": "\n".join(" | ".join(r) for r in table)})
-        return self.endpoint.cached_call({"prompt": prompt, "temperature": 0.1})["text"]
+        return self.endpoint.cached_call({"prompt": prompt, "temperature": 0.1},
+                                         "programmer", text=STRING)["text"]
 
 
 class HttpOcrClient:
@@ -426,7 +440,7 @@ class HttpOcrClient:
         self.endpoint = endpoint
 
     def recognize(self, image):
-        out = self.endpoint.cached_call(_image_fields(image))
+        out = self.endpoint.cached_call(_image_fields(image), "ocr", text=STRING)
         boxes = [OcrBox(*b) for b in out.get("boxes", [])]
         return out["text"], boxes
 
@@ -447,14 +461,14 @@ class HttpVerifierClient:
         out = self.endpoint.cached_call({
             **_image_fields(image),
             "text_input": verifier_prompt(question, rationale),
-            "mode": "greedy"})
+            "mode": "greedy"}, "verifier", answer=STRING)
         return out["answer"]
 
     def answer_logprob(self, image, question, answer, rationale=None):
         out = self.endpoint.cached_call({
             **_image_fields(image),
             "text_input": verifier_prompt(question, rationale),
-            "mode": "score", "answer": answer})
+            "mode": "score", "answer": answer}, "verifier", logprob=NUMBER)
         return out["logprob"]
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import rdistill.records
+from rdistill.cropping import FULL_COVERAGE, VERBATIM, apply_plan, plan_crops
 from rdistill.pipeline import _parse_rationale_line, _serialize_rationale_line
 from rdistill.records import (CATEGORIES, TASK_NAMES, Crop, ImageRef,
                               MalformedRecord, OcrBox, QAExample, Rationale,
@@ -83,20 +84,31 @@ def test_serialization_injective(a, b):
 
 
 class TestInvariants:
+    """Records check nothing when built: a line's parsers refuse what no
+    record may hold, and a task record refuses a decoder pair its task
+    cannot have."""
+
+    def refused(self, parsers, reason, image=None, **fields):
+        obj = example_dict(QAExample(example_id="e", image=image or make_image(), question="q",
+                                     gold_answers=("a",)))
+        obj.update(fields, task="QID", decoder_input="", decoder_output="q <answer> a")
+        for parse in parsers:
+            with pytest.raises(MalformedRecord, match=f"^line 2: {re.escape(reason)}$"):
+                parse(json.dumps(obj), 2)
+
     def test_gold_answers_non_empty(self):
-        with pytest.raises(ValueError):
-            QAExample(example_id="e", image=make_image(), question="q", gold_answers=())
+        self.refused((parse_example, parse_header, parse_gold),
+                     "example 'e': gold_answers must be a non-empty list of strings, not ()",
+                     gold_answers=[])
 
     def test_none_sentinel_rejected_as_gold(self):
-        with pytest.raises(ValueError):
-            QAExample(example_id="e", image=make_image(), question="q",
-                      gold_answers=(" None ",))
+        self.refused((parse_example, parse_header, parse_gold),
+                     "example 'e': gold answer collides with None sentinel",
+                     gold_answers=[" None "])
 
     def test_ocr_box_out_of_bounds(self):
-        with pytest.raises(ValueError):
-            QAExample(example_id="e", image=make_image(h=100, w=100), question="q",
-                      gold_answers=("a",),
-                      ocr_boxes=(OcrBox("t", 0, 0, 150, 20),))
+        self.refused((parse_example,), "example 'e': OCR box 't' outside image bounds",
+                     image=make_image(h=100, w=100), ocr_boxes=[["t", 0, 0, 150, 20]])
 
     def test_decoder_input_empty_iff_input_free_task(self):
         with pytest.raises(ValueError):
@@ -105,12 +117,14 @@ class TestInvariants:
             make_record(task="APR", decoder_input="")
 
     def test_crop_within_extent(self):
-        with pytest.raises(ValueError):
-            make_image(h=400, w=400, crop=Crop("height", 100, 500))
+        self.refused((parse_example, parse_header, parse_record),
+                     "image 'img1': crop end 500 exceeds extent 400",
+                     image=make_image(h=400, w=400, crop=Crop("height", 100, 500)))
 
     def test_crop_larger_than_short_edge(self):
-        with pytest.raises(ValueError):
-            make_image(h=1000, w=400, crop=Crop("height", 0, 600))
+        self.refused((parse_example, parse_header, parse_record),
+                     "image 'img1': crop larger than short edge",
+                     image=make_image(h=1000, w=400, crop=Crop("height", 0, 600)))
 
 
 def test_example_round_trip():
@@ -289,6 +303,35 @@ class TestParseInvertsSerialize:
         assert _dumps(value) == PYTHON_DUMPS(value) == dumps(value)
 
 
+@st.composite
+def pages(draw):
+    """A dataset example as crop reads it: an uncropped image, and OCR boxes
+    whenever there is OCR text."""
+    image = ImageRef(id=draw(any_text), height=draw(st.integers(20, 400)),
+                     width=draw(st.integers(20, 400)), source_uri=draw(any_text))
+    boxes = draw(st.lists(boxes_within(image), max_size=6).map(tuple))
+    return QAExample(
+        example_id=draw(any_text), image=image, question=draw(any_text),
+        gold_answers=tuple(draw(st.lists(any_text.filter(lambda a: not is_none_answer(a)),
+                                         min_size=1, max_size=3))),
+        ocr_text=" ".join(b.text for b in boxes),
+        ocr_boxes=boxes or draw(st.sampled_from([None, ()])),
+        structured_table=draw(st.none() | tables))
+
+
+@pytest.mark.parametrize("mode", [VERBATIM, FULL_COVERAGE])
+@given(page=pages())
+def test_every_crop_of_a_parsed_page_parses_back_unchanged(mode, page):
+    """`apply_plan` builds its crops without checking them: every crop it
+    makes from a parsed page passes each check a crop line's parse makes,
+    and parses back to itself."""
+    parent = parse_example(serialize_example(page))
+    children = apply_plan(parent, plan_crops(parent.image.height, parent.image.width, mode))
+    assert children
+    for child in children:
+        same(parse_example(serialize_example(child)), child)
+
+
 # the encoder built where the C one is missing
 with unittest.mock.patch.object(json.encoder, "c_make_encoder", None):
     PYTHON_DUMPS = _make_dumps()
@@ -421,6 +464,55 @@ def test_an_image_of_other_types_is_refused(parse, image, bad):
         parse(json.dumps(obj), 4)
 
 
+@pytest.mark.parametrize("box,bad", [
+    ([5, 10, 20, 390, 50], "example 'e': OCR box text 5 is not a string"),
+    ([None, 0, 0, 1, 1], "example 'e': OCR box text None is not a string"),
+    (["t", True, 0, 1, 1], "example 'e': OCR box coordinates must be ints, not True, 0, 1 and 1"),
+    (["t", 0, 0, 20.5, 1], "example 'e': OCR box coordinates must be ints, not 0, 0, 20.5 and 1"),
+    (["t", 0, "0", 1, 1], "example 'e': OCR box coordinates must be ints, not 0, '0', 1 and 1"),
+], ids=["int-text", "null-text", "bool-x0", "float-x1", "string-y0"])
+def test_an_ocr_box_of_other_types_is_refused(box, bad):
+    """A box's text is a string and its coordinates whole pixels, as an
+    image's geometry is; a header leaves the boxes unread."""
+    obj = example_dict(QAExample(example_id="e", image=make_image(), question="q",
+                                 gold_answers=("a",)))
+    obj["ocr_boxes"] = [["t", 0, 0, 1, 1]]
+    parse_example(json.dumps(obj), 4)
+    obj["ocr_boxes"] = [["t", 0, 0, 1, 1], box]
+    with pytest.raises(MalformedRecord, match=f"^line 4: {re.escape(bad)}$"):
+        parse_example(json.dumps(obj), 4)
+    assert parse_header(json.dumps(obj), 4).ocr_boxes is None
+
+
+@pytest.mark.parametrize("value", [True, "x", None, [0.5], {"v": 1}],
+                         ids=["bool", "string", "null", "list", "object"])
+@pytest.mark.parametrize("field", ["logp_with", "logp_without"])
+@pytest.mark.parametrize("parse", [parse_scores, parse_categorized], ids=lambda p: p.__name__)
+def test_a_log_probability_that_is_not_a_number_is_refused(parse, field, value):
+    """A log-probability is a JSON int or float, NaN and the infinities
+    included, as `_float_json` writes them."""
+    obj = {"example_id": "e", "category": "useful", "effective_answer": "a",
+           "scores": {"logp_with": -1.0, "logp_without": -2, "greedy": "a"}}
+    for ok in (math.nan, math.inf, -math.inf, -0.5, 3):
+        obj["scores"][field] = ok
+        parsed = parse(json.dumps(obj), 5)
+        same(getattr(parsed[1] if parse is parse_scores else parsed.scores, field), ok)
+    obj["scores"][field] = value
+    with pytest.raises(MalformedRecord,
+                       match=f"^line 5: {field} {re.escape(repr(value))} is not a number$"):
+        parse(json.dumps(obj), 5)
+
+
+@pytest.mark.parametrize("parse,obj", [pytest.param(parse, obj, id=parse.__name__)
+                                       for parse, obj, _ in valid_lines()])
+@pytest.mark.parametrize("example_id", [5, None, ["e"]], ids=["int", "null", "list"])
+def test_every_parser_words_a_bad_example_id_alike(parse, obj, example_id):
+    parse(json.dumps(obj), 3)
+    with pytest.raises(MalformedRecord,
+                       match=f"^line 3: example_id {re.escape(repr(example_id))} is not a string$"):
+        parse(json.dumps({**obj, "example_id": example_id}), 3)
+
+
 @pytest.mark.parametrize("record", [
     Crop("height", 0, 1), make_image(), OcrBox("t", 0, 0, 1, 1), Rationale.text("t"),
     VerifierScores(-1.0, -2.0, "a"), Verdict("e", "useful", "a", VerifierScores(0.0, 0.0, "a")),
@@ -429,6 +521,15 @@ def test_an_image_of_other_types_is_refused(parse, image, bad):
 ], ids=lambda r: type(r).__name__)
 def test_records_are_slotted(record):
     assert not hasattr(record, "__dict__")
+
+
+def test_only_a_task_record_checks_itself():
+    """Records are plain data, checked where they enter, by a parser or an
+    HTTP client; a task record guards what the task files hold."""
+    for cls in (Crop, ImageRef, OcrBox, QAExample, Rationale, VerifierScores, Verdict,
+                ScoredHypothesis):
+        assert not hasattr(cls, "__post_init__"), cls
+    assert hasattr(TaskRecord, "__post_init__")
 
 
 def test_lines_are_written_whole_in_order(tmp_path):
@@ -744,8 +845,6 @@ class TestWritersAreTheDumpedRecords:
 @pytest.mark.parametrize("greedy", [5, 2.5, None, True, ["a"], {"a": 1}],
                          ids=["int", "float", "null", "bool", "list", "object"])
 def test_a_greedy_answer_that_is_not_a_string_is_refused(greedy):
-    with pytest.raises(ValueError, match=r"^greedy .* is not a string$"):
-        VerifierScores(-1.0, -2.0, greedy)
     s = {"logp_with": -1.0, "logp_without": -2.0, "greedy": greedy}
     for parse, obj in ((parse_scores, {"example_id": "e", "scores": s}),
                        (parse_categorized, {"example_id": "e", "category": "irrelevant",

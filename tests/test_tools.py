@@ -15,7 +15,7 @@ from rdistill.codec import WordCounter
 from rdistill.filtering import FilterConfig
 from rdistill.records import Crop, ImageRef, QAExample
 from rdistill.tools import (EVIDENCE_TOKEN_LIMIT, HttpEndpoint, HttpOcrClient,
-                            HttpVerifierClient,
+                            HttpProgrammerClient, HttpSummarizerClient, HttpVerifierClient,
                             MockOcrClient, MockProgrammerClient,
                             MockSummarizerClient, MockVerifierClient,
                             PromptTemplate, ResponseCache, RetryPolicy, Templates,
@@ -282,6 +282,59 @@ class TestHttpPayloads:
         url, handler = scripted_server([200], reply={"text": "t", "boxes": []})
         HttpOcrClient(HttpEndpoint(url, FAST)).recognize(self.IMAGE)
         assert handler.bodies == [self.WINDOW]
+
+
+# each HTTP tool call: its client, its tool, the reply field it reads, and the call
+TOOL_CALLS = {
+    "summarize": (HttpSummarizerClient, "summarizer", "text",
+                  lambda c: c.summarize("q", "a", "o", fixtures.SUMMARIZER_TEMPLATE)),
+    "write_program": (HttpProgrammerClient, "programmer", "text",
+                      lambda c: c.write_program("q", "a", "o", [["h"]],
+                                                fixtures.PROGRAMMER_TEMPLATE)),
+    "recognize": (HttpOcrClient, "ocr", "text", lambda c: c.recognize(TestHttpPayloads.IMAGE)[0]),
+    "greedy_answer": (HttpVerifierClient, "verifier", "answer",
+                      lambda c: c.greedy_answer(TestHttpPayloads.IMAGE, "q", "r")),
+    "answer_logprob": (HttpVerifierClient, "verifier", "logprob",
+                       lambda c: c.answer_logprob(TestHttpPayloads.IMAGE, "q", "a")),
+}
+GOOD_REPLY = {"text": "Find(1)", "answer": "A", "logprob": -1.5}
+
+
+@pytest.mark.parametrize("call,reply,cause", [
+    ("summarize", {"text": 5}, "text 5 is not a string"),
+    ("summarize", {}, "missing field 'text'"),
+    ("write_program", {"text": None}, "text None is not a string"),
+    ("write_program", {}, "missing field 'text'"),
+    ("recognize", {"text": ["t"]}, "text ['t'] is not a string"),
+    ("recognize", {"boxes": []}, "missing field 'text'"),
+    ("greedy_answer", {"answer": 5}, "answer 5 is not a string"),
+    ("greedy_answer", {"answer": None}, "answer None is not a string"),
+    ("answer_logprob", {"logprob": None}, "logprob None is not a number"),
+    ("answer_logprob", {"logprob": True}, "logprob True is not a number"),
+    ("answer_logprob", {"logprob": "-1.5"}, "logprob '-1.5' is not a number"),
+    ("answer_logprob", {}, "missing field 'logprob'"),
+], ids=["summarize-int", "summarize-missing", "write_program-null", "write_program-missing",
+        "recognize-list", "recognize-missing", "greedy_answer-int", "greedy_answer-null",
+        "answer_logprob-null", "answer_logprob-bool", "answer_logprob-string",
+        "answer_logprob-missing"])
+def test_an_ill_typed_reply_fails_uncached_and_a_rerun_asks_again(scripted_server, tmp_path,
+                                                                  call, reply, cause):
+    """A reply missing the field its client reads, or holding it as another
+    type, is a ToolFailure naming the tool and the field, with no retry; it
+    is not cached, so a rerun goes upstream again instead of replaying it."""
+    client, tool, field, ask = TOOL_CALLS[call]
+    url, handler = scripted_server([200], reply=reply)
+    path = tmp_path / "cache" / "responses.jsonl"
+    with pytest.raises(ToolFailure) as exc:
+        ask(client(HttpEndpoint(url, FAST, cache=ResponseCache(str(path)))))
+    assert (exc.value.tool, exc.value.cause, exc.value.attempts) == (tool, cause, 1)
+    assert handler.calls == 1
+    assert not path.exists()
+    handler.reply = GOOD_REPLY
+    assert ask(client(HttpEndpoint(url, FAST, cache=ResponseCache(str(path))))) == \
+        GOOD_REPLY[field]
+    assert handler.calls == 2
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
 
 
 def test_http_config_asks_plot_to_table_for_a_missing_table(scripted_server, tmp_path):
