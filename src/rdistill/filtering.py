@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .codec import DEFAULT_COUNTER, TokenCounter
 from .records import NONE_SENTINEL, QAExample, Rationale, Verdict, VerifierScores
@@ -45,13 +45,7 @@ class BalanceReport:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "n_none": self.n_none,
-            "n_bad_r": self.n_bad_r,
-            "n_good_r": self.n_good_r,
-            "n_none_kept": self.n_none_kept,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def is_useful(logp_with: float, logp_without: float, cfg: FilterConfig) -> bool:

@@ -17,10 +17,10 @@ writes per record (`serialize_example`, `serialize_scores`,
 Records are plain data: building one checks nothing. Outside data enters
 through a line parser here (the `parse_*` functions and the `from_json`
 methods behind them) or an HTTP tool client (`tools`), which check each
-field they read, its type through `_typed`, so a bad field reads alike from
-each. A record built from checked records (a crop from its page, a verdict
-from its scores) is not checked again. So a string a line writes is a str,
-and a number an int or float.
+field they read, its type through `_typed` (a table's through `_table`), so
+a bad field reads alike from each. A record built from checked records (a
+crop from its page, a verdict from its scores) is not checked again. So a
+string a line writes is a str, and a number an int or float.
 
 Rationale lines are `_dumps(Rationale.to_json())`. Every JSONL line the
 package reads (stage, task, beam, prediction and response-cache lines, and
@@ -60,9 +60,9 @@ class MalformedRecord(ValueError):
         self.line_no = line_no
 
 
-STRING, INT, NUMBER = (str,), (int,), (int, float)   # the types a field of each kind may have
+STRING, INT, NUMBER, BOOL = (str,), (int,), (int, float), (bool,)   # the types of each kind
 _KIND_NAMES = {STRING: ("a string", "strings"), INT: ("an int", "ints"),
-               NUMBER: ("a number", "numbers")}
+               NUMBER: ("a number", "numbers"), BOOL: ("a bool", "bools")}
 
 
 def _typed(kind: tuple, name: str, value, where: str = ""):
@@ -81,6 +81,17 @@ def _typed(kind: tuple, name: str, value, where: str = ""):
                                  f"{', '.join(shown[:-1])} and {shown[-1]}")
         return value
     raise ValueError(f"{where}{name} {value!r} is not {_KIND_NAMES[kind][0]}")
+
+
+def _table(name: str, rows, where: str = "") -> tuple[tuple[str, ...], ...]:
+    """`rows`, a list of lists of strings, as a tuple of tuples, else a ValueError
+    worded alike for the table of a dataset line, a rationale line and a
+    plot-to-table reply."""
+    if type(rows) is list and all([type(row) is list for row in rows]):
+        table = tuple(map(tuple, rows))
+        if all([type(cell) is str for row in table for cell in row]):
+            return table
+    raise ValueError(f"{where}{name} {rows!r} is not a list of lists of strings")
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,10 +226,10 @@ class QAExample:
 
     @classmethod
     def from_json(cls, obj: dict, header_only: bool = False) -> "QAExample":
-        """The example `obj` holds, its question and OCR text strings. With
-        `header_only`, its header: the id, image, question and gold answers,
-        checked alike; its OCR text, boxes and table are neither built nor
-        checked, and left at their defaults."""
+        """The example `obj` holds, its question and OCR text strings and its
+        table `_table`'s. With `header_only`, its header: the id, image,
+        question and gold answers, checked alike; its OCR text, boxes and
+        table are neither built nor checked, and left at their defaults."""
         example_id, gold = _gold(obj)   # first: a value that is not an object raises TypeError
         image = ImageRef.from_json(obj["image"])
         where = f"example {example_id!r}: "
@@ -230,7 +241,7 @@ class QAExample:
             example_id, image, question, gold,
             _typed(STRING, "ocr_text", obj.get("ocr_text", ""), where),
             tuple(_box(b, image, where) for b in boxes) if boxes is not None else None,
-            tuple(tuple(r) for r in table) if table is not None else None)
+            _table("structured_table", table, where) if table is not None else None)
 
 
 TEXT_EVIDENCE = "text_evidence"
@@ -278,10 +289,11 @@ class Rationale:
     @classmethod
     def from_json(cls, obj: dict) -> "Rationale":
         """The rationale `obj` holds: text evidence with no table or program,
-        or a table and program with no evidence."""
-        r = cls(obj["kind"], obj.get("evidence", ""),
-                tuple(tuple(row) for row in obj.get("table", [])),
-                obj.get("program_source", ""), obj.get("flagged", False))
+        or a table and program with no evidence; strings, a `_table` and a bool."""
+        r = cls(obj["kind"], _typed(STRING, "evidence", obj.get("evidence", "")),
+                _table("table", obj.get("table", [])),
+                _typed(STRING, "program_source", obj.get("program_source", "")),
+                _typed(BOOL, "flagged", obj.get("flagged", False)))
         if r.kind == TEXT_EVIDENCE:
             if r.table or r.program_source:
                 raise ValueError("text-evidence rationale carries table/program fields")

@@ -10,6 +10,7 @@ without any network access.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -24,7 +25,7 @@ from typing import Protocol
 
 from . import dsl
 from .codec import DEFAULT_COUNTER, TokenCounter, encode_program_rationale
-from .records import (NUMBER, STRING, ImageRef, OcrBox, QAExample, Rationale, _dumps, _loads,
+from .records import (NUMBER, STRING, ImageRef, QAExample, Rationale, _dumps, _loads, _table,
                       _typed)
 
 log = logging.getLogger(__name__)
@@ -83,7 +84,7 @@ def verifier_prompt(question: str, rationale: str | None = None) -> str:
 
 
 class OcrClient(Protocol):
-    def recognize(self, image: ImageRef) -> tuple[str, list[OcrBox]]: ...
+    def recognize(self, image: ImageRef) -> str: ...
 
 
 class SummarizerClient(Protocol):
@@ -97,7 +98,7 @@ class ProgrammerClient(Protocol):
 
 
 class PlotToTableClient(Protocol):
-    def extract_table(self, image: ImageRef) -> list[list[str]]: ...
+    def extract_table(self, image: ImageRef) -> tuple[tuple[str, ...], ...]: ...
 
 
 class VerifierClient(Protocol):
@@ -153,7 +154,7 @@ def generate_rationale(example: QAExample, flow: str, clients: ToolClients,
     """
     ocr_text = example.ocr_text
     if not ocr_text and clients.ocr is not None:
-        ocr_text, _ = clients.ocr.recognize(example.image)
+        ocr_text = clients.ocr.recognize(example.image)
 
     if flow == TEXT_EVIDENCE_FLOW:
         evidence = clients.summarizer.summarize(
@@ -211,7 +212,9 @@ class ResponseCache:
     requests keep their order: the n-th identical request made through one
     cache replays the n-th stored response and goes upstream only past the
     last one, so a retried sampling prompt still gets fresh answers. A
-    truncated last line (an interrupted write) is dropped on load.
+    truncated last line (an interrupted write) is dropped on load; a
+    malformed line, and a stored response its client's check refuses, are
+    skipped (`fetch`).
     """
 
     def __init__(self, path: str):
@@ -243,17 +246,24 @@ class ResponseCache:
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def fetch(self, key: str, call) -> dict:
-        """The next stored response for `key`, else call() written through."""
+    def fetch(self, key: str, call, read=lambda response: response):
+        """read() of the next stored response for `key`, else of call(),
+        written through once read() accepts it. read() is the client's check
+        of a reply, fresh or replayed: a stored reply it refuses (a
+        ToolFailure) is skipped with a warning, a fresh one is not written."""
         with self._lock:
-            stored = self._stored.get(key)
-            if stored:
-                return stored.pop(0)    # replayed once; the memory goes with it
+            stored = self._stored.get(key, [])
+            while stored:
+                try:
+                    return read(stored.pop(0))  # replayed once; the memory goes with it
+                except ToolFailure as e:
+                    log.warning("%s: skipping a stored response: %s", self.path, e)
         response = call()
+        value = read(response)
         line = _dumps({"key": key, "response": response})
         with self._lock, open(self.path, "a", encoding="utf-8") as f:
             f.write(line + "\n")
-        return response
+        return value
 
 
 def url_problem(url) -> str | None:
@@ -311,23 +321,22 @@ class HttpEndpoint:
         self._idle = []     # kept-alive connections; a cached rerun opens none
         self._lock = threading.Lock()
 
-    def cached_call(self, payload: dict, tool: str = "", **kinds) -> dict:
-        """call() through the response cache, when there is one: a reply
-        that call() refuses is never cached."""
+    def cached_call(self, payload: dict, read=lambda response: response):
+        """read() of call(payload), through the response cache when there is
+        one (`ResponseCache.fetch`): a reply that call() or read() refuses is
+        never cached, and a stored one passes read() as a fresh one does."""
         if self.cache is None:
-            return self.call(payload, tool, **kinds)
+            return read(self.call(payload))
         return self.cache.fetch(ResponseCache.key(self.url, payload),
-                                lambda: self.call(payload, tool, **kinds))
+                                lambda: self.call(payload), read)
 
-    def call(self, payload: dict, tool: str = "", **kinds) -> dict:
+    def call(self, payload: dict) -> dict:
         """One upstream request, retried on connection errors, timeouts and
         5xx; ToolFailure, with no retry, on a 3xx (no redirect is followed),
         a 4xx, or a 2xx whose body is not a JSON object in UTF-8 text: one
         whose strings escape a lone surrogate is refused too, so the response
-        cache is never handed a reply it cannot write. `kinds` maps each
-        field the caller reads to its kind (`records.STRING`, `NUMBER`): a
-        reply missing one, or holding one of another kind, is a ToolFailure
-        of `tool` naming the field, with no retry."""
+        cache is never handed a reply it cannot write. The fields the reply
+        holds are its client's to check (`cached_call`)."""
         import http.client     # with ssl (~1.6 MB), loaded by the first upstream call
 
         body = json.dumps(payload).encode("utf-8")
@@ -351,13 +360,6 @@ class HttpEndpoint:
                                           attempt + 1) from None
                     if not isinstance(out, dict):
                         raise ToolFailure(self.url, "response is not a JSON object", attempt + 1)
-                    try:
-                        for name, kind in kinds.items():
-                            _typed(kind, name, out[name])
-                    except KeyError as e:
-                        raise ToolFailure(tool, f"missing field {e}", attempt + 1) from None
-                    except ValueError as e:
-                        raise ToolFailure(tool, str(e), attempt + 1) from None
                     return out
                 if status < 500:
                     raise ToolFailure(self.url, f"HTTP {status}", attempt + 1)
@@ -412,64 +414,69 @@ def _image_fields(image: ImageRef) -> dict:
             "crop": image.to_json()["crop"]}
 
 
-class HttpSummarizerClient:
+_IS_STRING, _IS_NUMBER = functools.partial(_typed, STRING), functools.partial(_typed, NUMBER)
+
+
+def _reply(tool: str, name: str, check):
+    """A client's reader of its tool's reply: the field `name`, as `check(name,
+    value)` gives it, or a ToolFailure of `tool` naming the field."""
+    def read(reply: dict):
+        try:
+            return check(name, reply[name])
+        except KeyError:
+            raise ToolFailure(tool, f"missing field {name!r}") from None
+        except TypeError:       # a stored response that is no JSON object
+            raise ToolFailure(tool, "response is not a JSON object") from None
+        except ValueError as e:
+            raise ToolFailure(tool, str(e)) from None
+    return read
+
+
+class _HttpClient:
     def __init__(self, endpoint: HttpEndpoint):
         self.endpoint = endpoint
 
+
+class HttpSummarizerClient(_HttpClient):
     def summarize(self, question, gold_answer, full_ocr, template):
         prompt = render_prompt(template, {
             "question": question, "answer": gold_answer, "ocr": full_ocr, "table": ""})
         return self.endpoint.cached_call({"prompt": prompt, "temperature": 0.1},
-                                         "summarizer", text=STRING)["text"]
+                                         _reply("summarizer", "text", _IS_STRING))
 
 
-class HttpProgrammerClient:
-    def __init__(self, endpoint: HttpEndpoint):
-        self.endpoint = endpoint
-
+class HttpProgrammerClient(_HttpClient):
     def write_program(self, question, gold_answer, full_ocr, table, template):
         prompt = render_prompt(template, {
             "question": question, "answer": gold_answer, "ocr": full_ocr,
             "table": "\n".join(" | ".join(r) for r in table)})
         return self.endpoint.cached_call({"prompt": prompt, "temperature": 0.1},
-                                         "programmer", text=STRING)["text"]
+                                         _reply("programmer", "text", _IS_STRING))
 
 
-class HttpOcrClient:
-    def __init__(self, endpoint: HttpEndpoint):
-        self.endpoint = endpoint
-
+class HttpOcrClient(_HttpClient):
     def recognize(self, image):
-        out = self.endpoint.cached_call(_image_fields(image), "ocr", text=STRING)
-        boxes = [OcrBox(*b) for b in out.get("boxes", [])]
-        return out["text"], boxes
+        return self.endpoint.cached_call(_image_fields(image), _reply("ocr", "text", _IS_STRING))
 
 
-class HttpPlotToTableClient:
-    def __init__(self, endpoint: HttpEndpoint):
-        self.endpoint = endpoint
-
+class HttpPlotToTableClient(_HttpClient):
     def extract_table(self, image):
-        return self.endpoint.cached_call(_image_fields(image))["rows"]
+        return self.endpoint.cached_call(_image_fields(image),
+                                         _reply("plot-to-table", "rows", _table))
 
 
-class HttpVerifierClient:
-    def __init__(self, endpoint: HttpEndpoint):
-        self.endpoint = endpoint
-
+class HttpVerifierClient(_HttpClient):
     def greedy_answer(self, image, question, rationale=None):
-        out = self.endpoint.cached_call({
+        return self.endpoint.cached_call({
             **_image_fields(image),
             "text_input": verifier_prompt(question, rationale),
-            "mode": "greedy"}, "verifier", answer=STRING)
-        return out["answer"]
+            "mode": "greedy"}, _reply("verifier", "answer", _IS_STRING))
 
     def answer_logprob(self, image, question, answer, rationale=None):
-        out = self.endpoint.cached_call({
+        return self.endpoint.cached_call({
             **_image_fields(image),
             "text_input": verifier_prompt(question, rationale),
-            "mode": "score", "answer": answer}, "verifier", logprob=NUMBER)
-        return out["logprob"]
+            "mode": "score", "answer": answer}, _reply("verifier", "logprob", _IS_NUMBER))
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +493,11 @@ def _unit(seed: int, *parts: str) -> float:
 class MockOcrClient:
     """Fixture-driven OCR; unknown images get synthesized stable text."""
 
-    fixtures: dict = field(default_factory=dict)  # image id -> (text, boxes)
+    fixtures: dict = field(default_factory=dict)  # image id -> text
     seed: int = 0
 
     def recognize(self, image):
-        if image.id in self.fixtures:
-            text, boxes = self.fixtures[image.id]
-            return text, [b if isinstance(b, OcrBox) else OcrBox(*b) for b in boxes]
-        word = f"text{int(_unit(self.seed, 'ocr', image.id) * 1000)}"
-        return word, [OcrBox(word, 0, 0, min(50, image.width), min(20, image.height))]
+        return self.fixtures.get(image.id, f"text{int(_unit(self.seed, 'ocr', image.id) * 1000)}")
 
 
 @dataclass
@@ -502,11 +505,9 @@ class MockSummarizerClient:
     fixtures: dict = field(default_factory=dict)  # (question, answer) -> evidence
 
     def summarize(self, question, gold_answer, full_ocr, template):
-        key = (question, gold_answer)
-        if key in self.fixtures:
-            return self.fixtures[key]
-        # stable synthetic evidence mentioning the answer, like a real span
-        return f"The document shows that the answer to this is {gold_answer}."
+        # else stable synthetic evidence mentioning the answer, like a real span
+        return self.fixtures.get((question, gold_answer),
+                                 f"The document shows that the answer to this is {gold_answer}.")
 
 
 @dataclass
@@ -514,16 +515,13 @@ class MockProgrammerClient:
     fixtures: dict = field(default_factory=dict)  # (question, answer) -> program source
 
     def write_program(self, question, gold_answer, full_ocr, table, template):
-        key = (question, gold_answer)
-        if key in self.fixtures:
-            return self.fixtures[key]
-        return f"Find({gold_answer})"
+        return self.fixtures.get((question, gold_answer), f"Find({gold_answer})")
 
 
 @dataclass
 class MockPlotToTableClient:
     def extract_table(self, image):
-        return [["label", "value"], [image.id, "1"]]
+        return ("label", "value"), (image.id, "1")
 
 
 MOCK_VERIFIER_AGREEMENT = 0.7    # share of greedy answers that are the gold one
@@ -553,11 +551,6 @@ class MockStudentClient:
     """Stable noisy paraphrases of the tool rationale, one per sample index."""
 
     train_folds: frozenset = frozenset()
-    fixtures: dict = field(default_factory=dict)  # (image id, question) -> list of strings
 
     def sample_rationales(self, image, question, n):
-        key = (image.id, question)
-        if key in self.fixtures:
-            samples = self.fixtures[key]
-            return list(samples)[:n]
         return [f"student evidence {i} for {image.id}" for i in range(n)]

@@ -1781,20 +1781,32 @@ class TestStageIsolation:
             run(config, ["filter"])
         assert isinstance(exc.value.cause, MalformedRecord)
 
-    @pytest.mark.parametrize("bad", ["lone-surrogate", "not-json"])
-    def test_a_bad_rationale_line_is_named_by_its_file_and_line(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad,reason", [
+        ("lone-surrogate", "lone surrogate \\ud800"),
+        ("not-json", "not JSON ("),
+        ({"evidence": 5}, "evidence 5 is not a string"),
+        ({"program_source": None}, "program_source None is not a string"),
+        ({"flagged": "no"}, "flagged 'no' is not a bool"),
+        ({"table": ["ab"]}, "table ['ab'] is not a list of lists of strings"),
+        ({"table": [["a", 1]]}, "table [['a', 1]] is not a list of lists of strings"),
+    ], ids=["lone-surrogate", "not-json", "evidence-int", "program_source-null",
+            "flagged-string", "table-of-strings", "table-int-cell"])
+    def test_a_bad_rationale_line_is_named_by_its_file_and_line(self, tmp_path, bad, reason):
         config = default_mock_config(str(tmp_path / "rationales"), seed=0)
         run(config, ["crop", "generate-rationales", "filter"])
         path = pipeline.stage_file(config, config.datasets[0], "rationales")
         lines = list(read_lines(path))
-        if bad == "lone-surrogate":
-            obj = json.loads(lines[1])
-            obj["rationale"]["evidence"] += "\ud800"
-            lines[1] = json.dumps(obj)
-        else:
+        if bad == "not-json":
             lines[1] = "{" + lines[1][2:]
+        else:
+            obj = json.loads(lines[1])
+            if bad == "lone-surrogate":
+                obj["rationale"]["evidence"] += "\ud800"
+            else:
+                obj["rationale"].update(bad)
+            lines[1] = json.dumps(obj)
         write_lines(path, lines)
-        with pytest.raises(StageFailure, match=re.escape(f"{path}: line 2: ")) as exc:
+        with pytest.raises(StageFailure, match=re.escape(f"{path}: line 2: {reason}")) as exc:
             run(config, ["build-tasks"])
         assert isinstance(exc.value.cause, MalformedRecord)
 

@@ -371,14 +371,42 @@ def test_malformed_scores_line(line):
         parse_scores(line, 3)
 
 
-@pytest.mark.parametrize("field,value", [("ocr_boxes", [["t", 0, 0, 1]]), ("ocr_boxes", [5]),
-                                         ("image", []), ("structured_table", 5)])
-def test_malformed_example_line(field, value):
+# a table that is not a list of lists of strings, as a dataset line, a
+# rationale line and a plot-to-table reply may hold it
+BAD_TABLES = [5, "xy", ["ab"], [["a", 1]], [["a"], None], {"a": ["b"]}]
+
+
+@pytest.mark.parametrize("field,value,reason", [
+    ("ocr_boxes", [["t", 0, 0, 1]], ""), ("ocr_boxes", [5], ""), ("image", [], ""),
+    *[("structured_table", table, f"example 'e': structured_table {table!r} is not a list "
+                                  "of lists of strings") for table in BAD_TABLES]])
+def test_malformed_example_line(field, value, reason):
     obj = example_dict(QAExample(example_id="e", image=make_image(), question="q",
                                  gold_answers=("a",)))
     obj[field] = value
-    with pytest.raises(MalformedRecord, match="^line 6: "):
+    with pytest.raises(MalformedRecord, match=f"^line 6: {re.escape(reason)}"):
         parse_example(json.dumps(obj), 6)
+
+
+@pytest.mark.parametrize("field,value,reason", [
+    ("evidence", 5, "evidence 5 is not a string"),
+    ("evidence", None, "evidence None is not a string"),
+    ("program_source", ["Add(1, 2)"], "program_source ['Add(1, 2)'] is not a string"),
+    ("flagged", "no", "flagged 'no' is not a bool"),
+    ("flagged", 0, "flagged 0 is not a bool"),
+    ("flagged", None, "flagged None is not a bool"),
+    ("kind", "tool", "bad rationale kind 'tool'"),
+    *[("table", table, f"table {table!r} is not a list of lists of strings")
+      for table in BAD_TABLES]])
+@pytest.mark.parametrize("rationale", [Rationale.text("t"), Rationale.program((("h",),), "")],
+                         ids=["text", "program"])
+def test_malformed_rationale_line(rationale, field, value, reason):
+    obj = {"example_id": "e", "rationale": rationale_dict(rationale)}
+    _parse_rationale_line(json.dumps(obj), 4)
+    obj["rationale"][field] = value
+    with pytest.raises(MalformedRecord) as exc:
+        _parse_rationale_line(json.dumps(obj), 4)
+    assert str(exc.value) == f"line 4: {reason}"
 
 
 def valid_lines():
@@ -770,7 +798,8 @@ class TestParseHeader:
                                         ("ocr_boxes", [["t", 0, 0, 10 ** 6, 1]]),
                                         ("ocr_boxes", [["t", -1, 0, 1, 1]]),
                                         ("ocr_text", 5), ("ocr_text", None),
-                                        ("structured_table", 5), ("structured_table", [1])]))
+                                        ("structured_table", 5), ("structured_table", [1]),
+                                        ("structured_table", [["a", 1]])]))
     def test_does_not_read_the_ocr_fields(self, ex, bad):
         obj = example_dict(ex)
         obj[bad[0]] = bad[1]

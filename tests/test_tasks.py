@@ -157,11 +157,11 @@ class TestBuildApr:
     def test_no_dedup_of_identical_samples(self):
         examples = [make_example(i) for i in range(3)]
         plan = plan_folds({"s": examples}, seed=0)
-        echo = {f: MockStudentClient(
-            train_folds=frozenset(set(range(3)) - {f}),
-            fixtures={(e.image.id, e.question): ["same", "same", "same"]
-                      for e in examples})
-            for f in range(3)}
+        class Echo(MockStudentClient):
+            def sample_rationales(self, image, question, n):
+                return ["same"] * n
+
+        echo = {f: Echo(train_folds=frozenset(set(range(3)) - {f})) for f in range(3)}
         records = build_apr(examples, echo, plan)
         assert len(records) == 9
 

@@ -15,8 +15,8 @@ from rdistill.codec import WordCounter
 from rdistill.filtering import FilterConfig
 from rdistill.records import Crop, ImageRef, QAExample
 from rdistill.tools import (EVIDENCE_TOKEN_LIMIT, HttpEndpoint, HttpOcrClient,
-                            HttpProgrammerClient, HttpSummarizerClient, HttpVerifierClient,
-                            MockOcrClient, MockProgrammerClient,
+                            HttpPlotToTableClient, HttpProgrammerClient, HttpSummarizerClient,
+                            HttpVerifierClient, MockOcrClient, MockProgrammerClient,
                             MockSummarizerClient, MockVerifierClient,
                             PromptTemplate, ResponseCache, RetryPolicy, Templates,
                             ToolClients, ToolFailure, generate_rationale,
@@ -124,7 +124,7 @@ class TestGenerateRationale:
         assert len(calls) == 3
 
     def test_ocr_fetched_when_absent(self):
-        ocr = MockOcrClient(fixtures={"i1": ("fetched words", [])})
+        ocr = MockOcrClient(fixtures={"i1": "fetched words"})
         captured = {}
 
         class Spy:
@@ -279,8 +279,9 @@ class TestHttpPayloads:
             assert {k: body[k] for k in self.WINDOW} == self.WINDOW
 
     def test_ocr_request_carries_window(self, scripted_server):
-        url, handler = scripted_server([200], reply={"text": "t", "boxes": []})
-        HttpOcrClient(HttpEndpoint(url, FAST)).recognize(self.IMAGE)
+        # the client reads the reply's text alone: boxes of any shape are left unread
+        url, handler = scripted_server([200], reply={"text": "t", "boxes": [5]})
+        assert HttpOcrClient(HttpEndpoint(url, FAST)).recognize(self.IMAGE) == "t"
         assert handler.bodies == [self.WINDOW]
 
 
@@ -291,13 +292,17 @@ TOOL_CALLS = {
     "write_program": (HttpProgrammerClient, "programmer", "text",
                       lambda c: c.write_program("q", "a", "o", [["h"]],
                                                 fixtures.PROGRAMMER_TEMPLATE)),
-    "recognize": (HttpOcrClient, "ocr", "text", lambda c: c.recognize(TestHttpPayloads.IMAGE)[0]),
+    "recognize": (HttpOcrClient, "ocr", "text", lambda c: c.recognize(TestHttpPayloads.IMAGE)),
+    "extract_table": (HttpPlotToTableClient, "plot-to-table", "rows",
+                      lambda c: c.extract_table(TestHttpPayloads.IMAGE)),
     "greedy_answer": (HttpVerifierClient, "verifier", "answer",
                       lambda c: c.greedy_answer(TestHttpPayloads.IMAGE, "q", "r")),
     "answer_logprob": (HttpVerifierClient, "verifier", "logprob",
                        lambda c: c.answer_logprob(TestHttpPayloads.IMAGE, "q", "a")),
 }
-GOOD_REPLY = {"text": "Find(1)", "answer": "A", "logprob": -1.5}
+GOOD_REPLY = {"text": "Find(1)", "answer": "A", "logprob": -1.5, "rows": [["a", "b"], []]}
+# what each client returns of GOOD_REPLY, by the field it reads
+GOOD_VALUE = {**GOOD_REPLY, "rows": (("a", "b"), ())}
 
 
 @pytest.mark.parametrize("call,reply,cause", [
@@ -313,10 +318,15 @@ GOOD_REPLY = {"text": "Find(1)", "answer": "A", "logprob": -1.5}
     ("answer_logprob", {"logprob": True}, "logprob True is not a number"),
     ("answer_logprob", {"logprob": "-1.5"}, "logprob '-1.5' is not a number"),
     ("answer_logprob", {}, "missing field 'logprob'"),
+    ("extract_table", {}, "missing field 'rows'"),
+    ("extract_table", {"rows": "ab"}, "rows 'ab' is not a list of lists of strings"),
+    ("extract_table", {"rows": [["a", 1]]}, "rows [['a', 1]] is not a list of lists of strings"),
+    ("extract_table", {"rows": ["a"]}, "rows ['a'] is not a list of lists of strings"),
 ], ids=["summarize-int", "summarize-missing", "write_program-null", "write_program-missing",
         "recognize-list", "recognize-missing", "greedy_answer-int", "greedy_answer-null",
         "answer_logprob-null", "answer_logprob-bool", "answer_logprob-string",
-        "answer_logprob-missing"])
+        "answer_logprob-missing", "extract_table-missing", "extract_table-string",
+        "extract_table-int-cell", "extract_table-string-row"])
 def test_an_ill_typed_reply_fails_uncached_and_a_rerun_asks_again(scripted_server, tmp_path,
                                                                   call, reply, cause):
     """A reply missing the field its client reads, or holding it as another
@@ -332,9 +342,39 @@ def test_an_ill_typed_reply_fails_uncached_and_a_rerun_asks_again(scripted_serve
     assert not path.exists()
     handler.reply = GOOD_REPLY
     assert ask(client(HttpEndpoint(url, FAST, cache=ResponseCache(str(path))))) == \
-        GOOD_REPLY[field]
+        GOOD_VALUE[field]
     assert handler.calls == 2
     assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+
+@pytest.mark.parametrize("stored,cause", [
+    ({"logprob": None}, "logprob None is not a number"),
+    ([-1.5], "response is not a JSON object"),
+], ids=["null-logprob", "not-an-object"])
+def test_a_stored_reply_its_client_refuses_is_skipped_and_asked_again(scripted_server, tmp_path,
+                                                                      caplog, stored, cause):
+    """A replayed reply passes the check a fresh one does: a stored score
+    reply holding no number is skipped with a warning, and the tool is asked
+    once; the good reply it gives is stored after the bad one and replayed
+    from then on."""
+    url, handler = scripted_server([200], reply={"logprob": -1.5})
+    path = tmp_path / "cache" / "responses.jsonl"
+    path.parent.mkdir()
+    ask = TOOL_CALLS["answer_logprob"][3]
+    payload = {**TestHttpPayloads.WINDOW, "text_input": "Answer in en: q", "mode": "score",
+               "answer": "a"}
+    path.write_text(json.dumps({"key": ResponseCache.key(url, payload),
+                                "response": stored}) + "\n", encoding="utf-8")
+
+    def rerun():
+        return ask(HttpVerifierClient(HttpEndpoint(url, FAST, cache=ResponseCache(str(path)))))
+
+    with caplog.at_level(logging.WARNING):
+        assert rerun() == -1.5
+    assert f"skipping a stored response: verifier: {cause}" in caplog.text
+    assert handler.calls == 1 and handler.bodies == [payload]
+    assert rerun() == -1.5
+    assert handler.calls == 1
 
 
 def test_http_config_asks_plot_to_table_for_a_missing_table(scripted_server, tmp_path):
