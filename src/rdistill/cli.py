@@ -258,12 +258,10 @@ def dsl_exec_cmd(source):
 
 @main.command(name="make-fixture")
 @click.argument("out_path", type=click.Path())
-@click.option("--kind", type=click.Choice(["docs", "charts"]), default="docs")
+@click.option("--kind", type=click.Choice(list(pipeline.MOCK_DATASETS)), default="docs")
 def make_fixture_cmd(out_path, kind):
     """Write the bundled synthetic dataset to a file."""
-    from . import fixtures
-    examples = (fixtures.make_doc_examples() if kind == "docs"
-                else fixtures.make_chart_examples())
+    examples = pipeline.MOCK_DATASETS[kind][1]()
     write_lines(out_path, (serialize_example(e) for e in examples))
     click.echo(f"wrote {len(examples)} examples to {out_path}")
 

@@ -26,7 +26,7 @@ written all the same.
 Generate-rationales is the only stage that calls tools. In the same task
 that makes a crop's rationale, it asks the verifier for the rationale's
 scores and stores them in the scores file; with filter_whole_image, it
-scores each example's rationale in a pass of its own. A run makes one set
+scores each example's rationale the same way. A run makes one set
 of tool clients, at its first generate-rationales entry. With mock tools
 it calls them inline. HTTP tools run on `concurrency` threads, so at most
 `concurrency` requests are in flight; the transport is the standard
@@ -234,8 +234,9 @@ class PipelineConfig:
 _COUNTERS = {"word": WordCounter, "char4": CharBlockCounter}  # `counter` setting -> class
 
 
-_MOCK_DATASETS = {"docs": (tools.TEXT_EVIDENCE_FLOW, fixtures.make_doc_examples),
-                  "charts": (tools.TABLE_PROGRAM_FLOW, fixtures.make_chart_examples)}
+# the bundled synthetic datasets: name -> (flow, maker of its examples)
+MOCK_DATASETS = {"docs": (tools.TEXT_EVIDENCE_FLOW, fixtures.make_doc_examples),
+                 "charts": (tools.TABLE_PROGRAM_FLOW, fixtures.make_chart_examples)}
 
 
 def default_mock_config(out_dir: str, seed: int = 0, write: bool = True) -> PipelineConfig:
@@ -247,7 +248,7 @@ def default_mock_config(out_dir: str, seed: int = 0, write: bool = True) -> Pipe
         mock=True,
         mock_seed=seed,
         datasets=[DatasetConfig(name=name, path=os.path.join(out_dir, "data", f"{name}.jsonl"),
-                                flow=flow) for name, (flow, _) in _MOCK_DATASETS.items()],
+                                flow=flow) for name, (flow, _) in MOCK_DATASETS.items()],
     )
     if write:
         write_mock_data(config)
@@ -259,7 +260,7 @@ def write_mock_data(config: PipelineConfig) -> None:
     for ds in config.datasets:
         if not os.path.exists(ds.path):
             os.makedirs(os.path.dirname(ds.path), exist_ok=True)
-            write_lines(ds.path, (serialize_example(e) for e in _MOCK_DATASETS[ds.name][1]()))
+            write_lines(ds.path, (serialize_example(e) for e in MOCK_DATASETS[ds.name][1]()))
 
 
 def validate(config: PipelineConfig, stages: list[str] | None = None,
@@ -463,17 +464,12 @@ def _entry_fresh(record, entry: "_Entry", digests: _Digests) -> bool:
 def _stage_fresh(out_dir: str, stage: str, entries: list["_Entry"],
                  digests: _Digests) -> tuple[bool, dict]:
     """(Whether `stage` is fresh, the records of its manifest that still match
-    one of `entries`, by key). An entry that reads a file an earlier stale
-    entry of the stage rewrites is stale too. The stage is fresh when its
-    manifest lists exactly `entries` and each one matches."""
+    one of `entries`, by key). No entry reads a file of its own stage, so
+    each is judged alone. The stage is fresh when its manifest lists exactly
+    `entries` and each one matches."""
     records = _read_manifest(out_dir, stage)
-    fresh, rewritten = {}, set()
-    for entry in entries:
-        if rewritten.isdisjoint(entry.inputs) and \
-                _entry_fresh(records.get(entry.key), entry, digests):
-            fresh[entry.key] = records[entry.key]
-        else:
-            rewritten.update(entry.outputs)
+    fresh = {entry.key: records[entry.key] for entry in entries
+             if _entry_fresh(records.get(entry.key), entry, digests)}
     return len(fresh) == len(records) == len(entries), fresh
 
 
@@ -660,35 +656,25 @@ def _parallel_map(fn, items, config: PipelineConfig):
 
 
 def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff, entry: _Entry) -> dict:
-    """Rationales for the examples or the crops of `entry`'s dataset, and the
-    verifier's scores of each crop rationale, made in the same task as the
-    rationale; with filter_whole_image, the scores of each example's
-    rationale, in an entry of their own."""
+    """Rationales for the examples or the crops of `entry`'s dataset and, when
+    the entry writes a scores file, the verifier's scores of each, made in
+    the same task as the rationale: always for a crop's, and with
+    filter_whole_image for an example's."""
     ds = entry.datasets[0]
     clients, templates = handoff.clients(config), make_templates(config)
     counter = _COUNTERS[config.counter]()
-    rationales = stage_file(config, ds, "rationales")
-    # whole_scores scores the rationales already made; the others make theirs
-    made = handoff.take(rationales, _read_rationales) if entry.name == "whole_scores" else None
+    kinds = entry.row.under(config, entry.row.writes)
+    scored = any(kind.endswith("scores") for kind in kinds)
 
     def task(ex: QAExample):
-        if made is None:
-            r = tools.generate_rationale(ex, ds.flow, clients, templates,
-                                         max_retries=config.max_retries, counter=counter)
-        elif ex.example_id in made:
-            r = made[ex.example_id]
-        else:
-            raise MalformedRecord(f"{rationales}: no rationale for {ex.example_id!r}")
-        if entry.name == "rationales":
-            return ex.example_id, r, None
-        return ex.example_id, r, filtering.score(ex, r, clients.verifier, counter)
+        r = tools.generate_rationale(ex, ds.flow, clients, templates,
+                                     max_retries=config.max_retries, counter=counter)
+        scores = filtering.score(ex, r, clients.verifier, counter) if scored else None
+        return ex.example_id, r, scores
 
-    src = "crops" if entry.name == "crop_rationales" else "dataset"
-    results = _parallel_map(task, handoff.take(stage_file(config, ds, src), _read_examples),
-                            config)
+    results = _parallel_map(task, handoff.take(entry.inputs[0], _read_examples), config)
     results.sort(key=lambda result: result[0])
-    for kind in entry.row.writes:
-        dest = stage_file(config, ds, kind)
+    for kind, dest in zip(kinds, entry.outputs):
         if kind.endswith("scores"):
             records = [(i, s) for i, _, s in results]
             _write_atomic(dest, (serialize_scores(i, s) for i, s in records))
@@ -696,8 +682,7 @@ def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff, entry: 
             records = {i: r for i, r, _ in results}
             _write_atomic(dest, (_serialize_rationale_line(i, r) for i, r in records.items()))
         handoff.put(dest, records)
-    first = stage_file(config, ds, entry.row.writes[0])
-    return {_manifest_key(config.out_dir, first): len(results)}
+    return {_manifest_key(config.out_dir, entry.outputs[0]): len(results)}
 
 
 def _verdicts(cfg: filtering.FilterConfig, handoff: _Handoff, examples: list[QAExample],
@@ -813,13 +798,19 @@ def stage_build_tasks(config: PipelineConfig, handoff: _Handoff, entry: _Entry) 
 # One row per group of output files that share the files and settings they
 # read; file kinds are those of `stage_file`. A row has one manifest entry
 # per dataset (`<dataset>.<row>`), which fingerprints only that dataset; a
-# task row has one, for its task file, which merges every dataset.
+# task row has one, for its task file, which merges every dataset. No row
+# reads a file a row of its own stage writes.
 @dataclass(frozen=True)
 class _Row:
     reads: tuple[str, ...]
     settings: tuple[str, ...]   # what its fingerprint covers, besides its datasets
     writes: tuple[str, ...] = ()    # a task row writes its task file
-    whole_image: tuple[str, ...] = ()  # kinds read or written only with filter_whole_image
+    whole_image: tuple[str, ...] = ()  # kinds and settings it has only with filter_whole_image
+
+    def under(self, config: PipelineConfig, names: tuple[str, ...]) -> list[str]:
+        """Those of `names`, kinds or settings of this row, that it has under `config`."""
+        return [name for name in names
+                if config.filter_whole_image or name not in self.whole_image]
 
 
 _CROP_TASK = _Row(("categorized", "crops", "crop_rationales"), ("counter",))
@@ -827,18 +818,18 @@ _EXAMPLE_TASK = _Row(("dataset",), ("counter",))
 # what a tool's reply depends on, besides its endpoint and its request
 _TOOL_SETTINGS = ("counter", "mock", "mock_seed", "max_retries")
 
-# Each stage's rows, in the order it makes them; a row that reads a file
-# another row of its stage writes comes after that row.
+# Each stage's rows, in the order it makes them.
 _STAGE_TABLE = {
     "crop": {"crops": _Row(("dataset",), ("crop_mode",), writes=("crops",))},
     "generate-rationales": {
-        "rationales": _Row(("dataset",), _TOOL_SETTINGS + ("endpoints", "templates"),
-                           writes=("rationales",)),
+        # the rationale of each example and, with filter_whole_image, its scores
+        "rationales": _Row(("dataset",),
+                           _TOOL_SETTINGS + ("endpoints", "templates", "verifier"),
+                           writes=("rationales", "whole_scores"),
+                           whole_image=("whole_scores", "verifier")),
         "crop_rationales": _Row(("crops",),
                                 _TOOL_SETTINGS + ("endpoints", "templates", "verifier"),
                                 writes=("crop_rationales", "scores")),
-        "whole_scores": _Row(("dataset", "rationales"), _TOOL_SETTINGS + ("verifier",),
-                             writes=("whole_scores",), whole_image=("whole_scores",)),
     },
     "filter": {
         "categorized": _Row(("crops", "scores", "crop_rationales"), ("seed", "filter"),
@@ -874,7 +865,7 @@ def _fingerprint(config: PipelineConfig, row: _Row, datasets) -> str:
     of `datasets`, and of nothing else. Dataset paths are left out: the
     manifest lists them with their hashes."""
     settings = {name: _SETTINGS[name](config) if name in _SETTINGS else getattr(config, name)
-                for name in row.settings}
+                for name in row.under(config, row.settings)}
     settings["datasets"] = [{"name": d.name, "flow": d.flow, "subset": d.subset}
                             for d in datasets]
     return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
@@ -894,8 +885,8 @@ class _Entry:
 
 def _entries(config: PipelineConfig, stage: str) -> list[_Entry]:
     """`stage`'s entries under `config`, in the order they run: each
-    dataset's, one per row that writes a file under `config`, then one per
-    selected task, in the table's order."""
+    dataset's, one per row that is not a task's, then one per selected
+    task, in the table's order."""
     rows = _STAGE_TABLE[stage]
     scopes = [(f"{ds.name}.{name}", name, (ds,)) for ds in config.datasets
               for name, row in rows.items() if row.writes]
@@ -903,13 +894,11 @@ def _entries(config: PipelineConfig, stage: str) -> list[_Entry]:
     entries = []
     for key, name, datasets in scopes:
         row = rows[name]
-        inputs, outputs = ([stage_file(config, ds, kind) for kind in kinds
-                            if config.filter_whole_image or kind not in row.whole_image
+        inputs, outputs = ([stage_file(config, ds, kind) for kind in row.under(config, kinds)
                             for ds in datasets] for kinds in (row.reads, row.writes))
-        if outputs or not row.writes:
-            entries.append(_Entry(key, name, row, datasets, inputs,
-                                  outputs or [task_path(config, name)],
-                                  _fingerprint(config, row, datasets)))
+        entries.append(_Entry(key, name, row, datasets, inputs,
+                              outputs or [task_path(config, name)],
+                              _fingerprint(config, row, datasets)))
     return entries
 
 

@@ -322,21 +322,24 @@ class HttpEndpoint:
         self._lock = threading.Lock()
 
     def cached_call(self, payload: dict, read=lambda response: response):
-        """read() of call(payload), through the response cache when there is
-        one (`ResponseCache.fetch`): a reply that call() or read() refuses is
-        never cached, and a stored one passes read() as a fresh one does."""
+        """read() of call(payload, read), through the response cache when
+        there is one (`ResponseCache.fetch`): a reply that call() or read()
+        refuses is never cached, and a stored one passes read() as a fresh
+        one does."""
         if self.cache is None:
-            return read(self.call(payload))
+            return read(self.call(payload, read))
         return self.cache.fetch(ResponseCache.key(self.url, payload),
-                                lambda: self.call(payload), read)
+                                lambda: self.call(payload, read), read)
 
-    def call(self, payload: dict) -> dict:
+    def call(self, payload: dict, check=lambda response: response) -> dict:
         """One upstream request, retried on connection errors, timeouts and
         5xx; ToolFailure, with no retry, on a 3xx (no redirect is followed),
         a 4xx, or a 2xx whose body is not a JSON object in UTF-8 text: one
         whose strings escape a lone surrogate is refused too, so the response
         cache is never handed a reply it cannot write. The fields the reply
-        holds are its client's to check (`cached_call`)."""
+        holds are its client's to check: `check(reply)` refuses a reply with
+        a ToolFailure of its tool, which is raised again with the attempts
+        the reply took."""
         import http.client     # with ssl (~1.6 MB), loaded by the first upstream call
 
         body = json.dumps(payload).encode("utf-8")
@@ -360,6 +363,10 @@ class HttpEndpoint:
                                           attempt + 1) from None
                     if not isinstance(out, dict):
                         raise ToolFailure(self.url, "response is not a JSON object", attempt + 1)
+                    try:
+                        check(out)
+                    except ToolFailure as e:
+                        raise ToolFailure(e.tool, e.cause, attempt + 1) from None
                     return out
                 if status < 500:
                     raise ToolFailure(self.url, f"HTTP {status}", attempt + 1)

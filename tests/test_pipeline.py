@@ -102,12 +102,12 @@ class TestEndToEnd:
         assert written == pinned_digests()
 
     def test_generate_rationales_counts_every_entry(self, whole_run):
-        # an entry counts the records of the first file it writes
+        # an entry counts the records of the first file it writes; an
+        # example's whole-image scores are made by its rationale's entry
         _, summary = whole_run
         assert summary["generate-rationales"] == {
             "docs.rationales.jsonl": 12, "docs.crop_rationales.jsonl": 40,
-            "docs.whole_scores.jsonl": 12, "charts.rationales.jsonl": 8,
-            "charts.crop_rationales.jsonl": 24, "charts.whole_scores.jsonl": 8}
+            "charts.rationales.jsonl": 8, "charts.crop_rationales.jsonl": 24}
 
     def test_rerun_skips_all_stages(self, mock_run):
         config, _ = mock_run
@@ -320,6 +320,17 @@ def test_http_rerun_replays_cached_responses(tmp_path):
     finally:
         server.shutdown()
         server.server_close()
+
+
+class _PathCountingHandler(_ToolHandler):
+    """`_ToolHandler`, counting the requests to each path in `paths`."""
+
+    lock = paths = None
+
+    def reply(self, request):
+        with self.lock:
+            type(self).paths[self.path] += 1
+        return super().reply(request)
 
 
 class _ConnectionCountingHandler(_ToolHandler):
@@ -806,7 +817,7 @@ def mock_dataset(out_dir, name):
         write_lines(path, (
             serialize_example(dataclasses.replace(e, example_id=f"x-{e.example_id}"))
             for e in fixtures.make_doc_examples()[:3]))
-    return DatasetConfig(name, path, pipeline._MOCK_DATASETS.get(name, ("text-evidence",))[0])
+    return DatasetConfig(name, path, pipeline.MOCK_DATASETS.get(name, ("text-evidence",))[0])
 
 
 STAGE_MANIFESTS = {f"manifests/{stage}.json" for stage in pipeline.STAGES}
@@ -833,14 +844,51 @@ class TestPerDatasetFreshness:
         assert stages_run(run(config)) == set()
 
     def test_turning_on_whole_image_filtering_writes_only_its_files(self, tmp_path):
+        # the entry that makes an example's rationale scores it too, so it
+        # reruns, rewriting the rationales with the same bytes
         config = default_mock_config(str(tmp_path / "whole"), seed=0)
         run(config)
-        before = file_stamps(config.out_dir)
+        before, digests = file_stamps(config.out_dir), tree_files(config.out_dir)
         config.filter_whole_image = True
         assert stages_run(run(config)) == {"generate-rationales", "build-tasks"}
-        assert rewritten(before, file_stamps(config.out_dir)) == {
+        rationales = {f"{ds.name}.rationales.jsonl" for ds in config.datasets}
+        assert rewritten(before, file_stamps(config.out_dir)) == rationales | {
             f"{ds.name}.whole_scores.jsonl" for ds in config.datasets} | {"tasks/QRA.jsonl"} \
             | {"manifests/generate-rationales.json", "manifests/build-tasks.json"}
+        after = tree_files(config.out_dir)
+        assert {name: after[name] for name in rationales} \
+            == {name: digests[name] for name in rationales}
+
+    def test_toggling_whole_image_filtering_over_http_asks_only_the_verifier(self, tmp_path):
+        # turning it on replays every rationale request from the response
+        # cache and asks the verifier three things per example, 20 in all;
+        # turning it off asks nothing
+        handler = type("Handler", (_PathCountingHandler,),
+                       {"lock": threading.Lock(), "paths": collections.Counter()})
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            config = http_run_config(str(tmp_path / "toggle"), f"http://127.0.0.1:"
+                                     f"{server.server_port}", concurrency=2)
+            run(config)
+            rationales = {name: digest for name, digest in tree_files(config.out_dir).items()
+                          if name.endswith(".rationales.jsonl")}
+            assert len(rationales) == 2
+            handler.paths.clear()
+            config.filter_whole_image = True
+            run(config)
+            assert handler.paths == {"/verifier": 60}
+            files = tree_files(config.out_dir)
+            assert {name: files[name] for name in rationales} == rationales
+            for ds in config.datasets:
+                assert os.path.getsize(pipeline.stage_file(config, ds, "whole_scores")) > 0
+            handler.paths.clear()
+            config.filter_whole_image = False
+            assert stages_run(run(config)) == {"generate-rationales", "build-tasks"}
+            assert handler.paths == {}
+        finally:
+            server.shutdown()
+            server.server_close()
 
     def test_dropping_a_dataset_rewrites_only_manifests_and_task_files(self, tmp_path):
         config = default_mock_config(str(tmp_path / "drop"), seed=0)
@@ -1135,17 +1183,13 @@ PINNED_FINGERPRINTS = {
         "crop/charts.crops":
             "17bcf484728ba53afc366cd26d071f18d5d796b16f737a4cbc54307b44e60b78",
         "generate-rationales/docs.rationales":
-            "20d59990f6f8864d2da9957090ac9a6cb9e10ee9e2325340d0e63f3f168e78e1",
+            "c350546685dc378d4c44e3f2497f1269895b848e3331901333552deb79a1b806",
         "generate-rationales/docs.crop_rationales":
             "c350546685dc378d4c44e3f2497f1269895b848e3331901333552deb79a1b806",
-        "generate-rationales/docs.whole_scores":
-            "8328907bc13788da647fb414db8bc4364bd455e98a55402c7783fb19e5ed8001",
         "generate-rationales/charts.rationales":
-            "acaf3a3c12db788547b76f585efb1ec5b5be1db8250224358372531c60814572",
+            "1ec915ae643b7a5e9d3f0c6607d0054e4ae62d4e7ce7f65027829a2797903da7",
         "generate-rationales/charts.crop_rationales":
             "1ec915ae643b7a5e9d3f0c6607d0054e4ae62d4e7ce7f65027829a2797903da7",
-        "generate-rationales/charts.whole_scores":
-            "52c2ad9b47945e289c907e9a244e8380cc5621227ad50428654160336ecdf68d",
         "filter/docs.categorized":
             "f0a05b73eeaf6f4e602f4d950f0f3dbc943491b78877b7c1eee914176da80032",
         "filter/charts.categorized":
@@ -1169,17 +1213,13 @@ PINNED_FINGERPRINTS = {
         "crop/charts.crops":
             "17bcf484728ba53afc366cd26d071f18d5d796b16f737a4cbc54307b44e60b78",
         "generate-rationales/docs.rationales":
-            "86400ade8937c1fadb6cb49943a8cf988802a43094447f8cc7d4be5278371de8",
+            "73bac86a01fbd353958390bd8c61ea5e6103024b15705f60d2a2b4c78d94b661",
         "generate-rationales/docs.crop_rationales":
             "73bac86a01fbd353958390bd8c61ea5e6103024b15705f60d2a2b4c78d94b661",
-        "generate-rationales/docs.whole_scores":
-            "7b3a10e76a751ed7f695089c6125337c37c2130e9e085fb16b757e430819958c",
         "generate-rationales/charts.rationales":
-            "2c8ace66aaf8b3915cb548e4282982fff99b962947d1953bf3cda060be94fe24",
+            "c375a311eeb98e071a89cc44d3929c59ced0cdf5825e4856bee87cfe77fe148a",
         "generate-rationales/charts.crop_rationales":
             "c375a311eeb98e071a89cc44d3929c59ced0cdf5825e4856bee87cfe77fe148a",
-        "generate-rationales/charts.whole_scores":
-            "fc2885d5197632a28256f08441b3cb8aa4541eda81808921c752bf0167896c36",
         "filter/docs.categorized":
             "f0a05b73eeaf6f4e602f4d950f0f3dbc943491b78877b7c1eee914176da80032",
         "filter/charts.categorized":
@@ -1328,6 +1368,13 @@ class TestStageTable:
         assert handler.calls == calls
         assert tree_files(config.out_dir) == files
         assert stages_run(run(config)) == set()
+
+    def test_no_row_reads_a_file_its_own_stage_writes(self):
+        # so each entry of a stage is fresh or stale on its own (`_stage_fresh`)
+        for stage, rows in pipeline._STAGE_TABLE.items():
+            written = {kind for row in rows.values() for kind in row.writes}
+            for name, row in rows.items():
+                assert written.isdisjoint(row.reads), f"{stage}/{name}"
 
     def test_traced_benchmark_records_every_stage(self, tmp_path):
         # the traced benchmark wraps the entries of _STAGE_FNS; a run that

@@ -377,6 +377,19 @@ def test_a_stored_reply_its_client_refuses_is_skipped_and_asked_again(scripted_s
     assert handler.calls == 1
 
 
+@pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+def test_a_bad_reply_after_a_retry_reports_the_attempts_it_took(scripted_server, tmp_path,
+                                                                cached):
+    url, handler = scripted_server([500, 200], reply={"logprob": None})
+    path = tmp_path / "cache" / "responses.jsonl"
+    cache = ResponseCache(str(path)) if cached else None
+    with pytest.raises(ToolFailure) as exc:
+        TOOL_CALLS["answer_logprob"][3](HttpVerifierClient(HttpEndpoint(url, FAST, cache=cache)))
+    assert str(exc.value) == "verifier: logprob None is not a number (after 2 attempt(s))"
+    assert handler.calls == 2
+    assert not path.exists()
+
+
 def test_http_config_asks_plot_to_table_for_a_missing_table(scripted_server, tmp_path):
     rows = [["animal", "count"], ["cats", "25"], ["dogs", "5"]]
     table_url, table_tool = scripted_server([200], reply={"rows": rows})
