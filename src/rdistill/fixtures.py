@@ -13,22 +13,15 @@ from .tools import (MockOcrClient, MockPlotToTableClient, MockProgrammerClient,
                     MockStudentClient, MockSummarizerClient, MockVerifierClient,
                     PromptTemplate, ToolClients)
 
-# The paper's 5-shot summarizer and 8-shot programmer: a config's template
-# replaces a body, never its shot count.
+# The default prompt bodies; a config's template file replaces one.
 SUMMARIZER_TEMPLATE = PromptTemplate(
-    name="mock-summarizer",
-    shot_count=5,
-    body=("Extract the shortest span of the OCR text that supports the answer.\n"
-          "OCR: {ocr}\nQ: {question}\nA: {answer}\nEvidence:"),
-)
+    "Extract the shortest span of the OCR text that supports the answer.\n"
+    "OCR: {ocr}\nQ: {question}\nA: {answer}\nEvidence:")
 
 PROGRAMMER_TEMPLATE = PromptTemplate(
-    name="mock-programmer",
-    shot_count=8,
-    body=("Write a one-call program (Div/Mul/Avg/Sum/Diff/Greater/Less/Find) "
-          "that derives the answer.\nTable: {table}\nOCR: {ocr}\n"
-          "Q: {question}\nA: {answer}\nProgram:"),
-)
+    "Write a one-call program (Div/Mul/Avg/Sum/Diff/Greater/Less/Find) "
+    "that derives the answer.\nTable: {table}\nOCR: {ocr}\n"
+    "Q: {question}\nA: {answer}\nProgram:")
 
 # (question, gold answer, supporting phrases spread down the image)
 _DOC_ITEMS = [

@@ -63,7 +63,7 @@ import logging
 import os
 import re
 import reprlib
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import cropping, filtering, fixtures, tasks, tools
 from .codec import CharBlockCounter, WordCounter
@@ -177,11 +177,6 @@ class DatasetConfig:
 
 
 @dataclass
-class TemplateConfig:
-    path: str = ""
-
-
-@dataclass
 class PipelineConfig:
     out_dir: str = "out"
     seed: int = 0
@@ -195,7 +190,7 @@ class PipelineConfig:
     mock_seed: int = 0
     max_retries: int = 3
     endpoints: dict = field(default_factory=dict)
-    templates: dict = field(default_factory=dict)  # name -> TemplateConfig
+    templates: dict = field(default_factory=dict)  # client name -> path of its template
     filter_whole_image: bool = False  # QRA drops examples with an irrelevant whole-image rationale
 
     @classmethod
@@ -222,7 +217,7 @@ class PipelineConfig:
                   if key != "tools" and value is not None}
         build = {"tasks": tuple, "filter": lambda f: filtering.FilterConfig(**f),
                  "datasets": lambda ds: [DatasetConfig(**(d or {})) for d in ds],
-                 "templates": lambda ts: {name: TemplateConfig(**(t or {}))
+                 "templates": lambda ts: {name: (t or {}).get("path", "")
                                           for name, t in ts.items()}}
         try:
             return cls(**{key: build[key](value) if key in build else value
@@ -329,9 +324,7 @@ def validate(config: PipelineConfig, stages: list[str] | None = None,
     flows = {ds.flow for ds in config.datasets}
     needed = {"summarizer": tools.TEXT_EVIDENCE_FLOW in flows,
               "programmer": tools.TABLE_PROGRAM_FLOW in flows, "verifier": True}
-    for tool in sorted(config.endpoints.keys() | needed.keys()):
-        if ("verifier" if tool == "verifier" else "endpoints") not in reads:
-            continue    # the verifier's endpoint is a setting apart from the other tools'
+    for tool in sorted(config.endpoints.keys() | needed.keys()) if "endpoints" in reads else ():
         url = config.endpoints.get(tool)
         if not url and needed.get(tool) and not config.mock:
             diags.append(f"no endpoint configured for tool {tool!r} (and mock mode off)")
@@ -356,14 +349,13 @@ _TEMPLATES = {"summarizer": fixtures.SUMMARIZER_TEMPLATE,    # name -> default
 
 def _load_template(config: PipelineConfig, name: str) -> tools.PromptTemplate:
     """Template `name` of `config`, or its default; OSError or ValueError if it is no template."""
-    tmpl, default = config.templates.get(name), _TEMPLATES[name]
-    if tmpl is None or not tmpl.path:
-        return default
-    if not os.path.isfile(tmpl.path):
-        raise OSError(f"path {tmpl.path} is not a file")
-    with open(tmpl.path, "r", encoding="utf-8") as f:
-        body = f.read()
-    return tools.PromptTemplate(name=name, shot_count=default.shot_count, body=body)
+    path = config.templates.get(name)
+    if not path:
+        return _TEMPLATES[name]
+    if not os.path.isfile(path):
+        raise OSError(f"path {path} is not a file")
+    with open(path, "r", encoding="utf-8") as f:
+        return tools.PromptTemplate(f.read())
 
 
 def response_cache_path(out_dir: str) -> str:
@@ -371,18 +363,17 @@ def response_cache_path(out_dir: str) -> str:
 
 
 def make_clients(config: PipelineConfig) -> tools.ToolClients:
-    """Mock clients, or HTTP clients writing through one response cache."""
+    """Mock clients, or HTTP clients writing through one response cache; an
+    HTTP summarizer or programmer holds its template."""
     if config.mock:
         return fixtures.make_mock_clients(seed=config.mock_seed)
     policy = tools.RetryPolicy(max_retries=config.max_retries)
     cache = tools.ResponseCache(response_cache_path(config.out_dir))
+    templates = {name: [_load_template(config, name)] for name in _TEMPLATES}
     return tools.ToolClients(**{
-        name: client(tools.HttpEndpoint(config.endpoints[name], policy, cache=cache))
+        name: client(tools.HttpEndpoint(config.endpoints[name], policy, cache=cache),
+                     *templates.get(name, []))
         for name, client in _HTTP_CLIENTS.items() if config.endpoints.get(name)})
-
-
-def make_templates(config: PipelineConfig) -> tools.Templates:
-    return tools.Templates(**{name: _load_template(config, name) for name in _TEMPLATES})
 
 
 # ---------------------------------------------------------------------------
@@ -659,16 +650,16 @@ def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff, entry: 
     """Rationales for the examples or the crops of `entry`'s dataset and, when
     the entry writes a scores file, the verifier's scores of each, made in
     the same task as the rationale: always for a crop's, and with
-    filter_whole_image for an example's."""
+    filter_whole_image for an example's. Without it, the entry removes the
+    whole-image scores file a run with it left."""
     ds = entry.datasets[0]
-    clients, templates = handoff.clients(config), make_templates(config)
+    clients = handoff.clients(config)
     counter = _COUNTERS[config.counter]()
     kinds = entry.row.under(config, entry.row.writes)
     scored = any(kind.endswith("scores") for kind in kinds)
 
     def task(ex: QAExample):
-        r = tools.generate_rationale(ex, ds.flow, clients, templates,
-                                     max_retries=config.max_retries, counter=counter)
+        r = tools.generate_rationale(ex, ds.flow, clients, config.max_retries, counter)
         scores = filtering.score(ex, r, clients.verifier, counter) if scored else None
         return ex.example_id, r, scores
 
@@ -682,6 +673,10 @@ def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff, entry: 
             records = {i: r for i, r, _ in results}
             _write_atomic(dest, (_serialize_rationale_line(i, r) for i, r in records.items()))
         handoff.put(dest, records)
+    for kind in entry.row.writes:
+        if kind not in kinds:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(stage_file(config, ds, kind))
     return {_manifest_key(config.out_dir, entry.outputs[0]): len(results)}
 
 
@@ -850,11 +845,12 @@ _STAGE_FNS = {"crop": stage_crop, "generate-rationales": stage_generate_rational
 STAGES = tuple(_STAGE_TABLE)
 
 # Fingerprinted settings that are not the config field of the same name.
-# Concurrency changes no output, so no fingerprint covers it.
+# The verifier's endpoint is a setting apart from the other tools', which a
+# `<ds>.rationales` entry reads only with filter_whole_image; a template is
+# its body alone. Concurrency changes no output, so no fingerprint covers it.
 _SETTINGS = {
-    "endpoints": lambda c: {t: c.endpoints.get(t)
-                            for t in ("ocr", "summarizer", "programmer", "plot_to_table")},
-    "templates": lambda c: astuple(make_templates(c), tuple_factory=list),  # [name, shots, body] each
+    "endpoints": lambda c: {t: c.endpoints.get(t) for t in _HTTP_CLIENTS if t != "verifier"},
+    "templates": lambda c: [_load_template(c, name).body for name in _TEMPLATES],
     "filter": lambda c: asdict(c.filter),
     "verifier": lambda c: c.endpoints.get("verifier"),
 }

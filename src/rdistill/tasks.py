@@ -19,8 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .codec import (ANSWER_BUDGET, DEFAULT_COUNTER, SEP_RATIONALE, TokenCounter,
-                    encode_target, escape_field)
+from .codec import ANSWER_BUDGET, DEFAULT_COUNTER, TokenCounter, encode_target, escape_field
 from .records import QAExample, Rationale, TaskRecord, Verdict
 from .tools import STUDENT_SAMPLES, StudentRationaleClient, rationale_text
 

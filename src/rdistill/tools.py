@@ -51,11 +51,10 @@ _PLACEHOLDERS = ("question", "answer", "ocr", "table")
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A few-shot prompt body with {question} {answer} {ocr} {table} slots;
-    ValueError, when it is built, for any other {placeholder}."""
+    """A prompt body with {question} {answer} {ocr} {table} slots, which its
+    HTTP client fills in; ValueError, when it is built, for any other
+    {placeholder}."""
 
-    name: str
-    shot_count: int
     body: str
 
     def __post_init__(self):
@@ -88,13 +87,11 @@ class OcrClient(Protocol):
 
 
 class SummarizerClient(Protocol):
-    def summarize(self, question: str, gold_answer: str, full_ocr: str,
-                  template: PromptTemplate) -> str: ...
+    def summarize(self, question: str, gold_answer: str, full_ocr: str) -> str: ...
 
 
 class ProgrammerClient(Protocol):
-    def write_program(self, question: str, gold_answer: str, full_ocr: str,
-                      table, template: PromptTemplate) -> str: ...
+    def write_program(self, question: str, gold_answer: str, full_ocr: str, table) -> str: ...
 
 
 class PlotToTableClient(Protocol):
@@ -131,18 +128,11 @@ class ToolClients:
                 endpoint.close()
 
 
-@dataclass
-class Templates:
-    summarizer: PromptTemplate | None = None
-    programmer: PromptTemplate | None = None
-
-
 # ---------------------------------------------------------------------------
 # rationale generation flows
 
 
-def generate_rationale(example: QAExample, flow: str, clients: ToolClients,
-                       templates: Templates, max_retries: int = 3,
+def generate_rationale(example: QAExample, flow: str, clients: ToolClients, max_retries: int = 3,
                        counter: TokenCounter = DEFAULT_COUNTER) -> Rationale:
     """Run one of the two teacher flows for a single example.
 
@@ -158,7 +148,7 @@ def generate_rationale(example: QAExample, flow: str, clients: ToolClients,
 
     if flow == TEXT_EVIDENCE_FLOW:
         evidence = clients.summarizer.summarize(
-            example.question, example.canonical_answer, ocr_text, templates.summarizer)
+            example.question, example.canonical_answer, ocr_text)
         if counter.count(evidence) > EVIDENCE_TOKEN_LIMIT:
             evidence = counter.truncate(evidence, EVIDENCE_TOKEN_LIMIT)
         return Rationale.text(evidence)
@@ -171,8 +161,7 @@ def generate_rationale(example: QAExample, flow: str, clients: ToolClients,
             table = clients.plot_to_table.extract_table(example.image)
         for attempt in range(max_retries):
             source = clients.programmer.write_program(
-                example.question, example.canonical_answer, ocr_text, table,
-                templates.programmer)
+                example.question, example.canonical_answer, ocr_text, table)
             try:
                 dsl.parse(source)
                 return Rationale.program(table, source)
@@ -444,21 +433,29 @@ class _HttpClient:
         self.endpoint = endpoint
 
 
-class HttpSummarizerClient(_HttpClient):
-    def summarize(self, question, gold_answer, full_ocr, template):
-        prompt = render_prompt(template, {
-            "question": question, "answer": gold_answer, "ocr": full_ocr, "table": ""})
-        return self.endpoint.cached_call({"prompt": prompt, "temperature": 0.1},
-                                         _reply("summarizer", "text", _IS_STRING))
+class _HttpPromptClient(_HttpClient):
+    """An LLM tool: its prompt is its template with each slot filled in."""
+
+    def __init__(self, endpoint: HttpEndpoint, template: PromptTemplate):
+        super().__init__(endpoint)
+        self.template = template
+
+    def _ask(self, tool: str, **bindings) -> str:
+        return self.endpoint.cached_call(
+            {"prompt": render_prompt(self.template, bindings), "temperature": 0.1},
+            _reply(tool, "text", _IS_STRING))
 
 
-class HttpProgrammerClient(_HttpClient):
-    def write_program(self, question, gold_answer, full_ocr, table, template):
-        prompt = render_prompt(template, {
-            "question": question, "answer": gold_answer, "ocr": full_ocr,
-            "table": "\n".join(" | ".join(r) for r in table)})
-        return self.endpoint.cached_call({"prompt": prompt, "temperature": 0.1},
-                                         _reply("programmer", "text", _IS_STRING))
+class HttpSummarizerClient(_HttpPromptClient):
+    def summarize(self, question, gold_answer, full_ocr):
+        return self._ask("summarizer", question=question, answer=gold_answer, ocr=full_ocr,
+                         table="")
+
+
+class HttpProgrammerClient(_HttpPromptClient):
+    def write_program(self, question, gold_answer, full_ocr, table):
+        return self._ask("programmer", question=question, answer=gold_answer, ocr=full_ocr,
+                         table="\n".join(" | ".join(r) for r in table))
 
 
 class HttpOcrClient(_HttpClient):
@@ -511,7 +508,7 @@ class MockOcrClient:
 class MockSummarizerClient:
     fixtures: dict = field(default_factory=dict)  # (question, answer) -> evidence
 
-    def summarize(self, question, gold_answer, full_ocr, template):
+    def summarize(self, question, gold_answer, full_ocr):
         # else stable synthetic evidence mentioning the answer, like a real span
         return self.fixtures.get((question, gold_answer),
                                  f"The document shows that the answer to this is {gold_answer}.")
@@ -521,7 +518,7 @@ class MockSummarizerClient:
 class MockProgrammerClient:
     fixtures: dict = field(default_factory=dict)  # (question, answer) -> program source
 
-    def write_program(self, question, gold_answer, full_ocr, table, template):
+    def write_program(self, question, gold_answer, full_ocr, table):
         return self.fixtures.get((question, gold_answer), f"Find({gold_answer})")
 
 

@@ -26,8 +26,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from rdistill import cli, cropping, fixtures, pipeline, tasks, tools
 from rdistill.codec import CharBlockCounter, WordCounter, parse_answer
 from rdistill.filtering import FilterConfig
-from rdistill.pipeline import (DatasetConfig, PipelineConfig, StageFailure,
-                               TemplateConfig, default_mock_config, run, validate)
+from rdistill.pipeline import (DatasetConfig, PipelineConfig, StageFailure, default_mock_config,
+                               run, validate)
 from rdistill.records import (ImageRef, MalformedRecord, QAExample, _dumps,
                               read_lines, serialize_example, write_lines)
 from rdistill.tools import rationale_text
@@ -189,22 +189,24 @@ class TestStageInvalidation:
         assert stages_run(run(config)) == expected
 
     def test_template_body_change(self, tmp_path, monkeypatch):
+        @dataclasses.dataclass
         class PromptSummarizer:
             """Evidence that depends on the prompt, as a real model's does."""
+            template: tools.PromptTemplate
 
-            def summarize(self, question, gold_answer, full_ocr, template):
-                return f"{template.body.split()[0]} {gold_answer}"
+            def summarize(self, question, gold_answer, full_ocr):
+                return f"{self.template.body.split()[0]} {gold_answer}"
 
         def clients(config):
             c = fixtures.make_mock_clients(seed=config.mock_seed)
-            c.summarizer = PromptSummarizer()
+            c.summarizer = PromptSummarizer(pipeline._load_template(config, "summarizer"))
             return c
 
         monkeypatch.setattr(pipeline, "make_clients", clients)
         template = tmp_path / "summarizer.txt"
         template.write_text("First: {ocr} {question} {answer}")
         config = default_mock_config(str(tmp_path / "t"), seed=0)
-        config.templates["summarizer"] = TemplateConfig(path=str(template))
+        config.templates["summarizer"] = str(template)
         assert stages_run(run(config)) == ALL_STAGES
         template.write_text("Second: {ocr} {question} {answer}")
         assert stages_run(run(config)) == {"generate-rationales", "filter", "build-tasks"}
@@ -859,6 +861,25 @@ class TestPerDatasetFreshness:
         assert {name: after[name] for name in rationales} \
             == {name: digests[name] for name in rationales}
 
+    def test_turning_whole_image_filtering_off_removes_its_files(self, tmp_path):
+        # the rationales entries rerun without it, to the same bytes, and take
+        # the whole-image scores files away: nothing reads them
+        config = default_mock_config(str(tmp_path / "off"), seed=0)
+        run(config)
+        rationales = {name: digest for name, digest in tree_files(config.out_dir).items()
+                      if name.endswith(".rationales.jsonl")}
+        assert len(rationales) == 2
+        config.filter_whole_image = True
+        run(config)
+        assert all(os.path.getsize(pipeline.stage_file(config, ds, "whole_scores")) > 0
+                   for ds in config.datasets)
+        config.filter_whole_image = False
+        assert stages_run(run(config)) == {"generate-rationales", "build-tasks"}
+        files = tree_files(config.out_dir)
+        assert [name for name in files if name.endswith(".whole_scores.jsonl")] == []
+        assert {name: files[name] for name in rationales} == rationales
+        assert stages_run(run(config)) == set()
+
     def test_toggling_whole_image_filtering_over_http_asks_only_the_verifier(self, tmp_path):
         # turning it on replays every rationale request from the response
         # cache and asks the verifier three things per example, 20 in all;
@@ -1153,13 +1174,13 @@ PINNED_FINGERPRINTS = {
         "crop/charts.crops":
             "17bcf484728ba53afc366cd26d071f18d5d796b16f737a4cbc54307b44e60b78",
         "generate-rationales/docs.rationales":
-            "20d59990f6f8864d2da9957090ac9a6cb9e10ee9e2325340d0e63f3f168e78e1",
+            "9aa84a5de9e1ef39473b93c4b6a8cb765548e22640336fbaf4d6e4723916b222",
         "generate-rationales/docs.crop_rationales":
-            "c350546685dc378d4c44e3f2497f1269895b848e3331901333552deb79a1b806",
+            "58b9c8196a182f0fbfaac68fd94dede61340c5836f960a1c591e576f81783704",
         "generate-rationales/charts.rationales":
-            "acaf3a3c12db788547b76f585efb1ec5b5be1db8250224358372531c60814572",
+            "6f92c7454ec84c1973f65a7861526385bd6c661c8e74b138af5f0c5bd12b95b7",
         "generate-rationales/charts.crop_rationales":
-            "1ec915ae643b7a5e9d3f0c6607d0054e4ae62d4e7ce7f65027829a2797903da7",
+            "1fd6948eb9fd3b167d793995a71149732b5880411d58e91847c817d8b9f422bf",
         "filter/docs.categorized":
             "f0a05b73eeaf6f4e602f4d950f0f3dbc943491b78877b7c1eee914176da80032",
         "filter/charts.categorized":
@@ -1183,13 +1204,13 @@ PINNED_FINGERPRINTS = {
         "crop/charts.crops":
             "17bcf484728ba53afc366cd26d071f18d5d796b16f737a4cbc54307b44e60b78",
         "generate-rationales/docs.rationales":
-            "c350546685dc378d4c44e3f2497f1269895b848e3331901333552deb79a1b806",
+            "58b9c8196a182f0fbfaac68fd94dede61340c5836f960a1c591e576f81783704",
         "generate-rationales/docs.crop_rationales":
-            "c350546685dc378d4c44e3f2497f1269895b848e3331901333552deb79a1b806",
+            "58b9c8196a182f0fbfaac68fd94dede61340c5836f960a1c591e576f81783704",
         "generate-rationales/charts.rationales":
-            "1ec915ae643b7a5e9d3f0c6607d0054e4ae62d4e7ce7f65027829a2797903da7",
+            "1fd6948eb9fd3b167d793995a71149732b5880411d58e91847c817d8b9f422bf",
         "generate-rationales/charts.crop_rationales":
-            "1ec915ae643b7a5e9d3f0c6607d0054e4ae62d4e7ce7f65027829a2797903da7",
+            "1fd6948eb9fd3b167d793995a71149732b5880411d58e91847c817d8b9f422bf",
         "filter/docs.categorized":
             "f0a05b73eeaf6f4e602f4d950f0f3dbc943491b78877b7c1eee914176da80032",
         "filter/charts.categorized":
@@ -1213,13 +1234,13 @@ PINNED_FINGERPRINTS = {
         "crop/charts.crops":
             "17bcf484728ba53afc366cd26d071f18d5d796b16f737a4cbc54307b44e60b78",
         "generate-rationales/docs.rationales":
-            "73bac86a01fbd353958390bd8c61ea5e6103024b15705f60d2a2b4c78d94b661",
+            "2916c8a2c437bdb432741d88840e3fd44c9e7807e2d1edaac6989da4c2662f90",
         "generate-rationales/docs.crop_rationales":
-            "73bac86a01fbd353958390bd8c61ea5e6103024b15705f60d2a2b4c78d94b661",
+            "2916c8a2c437bdb432741d88840e3fd44c9e7807e2d1edaac6989da4c2662f90",
         "generate-rationales/charts.rationales":
-            "c375a311eeb98e071a89cc44d3929c59ced0cdf5825e4856bee87cfe77fe148a",
+            "4ccb8f49ac57912ba0ffa1525ae653612f9b051abc779113505dd4a7b9d86bc5",
         "generate-rationales/charts.crop_rationales":
-            "c375a311eeb98e071a89cc44d3929c59ced0cdf5825e4856bee87cfe77fe148a",
+            "4ccb8f49ac57912ba0ffa1525ae653612f9b051abc779113505dd4a7b9d86bc5",
         "filter/docs.categorized":
             "f0a05b73eeaf6f4e602f4d950f0f3dbc943491b78877b7c1eee914176da80032",
         "filter/charts.categorized":
@@ -1250,8 +1271,16 @@ def pinned_config(tmp_path, name):
                             ("ocr", "summarizer", "programmer", "plot_to_table", "verifier")}
         template = tmp_path / "summarizer.txt"
         template.write_text("Summarize {ocr}\nQ: {question}\nA: {answer}\n")
-        config.templates = {"summarizer": TemplateConfig(path=str(template))}
+        config.templates = {"summarizer": str(template)}
     return config
+
+
+def earlier_templates(config):
+    """The templates as fingerprints covered them before a template was its
+    body alone: [name, shot count, body] each, a default named "mock-<client>"."""
+    return [[name if config.templates.get(name) else f"mock-{name}", shots,
+             pipeline._load_template(config, name).body]
+            for name, shots in (("summarizer", 5), ("programmer", 8))]
 
 
 # The settings each stage's one fingerprint covered in trees written before
@@ -1365,6 +1394,44 @@ class TestStageTable:
             write_earlier_manifest(config, stage, task_entries=False)
         calls = handler.calls
         assert stages_run(run(config)) == ALL_STAGES
+        assert handler.calls == calls
+        assert tree_files(config.out_dir) == files
+        assert stages_run(run(config)) == set()
+
+    def test_a_stage_that_reads_the_verifier_endpoint_reads_every_endpoint(self):
+        # so `validate` checks every endpoint of a stage under one gate
+        for stage, rows in pipeline._STAGE_TABLE.items():
+            settings = {setting for row in rows.values() for setting in row.settings}
+            assert "verifier" not in settings or "endpoints" in settings, stage
+
+    def test_a_tree_of_the_earlier_template_fingerprints_reruns_only_generate_rationales(
+            self, tmp_path, counting_server, monkeypatch):
+        # a template was fingerprinted with a name and a shot count: the
+        # generate-rationales entries of a tree written so rerun once,
+        # replaying every request, and leave every file as it was
+        url, handler = counting_server
+        config = http_run_config(str(tmp_path / "earlier"), url, concurrency=2)
+        template = tmp_path / "summarizer.txt"
+        template.write_text("Summarize {ocr}\nQ: {question}\nA: {answer}\n")
+        config.templates = {"summarizer": str(template)}
+        run(config)
+        files, calls = tree_files(config.out_dir), handler.calls
+        with monkeypatch.context() as patch:
+            patch.setitem(pipeline._SETTINGS, "templates", earlier_templates)
+            pinned = pinned_config(tmp_path, "http")
+            assert pipeline._entries(pinned, "generate-rationales")[0].fingerprint \
+                == "73bac86a01fbd353958390bd8c61ea5e6103024b15705f60d2a2b4c78d94b661"
+            earlier = {entry.key: entry.fingerprint
+                       for entry in pipeline._entries(config, "generate-rationales")}
+        path = pipeline._manifest_path(config.out_dir, "generate-rationales")
+        manifest = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        assert manifest["entries"].keys() == earlier.keys()
+        for key, record in manifest["entries"].items():
+            assert record["fingerprint"] != earlier[key]
+            record["fingerprint"] = earlier[key]
+        pathlib.Path(path).write_text(json.dumps(manifest, sort_keys=True) + "\n",
+                                      encoding="utf-8")
+        assert stages_run(run(config)) == {"generate-rationales"}
         assert handler.calls == calls
         assert tree_files(config.out_dir) == files
         assert stages_run(run(config)) == set()
@@ -1981,7 +2048,7 @@ class TestTemplateGate:
         config.tasks = tuple(key for key in config.tasks if key != "apr")
         config.endpoints = {t: f"http://127.0.0.1:9/{t}"
                             for t in ("summarizer", "programmer", "verifier")}
-        config.templates = {"summarizer": TemplateConfig(path=str(template))}
+        config.templates = {"summarizer": str(template)}
         diags = validate(config)
         assert len(diags) == 1 and diags[0].startswith(f"template 'summarizer': {named}"), diags
         assert validate(config, ["crop", "filter", "build-tasks"]) == []
@@ -1994,7 +2061,7 @@ class TestTemplateGate:
         template = tmp_path / "summarizer.txt"
         template.write_text("Q: {question} {hint}")
         config = default_mock_config(str(tmp_path / "late"), seed=0)
-        config.templates = {"summarizer": TemplateConfig(path=str(template))}
+        config.templates = {"summarizer": str(template)}
         monkeypatch.setattr(pipeline, "validate", lambda *args: [])
         with pytest.raises(StageFailure, match="unknown placeholder") as exc:
             run(config)
@@ -2161,7 +2228,7 @@ CONFIG_DEFECTS = {
     "counter": (GENERATE | BUILD, False, lambda c: setattr(c, "counter", "bpe")),
     "max-retries": (GENERATE, False, lambda c: setattr(c, "max_retries", 0)),
     "template": (GENERATE, False,
-                 lambda c: c.templates.update(programmer=TemplateConfig(path="/gone"))),
+                 lambda c: c.templates.update(programmer="/gone")),
     "unknown-task": (BUILD, False, lambda c: setattr(c, "tasks", c.tasks + ("qa",))),
     "apr": (BUILD, True, lambda c: setattr(c, "tasks", c.tasks + ("apr",))),
     "bad-url": (GENERATE, False, lambda c: c.endpoints.update(summarizer="localhost:9/s")),
@@ -2384,9 +2451,11 @@ def positions(value, schema=pipeline._SCHEMA, path=""):
 
 
 def field_value(config, path):
-    """The value a raw config's `path` sets on `config`; `tools`' keys are fields."""
+    """The value a raw config's `path` sets on `config`; `tools`' keys are
+    fields, and `templates` maps a client name to its template's path."""
     value = config
-    for part in path.removeprefix("tools.").replace("[", ".").replace("]", "").split("."):
+    parts = path.removeprefix("tools.").replace("[", ".").replace("]", "").split(".")
+    for part in parts[:2] if parts[0] == "templates" else parts:
         value = (value[int(part)] if isinstance(value, (list, tuple)) else
                  value[part] if isinstance(value, dict) else getattr(value, part))
     return value

@@ -18,7 +18,7 @@ from rdistill.tools import (EVIDENCE_TOKEN_LIMIT, HttpEndpoint, HttpOcrClient,
                             HttpPlotToTableClient, HttpProgrammerClient, HttpSummarizerClient,
                             HttpVerifierClient, MockOcrClient, MockProgrammerClient,
                             MockSummarizerClient, MockVerifierClient,
-                            PromptTemplate, ResponseCache, RetryPolicy, Templates,
+                            PromptTemplate, ResponseCache, RetryPolicy,
                             ToolClients, ToolFailure, generate_rationale,
                             render_prompt, url_problem, verifier_prompt)
 
@@ -27,20 +27,20 @@ WORD = WordCounter()
 
 class TestRenderPrompt:
     def test_single_substitution(self):
-        t = PromptTemplate("t", 5, "Q: {question}")
+        t = PromptTemplate("Q: {question}")
         assert render_prompt(t, {"question": "x"}) == "Q: x"
 
     def test_missing_binding(self):
-        t = PromptTemplate("t", 8, "table: {table}")
+        t = PromptTemplate("table: {table}")
         with pytest.raises(KeyError):
             render_prompt(t, {"question": "x"})
 
     def test_unknown_placeholder_refused_when_built(self):
         with pytest.raises(ValueError, match=r"unknown placeholder \{hint\}"):
-            PromptTemplate("t", 5, "{hint}")
+            PromptTemplate("{hint}")
 
     def test_repeated_placeholder(self):
-        t = PromptTemplate("t", 5, "{question} and {question}")
+        t = PromptTemplate("{question} and {question}")
         assert render_prompt(t, {"question": "x"}) == "x and x"
 
 
@@ -77,15 +77,9 @@ def make_clients(**kw):
     return ToolClients(**defaults)
 
 
-TEMPLATES = Templates(
-    summarizer=PromptTemplate("s", 5, "{ocr} {question} {answer}"),
-    programmer=PromptTemplate("p", 8, "{table} {ocr} {question} {answer}"),
-)
-
-
 class TestGenerateRationale:
     def test_text_evidence_flow(self):
-        r = generate_rationale(make_example(), "text-evidence", make_clients(), TEMPLATES)
+        r = generate_rationale(make_example(), "text-evidence", make_clients())
         assert r.kind == "text_evidence"
         assert "Instagram" in r.evidence
 
@@ -94,7 +88,7 @@ class TestGenerateRationale:
         clients = make_clients(summarizer=MockSummarizerClient(
             fixtures={("q", "a"): long_evidence}))
         ex = make_example(question="q", gold_answers=("a",))
-        r = generate_rationale(ex, "text-evidence", clients, TEMPLATES, counter=WORD)
+        r = generate_rationale(ex, "text-evidence", clients, counter=WORD)
         assert WORD.count(r.evidence) <= EVIDENCE_TOKEN_LIMIT
 
     def test_table_program_flow(self):
@@ -102,7 +96,7 @@ class TestGenerateRationale:
         clients = make_clients(programmer=MockProgrammerClient(
             fixtures={("q", "5"): "Div(25, 5)"}))
         ex = make_example(question="q", gold_answers=("5",), structured_table=table)
-        r = generate_rationale(ex, "table-program", clients, TEMPLATES)
+        r = generate_rationale(ex, "table-program", clients)
         assert r.kind == "table_program"
         assert r.table == table
         assert r.program_source == "Div(25, 5)"
@@ -118,7 +112,7 @@ class TestGenerateRationale:
         ex = make_example(question="q", gold_answers=("a",),
                           structured_table=(("x",),))
         r = generate_rationale(ex, "table-program", make_clients(programmer=Programmer()),
-                               TEMPLATES, max_retries=3)
+                               max_retries=3)
         assert (r.kind, r.flagged, r.table, r.program_source) == \
             ("table_program", True, (("x",),), "")
         assert len(calls) == 3
@@ -128,13 +122,13 @@ class TestGenerateRationale:
         captured = {}
 
         class Spy:
-            def summarize(self, question, gold_answer, full_ocr, template):
+            def summarize(self, question, gold_answer, full_ocr):
                 captured["ocr"] = full_ocr
                 return "evidence"
 
         ex = make_example(ocr_text="")
         generate_rationale(ex, "text-evidence",
-                           make_clients(ocr=ocr, summarizer=Spy()), TEMPLATES)
+                           make_clients(ocr=ocr, summarizer=Spy()))
         assert captured["ocr"] == "fetched words"
 
 
@@ -285,13 +279,13 @@ class TestHttpPayloads:
         assert handler.bodies == [self.WINDOW]
 
 
-# each HTTP tool call: its client, its tool, the reply field it reads, and the call
+# each HTTP tool call: the maker of its client from an endpoint, its tool,
+# the reply field it reads, and the call
 TOOL_CALLS = {
-    "summarize": (HttpSummarizerClient, "summarizer", "text",
-                  lambda c: c.summarize("q", "a", "o", fixtures.SUMMARIZER_TEMPLATE)),
-    "write_program": (HttpProgrammerClient, "programmer", "text",
-                      lambda c: c.write_program("q", "a", "o", [["h"]],
-                                                fixtures.PROGRAMMER_TEMPLATE)),
+    "summarize": (lambda e: HttpSummarizerClient(e, fixtures.SUMMARIZER_TEMPLATE), "summarizer",
+                  "text", lambda c: c.summarize("q", "a", "o")),
+    "write_program": (lambda e: HttpProgrammerClient(e, fixtures.PROGRAMMER_TEMPLATE),
+                      "programmer", "text", lambda c: c.write_program("q", "a", "o", [["h"]])),
     "recognize": (HttpOcrClient, "ocr", "text", lambda c: c.recognize(TestHttpPayloads.IMAGE)),
     "extract_table": (HttpPlotToTableClient, "plot-to-table", "rows",
                       lambda c: c.extract_table(TestHttpPayloads.IMAGE)),
@@ -390,6 +384,48 @@ def test_a_bad_reply_after_a_retry_reports_the_attempts_it_took(scripted_server,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("configured", [True, False], ids=["configured", "default"])
+def test_each_prompt_is_its_clients_template_filled_in(scripted_server, tmp_path, configured):
+    """A run asks the summarizer about each docs example and crop, and the
+    programmer about each chart one, with the template configured for it,
+    else the default body, filled in with that example's fields."""
+    summarizer_url, summarizer = scripted_server([200], reply={"text": "evidence"})
+    programmer_url, programmer = scripted_server([200], reply={"text": "Div(25, 5)"})
+    verifier_url, _ = scripted_server([200], reply={"answer": "no", "logprob": -1.0})
+    corpus = pipeline.default_mock_config(str(tmp_path / "corpus"))
+    bodies = {"summarizer": fixtures.SUMMARIZER_TEMPLATE.body,
+              "programmer": fixtures.PROGRAMMER_TEMPLATE.body}
+    templates = {}
+    if configured:
+        bodies = {"summarizer": "Span of {ocr} for {question}: {answer}{table}.",
+                  "programmer": "{table}\n{question} = {answer}? ({ocr})"}
+        for name, body in bodies.items():
+            (tmp_path / f"{name}.txt").write_text(body, encoding="utf-8")
+            templates[name] = {"path": str(tmp_path / f"{name}.txt")}
+    config = pipeline.PipelineConfig.from_dict({
+        "out_dir": str(tmp_path / "out"), "concurrency": 1,
+        "tasks": ["qra", "qraci", "apraci", "qid", "ans-only"], "templates": templates,
+        "datasets": [{"name": ds.name, "path": ds.path, "flow": ds.flow}
+                     for ds in corpus.datasets],
+        "tools": {"endpoints": {"summarizer": summarizer_url, "programmer": programmer_url,
+                                "verifier": verifier_url}}})
+    pipeline.run(config)
+
+    def prompts(name, kind):
+        ds = next(ds for ds in config.datasets if ds.name == name)
+        examples = pipeline._read_examples(ds.path)
+        examples += pipeline._read_examples(pipeline.stage_file(config, ds, "crops"))
+        return sorted(bodies[kind].format(
+            question=ex.question, answer=ex.canonical_answer, ocr=ex.ocr_text,
+            table="\n".join(" | ".join(row) for row in ex.structured_table or ()))
+            for ex in examples)
+
+    for name, kind, handler in (("docs", "summarizer", summarizer),
+                                ("charts", "programmer", programmer)):
+        assert all(body.keys() == {"prompt", "temperature"} for body in handler.bodies)
+        assert sorted(body["prompt"] for body in handler.bodies) == prompts(name, kind)
+
+
 def test_http_config_asks_plot_to_table_for_a_missing_table(scripted_server, tmp_path):
     rows = [["animal", "count"], ["cats", "25"], ["dogs", "5"]]
     table_url, table_tool = scripted_server([200], reply={"rows": rows})
@@ -398,8 +434,7 @@ def test_http_config_asks_plot_to_table_for_a_missing_table(scripted_server, tmp
         "plot_to_table": table_url, "programmer": programmer_url})
     chart = make_example(image=TestHttpPayloads.IMAGE, question="q", gold_answers=("5",))
     assert chart.structured_table is None
-    r = generate_rationale(chart, "table-program", pipeline.make_clients(config),
-                           pipeline.make_templates(config))
+    r = generate_rationale(chart, "table-program", pipeline.make_clients(config))
     assert r.table == tuple(tuple(row) for row in rows)
     assert r.program_source == "Div(25, 5)"
     assert table_tool.bodies == [TestHttpPayloads.WINDOW]
@@ -679,7 +714,7 @@ def test_the_rationales_of_a_pages_crops_share_its_table():
     page = fixtures.make_chart_examples()[0]
     crops = cropping.apply_plan(page, cropping.plan_crops(page.image.height, page.image.width))
     clients = fixtures.make_mock_clients(seed=0)
-    rationales = [generate_rationale(crop, "table-program", clients, TEMPLATES)
+    rationales = [generate_rationale(crop, "table-program", clients)
                   for crop in crops]
     assert len(rationales) > 1
     assert all(r.table is page.structured_table for r in rationales)
