@@ -20,10 +20,6 @@ class InvalidGeometry(ValueError):
     pass
 
 
-class MissingBoxes(ValueError):
-    """Parent has OCR text but no boxes; cannot restrict OCR to a window."""
-
-
 @dataclass(frozen=True)
 class CropPlan:
     axis: str  # "height" or "width"
@@ -77,11 +73,9 @@ def apply_plan(parent: QAExample, plan: CropPlan) -> list[QAExample]:
     tied on both keep the parent's order). The parent's boxes are put in
     that order once, and each window keeps those it holds, in turn. Box
     coordinates stay in the parent frame; the child ImageRef records the
-    window as crop metadata.
+    window as crop metadata. A parsed parent with OCR text has its boxes
+    (`QAExample.from_json`).
     """
-    if parent.ocr_text and parent.ocr_boxes is None:
-        raise MissingBoxes(f"example {parent.example_id!r} has OCR text but no boxes")
-
     ordered = sorted(parent.ocr_boxes or (), key=lambda b: (b.y0, b.x0))
     children = []
     for j, (start, end) in enumerate(plan.windows):

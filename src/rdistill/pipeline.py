@@ -67,10 +67,10 @@ from dataclasses import asdict, dataclass, field
 
 from . import cropping, filtering, fixtures, tasks, tools
 from .codec import CharBlockCounter, WordCounter
-from .records import (STRING, TASK_NAMES, MalformedRecord, QAExample, Rationale, Verdict,
-                      VerifierScores, _dumps, _parse_line, _typed, numbered_lines,
-                      parse_categorized, parse_example, parse_header, parse_scores,
-                      serialize_categorized, serialize_example, serialize_record,
+from .records import (TASK_NAMES, MalformedRecord, QAExample, Rationale, Verdict,
+                      VerifierScores, numbered_lines, parse_categorized, parse_example,
+                      parse_header, parse_rationale, parse_scores, serialize_categorized,
+                      serialize_example, serialize_rationale, serialize_record,
                       serialize_scores, write_lines)
 
 log = logging.getLogger(__name__)
@@ -371,7 +371,7 @@ def make_clients(config: PipelineConfig) -> tools.ToolClients:
     cache = tools.ResponseCache(response_cache_path(config.out_dir))
     templates = {name: [_load_template(config, name)] for name in _TEMPLATES}
     return tools.ToolClients(**{
-        name: client(tools.HttpEndpoint(config.endpoints[name], policy, cache=cache),
+        name: client(tools.HttpEndpoint(config.endpoints[name], cache, policy),
                      *templates.get(name, []))
         for name, client in _HTTP_CLIENTS.items() if config.endpoints.get(name)})
 
@@ -506,15 +506,6 @@ def task_path(config, task_key):
     return os.path.join(config.out_dir, "tasks", f"{TASK_NAMES[task_key]}.jsonl")
 
 
-def _serialize_rationale_line(example_id: str, rationale: Rationale) -> str:
-    return _dumps({"example_id": example_id, "rationale": rationale.to_json()})
-
-
-def _parse_rationale_line(line: str, line_no: int = 0) -> tuple[str, Rationale]:
-    return _parse_line(line, line_no, lambda obj: (
-        _typed(STRING, "example_id", obj["example_id"]), Rationale.from_json(obj["rationale"])))
-
-
 def _read(path: str, parse) -> list:
     """`parse(line, line_no)` of each line of `path`; a MalformedRecord names the file."""
     try:
@@ -524,7 +515,7 @@ def _read(path: str, parse) -> list:
 
 
 def _read_rationales(path: str) -> dict[str, Rationale]:
-    return dict(_read_unique(path, _parse_rationale_line, lambda pair: pair[0]))
+    return dict(_read_unique(path, parse_rationale, lambda pair: pair[0]))
 
 
 def _read_unique(path: str, parse_one, example_id=lambda ex: ex.example_id) -> list:
@@ -671,7 +662,7 @@ def stage_generate_rationales(config: PipelineConfig, handoff: _Handoff, entry: 
             _write_atomic(dest, (serialize_scores(i, s) for i, s in records))
         else:
             records = {i: r for i, r, _ in results}
-            _write_atomic(dest, (_serialize_rationale_line(i, r) for i, r in records.items()))
+            _write_atomic(dest, (serialize_rationale(i, r) for i, r in records.items()))
         handoff.put(dest, records)
     for kind in entry.row.writes:
         if kind not in kinds:

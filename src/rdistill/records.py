@@ -22,12 +22,12 @@ a bad field reads alike from each. A record built from checked records (a
 crop from its page, a verdict from its scores) is not checked again. So a
 string a line writes is a str, and a number an int or float.
 
-Rationale lines are `_dumps(Rationale.to_json())`. Every JSONL line the
-package reads (stage, task, beam, prediction and response-cache lines, and
-HTTP replies) goes through one decoder, `_loads`, built once at import: it
-returns what `json.loads` returns and raises what it raises. A line whose
-JSON escapes a lone surrogate holds no UTF-8 text and parses as a
-MalformedRecord.
+A rationale line (`serialize_rationale`) is `_dumps` of its example_id and
+`Rationale.to_json()`. Every JSONL line the package reads (stage, task,
+beam, prediction and response-cache lines, and HTTP replies) goes through
+one decoder, `_loads`, built once at import: it returns what `json.loads`
+returns and raises what it raises. A line whose JSON escapes a lone
+surrogate holds no UTF-8 text and parses as a MalformedRecord.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def _box(obj, image: ImageRef, where: str) -> OcrBox:
 
 def _gold(obj: dict) -> tuple[str, tuple[str, ...]]:
     """An example's id and gold answers: a string, and a non-empty list of
-    strings, none of them the None sentinel."""
+    strings, none of them blank or the None sentinel."""
     example_id = _typed(STRING, "example_id", obj["example_id"])
     answers = obj["gold_answers"]
     answers = tuple(answers) if type(answers) is list else answers
@@ -190,9 +190,11 @@ def _gold(obj: dict) -> tuple[str, tuple[str, ...]]:
                          f"list of strings, not {answers!r}")
     where = f"example {example_id!r}: "
     for a in answers:
-        _typed(STRING, "gold answer", a, where)
-        if is_none_answer(a):
-            raise ValueError(f"example {example_id!r}: gold answer collides with None sentinel")
+        trimmed = _typed(STRING, "gold answer", a, where).strip()
+        if not trimmed:
+            raise ValueError(f"{where}gold answer {a!r} is blank")
+        if trimmed == NONE_SENTINEL:
+            raise ValueError(f"{where}gold answer collides with None sentinel")
     return example_id, answers
 
 
@@ -226,22 +228,23 @@ class QAExample:
 
     @classmethod
     def from_json(cls, obj: dict, header_only: bool = False) -> "QAExample":
-        """The example `obj` holds, its question and OCR text strings and its
-        table `_table`'s. With `header_only`, its header: the id, image,
-        question and gold answers, checked alike; its OCR text, boxes and
-        table are neither built nor checked, and left at their defaults."""
+        """The example `obj` holds: its question and OCR text strings, boxes
+        for any OCR text (crop keeps a window's text by them), and its table
+        `_table`'s. With `header_only`, its header: the id, image, question
+        and gold answers, checked alike; the rest is left at its defaults."""
         example_id, gold = _gold(obj)   # first: a value that is not an object raises TypeError
         image = ImageRef.from_json(obj["image"])
         where = f"example {example_id!r}: "
         question = _typed(STRING, "question", obj["question"], where)
         if header_only:
             return cls(example_id, image, question, gold)
+        ocr_text = _typed(STRING, "ocr_text", obj.get("ocr_text", ""), where)
         boxes, table = obj.get("ocr_boxes"), obj.get("structured_table")
-        return cls(
-            example_id, image, question, gold,
-            _typed(STRING, "ocr_text", obj.get("ocr_text", ""), where),
-            tuple(_box(b, image, where) for b in boxes) if boxes is not None else None,
-            _table("structured_table", table, where) if table is not None else None)
+        if boxes is None and ocr_text:
+            raise ValueError(f"{where}ocr_text without ocr_boxes")
+        return cls(example_id, image, question, gold, ocr_text,
+                   tuple(_box(b, image, where) for b in boxes) if boxes is not None else None,
+                   _table("structured_table", table, where) if table is not None else None)
 
 
 TEXT_EVIDENCE = "text_evidence"
@@ -252,9 +255,10 @@ TABLE_PROGRAM = "table_program"
 class Rationale:
     """Tagged union: OCR-derived text evidence, or table + program source.
 
-    `flagged` marks a table-program rationale with no program `dsl.parse`
-    accepts (its source is empty): it is excluded from rationale-prediction
-    targets (QRA, QRACI) but kept for answer-only training (APRCI).
+    `flagged` marks a rationale with nothing to predict, its program or
+    evidence empty: no program `dsl.parse` accepts, or blank evidence. It is
+    excluded from rationale-prediction targets (QRA, QRACI) but kept for
+    answer-only training (APRCI).
     """
 
     kind: str
@@ -289,7 +293,8 @@ class Rationale:
     @classmethod
     def from_json(cls, obj: dict) -> "Rationale":
         """The rationale `obj` holds: text evidence with no table or program,
-        or a table and program with no evidence; strings, a `_table` and a bool."""
+        or a table and program with no evidence, not blank unless flagged;
+        strings, a `_table` and a bool."""
         r = cls(obj["kind"], _typed(STRING, "evidence", obj.get("evidence", "")),
                 _table("table", obj.get("table", [])),
                 _typed(STRING, "program_source", obj.get("program_source", "")),
@@ -302,6 +307,8 @@ class Rationale:
                 raise ValueError("table-program rationale carries evidence field")
         else:
             raise ValueError(f"bad rationale kind {r.kind!r}")
+        if not (r.flagged or (r.evidence or r.program_source).strip()):
+            raise ValueError(f"unflagged {r.kind} rationale with nothing to predict")
         return r
 
 
@@ -511,6 +518,17 @@ def parse_gold(line: str, line_no: int = 0) -> tuple[str, tuple[str, ...]]:
     `parse_example` checks them; its other fields are neither built nor
     checked."""
     return _parse_line(line, line_no, _gold)
+
+
+def serialize_rationale(example_id: str, rationale: Rationale) -> str:
+    """A rationale line: `_dumps` of {"example_id", "rationale"}."""
+    return _dumps({"example_id": example_id, "rationale": rationale.to_json()})
+
+
+def parse_rationale(line: str, line_no: int = 0) -> tuple[str, Rationale]:
+    """Inverse of serialize_rationale: a rationale line's example_id and rationale."""
+    return _parse_line(line, line_no, lambda obj: (
+        _typed(STRING, "example_id", obj["example_id"]), Rationale.from_json(obj["rationale"])))
 
 
 def serialize_categorized(verdict: Verdict) -> str:

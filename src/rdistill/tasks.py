@@ -26,10 +26,9 @@ from .tools import STUDENT_SAMPLES, StudentRationaleClient, rationale_text
 log = logging.getLogger(__name__)
 
 
-class MissingRationale(KeyError):
+class MissingRationale(LookupError):
     def __init__(self, example_id: str):
-        super().__init__(example_id)
-        self.example_id = example_id
+        super().__init__(f"no rationale for example {example_id!r}")
 
 
 class FoldLeak(RuntimeError):
@@ -99,15 +98,13 @@ def build_qra(examples: Iterable[QAExample],
         if r.flagged:
             log.info("example %s: flagged rationale excluded from QRA", ex.example_id)
             continue
-        r_text = rationale_text(r, counter)
-        if not r_text.strip():
-            raise MissingRationale(ex.example_id)
         records.append(TaskRecord(
             task="QRA",
             example_id=ex.example_id,
             image=ex.image,
             decoder_input="",
-            decoder_output=encode_target(ex.question, r_text, ex.canonical_answer, counter),
+            decoder_output=encode_target(ex.question, rationale_text(r, counter),
+                                         ex.canonical_answer, counter),
         ))
     return records
 

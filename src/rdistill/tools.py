@@ -25,8 +25,8 @@ from typing import Protocol
 
 from . import dsl
 from .codec import DEFAULT_COUNTER, TokenCounter, encode_program_rationale
-from .records import (NUMBER, STRING, ImageRef, QAExample, Rationale, _dumps, _loads, _table,
-                      _typed)
+from .records import (NUMBER, STRING, TEXT_EVIDENCE, ImageRef, QAExample, Rationale, _dumps,
+                      _loads, _table, _typed)
 
 log = logging.getLogger(__name__)
 
@@ -137,10 +137,11 @@ def generate_rationale(example: QAExample, flow: str, clients: ToolClients, max_
     """Run one of the two teacher flows for a single example.
 
     text-evidence: full OCR -> few-shot summarizer -> evidence span,
-    truncated to 100 tokens. table-program: structured table (dataset or
-    plot-to-table) + OCR -> few-shot programmer -> validated program
-    source. After `max_retries` programs that `dsl.parse` refuses, the
-    rationale is flagged: it keeps the table and has no program source.
+    truncated to 100 tokens; blank evidence is flagged, and not kept.
+    table-program: structured table (dataset or plot-to-table) + OCR ->
+    few-shot programmer -> validated program source. After `max_retries`
+    programs that `dsl.parse` refuses, the rationale is flagged: it keeps
+    the table and has no program source.
     """
     ocr_text = example.ocr_text
     if not ocr_text and clients.ocr is not None:
@@ -151,7 +152,10 @@ def generate_rationale(example: QAExample, flow: str, clients: ToolClients, max_
             example.question, example.canonical_answer, ocr_text)
         if counter.count(evidence) > EVIDENCE_TOKEN_LIMIT:
             evidence = counter.truncate(evidence, EVIDENCE_TOKEN_LIMIT)
-        return Rationale.text(evidence)
+        if evidence.strip():
+            return Rationale.text(evidence)
+        log.warning("example %s: blank evidence %r", example.example_id, evidence)
+        return Rationale(TEXT_EVIDENCE, flagged=True)
 
     if flow == TABLE_PROGRAM_FLOW:
         table = example.structured_table
@@ -235,11 +239,12 @@ class ResponseCache:
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def fetch(self, key: str, call, read=lambda response: response):
-        """read() of the next stored response for `key`, else of call(),
-        written through once read() accepts it. read() is the client's check
-        of a reply, fresh or replayed: a stored reply it refuses (a
-        ToolFailure) is skipped with a warning, a fresh one is not written."""
+    def fetch(self, key: str, call, read):
+        """read() of the next stored response for `key`, else the value of
+        call()'s (value, fresh response), whose response is then written
+        through. read() is the client's check of a reply, stored or fresh
+        (in call()): a stored reply it refuses (a ToolFailure) is skipped
+        with a warning, a fresh one is not written."""
         with self._lock:
             stored = self._stored.get(key, [])
             while stored:
@@ -247,8 +252,7 @@ class ResponseCache:
                     return read(stored.pop(0))  # replayed once; the memory goes with it
                 except ToolFailure as e:
                     log.warning("%s: skipping a stored response: %s", self.path, e)
-        response = call()
-        value = read(response)
+        value, response = call()
         line = _dumps({"key": key, "response": response})
         with self._lock, open(self.path, "a", encoding="utf-8") as f:
             f.write(line + "\n")
@@ -286,7 +290,7 @@ _JSON_HEADERS = {"Content-Type": "application/json"}
 
 class HttpEndpoint:
     """POST-JSON endpoint with retries, exponential backoff, kept-alive
-    connections and an optional response cache.
+    connections, writing through its run's response cache.
 
     Connections are the standard library's `http.client` ones. A call takes
     an idle connection, or opens one, and puts it back after a complete
@@ -295,8 +299,7 @@ class HttpEndpoint:
     `close` closes the idle connections.
     """
 
-    def __init__(self, url: str, policy: RetryPolicy = RetryPolicy(),
-                 cache: ResponseCache | None = None):
+    def __init__(self, url: str, cache: ResponseCache, policy: RetryPolicy = RetryPolicy()):
         problem = url_problem(url)
         if problem:
             raise ValueError(problem)
@@ -311,24 +314,21 @@ class HttpEndpoint:
         self._lock = threading.Lock()
 
     def cached_call(self, payload: dict, read=lambda response: response):
-        """read() of call(payload, read), through the response cache when
-        there is one (`ResponseCache.fetch`): a reply that call() or read()
-        refuses is never cached, and a stored one passes read() as a fresh
-        one does."""
-        if self.cache is None:
-            return read(self.call(payload, read))
+        """read() of the reply to `payload`, stored or fresh, through the
+        response cache (`ResponseCache.fetch`): a reply that call() or
+        read() refuses is never cached."""
         return self.cache.fetch(ResponseCache.key(self.url, payload),
                                 lambda: self.call(payload, read), read)
 
-    def call(self, payload: dict, check=lambda response: response) -> dict:
-        """One upstream request, retried on connection errors, timeouts and
-        5xx; ToolFailure, with no retry, on a 3xx (no redirect is followed),
-        a 4xx, or a 2xx whose body is not a JSON object in UTF-8 text: one
-        whose strings escape a lone surrogate is refused too, so the response
-        cache is never handed a reply it cannot write. The fields the reply
-        holds are its client's to check: `check(reply)` refuses a reply with
-        a ToolFailure of its tool, which is raised again with the attempts
-        the reply took."""
+    def call(self, payload: dict, read) -> tuple:
+        """(read(reply), reply) of one upstream request, retried on connection
+        errors, timeouts and 5xx; ToolFailure, with no retry, on a 3xx (no
+        redirect is followed), a 4xx, or a 2xx whose body is not a JSON
+        object in UTF-8 text: one whose strings escape a lone surrogate is
+        refused too, so the response cache is never handed a reply it cannot
+        write. The fields the reply holds are its client's to check, once:
+        `read(reply)` refuses a reply with a ToolFailure of its tool, which
+        is raised again with the attempts the reply took."""
         import http.client     # with ssl (~1.6 MB), loaded by the first upstream call
 
         body = json.dumps(payload).encode("utf-8")
@@ -353,10 +353,9 @@ class HttpEndpoint:
                     if not isinstance(out, dict):
                         raise ToolFailure(self.url, "response is not a JSON object", attempt + 1)
                     try:
-                        check(out)
+                        return read(out), out
                     except ToolFailure as e:
                         raise ToolFailure(e.tool, e.cause, attempt + 1) from None
-                    return out
                 if status < 500:
                     raise ToolFailure(self.url, f"HTTP {status}", attempt + 1)
                 last = f"HTTP {status}"

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rdistill.cropping import (FULL_COVERAGE, InvalidGeometry, MissingBoxes,
-                               apply_plan, plan_crops)
+from rdistill.cropping import FULL_COVERAGE, InvalidGeometry, apply_plan, plan_crops
 from rdistill.records import ImageRef, OcrBox, QAExample
 
 
@@ -137,12 +136,6 @@ class TestApplyPlan:
         for child in apply_plan(parent, plan_crops(1000, 400)):
             assert child.question == parent.question
             assert child.gold_answers == parent.gold_answers
-
-    def test_missing_boxes(self):
-        parent = QAExample(example_id="p", image=ImageRef(id="p", height=1000, width=400),
-                           question="q", gold_answers=("a",), ocr_text="some text")
-        with pytest.raises(MissingBoxes):
-            apply_plan(parent, plan_crops(1000, 400))
 
 
 def per_window_sort(parent, plan):

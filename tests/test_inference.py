@@ -402,6 +402,17 @@ class TestEvalCommand:
         assert isinstance(result.exception, SystemExit)
         assert f"eval error: {gold_path} line 1: " in result.output
 
+    @pytest.mark.parametrize("blank", ["", "   ", "\t\n"])
+    def test_a_blank_gold_answer_exits_2(self, tmp_path, blank):
+        bad = json.loads(gold_line("e2", "A"))
+        bad["gold_answers"] = ["A", blank]
+        result, _, gold_path = self.run_eval(
+            tmp_path, [{"example_id": "e1", "answer": "a"}, {"example_id": "e2", "answer": "A"}],
+            [gold_line("e1", "A"), bad])
+        assert result.exit_code == 2, result.output
+        assert f"eval error: {gold_path} line 2: example 'e2': gold answer {blank!r} is blank" \
+            in result.output
+
     @pytest.mark.parametrize("field,value", [("image", {"id": "i", "height": -1}),
                                              ("image", None), ("ocr_boxes", [[1]]),
                                              ("question", None)])

@@ -24,11 +24,11 @@ from click.testing import CliRunner
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rdistill import cli, cropping, fixtures, pipeline, tasks, tools
-from rdistill.codec import CharBlockCounter, WordCounter, parse_answer
+from rdistill.codec import CharBlockCounter, WordCounter, parse_answer, parse_target
 from rdistill.filtering import FilterConfig
 from rdistill.pipeline import (DatasetConfig, PipelineConfig, StageFailure, default_mock_config,
                                run, validate)
-from rdistill.records import (ImageRef, MalformedRecord, QAExample, _dumps,
+from rdistill.records import (ImageRef, MalformedRecord, QAExample, Rationale, _dumps,
                               read_lines, serialize_example, write_lines)
 from rdistill.tools import rationale_text
 
@@ -612,7 +612,7 @@ def parses(monkeypatch):
             return parse(*args, **kwargs)
         return wrapper
 
-    for name in ("parse_example", "parse_header", "parse_categorized", "_parse_rationale_line"):
+    for name in ("parse_example", "parse_header", "parse_categorized", "parse_rationale"):
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
     return counts
 
@@ -752,7 +752,7 @@ class TestInRunHandoff:
         # build-tasks reads no OCR field of an example or a crop, nor does
         # the config check of a run without crop and generate-rationales
         assert parses == {"parse_header": FIRST_RECORDS + MOCK_EXAMPLES + MOCK_CROPS,
-                          "_parse_rationale_line": MOCK_EXAMPLES + MOCK_CROPS,
+                          "parse_rationale": MOCK_EXAMPLES + MOCK_CROPS,
                           "parse_categorized": kept}
 
     def test_examples_read_without_ocr_fields_reach_no_whole_reader(self, tmp_path):
@@ -992,7 +992,7 @@ class TestPerTaskFreshness:
         # filter parses the crops' headers, for their gold answers; build-tasks
         # takes them from it and parses only the crop rationales
         assert parses == {"parse_example": FIRST_RECORDS, "parse_header": MOCK_CROPS,
-                          "_parse_rationale_line": MOCK_CROPS}
+                          "parse_rationale": MOCK_CROPS}
         cold = default_mock_config(str(tmp_path / "cold"), seed=0)
         cold.filter_whole_image, cold.filter = whole_image, config.filter
         run(cold)
@@ -1974,6 +1974,149 @@ class TestDuplicateExampleIds:
                                                "again in 'docs'") as exc:
             run(config)
         assert exc.value.stage == "build-tasks"
+
+
+def rewrite_line(path, line_no, **fields):
+    """Set `fields` in line `line_no` of the JSONL file `path`."""
+    lines = list(read_lines(path))
+    lines[line_no - 1] = json.dumps({**json.loads(lines[line_no - 1]), **fields})
+    write_lines(path, lines)
+
+
+# a dataset field value the parser refuses, and the reason it gives
+BLANK_INPUTS = {"blank-gold": ({"gold_answers": [" \t"]}, "gold answer ' \\t' is blank"),
+                "ocr-without-boxes": ({"ocr_boxes": None}, "ocr_text without ocr_boxes")}
+
+
+class TestBlankInputsStopWhereTheyEnter:
+    """A blank gold answer and OCR text without boxes are refused by the
+    parse that reads them, naming the file and line; a blank evidence is a
+    flagged rationale, and a rationale file without an example's line names
+    the example."""
+
+    @pytest.mark.parametrize("bad", BLANK_INPUTS)
+    def test_crop_names_the_line_before_any_tool_call(self, tmp_path, monkeypatch, bad):
+        fields, reason = BLANK_INPUTS[bad]
+        config = default_mock_config(str(tmp_path / bad), seed=0)
+        path = config.datasets[0].path
+        rewrite_line(path, 3, **fields)
+        made = construction_spy(monkeypatch)
+        with pytest.raises(StageFailure, match=re.escape(
+                f"{path}: line 3: example 'doc02': {reason}")) as exc:
+            run(config)
+        assert exc.value.stage == "crop" and isinstance(exc.value.cause, MalformedRecord)
+        assert made == []
+        assert not os.path.exists(pipeline.stage_file(config, config.datasets[0], "rationales"))
+
+    @pytest.mark.parametrize("bad", BLANK_INPUTS)
+    def test_validate_names_a_first_line(self, tmp_path, bad):
+        fields, reason = BLANK_INPUTS[bad]
+        config = default_mock_config(str(tmp_path / bad), seed=0)
+        path = config.datasets[0].path
+        rewrite_line(path, 1, **fields)
+        assert validate(config) == [f"dataset 'docs': malformed first record ({path}: line 1: "
+                                    f"example 'doc00': {reason})"]
+
+    def test_a_blank_evidence_is_flagged_and_trains_no_rationale_target(
+            self, tmp_path, monkeypatch, mock_run):
+        # doc01's evidence, for the page and each crop, is blank
+        doc01 = fixtures.make_doc_examples()[1]
+
+        def clients(config):
+            c = fixtures.make_mock_clients(seed=config.mock_seed)
+            c.summarizer.fixtures[doc01.question, doc01.canonical_answer] = " \n"
+            return c
+
+        monkeypatch.setattr(pipeline, "make_clients", clients)
+        config = default_mock_config(str(tmp_path / "blank"), seed=0)
+        run(config)
+        docs = config.datasets[0]
+        for kind in ("rationales", "crop_rationales"):
+            rationales = pipeline._read_rationales(pipeline.stage_file(config, docs, kind))
+            blank = {i for i, r in rationales.items() if r.flagged}
+            assert blank and {i.split("#")[0] for i in blank} == {"doc01"}
+            assert all(rationales[i] == Rationale("text_evidence", flagged=True) for i in blank)
+        records, plain = records_by_dataset(config.out_dir), records_by_dataset(mock_run[0].out_dir)
+        qra = [json.loads(line)["example_id"] for line in records["QRA.jsonl", "docs"]]
+        assert qra == [json.loads(line)["example_id"] for line in plain["QRA.jsonl", "docs"]
+                       if json.loads(line)["example_id"] != "doc01"]
+        for line in records["QRACI.jsonl", "docs"] + records["QRA.jsonl", "docs"]:
+            assert parse_target(json.loads(line)["decoder_output"]).rationale.strip()
+
+    def test_a_missing_rationale_line_names_its_example(self, tmp_path):
+        config = default_mock_config(str(tmp_path / "missing"), seed=0)
+        run(config)
+        path = pipeline.stage_file(config, config.datasets[0], "rationales")
+        write_lines(path, list(read_lines(path))[1:])
+        result = CliRunner().invoke(cli.main, ["run", "--stages", "build-tasks", "--mock",
+                                               "--out-dir", config.out_dir])
+        assert result.exit_code == 1, result.output
+        assert "stage 'build-tasks' failed in entry 'qra': no rationale for example 'doc00'" \
+            in result.output
+
+
+# what spoils a dataset line: a blank or None-sentinel gold answer, or OCR text without boxes
+SPOILS = st.sampled_from(["", "  ", "\t\n", "None", " None ", "no-boxes"])
+DRAWN_EVIDENCE = st.sampled_from(["", " ", "\n", "The page says so."])
+
+
+@st.composite
+def drawn_dataset(draw, make_examples):
+    """3 to 6 bundled examples, some of their lines spoilt, and a drawn,
+    possibly blank, summarizer evidence for each; with the numbers of the
+    spoilt lines."""
+    examples = make_examples()[:draw(st.integers(3, 6))]
+    spoilt = draw(st.dictionaries(st.integers(1, len(examples)), SPOILS, max_size=2))
+    for line_no, spoil in spoilt.items():
+        ex = examples[line_no - 1]
+        examples[line_no - 1] = dataclasses.replace(ex, ocr_boxes=None) if spoil == "no-boxes" \
+            else dataclasses.replace(ex, gold_answers=(spoil,) + ex.gold_answers[1:])
+    evidence = {(ex.question, ex.canonical_answer): draw(DRAWN_EVIDENCE) for ex in examples}
+    return examples, evidence, sorted(spoilt)
+
+
+BLANK_EVIDENCE = {(ex.question, ex.canonical_answer): " "
+                  for ex in fixtures.make_doc_examples()[:3]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=drawn_dataset(fixtures.make_doc_examples),
+       charts=drawn_dataset(fixtures.make_chart_examples))
+@example(docs=(fixtures.make_doc_examples()[:3], BLANK_EVIDENCE, []),
+         charts=(fixtures.make_chart_examples()[:3], {}, []))
+def test_a_drawn_run_stops_at_the_first_parse_or_trains_only_rationales(tmp_path_factory, docs,
+                                                                        charts):
+    """A run is refused at the first line a whole parse refuses, before any
+    rationale is made, or it finishes with a rationale in every QRA and
+    QRACI target."""
+    config = default_mock_config(str(tmp_path_factory.mktemp("drawn")), seed=0, write=False)
+    evidence = {}
+    for ds, (examples, drawn, _) in zip(config.datasets, (docs, charts)):
+        os.makedirs(os.path.dirname(ds.path), exist_ok=True)
+        write_lines(ds.path, map(serialize_example, examples))
+        evidence.update(drawn)
+
+    def clients(config):
+        c = fixtures.make_mock_clients(seed=config.mock_seed)
+        c.summarizer.fixtures.update(evidence)
+        return c
+
+    spoilt = [(ds.path, lines[0]) for ds, (_, _, lines) in zip(config.datasets, (docs, charts))
+              if lines]
+    # the config check parses each first line; else crop parses the datasets in turn
+    first = ([(path, n) for path, n in spoilt if n == 1] or spoilt)[:1]
+    with unittest.mock.patch.object(pipeline, "make_clients", clients):
+        if first:
+            with pytest.raises((StageFailure, pipeline.ConfigError),
+                               match=re.escape("{}: line {}: ".format(*first[0]))):
+                run(config)
+            assert not [name for name in os.listdir(config.out_dir)
+                        if name.endswith(".rationales.jsonl")]
+            return
+        run(config)
+    for name in ("QRA", "QRACI"):
+        for line in read_lines(os.path.join(config.out_dir, "tasks", f"{name}.jsonl")):
+            assert parse_target(json.loads(line)["decoder_output"]).rationale.strip()
 
 
 class TestLoneSurrogates:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -9,15 +10,15 @@ from hypothesis import example, given, strategies as st
 
 import rdistill.records
 from rdistill.cropping import FULL_COVERAGE, VERBATIM, apply_plan, plan_crops
-from rdistill.pipeline import _parse_rationale_line, _serialize_rationale_line
 from rdistill.records import (CATEGORIES, TASK_NAMES, Crop, ImageRef,
                               MalformedRecord, OcrBox, QAExample, Rationale,
                               ScoredHypothesis, TaskRecord, Verdict, VerifierScores, _dumps,
                               _loads, _make_dumps, is_none_answer, parse_categorized,
                               parse_example, parse_gold, parse_header, parse_hypothesis,
-                              parse_prediction, parse_record,
+                              parse_prediction, parse_rationale, parse_record,
                               parse_scores, serialize_categorized, serialize_example,
-                              serialize_record, serialize_scores, write_lines)
+                              serialize_rationale, serialize_record, serialize_scores,
+                              write_lines)
 
 
 def make_image(id="img1", h=400, w=400, crop=None):
@@ -105,6 +106,22 @@ class TestInvariants:
         self.refused((parse_example, parse_header, parse_gold),
                      "example 'e': gold answer collides with None sentinel",
                      gold_answers=[" None "])
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t\n", "\u3000"])
+    def test_blank_gold_answer_rejected(self, blank):
+        self.refused((parse_example, parse_header, parse_gold),
+                     f"example 'e': gold answer {blank!r} is blank", gold_answers=["a", blank])
+
+    def test_ocr_text_without_boxes_rejected(self):
+        # crop keeps a window's OCR text through its boxes; a header reads neither
+        self.refused((parse_example,), "example 'e': ocr_text without ocr_boxes",
+                     ocr_text="some text", ocr_boxes=None)
+        obj = example_dict(QAExample(example_id="e", image=make_image(), question="q",
+                                     gold_answers=("a",), ocr_text="some text"))
+        assert parse_header(json.dumps(obj)).ocr_text == ""
+        del obj["ocr_boxes"]
+        with pytest.raises(MalformedRecord, match="^line 2: example 'e': ocr_text without"):
+            parse_example(json.dumps(obj), 2)
 
     def test_ocr_box_out_of_bounds(self):
         self.refused((parse_example,), "example 'e': OCR box 't' outside image bounds",
@@ -208,25 +225,31 @@ def boxes_within(draw, image):
 
 
 tables = st.lists(st.lists(any_text, max_size=4).map(tuple), max_size=4).map(tuple)
+# gold answers as a parser takes them: neither blank nor the None sentinel
+gold_answers = st.lists(any_text.filter(lambda a: a.strip() and not is_none_answer(a)),
+                        min_size=1, max_size=3).map(tuple)
 
 
 @st.composite
 def examples(draw):
     image = draw(images())
+    boxes = draw(st.none() | st.lists(boxes_within(image), max_size=4).map(tuple))
     return QAExample(
         example_id=draw(any_text),
         image=image,
         question=draw(any_text),
-        gold_answers=tuple(draw(st.lists(any_text.filter(lambda a: not is_none_answer(a)),
-                                         min_size=1, max_size=3))),
-        ocr_text=draw(any_text),
-        ocr_boxes=draw(st.none() | st.lists(boxes_within(image), max_size=4).map(tuple)),
+        gold_answers=draw(gold_answers),
+        ocr_text="" if boxes is None else draw(any_text),   # no OCR text without boxes
+        ocr_boxes=boxes,
         structured_table=draw(st.none() | tables),
     )
 
 
+# a rationale with nothing to predict is flagged, as a line must hold it
 rationales = (st.builds(Rationale.text, any_text)
-              | st.builds(Rationale.program, tables, any_text, flagged=st.booleans()))
+              | st.builds(Rationale.program, tables, any_text, flagged=st.booleans())).map(
+    lambda r: r if (r.evidence or r.program_source).strip() else
+    dataclasses.replace(r, flagged=True))
 # any float or int, the extremes drawn often
 scores = (st.sampled_from([sys.float_info.max, -sys.float_info.max, math.inf, -math.inf,
                            math.nan, 5e-324, -5e-324, -0.0, 0])
@@ -269,16 +292,16 @@ class TestParseInvertsSerialize:
 
     @given(any_text, rationales)
     def test_rationale_line(self, example_id, rationale):
-        line = _serialize_rationale_line(example_id, rationale)
+        line = serialize_rationale(example_id, rationale)
         assert line == dumps({"example_id": example_id, "rationale": rationale_dict(rationale)})
-        same(_parse_rationale_line(line), (example_id, rationale))
+        same(parse_rationale(line), (example_id, rationale))
 
     @given(any_text, rationales, st.sampled_from(["tool", "student"]))
     def test_rationale_line_with_an_origin_parses(self, example_id, rationale, origin):
         # earlier versions wrote each rationale's "origin"; a parser ignores it
         line = dumps({"example_id": example_id,
                       "rationale": {**rationale_dict(rationale), "origin": origin}})
-        same(_parse_rationale_line(line), (example_id, rationale))
+        same(parse_rationale(line), (example_id, rationale))
 
     @given(verdicts())
     def test_verdict_line(self, verdict):
@@ -312,9 +335,7 @@ def pages(draw):
     boxes = draw(st.lists(boxes_within(image), max_size=6).map(tuple))
     return QAExample(
         example_id=draw(any_text), image=image, question=draw(any_text),
-        gold_answers=tuple(draw(st.lists(any_text.filter(lambda a: not is_none_answer(a)),
-                                         min_size=1, max_size=3))),
-        ocr_text=" ".join(b.text for b in boxes),
+        gold_answers=draw(gold_answers), ocr_text=" ".join(b.text for b in boxes),
         ocr_boxes=boxes or draw(st.sampled_from([None, ()])),
         structured_table=draw(st.none() | tables))
 
@@ -398,15 +419,32 @@ def test_malformed_example_line(field, value, reason):
     ("kind", "tool", "bad rationale kind 'tool'"),
     *[("table", table, f"table {table!r} is not a list of lists of strings")
       for table in BAD_TABLES]])
-@pytest.mark.parametrize("rationale", [Rationale.text("t"), Rationale.program((("h",),), "")],
+@pytest.mark.parametrize("rationale", [Rationale.text("t"),
+                                       Rationale.program((("h",),), "", flagged=True)],
                          ids=["text", "program"])
 def test_malformed_rationale_line(rationale, field, value, reason):
     obj = {"example_id": "e", "rationale": rationale_dict(rationale)}
-    _parse_rationale_line(json.dumps(obj), 4)
+    parse_rationale(json.dumps(obj), 4)
     obj["rationale"][field] = value
     with pytest.raises(MalformedRecord) as exc:
-        _parse_rationale_line(json.dumps(obj), 4)
+        parse_rationale(json.dumps(obj), 4)
     assert str(exc.value) == f"line 4: {reason}"
+
+
+@pytest.mark.parametrize("field,blank", [("evidence", ""), ("evidence", " \n"),
+                                         ("program_source", ""), ("program_source", "\t")])
+def test_an_unflagged_rationale_with_nothing_to_predict_is_refused(field, blank):
+    """Blank evidence, or a blank program, is a flagged rationale's, as
+    `generate_rationale` makes it; unflagged, a line holding it is refused."""
+    rationale = Rationale.text("t") if field == "evidence" else \
+        Rationale.program((("h",),), "Find(1)")
+    obj = {"example_id": "e", "rationale": {**rationale_dict(rationale), field: blank}}
+    with pytest.raises(MalformedRecord, match=f"^line 4: unflagged {rationale.kind} rationale "
+                                              "with nothing to predict$"):
+        parse_rationale(json.dumps(obj), 4)
+    obj["rationale"]["flagged"] = True
+    assert parse_rationale(json.dumps(obj), 4) == ("e", dataclasses.replace(
+        rationale, flagged=True, **{field: blank}))
 
 
 def valid_lines():
@@ -425,7 +463,7 @@ def valid_lines():
         (parse_hypothesis, {"example_id": "e", "decoded": "q <answer> a", "prob": 0.5},
          "decoded"),
         (parse_prediction, {"example_id": "e", "answer": "a"}, "answer"),
-        (_parse_rationale_line, json.loads(_serialize_rationale_line("e", Rationale.text("t"))),
+        (parse_rationale, json.loads(serialize_rationale("e", Rationale.text("t"))),
          "rationale"),
     ]
 
@@ -780,7 +818,8 @@ class TestParseHeader:
                                     "gold_answers": bad_answers | st.lists(any_text, min_size=1),
                                     }[field])
             if field == "image":
-                obj["ocr_boxes"] = None     # boxes within the old image may lie outside it
+                # boxes within the old image may lie outside it; OCR text needs boxes
+                obj.update(ocr_text="", ocr_boxes=None)
             if data.draw(st.booleans()):
                 del obj[field]
         line = json.dumps(obj)

@@ -131,6 +131,14 @@ class TestGenerateRationale:
                            make_clients(ocr=ocr, summarizer=Spy()))
         assert captured["ocr"] == "fetched words"
 
+    @pytest.mark.parametrize("blank", ["", " ", "\n\t"])
+    def test_blank_evidence_is_flagged(self, blank):
+        # like a program that never parses: nothing to predict, so no QRA or QRACI target
+        clients = make_clients(summarizer=MockSummarizerClient(fixtures={("q", "a"): blank}))
+        r = generate_rationale(make_example(question="q", gold_answers=("a",)),
+                               "text-evidence", clients)
+        assert (r.kind, r.flagged, r.evidence) == ("text_evidence", True, "")
+
 
 class TestMockDeterminism:
     def test_verifier_pure_function_of_seed_and_request(self):
@@ -210,29 +218,39 @@ def scripted_server():
 FAST = RetryPolicy(timeout=5, max_retries=3, backoff=0.01)
 
 
+def cache_path(tmp_path):
+    return tmp_path / "cache" / "responses.jsonl"
+
+
+def cached_endpoint(url, tmp_path, policy=FAST):
+    """An endpoint writing through the response cache at `cache_path(tmp_path)`."""
+    return HttpEndpoint(url, ResponseCache(str(cache_path(tmp_path))), policy)
+
+
 class TestHttpEndpoint:
-    def test_success(self, scripted_server):
+    def test_success(self, scripted_server, tmp_path):
         url, handler = scripted_server([200])
-        out = HttpEndpoint(url, FAST).call({"x": 1})
+        out = cached_endpoint(url, tmp_path).cached_call({"x": 1})
         assert out == {"echo": {"x": 1}, "ok": True}
 
-    def test_retry_then_succeed(self, scripted_server):
+    def test_retry_then_succeed(self, scripted_server, tmp_path):
         url, handler = scripted_server([500, 500, 200])
-        out = HttpEndpoint(url, FAST).call({"x": 1})
+        out = cached_endpoint(url, tmp_path).cached_call({"x": 1})
         assert out["ok"] is True
         assert handler.calls == 3
 
-    def test_failure_after_retries(self, scripted_server):
+    def test_failure_after_retries(self, scripted_server, tmp_path):
         url, handler = scripted_server([500])
         with pytest.raises(ToolFailure) as exc:
-            HttpEndpoint(url, RetryPolicy(timeout=5, max_retries=2, backoff=0.01)).call({})
+            cached_endpoint(url, tmp_path, RetryPolicy(timeout=5, max_retries=2, backoff=0.01)
+                            ).cached_call({})
         assert exc.value.attempts == 3
         assert handler.calls == 3
 
-    def test_client_error_no_retry(self, scripted_server):
+    def test_client_error_no_retry(self, scripted_server, tmp_path):
         url, handler = scripted_server([404])
         with pytest.raises(ToolFailure):
-            HttpEndpoint(url, FAST).call({})
+            cached_endpoint(url, tmp_path).cached_call({})
         assert handler.calls == 1
 
     @pytest.mark.parametrize("status,raw,cause", [
@@ -248,12 +266,11 @@ class TestHttpEndpoint:
     def test_unusable_response_fails_once_and_is_not_cached(self, scripted_server, tmp_path,
                                                            status, raw, cause):
         url, handler = scripted_server([status], raw=raw)
-        cache = ResponseCache(str(tmp_path / "cache" / "responses.jsonl"))
         with pytest.raises(ToolFailure) as exc:
-            HttpEndpoint(url, FAST, cache=cache).cached_call({"x": 1})
+            cached_endpoint(url, tmp_path).cached_call({"x": 1})
         assert (exc.value.tool, exc.value.cause, exc.value.attempts) == (url, cause, 1)
         assert handler.calls == 1
-        assert not (tmp_path / "cache" / "responses.jsonl").exists()
+        assert not cache_path(tmp_path).exists()
 
 
 class TestHttpPayloads:
@@ -264,18 +281,18 @@ class TestHttpPayloads:
     WINDOW = {"image_id": "p#c1", "source_uri": "s3://bucket/p.png",
               "crop": {"axis": "height", "start": 200, "end": 600}}
 
-    def test_verifier_requests_carry_window(self, scripted_server):
+    def test_verifier_requests_carry_window(self, scripted_server, tmp_path):
         url, handler = scripted_server([200], reply={"answer": "A", "logprob": -1.5})
-        client = HttpVerifierClient(HttpEndpoint(url, FAST))
+        client = HttpVerifierClient(cached_endpoint(url, tmp_path))
         assert client.greedy_answer(self.IMAGE, "q", "r") == "A"
         assert client.answer_logprob(self.IMAGE, "q", "A") == -1.5
         for body in handler.bodies:
             assert {k: body[k] for k in self.WINDOW} == self.WINDOW
 
-    def test_ocr_request_carries_window(self, scripted_server):
+    def test_ocr_request_carries_window(self, scripted_server, tmp_path):
         # the client reads the reply's text alone: boxes of any shape are left unread
         url, handler = scripted_server([200], reply={"text": "t", "boxes": [5]})
-        assert HttpOcrClient(HttpEndpoint(url, FAST)).recognize(self.IMAGE) == "t"
+        assert HttpOcrClient(cached_endpoint(url, tmp_path)).recognize(self.IMAGE) == "t"
         assert handler.bodies == [self.WINDOW]
 
 
@@ -328,17 +345,15 @@ def test_an_ill_typed_reply_fails_uncached_and_a_rerun_asks_again(scripted_serve
     is not cached, so a rerun goes upstream again instead of replaying it."""
     client, tool, field, ask = TOOL_CALLS[call]
     url, handler = scripted_server([200], reply=reply)
-    path = tmp_path / "cache" / "responses.jsonl"
     with pytest.raises(ToolFailure) as exc:
-        ask(client(HttpEndpoint(url, FAST, cache=ResponseCache(str(path)))))
+        ask(client(cached_endpoint(url, tmp_path)))
     assert (exc.value.tool, exc.value.cause, exc.value.attempts) == (tool, cause, 1)
     assert handler.calls == 1
-    assert not path.exists()
+    assert not cache_path(tmp_path).exists()
     handler.reply = GOOD_REPLY
-    assert ask(client(HttpEndpoint(url, FAST, cache=ResponseCache(str(path))))) == \
-        GOOD_VALUE[field]
+    assert ask(client(cached_endpoint(url, tmp_path))) == GOOD_VALUE[field]
     assert handler.calls == 2
-    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+    assert len(cache_path(tmp_path).read_text(encoding="utf-8").splitlines()) == 1
 
 
 @pytest.mark.parametrize("stored,cause", [
@@ -352,7 +367,7 @@ def test_a_stored_reply_its_client_refuses_is_skipped_and_asked_again(scripted_s
     once; the good reply it gives is stored after the bad one and replayed
     from then on."""
     url, handler = scripted_server([200], reply={"logprob": -1.5})
-    path = tmp_path / "cache" / "responses.jsonl"
+    path = cache_path(tmp_path)
     path.parent.mkdir()
     ask = TOOL_CALLS["answer_logprob"][3]
     payload = {**TestHttpPayloads.WINDOW, "text_input": "Answer in en: q", "mode": "score",
@@ -361,7 +376,7 @@ def test_a_stored_reply_its_client_refuses_is_skipped_and_asked_again(scripted_s
                                 "response": stored}) + "\n", encoding="utf-8")
 
     def rerun():
-        return ask(HttpVerifierClient(HttpEndpoint(url, FAST, cache=ResponseCache(str(path)))))
+        return ask(HttpVerifierClient(cached_endpoint(url, tmp_path)))
 
     with caplog.at_level(logging.WARNING):
         assert rerun() == -1.5
@@ -371,17 +386,31 @@ def test_a_stored_reply_its_client_refuses_is_skipped_and_asked_again(scripted_s
     assert handler.calls == 1
 
 
-@pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
-def test_a_bad_reply_after_a_retry_reports_the_attempts_it_took(scripted_server, tmp_path,
-                                                                cached):
+def test_a_bad_reply_after_a_retry_reports_the_attempts_it_took(scripted_server, tmp_path):
     url, handler = scripted_server([500, 200], reply={"logprob": None})
-    path = tmp_path / "cache" / "responses.jsonl"
-    cache = ResponseCache(str(path)) if cached else None
     with pytest.raises(ToolFailure) as exc:
-        TOOL_CALLS["answer_logprob"][3](HttpVerifierClient(HttpEndpoint(url, FAST, cache=cache)))
+        TOOL_CALLS["answer_logprob"][3](HttpVerifierClient(cached_endpoint(url, tmp_path)))
     assert str(exc.value) == "verifier: logprob None is not a number (after 2 attempt(s))"
     assert handler.calls == 2
-    assert not path.exists()
+    assert not cache_path(tmp_path).exists()
+
+
+def test_a_fresh_reply_passes_its_clients_check_once(scripted_server, tmp_path, monkeypatch):
+    """The check runs where the reply arrives, and the cache writes what it
+    passed; a rerun replays the stored reply through the same check."""
+    checked, is_number = [], tools._IS_NUMBER
+
+    def counting(name, value):
+        checked.append(value)
+        return is_number(name, value)
+
+    monkeypatch.setattr(tools, "_IS_NUMBER", counting)
+    url, handler = scripted_server([200], reply={"logprob": -1.5})
+    ask = TOOL_CALLS["answer_logprob"][3]
+    assert ask(HttpVerifierClient(cached_endpoint(url, tmp_path))) == -1.5
+    assert checked == [-1.5]
+    assert ask(HttpVerifierClient(cached_endpoint(url, tmp_path))) == -1.5
+    assert checked == [-1.5, -1.5] and handler.calls == 1
 
 
 @pytest.mark.parametrize("configured", [True, False], ids=["configured", "default"])
@@ -484,25 +513,31 @@ def test_a_run_makes_one_response_cache(scripted_server, tmp_path, monkeypatch):
     assert made == []
 
 
-class TestResponseCache:
-    def endpoint(self, url, tmp_path):
-        return HttpEndpoint(url, FAST, cache=ResponseCache(str(tmp_path / "cache" / "r.jsonl")))
+def fresh(response):
+    """A `ResponseCache.fetch` call() whose reply is `response`, read as it is."""
+    return lambda: (response, response)
 
+
+def same(response):
+    return response
+
+
+class TestResponseCache:
     def test_second_run_makes_no_upstream_calls(self, scripted_server, tmp_path):
         url, handler = scripted_server([200])
-        first = [self.endpoint(url, tmp_path).cached_call({"x": i}) for i in range(3)]
+        first = [cached_endpoint(url, tmp_path).cached_call({"x": i}) for i in range(3)]
         assert handler.calls == 3
-        again = self.endpoint(url, tmp_path)
+        again = cached_endpoint(url, tmp_path)
         assert [again.cached_call({"x": i}) for i in range(3)] == first
         assert handler.calls == 3
 
     def test_repeated_payload_replayed_in_order(self, scripted_server, tmp_path):
         url, handler = scripted_server([200])
-        ep = self.endpoint(url, tmp_path)
+        ep = cached_endpoint(url, tmp_path)
         ep.cached_call({"x": 1})
         ep.cached_call({"x": 1})
         assert handler.calls == 2
-        again = self.endpoint(url, tmp_path)
+        again = cached_endpoint(url, tmp_path)
         again.cached_call({"x": 1})
         again.cached_call({"x": 1})
         assert handler.calls == 2
@@ -512,24 +547,24 @@ class TestResponseCache:
     def test_nth_request_gets_nth_response(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
         cache = ResponseCache(path)
-        assert [cache.fetch("k", lambda n=n: {"n": n}) for n in (1, 2)] == [{"n": 1}, {"n": 2}]
+        assert [cache.fetch("k", fresh({"n": n}), same) for n in (1, 2)] == [{"n": 1}, {"n": 2}]
 
         def upstream():
             raise AssertionError("stored response not replayed")
 
         cache = ResponseCache(path)
-        assert [cache.fetch("k", upstream) for _ in range(2)] == [{"n": 1}, {"n": 2}]
-        assert cache.fetch("k", lambda: {"n": 3}) == {"n": 3}
+        assert [cache.fetch("k", upstream, same) for _ in range(2)] == [{"n": 1}, {"n": 2}]
+        assert cache.fetch("k", fresh({"n": 3}), same) == {"n": 3}
 
     def test_truncated_last_line_ignored(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
         cache = ResponseCache(path)
-        cache.fetch("a", lambda: {"v": 1})
+        cache.fetch("a", fresh({"v": 1}), same)
         with open(path, "a", encoding="utf-8") as f:
             f.write('{"key":"b","respo')
         cache = ResponseCache(path)
-        assert cache.fetch("a", lambda: {"v": 0}) == {"v": 1}
-        assert cache.fetch("b", lambda: {"v": 2}) == {"v": 2}
+        assert cache.fetch("a", fresh({"v": 0}), same) == {"v": 1}
+        assert cache.fetch("b", fresh({"v": 2}), same) == {"v": 2}
         with open(path, encoding="utf-8") as f:
             assert [json.loads(line)["key"] for line in f] == ["a", "b"]
 
@@ -547,26 +582,26 @@ class TestResponseCache:
         with caplog.at_level(logging.WARNING):
             cache = ResponseCache(str(path))
         assert caplog.text.count("skipping a malformed line") == 1
-        assert [cache.fetch("a", lambda: {"v": 0}) for _ in range(3)] == \
+        assert [cache.fetch("a", fresh({"v": 0}), same) for _ in range(3)] == \
             [{"v": 1}, {"v": 1}, {"v": 0}]
-        assert cache.fetch("b", lambda: {"v": 2}) == {"v": 2}
+        assert cache.fetch("b", fresh({"v": 2}), same) == {"v": 2}
 
     def test_rerun_after_failure_issues_only_missing_calls(self, scripted_server, tmp_path):
         url, handler = scripted_server([200, 200, 200, 404, 200])
-        ep = self.endpoint(url, tmp_path)
+        ep = cached_endpoint(url, tmp_path)
         with pytest.raises(ToolFailure):
             for i in range(6):
                 ep.cached_call({"record": i})
         assert handler.calls == 4
-        again = self.endpoint(url, tmp_path)
+        again = cached_endpoint(url, tmp_path)
         for i in range(6):
             again.cached_call({"record": i})
         assert handler.calls == 4 + 3
 
     def test_cache_file_is_jsonl_keyed_by_url_and_payload(self, scripted_server, tmp_path):
         url, _ = scripted_server([200])
-        self.endpoint(url, tmp_path).cached_call({"b": 1, "a": 2})
-        with open(tmp_path / "cache" / "r.jsonl", encoding="utf-8") as f:
+        cached_endpoint(url, tmp_path).cached_call({"b": 1, "a": 2})
+        with open(cache_path(tmp_path), encoding="utf-8") as f:
             (line,) = f.readlines()
         entry = json.loads(line)
         assert entry["key"] == ResponseCache.key(url, {"a": 2, "b": 1})
@@ -644,65 +679,65 @@ def sleeps(monkeypatch):
 
 
 class TestKeptAliveConnections:
-    def test_calls_share_one_connection(self, keep_alive_server):
+    def test_calls_share_one_connection(self, keep_alive_server, tmp_path):
         url, handler = keep_alive_server()
-        ep = HttpEndpoint(url, FAST)
-        assert [ep.call({"x": i})["echo"] for i in range(3)] == [{"x": i} for i in range(3)]
+        ep = cached_endpoint(url, tmp_path)
+        assert [ep.cached_call({"x": i})["echo"] for i in range(3)] == [{"x": i} for i in range(3)]
         assert (handler.requests, handler.connections) == (3, 1)
         ep.close()
         assert handler.closed.wait(5)
 
     def test_connection_closed_while_idle_is_reopened_without_an_attempt(
-            self, keep_alive_server, sleeps):
+            self, keep_alive_server, sleeps, tmp_path):
         url, handler = keep_alive_server(close_after_reply=True)
-        ep = HttpEndpoint(url, RetryPolicy(timeout=5, max_retries=0, backoff=60))
-        ep.call({"x": 1})
+        ep = cached_endpoint(url, tmp_path, RetryPolicy(timeout=5, max_retries=0, backoff=60))
+        ep.cached_call({"x": 1})
         assert handler.closed.wait(5)   # the server has closed the idle connection
-        assert ep.call({"x": 2}) == {"echo": {"x": 2}}
+        assert ep.cached_call({"x": 2}) == {"echo": {"x": 2}}
         ep.close()
         assert (handler.requests, handler.connections) == (2, 2)
         assert sleeps == []
 
-    def test_read_timeout_is_retried_like_a_5xx(self, keep_alive_server, sleeps):
+    def test_read_timeout_is_retried_like_a_5xx(self, keep_alive_server, sleeps, tmp_path):
         url, handler = keep_alive_server(delays=(1.0,))
-        ep = HttpEndpoint(url, RetryPolicy(timeout=0.2, max_retries=1, backoff=0.01))
-        assert ep.call({"x": 1}) == {"echo": {"x": 1}}
+        ep = cached_endpoint(url, tmp_path, RetryPolicy(timeout=0.2, max_retries=1, backoff=0.01))
+        assert ep.cached_call({"x": 1}) == {"echo": {"x": 1}}
         ep.close()
         assert handler.requests == 2
         assert sleeps == [0.01]
 
-    def test_read_timeout_uses_an_attempt(self, keep_alive_server, sleeps):
+    def test_read_timeout_uses_an_attempt(self, keep_alive_server, sleeps, tmp_path):
         url, handler = keep_alive_server(delays=(1.0,))
         with pytest.raises(ToolFailure) as exc:
-            HttpEndpoint(url, RetryPolicy(timeout=0.2, max_retries=0)).call({})
+            cached_endpoint(url, tmp_path, RetryPolicy(timeout=0.2, max_retries=0)).cached_call({})
         assert exc.value.attempts == 1
 
 
 @pytest.mark.parametrize("url", ["localhost:9000/s", "ftp://host/s", "http:///s",
                                  "http://host:port/s", "http://[::1/s", 9000, "http://a b/s",
                                  "https://…", "http://a..b/s", "http://.host/s"])
-def test_endpoint_rejects_a_url_it_cannot_call(url):
+def test_endpoint_rejects_a_url_it_cannot_call(url, tmp_path):
     assert url_problem(url)
     with pytest.raises(ValueError):
-        HttpEndpoint(url)
+        cached_endpoint(url, tmp_path)
 
 
 @pytest.mark.parametrize("url", ["http://127.0.0.1:9/s", "https://tools.example/v1?k=1",
                                  "http://[::1]:8080/", "http://127.0.0.1:53121/verifier",
                                  "http://localhost./s", "http://bücher.example/s"])
-def test_endpoint_accepts_http_and_https_urls(url):
+def test_endpoint_accepts_http_and_https_urls(url, tmp_path):
     assert url_problem(url) is None
-    HttpEndpoint(url)
+    cached_endpoint(url, tmp_path)
 
 
-def test_threads_never_share_a_connection(keep_alive_server):
+def test_threads_never_share_a_connection(keep_alive_server, tmp_path):
     url, handler = keep_alive_server()
-    ep = HttpEndpoint(url, FAST)
+    ep = cached_endpoint(url, tmp_path)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with concurrent.futures.ThreadPoolExecutor(8) as pool:
-            echoed = list(pool.map(lambda i: ep.call({"i": i})["echo"]["i"], range(400)))
+            echoed = list(pool.map(lambda i: ep.cached_call({"i": i})["echo"]["i"], range(400)))
     finally:
         sys.setswitchinterval(interval)
     ep.close()
